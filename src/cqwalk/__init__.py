@@ -13,8 +13,8 @@ from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       run_sweep, validate_truncation)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
 from .lindblad import (CollapseSet, DecoherenceRates, EvolutionResult,
-                       IntegrationError, IntegratorConfig, build_collapse_set,
-                       evolve_schedule, evolve_segment)
+                       IntegrationError, build_collapse_set, evolve_schedule,
+                       evolve_segment)
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
 from .protocol import Schedule, Segment, build_schedule, coin_pulse_unitary
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisLabel", "CoinState", "CollapseSet", "ConfigError",
     "DecoherenceRates", "DeviceParams", "Distribution", "EvolutionResult",
-    "ExperimentConfig", "IntegrationError", "IntegratorConfig", "Report",
+    "ExperimentConfig", "IntegrationError", "Report",
     "Schedule", "Segment", "StateSpace", "SweepSpec", "build_collapse_set",
     "build_schedule", "coin_matrix", "coin_preset", "coin_pulse_unitary",
     "emit_distribution", "emit_plot_script", "emit_report",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .idealwalk import CoinState, coin_preset
-from .lindblad import DecoherenceRates, IntegratorConfig
+from .lindblad import DecoherenceRates
 from .statespace import DeviceParams, StateSpace
 
 
@@ -54,11 +54,6 @@ class ExperimentConfig:
     t1_gf_us: float = 10.0
     tphi_e_us: float = 5.0
     tphi_f_us: float = 5.0
-    method: str = "auto"
-    dt_max_us: float = math.inf
-    base_substeps: int = 1000
-    richardson: bool = True
-    richardson_tol: float = 1e-9
     representation: str = "truncated"
     fock_cutoff: int = 2
     renormalize: bool = False
@@ -78,12 +73,6 @@ class ExperimentConfig:
             t_ef=self.t1_ef_us, t_gf=self.t1_gf_us,
             t_phi_e=self.tphi_e_us, t_phi_f=self.tphi_f_us)
         return base.scaled(self.scale)
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            method=self.method, dt_max_us=self.dt_max_us,
-            base_substeps=self.base_substeps, richardson=self.richardson,
-            richardson_tol=self.richardson_tol)
 
     def space(self, mode: str | None = None) -> StateSpace:
         mode = self.representation if mode is None else mode
@@ -110,11 +99,6 @@ _KEY_TO_FIELD = {
     "t1_gf_us": "t1_gf_us",
     "tphi_e_us": "tphi_e_us",
     "tphi_f_us": "tphi_f_us",
-    "method": "method",
-    "dt_max_us": "dt_max_us",
-    "base_substeps": "base_substeps",
-    "richardson": "richardson",
-    "richardson_tol": "richardson_tol",
     "representation": "representation",
     "fock_cutoff": "fock_cutoff",
     "renormalize": "renormalize",
@@ -129,14 +113,13 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 _CHOICES = {
     "coin0": ("zero", "one", "plus-i"),
-    "method": ("auto", "rk4", "expm"),
     "representation": ("truncated", "full"),
     "format": ("csv", "json"),
 }
 
-_INT_FIELDS = {"n_steps", "base_substeps", "fock_cutoff"}
-_BOOL_FIELDS = {"richardson", "renormalize"}
-_STR_FIELDS = {"coin0", "method", "representation", "format", "output"}
+_INT_FIELDS = {"n_steps", "fock_cutoff"}
+_BOOL_FIELDS = {"renormalize"}
+_STR_FIELDS = {"coin0", "representation", "format", "output"}
 
 
 def _parse_value(field_name: str, raw: str, where: str):
@@ -222,15 +205,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  "tphi_e_us", "tphi_f_us"):
         if not getattr(cfg, name) > 0:
             bad(f"{_FIELD_TO_KEY[name]} must be positive (inf to disable)")
-    if not cfg.dt_max_us > 0:
-        bad("dt_max_us must be positive")
-    if cfg.base_substeps < 1:
-        bad("base_substeps must be >= 1")
-    if not cfg.richardson_tol > 0:
-        bad("richardson_tol must be positive")
     if cfg.fock_cutoff < 2:
         bad("fock_cutoff must be >= 2")
-    for name in ("coin0", "method", "representation", "format"):
+    for name in ("coin0", "representation", "format"):
         if getattr(cfg, name) not in _CHOICES[name]:
             bad(f"{name} must be one of {_CHOICES[name]}")
     return cfg

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, validate_config
 from .idealwalk import CoinState, run_ideal
-from .lindblad import EvolutionResult, build_collapse_set, evolve_schedule
+from .lindblad import (EvolutionResult, IntegrationError, build_collapse_set,
+                       density_matrix_checks, evolve_schedule)
 from .metrics import extract_distribution, similarity_report
 from .protocol import build_schedule
 from .statespace import E, F, StateSpace
@@ -30,6 +32,9 @@ REPORT_COLUMNS = (
     "theta_rad", "coin0", "scale", "S", "S_renorm", "residual_vacuum",
     "residual_cavity", "trace_error", "wall_ms",
 )
+
+# Worst per-segment trace error a reported run may have (criterion 7).
+TRACE_ERROR_BOUND = 1e-8
 
 
 @dataclass
@@ -52,6 +57,7 @@ class Report:
     p_me: np.ndarray = field(default_factory=lambda: np.zeros(0))
     p_id: np.ndarray = field(default_factory=lambda: np.zeros(0))
     max_hermiticity_drift: float = 0.0
+    min_eigenvalue: float = math.nan       # of the final state; JSON only
     error: str | None = None
     evolution: EvolutionResult | None = None
 
@@ -87,9 +93,16 @@ def run_experiment(cfg: ExperimentConfig, record: str = "none") -> Report:
     schedule = build_schedule(space, params)
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    evolution = evolve_schedule(rho0, schedule, collapse, cfg.integrator(),
-                                record=record)
+    evolution = evolve_schedule(rho0, schedule, collapse, record=record)
     dist = extract_distribution(evolution.rho, space)
+    diagnostics = (evolution.max_trace_error, evolution.max_hermiticity_drift,
+                   dist.residual_vacuum, dist.residual_cavity, *dist.p)
+    if not np.all(np.isfinite(diagnostics)):
+        raise IntegrationError("non-finite state or readout")
+    if evolution.max_trace_error > TRACE_ERROR_BOUND:
+        raise IntegrationError(f"trace error {evolution.max_trace_error:.3g}"
+                               f" above {TRACE_ERROR_BOUND:g}")
+    checks = density_matrix_checks(evolution.rho)
     p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
     sim = similarity_report(dist.p, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
@@ -111,6 +124,7 @@ def run_experiment(cfg: ExperimentConfig, record: str = "none") -> Report:
         p_me=dist.p,
         p_id=p_id,
         max_hermiticity_drift=evolution.max_hermiticity_drift,
+        min_eigenvalue=checks["min_eigenvalue"],
         evolution=evolution if record != "none" else None,
     )
 
@@ -262,8 +276,8 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
     """Write reports as CSV (pinned column set) or JSON.
 
     destination is a path or a text file object.  JSON mirrors the CSV
-    columns and adds the nested P_me / P_id arrays (and the error
-    message for failed sweep points).
+    columns and adds the nested P_me / P_id arrays, the final state's
+    min_eigenvalue (and the error message for failed sweep points).
     """
     if not reports:
         raise ValueError("no reports to emit")
@@ -290,6 +304,7 @@ def report_to_json_obj(rep: Report) -> dict:
     obj = dict(zip(REPORT_COLUMNS, rep.column_values()))
     obj["P_me"] = [float(x) for x in np.asarray(rep.p_me)]
     obj["P_id"] = [float(x) for x in np.asarray(rep.p_id)]
+    obj["min_eigenvalue"] = rep.min_eigenvalue
     if rep.error is not None:
         obj["error"] = rep.error
     return obj

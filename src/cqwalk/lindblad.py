@@ -10,33 +10,32 @@ channels e->g, f->e, f->g, and pure dephasing of the e and f levels
 (L = sqrt(gamma_phi) |l><l|, so the bare coherences to the ground state
 decay at gamma_phi / 2).
 
-Two integration backends share one vectorization convention,
-vec(A rho B) = (A kron B^T) vec(rho) with row-major vec:
+Each segment is propagated exactly; the map is compiled once per
+distinct (H, duration) of a schedule.  The input picks the form:
 
-``rk4``
-    Fixed-step classical Runge-Kutta on the vectorized state with a
-    precompiled sparse Liouvillian.  An optional step-doubling check
-    compares each segment against a half-step rerun and refines until
-    the two agree (Richardson control), raising IntegrationError if the
-    budget runs out.
-
-``expm``
-    Dense matrix exponential of the Liouvillian (exact for a constant
-    segment).  When a segment has no collapse channels this reduces to
-    the unitary U rho U+ with U = expm(-i H t), which is cheap enough
-    for wide noise-free scans.
-
-Compiled Liouvillians and propagators are cached by content digest, so
-repeated segments (all steps share three Hamiltonians) cost one
-compilation each.
+block form (every L_k is one basis transition sqrt(gamma_k) |a_k><b_k|)
+    The generator splits as -i (H_eff rho - rho H_eff+) + J(rho) with
+    H_eff = H - i Gamma / 2, Gamma = sum_k gamma_k |b_k><b_k|, and
+    J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  J reads and writes only
+    diagonal entries, and H_eff is block diagonal on the connected
+    components of H.  So every entry outside the diagonal blocks of rho
+    evolves exactly as V rho V+ with V = expm(-i t H_eff), computed per
+    block, and the diagonal blocks form a closed linear system whose
+    propagator P = expm(t L_diag) then overwrites them.  L_diag is
+    exponentiated per group of blocks linked by jumps; a decay-free 1x1
+    block (the vacuum) only collects inflow and is shared by the groups
+    that feed it.  In the truncated sector the blocks are 2x2 (coin
+    e_j<->f_j, store e_j<->c_j, retrieve c_j<->e_{j+1}), so both maps
+    cost O(dim) to build and V rho V+ costs O(dim^2) to apply.
+sparse form (anything else: the full tensor-product oracle)
+    scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, with
+    vec(A rho B) = (A kron B^T) vec(rho) in row-major order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .statespace import E, F, G, StateSpace
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the step-doubling control cannot reach its tolerance."""
+    """Raised when a run's numerical diagnostics rule its result out."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def lindblad_apply(rho: np.ndarray, h: np.ndarray,
                    collapse: CollapseSet) -> np.ndarray:
     """Right-hand side of the master equation, applied densely.
 
-    Reference implementation used to cross-check the compiled
+    Reference implementation used to cross-check the sparse
     Liouvillian; O(dim^3) per call.
     """
     out = -1j * (h @ rho - rho @ h)
@@ -194,183 +193,160 @@ def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# digest-keyed caches
+# segment propagators
 
 
-def _digest(*arrays: np.ndarray) -> str:
-    hsh = hashlib.blake2b(digest_size=16)
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        hsh.update(str(a.shape).encode())
-        hsh.update(a.tobytes())
-    return hsh.hexdigest()
+def _components(n: int, edges) -> list[list[int]]:
+    """Connected components of nodes 0..n-1, each in ascending order."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
-class _LRU(OrderedDict):
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def put(self, key, value):
-        if key in self:
-            self.move_to_end(key)
-        self[key] = value
-        while len(self) > self.maxsize:
-            self.popitem(last=False)
-
-    def take(self, key):
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        return None
+def _basis_jumps(collapse: CollapseSet,
+                 dim: int) -> list[tuple[int, int, float]] | None:
+    """(target, source, rate) of each operator sqrt(rate) |a><b|, or None
+    when some operator is not a single basis transition."""
+    jumps = []
+    for op in collapse.ops:
+        nz = np.flatnonzero(op)
+        if len(nz) != 1:
+            return None
+        a, b = divmod(int(nz[0]), dim)
+        jumps.append((a, b, float(abs(op[a, b]) ** 2)))
+    return jumps
 
 
-_LIOUVILLIANS = _LRU(maxsize=16)
-_PROPAGATORS = _LRU(maxsize=64)
+def _block_propagator(h: np.ndarray, duration: float,
+                      jumps: list[tuple[int, int, float]]):
+    """Exact segment map for rank-one jumps (see the module docstring)."""
+    dim = h.shape[0]
+    gamma = np.zeros(dim)
+    for _, b, rate in jumps:
+        gamma[b] += rate
+    h_eff = h - 0.5j * np.diag(gamma)
+
+    # V = expm(-i t H_eff), one block at a time
+    blocks = _components(dim, zip(*np.nonzero(h)))
+    v = np.zeros((dim, dim), dtype=complex)
+    for blk in blocks:
+        sub = np.ix_(blk, blk)
+        v[sub] = expm(-1j * duration * h_eff[sub])
+    v = sp.csr_matrix(v)
+    v_conj = v.conj()
+
+    # Diagonal blocks: one closed system per group of blocks linked by
+    # jumps.  A decay-free 1x1 block (the vacuum) only collects inflow,
+    # so it joins every group that feeds it instead of merging them.
+    block_of = np.empty(dim, dtype=int)
+    for k, blk in enumerate(blocks):
+        block_of[blk] = k
+    jumps_from = [[] for _ in blocks]
+    for jump in jumps:
+        jumps_from[block_of[jump[1]]].append(jump)
+
+    def is_sink(i):
+        k = block_of[i]
+        return len(blocks[k]) == 1 and not jumps_from[k]
+
+    links = [(block_of[a], block_of[b]) for a, b, _ in jumps if not is_sink(a)]
+    parts = []
+    for group in _components(len(blocks), links):
+        own = [jump for k in group for jump in jumps_from[k]]
+        if not own:
+            continue                      # untouched by jumps: V is exact
+        entries = [(p, q) for k in group for p in blocks[k] for q in blocks[k]]
+        sinks = sorted({a for a, _, _ in own if is_sink(a)})
+        pos = {pq: n for n, pq in enumerate(entries + [(s, s) for s in sinks])}
+        gen = np.zeros((len(pos), len(pos)), dtype=complex)
+        off = 0
+        for k in group:
+            he = h_eff[np.ix_(blocks[k], blocks[k])]
+            eye = np.eye(len(he))
+            n = len(he) ** 2
+            gen[off:off + n, off:off + n] = (-1j * np.kron(he, eye)
+                                             + 1j * np.kron(eye, he.conj()))
+            off += n
+        for a, b, rate in own:
+            gen[pos[a, a], pos[b, b]] += rate
+        # columns of the main entries only: a sink starts each group at 0
+        # and collects that group's inflow
+        prop = expm(duration * gen)[:, :len(entries)]
+        parts.append((tuple(np.array(entries).T), (sinks, sinks), prop))
+
+    def propagate(rho):
+        before = [rho[entries] for entries, _, _ in parts]
+        out = (v_conj @ (v @ rho).T).T          # V rho V+
+        for (entries, sinks, prop), x in zip(parts, before):
+            y = prop @ x
+            out[entries] = y[:len(x)]
+            out[sinks] += y[len(x):]
+        return out
+
+    return propagate
 
 
-def clear_caches() -> None:
-    _LIOUVILLIANS.clear()
-    _PROPAGATORS.clear()
+def _sparse_propagator(h: np.ndarray, duration: float,
+                       collapse: CollapseSet):
+    """Action of expm(t L) on vec(rho) for general collapse operators."""
+    from scipy.sparse.linalg import expm_multiply
+
+    liou = duration * liouvillian_matrix(h, collapse)
+    return lambda rho: expm_multiply(liou, rho.reshape(-1)).reshape(rho.shape)
 
 
-def _collapse_digest(collapse: CollapseSet) -> str:
-    if not collapse.ops:
-        return "none"
-    return _digest(*collapse.ops)
+def compile_segment(h: np.ndarray, duration: float, collapse: CollapseSet):
+    """Exact propagator rho -> rho(duration) of one constant-H segment.
 
-
-def compiled_liouvillian(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
-    key = ("liou", _digest(h), _collapse_digest(collapse))
-    hit = _LIOUVILLIANS.take(key)
-    if hit is None:
-        hit = liouvillian_matrix(h, collapse)
-        _LIOUVILLIANS.put(key, hit)
-    return hit
-
-
-def _propagator(h: np.ndarray, collapse: CollapseSet,
-                duration: float) -> tuple[str, np.ndarray]:
-    """("unitary", U) for closed segments, else ("super", expm(L t))."""
-    key = ("prop", _digest(h), _collapse_digest(collapse), duration.hex())
-    hit = _PROPAGATORS.take(key)
-    if hit is not None:
-        return hit
-    if not collapse.ops:
-        val = ("unitary", expm(-1j * duration * h))
-    else:
-        liou = compiled_liouvillian(h, collapse).toarray()
-        val = ("super", expm(duration * liou))
-    _PROPAGATORS.put(key, val)
-    return val
+    The block form is used whenever every collapse operator is a single
+    basis transition (the whole truncated sector, with or without
+    noise); anything else falls back to the sparse Liouvillian.
+    """
+    jumps = _basis_jumps(collapse, h.shape[0])
+    if jumps is None:
+        return _sparse_propagator(h, duration, collapse)
+    return _block_propagator(h, duration, jumps)
 
 
 # ---------------------------------------------------------------------------
-# integration
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Knobs of the segment integrator.
-
-    method         "auto" picks expm for collapse-free segments and rk4
-                   otherwise; "rk4" / "expm" force a backend.
-    dt_max_us      upper bound on the RK4 substep.
-    base_substeps  minimum substeps per segment (the default substep is
-                   min(dt_max_us, duration / base_substeps)).
-    richardson     compare each RK4 segment against a half-step rerun
-                   and refine until max|diff| <= richardson_tol.
-    max_doublings  refinement budget before IntegrationError.
-    """
-
-    method: str = "auto"
-    dt_max_us: float = math.inf
-    base_substeps: int = 1000
-    richardson: bool = True
-    richardson_tol: float = 1e-9
-    max_doublings: int = 4
-
-    def __post_init__(self):
-        if self.method not in ("auto", "rk4", "expm"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.base_substeps < 1:
-            raise ValueError("base_substeps must be >= 1")
-        if self.dt_max_us <= 0:
-            raise ValueError("dt_max_us must be positive")
+# evolution
 
 
 @dataclass
 class SegmentStats:
-    substeps: int
+    substeps: int                 # time steps taken; 0, every map is exact
     trace_error: float
     hermiticity_drift: float
 
 
-def _rk4(liou: sp.csr_matrix, v: np.ndarray, duration: float,
-         n: int) -> np.ndarray:
-    dt = duration / n
-    for _ in range(n):
-        k1 = liou @ v
-        k2 = liou @ (v + 0.5 * dt * k1)
-        k3 = liou @ (v + 0.5 * dt * k2)
-        k4 = liou @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
-
-
-def _segment_substeps(duration: float, config: IntegratorConfig) -> int:
-    dt = min(config.dt_max_us, duration / config.base_substeps)
-    return max(1, int(math.ceil(duration / dt - 1e-12)))
-
-
 def evolve_segment(rho: np.ndarray, h: np.ndarray, duration: float,
-                   collapse: CollapseSet, config: IntegratorConfig
+                   collapse: CollapseSet, propagator=None
                    ) -> tuple[np.ndarray, SegmentStats]:
     """Propagate rho through one constant-H segment.
 
-    Returns the re-symmetrized state and per-segment diagnostics (the
-    hermiticity drift is measured before the symmetrization that
-    removes it).
+    propagator is the segment's compile_segment result, compiled here
+    when not given.  Returns the re-symmetrized state and per-segment
+    diagnostics (the hermiticity drift is measured before the
+    symmetrization that removes it).
     """
-    dim = rho.shape[0]
-    method = config.method
-    if method == "auto":
-        method = "expm" if not collapse.ops else "rk4"
-
-    substeps = 0
-    if method == "expm":
-        kind, prop = _propagator(h, collapse, duration)
-        if kind == "unitary":
-            out = prop @ rho @ prop.conj().T
-        else:
-            out = (prop @ rho.reshape(-1)).reshape(dim, dim)
-    else:
-        liou = compiled_liouvillian(h, collapse)
-        v = rho.reshape(-1)
-        n = _segment_substeps(duration, config)
-        if not config.richardson:
-            out = _rk4(liou, v, duration, n).reshape(dim, dim)
-            substeps = n
-        else:
-            coarse = _rk4(liou, v, duration, n)
-            for _ in range(config.max_doublings + 1):
-                fine = _rk4(liou, v, duration, 2 * n)
-                err = float(np.max(np.abs(fine - coarse)))
-                if err <= config.richardson_tol:
-                    out = fine.reshape(dim, dim)
-                    substeps = 2 * n
-                    break
-                coarse, n = fine, 2 * n
-            else:
-                raise IntegrationError(
-                    f"segment of {duration:.3g} us: step-doubling error "
-                    f"{err:.3g} above {config.richardson_tol:.3g} after "
-                    f"{config.max_doublings} refinements")
-
+    if propagator is None:
+        propagator = compile_segment(h, duration, collapse)
+    out = propagator(rho)
     drift = float(np.max(np.abs(out - out.conj().T)))
     out = 0.5 * (out + out.conj().T)
     trace_error = abs(float(np.trace(out).real) - 1.0)
-    return out, SegmentStats(substeps, trace_error, drift)
+    return out, SegmentStats(0, trace_error, drift)
 
 
 @dataclass
@@ -379,7 +355,7 @@ class EvolutionResult:
 
     snapshots/times hold the recorded states (always including t=0 when
     recording is on); max_trace_error and max_hermiticity_drift are the
-    worst values seen across all segments.
+    worst values seen across all segments, NaN if any segment gave NaN.
     """
 
     rho: np.ndarray
@@ -390,10 +366,12 @@ class EvolutionResult:
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
-                    collapse: CollapseSet, config: IntegratorConfig,
+                    collapse: CollapseSet,
                     record: str = "none") -> EvolutionResult:
     """Run the whole pulse program.
 
+    Each distinct (H, duration) is compiled once; the schedule shares
+    one Hamiltonian per segment kind, so that is three compilations.
     record: "none", "steps" (snapshot after each walk step) or
     "segments" (after every pulse).
     """
@@ -405,22 +383,26 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     if record != "none":
         times.append(0.0)
         snaps.append(rho.copy())
-    result = EvolutionResult(rho=rho, times=np.zeros(0))
+    propagators = {}
+    trace_errors, drifts = [0.0], [0.0]
     for seg in schedule:
+        key = (id(seg.hamiltonian), seg.duration)
+        if key not in propagators:
+            propagators[key] = compile_segment(seg.hamiltonian, seg.duration,
+                                               collapse)
         rho, stats = evolve_segment(rho, seg.hamiltonian, seg.duration,
-                                    collapse, config)
+                                    collapse, propagators[key])
         t += seg.duration
-        result.max_trace_error = max(result.max_trace_error, stats.trace_error)
-        result.max_hermiticity_drift = max(result.max_hermiticity_drift,
-                                           stats.hermiticity_drift)
+        trace_errors.append(stats.trace_error)
+        drifts.append(stats.hermiticity_drift)
         if record == "segments" or (record == "steps"
                                     and seg.label == SEG_RETRIEVE):
             times.append(t)
             snaps.append(rho.copy())
-    result.rho = rho
-    result.times = np.asarray(times)
-    result.snapshots = snaps
-    return result
+    # np.max, unlike max(), keeps a NaN from any segment
+    return EvolutionResult(rho=rho, times=np.asarray(times), snapshots=snaps,
+                           max_trace_error=float(np.max(trace_errors)),
+                           max_hermiticity_drift=float(np.max(drifts)))
 
 
 # ---------------------------------------------------------------------------

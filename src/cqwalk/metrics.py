@@ -97,5 +97,5 @@ def similarity_report(p_measured: np.ndarray,
     if total > 0.0:
         s_renorm = similarity(np.clip(p_measured, 0.0, None) / total, p_ideal)
     else:
-        s_renorm = 0.0
+        s_renorm = 0.0 if total == 0.0 else float("nan")   # NaN total
     return SimilarityResult(s=s, s_renorm=s_renorm)

@@ -117,8 +117,8 @@ def build_schedule(space: StateSpace, params: DeviceParams) -> Schedule:
     """Full pulse program: n_steps repetitions of coin/store/retrieve.
 
     The three Hamiltonians are shared across steps (the drive is
-    global and steps are identical), so propagator caches see three
-    distinct matrices regardless of n_steps.
+    global and steps are identical), so evolution compiles three
+    segment maps regardless of n_steps.
     """
     if space.n_steps != params.n_steps:
         raise ValueError("state space and params disagree on n_steps")

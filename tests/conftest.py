@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.idealwalk import coin_matrix
+from cqwalk.lindblad import liouvillian_matrix
 
 INF = math.inf
 
@@ -36,3 +38,21 @@ def brute_force_walk(n, theta, coin):
     psi[0], psi[1] = coin.c0, coin.c1
     out = u @ psi
     return np.abs(out[0::2]) ** 2 + np.abs(out[1::2]) ** 2
+
+
+def dense_expm_evolve(rho0, schedule, collapse):
+    """Small-N oracle: dense expm(t L) of the Liouvillian per segment.
+
+    No block structure and no rank-one assumption; the superoperator
+    has dim^2 rows, so keep dim below ~30.
+    """
+    dim = rho0.shape[0]
+    vec = np.asarray(rho0, dtype=complex).reshape(-1)
+    props = {}
+    for seg in schedule:
+        key = (id(seg.hamiltonian), seg.duration)
+        if key not in props:
+            liou = liouvillian_matrix(seg.hamiltonian, collapse).toarray()
+            props[key] = expm(seg.duration * liou)
+        vec = props[key] @ vec
+    return vec.reshape(dim, dim)

@@ -2,7 +2,7 @@
 
 Eight numbered criteria cover decoherence-free exactness, the full
 tensor-product truncation oracle, the published similarity benchmarks,
-drive insensitivity, the exact-walk oracle, integrator invariants, and
+drive insensitivity, the exact-walk oracle, propagator invariants, and
 monotonicity properties.  Each test prints a single
 
     ACCEPTANCE <n>: PASS|FAIL -- <detail>
@@ -17,13 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import brute_force_walk, zero_noise_config
+from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
 
 from cqwalk import ExperimentConfig, run_experiment, validate_truncation
 from cqwalk.harness import Report, initial_density_matrix
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.lindblad import (IntegratorConfig, build_collapse_set,
-                             evolve_schedule)
+from cqwalk.lindblad import build_collapse_set, evolve_schedule
 from cqwalk.protocol import build_schedule
 
 COINS = ("zero", "one", "plus-i")
@@ -175,17 +174,15 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     schedule = build_schedule(space, cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    rho_rk = evolve_schedule(rho0, schedule, collapse,
-                             IntegratorConfig(method="rk4")).rho
-    rho_ex = evolve_schedule(rho0, schedule, collapse,
-                             IntegratorConfig(method="expm")).rho
-    backend_dev = float(np.max(np.abs(rho_rk - rho_ex)))
+    rho_block = evolve_schedule(rho0, schedule, collapse).rho
+    rho_dense = dense_expm_evolve(rho0, schedule, collapse)
+    backend_dev = float(np.max(np.abs(rho_block - rho_dense)))
     ok = (worst_trace <= 1e-8 and worst_herm <= 1e-10
           and backend_dev <= 1e-7)
     _check(7, ok, f"{len(_RUN_LOG)} logged runs: max trace error "
                   f"{worst_trace:.2e} (tol 1e-8), max hermiticity drift "
-                  f"{worst_herm:.2e} (tol 1e-10); rk4 vs expm at N=5: "
-                  f"max elementwise dev {backend_dev:.2e} (tol 1e-7)")
+                  f"{worst_herm:.2e} (tol 1e-10); block vs dense expm at "
+                  f"N=5: max elementwise dev {backend_dev:.2e} (tol 1e-7)")
 
 
 def test_criterion_8_monotonicity(n10_coin_runs, n20_runs):

@@ -79,8 +79,7 @@ def test_sweep_with_range_values(tmp_path):
 
 def test_sweep_default_g_grid(capsys):
     # omitting --values on the g axis sweeps the stock 10..60 MHz grid
-    code = main(["sweep", "--axis", "g", "--n-steps", "2",
-                 "--method", "expm", *ZERO_NOISE])
+    code = main(["sweep", "--axis", "g", "--n-steps", "2", *ZERO_NOISE])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     g_col = REPORT_COLUMNS.index("g_over_2pi_MHz")
@@ -91,7 +90,7 @@ def test_sweep_default_g_grid(capsys):
 def test_sweep_cross_axis(capsys):
     code = main(["sweep", "--axis", "n_steps", "--values", "1,2",
                  "--cross-axis", "scale", "--cross-values", "5,1",
-                 "--n-steps", "1", "--method", "expm"])
+                 "--n-steps", "1"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(out) == 5
@@ -101,8 +100,7 @@ def test_sweep_cross_axis(capsys):
 
 
 def test_validate_subcommand(capsys):
-    code = main(["validate", "--n-steps", "1", "--coin0", "one",
-                 "--method", "expm"])
+    code = main(["validate", "--n-steps", "1", "--coin0", "one"])
     out = capsys.readouterr().out
     assert code == 0
     assert "distribution_deviation" in out
@@ -125,14 +123,14 @@ def test_config_errors_exit_1(argv, capsys):
 
 
 def test_numerical_failure_exits_2(capsys):
-    code = main(["run", "--n-steps", "1", "--method", "rk4",
-                 "--base-substeps", "4", "--richardson-tol", "1e-300"])
+    # a 1e-300 us lifetime overflows the segment maps to NaN
+    code = main(["run", "--n-steps", "1", "--t1-ge-us", "1e-300"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
 def test_io_failure_exits_3(capsys):
-    code = main(["run", "--n-steps", "1", "--method", "expm",
+    code = main(["run", "--n-steps", "1",
                  "--output", "/nonexistent-dir/report.csv"])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err

@@ -16,8 +16,7 @@ mu_over_2pi_MHz = auto
 coin0 = one
 scale = 0.5
 t1_cavity_us = inf
-richardson = false
-method = rk4
+renormalize = true
 format = json
 """
 
@@ -29,7 +28,7 @@ def test_parse_happy_path():
     assert got["mu_over_2pi_mhz"] is None
     assert got["coin0"] == "one"
     assert got["t1_cavity_us"] == math.inf
-    assert got["richardson"] is False
+    assert got["renormalize"] is True
     assert got["format"] == "json"
     cfg = config_from_mapping(got)
     assert cfg.n_steps == 12
@@ -41,7 +40,7 @@ def test_parse_happy_path():
     ("n_steps 3", "key = value"),
     ("n_steps = 3\nn_steps = 4", "duplicate"),
     ("n_steps = many", "expected integer"),
-    ("richardson = perhaps", "expected boolean"),
+    ("renormalize = perhaps", "expected boolean"),
     ("scale = nan", "nan"),
     ("coin0 = left", "not one of"),
     ("g_over_2pi_MHz = fast", "expected number"),
@@ -61,9 +60,9 @@ def test_parse_errors_carry_line_info(text, fragment):
     {"theta_rad": math.pi},
     {"scale": 0.0},
     {"t1_ge_us": -1.0},
-    {"dt_max_us": 0.0},
-    {"base_substeps": 0},
-    {"richardson_tol": 0.0},
+    {"omega_over_2pi_mhz": 0.0},
+    {"representation": "dense"},
+    {"format": "xml"},
     {"fock_cutoff": 1},
     {"mu_over_2pi_mhz": -2.0},
 ])
@@ -111,22 +110,21 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(GOOD)
     cfg = load_config(path)
     assert cfg.n_steps == 12
-    assert cfg.method == "rk4"
+    assert cfg.renormalize is True
 
 
 def test_parse_field_value_override_path():
     assert parse_field_value("n_steps", "7") == 7
     assert parse_field_value("mu_over_2pi_mhz", "auto") is None
-    assert parse_field_value("richardson", "on") is True
+    assert parse_field_value("renormalize", "on") is True
     with pytest.raises(ConfigError):
         parse_field_value("made_up", "1")
     with pytest.raises(ConfigError):
-        parse_field_value("method", "verlet")
+        parse_field_value("representation", "dense")
 
 
 def test_derived_objects():
-    cfg = ExperimentConfig(n_steps=3, method="expm")
+    cfg = ExperimentConfig(n_steps=3)
     assert cfg.space().dim == 12
     assert cfg.space("full").dim == 3 ** 4 * 2 ** 3
-    assert cfg.integrator().method == "expm"
     assert abs(cfg.coin().c1) == pytest.approx(1 / math.sqrt(2))

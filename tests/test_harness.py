@@ -13,6 +13,7 @@ from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid,
                             validate_truncation)
 from cqwalk.idealwalk import coin_preset, run_ideal
+from cqwalk.lindblad import IntegrationError
 from cqwalk.statespace import E, F, StateSpace
 
 
@@ -44,6 +45,20 @@ def test_zero_noise_run_matches_ideal_oracle():
     assert rep.s == pytest.approx(1.0, abs=1e-9)
     assert rep.residual_vacuum == pytest.approx(0.0, abs=1e-10)
     assert rep.residual_cavity == pytest.approx(0.0, abs=1e-10)
+
+
+def test_noisy_run_reports_positive_final_state():
+    rep = run_experiment(ExperimentConfig(n_steps=5, scale=0.2))
+    assert rep.min_eigenvalue >= -1e-12
+    assert report_to_json_obj(rep)["min_eigenvalue"] == rep.min_eigenvalue
+    assert "min_eigenvalue" not in REPORT_COLUMNS      # CSV stays pinned
+
+
+def test_trace_error_above_bound_is_a_numerical_failure():
+    # a 1e-14 us lifetime makes the segment maps so stiff that the state
+    # stays finite but its trace is off by ~1e-5
+    with pytest.raises(IntegrationError, match="trace error"):
+        run_experiment(ExperimentConfig(n_steps=1, t1_ge_us=1e-14))
 
 
 def test_run_experiment_record_attaches_snapshots():
@@ -89,9 +104,8 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_records_failures_per_row():
-    # an impossible step-doubling tolerance fails every open point
-    cfg = ExperimentConfig(n_steps=1, method="rk4", base_substeps=4,
-                           richardson_tol=1e-300)
+    # a 1e-300 us lifetime overflows the segment maps to NaN
+    cfg = ExperimentConfig(n_steps=1, t1_ge_us=1e-300)
     reports = run_sweep(cfg, SweepSpec(axis="scale", values=(1.0, 0.5)))
     assert len(reports) == 2
     for rep in reports:

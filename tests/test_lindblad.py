@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_expm_evolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from cqwalk.lindblad import (CollapseSet, DecoherenceRates, IntegrationError,
-                             IntegratorConfig, build_collapse_set,
-                             clear_caches, compiled_liouvillian,
+from cqwalk.lindblad import (CollapseSet, DecoherenceRates, build_collapse_set,
                              density_matrix_checks, evolve_schedule,
                              evolve_segment, lindblad_apply, liouvillian_matrix,
                              load_snapshots, save_snapshots)
@@ -15,6 +15,7 @@ from cqwalk.protocol import build_schedule
 from cqwalk.statespace import DeviceParams, StateSpace
 
 REF = DeviceParams.from_mhz(2, 50.0, 100.0)
+REF_1 = DeviceParams.from_mhz(1, 50.0, 100.0)
 
 
 def _random_density(rng, dim):
@@ -73,33 +74,82 @@ def test_liouvillian_matches_direct_application():
 
 
 def test_rk4_agrees_with_exponential_backend():
+    # the production (block) path against the dense superoperator oracle
     space = StateSpace(2)
     params = DeviceParams.from_mhz(2, 50.0, 100.0)
     schedule = build_schedule(space, params)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rng = np.random.default_rng(5)
     rho0 = _random_density(rng, space.dim)
-    out_rk = evolve_schedule(rho0, schedule, collapse,
-                             IntegratorConfig(method="rk4")).rho
-    out_ex = evolve_schedule(rho0, schedule, collapse,
-                             IntegratorConfig(method="expm")).rho
-    assert np.max(np.abs(out_rk - out_ex)) < 1e-9
+    out = evolve_schedule(rho0, schedule, collapse).rho
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_auto_uses_unitary_shortcut_for_closed_segments():
+    # without collapse channels the block path is U rho U+ exactly
     space = StateSpace(1)
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     schedule = build_schedule(space, params)
     empty = CollapseSet((), ())
     rng = np.random.default_rng(11)
     rho0 = _random_density(rng, space.dim)
-    auto = evolve_schedule(rho0, schedule, empty, IntegratorConfig()).rho
-    rk = evolve_schedule(rho0, schedule, empty,
-                         IntegratorConfig(method="rk4")).rho
-    assert np.max(np.abs(auto - rk)) < 1e-9
+    out = evolve_schedule(rho0, schedule, empty).rho
+    want = rho0
+    for seg in schedule:
+        u = expm(-1j * seg.duration * seg.hamiltonian)
+        want = u @ want @ u.conj().T
+    assert np.max(np.abs(out - want)) < 1e-12
     # purity preserved without collapse channels
-    assert np.trace(auto @ auto).real == pytest.approx(
-        np.trace(rho0 @ rho0).real, abs=1e-9)
+    assert np.trace(out @ out).real == pytest.approx(
+        np.trace(rho0 @ rho0).real, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 5), scale=st.floats(0.2, 5.0),
+       theta=st.floats(0.1, 1.4), seed=st.integers(0, 10_000))
+def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
+    space = StateSpace(n)
+    schedule = build_schedule(
+        space, DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
+    collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
+    assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
+    rho0 = _random_density(np.random.default_rng(seed), space.dim)
+    out = evolve_schedule(rho0, schedule, collapse).rho
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(out - oracle)) <= 1e-12
+
+
+def test_sparse_path_for_non_rank_one_collapse():
+    # full tensor space: embedded jumps are not single transitions
+    space = StateSpace(1, mode="full")
+    schedule = build_schedule(space, DeviceParams.from_mhz(1, 50.0, 100.0))
+    collapse = build_collapse_set(space, DecoherenceRates.t0(0.5))
+    rho0 = _random_density(np.random.default_rng(4), space.dim)
+    res = evolve_schedule(rho0, schedule, collapse)
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(res.rho - oracle)) < 1e-12
+    assert res.max_trace_error < 1e-12
+
+
+def test_segment_stats_report_exact_map():
+    space = StateSpace(1)
+    collapse = build_collapse_set(space, DecoherenceRates.t0())
+    h = build_schedule(space, REF_1).segments[1].hamiltonian
+    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+    rho0[1, 1] = 1.0
+    _, stats = evolve_segment(rho0, h, 5e-3, collapse)
+    assert stats.substeps == 0
+    assert stats.trace_error < 1e-14
+
+
+def test_diagnostics_keep_nan():
+    space = StateSpace(1)
+    schedule = build_schedule(space, REF_1)
+    rho0 = np.full((space.dim, space.dim), np.nan, dtype=complex)
+    res = evolve_schedule(rho0, schedule, CollapseSet((), ()))
+    assert math.isnan(res.max_trace_error)
+    assert math.isnan(res.max_hermiticity_drift)
 
 
 def test_trace_and_hermiticity_tracked():
@@ -108,7 +158,7 @@ def test_trace_and_hermiticity_tracked():
     collapse = build_collapse_set(space, DecoherenceRates.t0(0.2))
     rng = np.random.default_rng(7)
     rho0 = _random_density(rng, space.dim)
-    res = evolve_schedule(rho0, schedule, collapse, IntegratorConfig())
+    res = evolve_schedule(rho0, schedule, collapse)
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
     checks = density_matrix_checks(res.rho)
@@ -123,84 +173,14 @@ def test_record_modes():
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(1, 1), space.qutrit_index(1, 1)] = 1.0
-    by_step = evolve_schedule(rho0, schedule, collapse, IntegratorConfig(),
-                              record="steps")
+    by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
     assert len(by_step.snapshots) == 3          # t=0 plus two steps
     assert by_step.times[0] == 0.0
     assert by_step.times[-1] == pytest.approx(schedule.total_duration)
-    by_seg = evolve_schedule(rho0, schedule, collapse, IntegratorConfig(),
-                             record="segments")
+    by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
     assert len(by_seg.snapshots) == 7           # t=0 plus six segments
     with pytest.raises(ValueError):
-        evolve_schedule(rho0, schedule, collapse, IntegratorConfig(),
-                        record="sometimes")
-
-
-def test_richardson_failure_raises():
-    space = StateSpace(1)
-    schedule = build_schedule(space, DeviceParams.from_mhz(1, 50.0, 100.0))
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[1, 1] = 1.0
-    cfg = IntegratorConfig(method="rk4", base_substeps=1,
-                           richardson_tol=1e-300, max_doublings=1)
-    with pytest.raises(IntegrationError):
-        evolve_schedule(rho0, schedule, collapse, cfg)
-
-
-def test_richardson_refines_until_tolerance():
-    space = StateSpace(1)
-    params = DeviceParams.from_mhz(1, 50.0, 100.0)
-    collapse = build_collapse_set(space, DecoherenceRates.t0(0.1))
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[1, 1] = 1.0
-    h = build_schedule(space, params).segments[1].hamiltonian
-    coarse_cfg = IntegratorConfig(method="rk4", base_substeps=2,
-                                  richardson=False)
-    out_c, stats_c = evolve_segment(rho0, h, 5e-3, collapse, coarse_cfg)
-    rich_cfg = IntegratorConfig(method="rk4", base_substeps=2,
-                                richardson=True, richardson_tol=1e-8,
-                                max_doublings=10)
-    out_r, stats_r = evolve_segment(rho0, h, 5e-3, collapse, rich_cfg)
-    assert stats_r.substeps > stats_c.substeps
-    exact = evolve_segment(rho0, h, 5e-3, collapse,
-                           IntegratorConfig(method="expm"))[0]
-    assert np.max(np.abs(out_r - exact)) < 1e-8
-
-
-def test_compiled_liouvillian_is_cached():
-    clear_caches()
-    space = StateSpace(1)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
-    h = np.eye(space.dim)
-    first = compiled_liouvillian(h, collapse)
-    second = compiled_liouvillian(h.copy(), collapse)
-    assert first is second
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="leapfrog")
-    with pytest.raises(ValueError):
-        IntegratorConfig(base_substeps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt_max_us=0.0)
-
-
-def test_dt_max_raises_substep_count():
-    space = StateSpace(1)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
-    h = build_schedule(space, DeviceParams.from_mhz(1, 50.0, 100.0)) \
-        .segments[1].hamiltonian
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[1, 1] = 1.0
-    few = IntegratorConfig(method="rk4", base_substeps=10, richardson=False)
-    _, stats_few = evolve_segment(rho0, h, 5e-3, collapse, few)
-    capped = IntegratorConfig(method="rk4", base_substeps=10,
-                              dt_max_us=1e-4, richardson=False)
-    _, stats_capped = evolve_segment(rho0, h, 5e-3, collapse, capped)
-    assert stats_few.substeps == 10
-    assert stats_capped.substeps == 50
+        evolve_schedule(rho0, schedule, collapse, record="sometimes")
 
 
 @settings(max_examples=10, deadline=None)
@@ -210,12 +190,8 @@ def test_evolution_preserves_trace_property(seed, scale):
     collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
     rng = np.random.default_rng(seed)
     rho0 = _random_density(rng, space.dim)
-    h = build_schedule(space, DeviceParams.from_mhz(1, 50.0, 100.0)) \
-        .segments[0].hamiltonian
-    out, stats = evolve_segment(rho0, h, 2e-3, collapse,
-                                IntegratorConfig(method="rk4",
-                                                 base_substeps=64,
-                                                 richardson=False))
+    h = build_schedule(space, REF_1).segments[0].hamiltonian
+    out, stats = evolve_segment(rho0, h, 2e-3, collapse)
     assert stats.trace_error < 1e-10
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,9 @@ def test_similarity_report_zero_measured():
     rep = similarity_report(np.zeros(3), np.array([0.2, 0.3, 0.5]))
     assert rep.s == 0.0
     assert rep.s_renorm == 0.0
+    # a NaN readout must not turn into a score of 0
+    rep = similarity_report(np.array([np.nan, 0.5]), np.array([0.5, 0.5]))
+    assert math.isnan(rep.s) and math.isnan(rep.s_renorm)
 
 
 @settings(max_examples=40, deadline=None)

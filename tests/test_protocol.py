@@ -30,7 +30,7 @@ def test_schedule_structure():
     assert [s.label for s in sched] == [SEG_COIN, SEG_STORE, SEG_RETRIEVE] * 2
     assert [s.step for s in sched] == [1, 1, 1, 2, 2, 2]
     assert sched.total_duration == pytest.approx(2 * 11.25e-3)
-    # identical pulses share one matrix -> propagator caches stay small
+    # identical pulses share one matrix -> one compiled map per kind
     assert sched.segments[0].hamiltonian is sched.segments[3].hamiltonian
     assert sched.params is REF
 
