@@ -199,12 +199,18 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("mu_over_2pi_MHz must be positive and finite (or auto)")
     if not 0 < cfg.theta_rad < math.pi / 2:
         bad("theta_rad must lie in (0, pi/2)")
-    if not cfg.scale > 0:
-        bad("scale must be positive")
+    if not math.isfinite(cfg.phi_rad):
+        bad("phi_rad must be finite")
+    if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
+        bad("scale must be positive and finite")
     for name in ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
                  "tphi_e_us", "tphi_f_us"):
         if not getattr(cfg, name) > 0:
             bad(f"{_FIELD_TO_KEY[name]} must be positive (inf to disable)")
+    try:
+        cfg.rates()
+    except ValueError as exc:          # a lifetime so short its rate is inf
+        bad(f"lifetime times scale too short: {exc}")
     if cfg.fock_cutoff < 2:
         bad("fock_cutoff must be >= 2")
     for name in ("coin0", "representation", "format"):

@@ -8,7 +8,10 @@ with piecewise-constant H given by the schedule segments.  Collapse
 operators cover cavity photon loss, the three qutrit relaxation
 channels e->g, f->e, f->g, and pure dephasing of the e and f levels
 (L = sqrt(gamma_phi) |l><l|, so the bare coherences to the ground state
-decay at gamma_phi / 2).
+decay at gamma_phi / 2).  A CollapseSet stores each operator as its
+nonzero entries; in the truncated sector every operator is one basis
+transition, so build_collapse_set writes that single entry by index and
+no dim x dim matrix is formed.
 
 Each segment is propagated exactly; the map is compiled once per
 distinct (H, duration) of a schedule.  The input picks the form:
@@ -28,14 +31,14 @@ block form (every L_k is one basis transition sqrt(gamma_k) |a_k><b_k|)
     e_j<->f_j, store e_j<->c_j, retrieve c_j<->e_{j+1}), so both maps
     cost O(dim) to build and V rho V+ costs O(dim^2) to apply.
 sparse form (anything else: the full tensor-product oracle)
-    scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, with
+    scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, built
+    from the operators' entries as csr, with
     vec(A rho B) = (A kron B^T) vec(rho) in row-major order.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,13 +126,33 @@ class DecoherenceRates:
 
 @dataclass(frozen=True)
 class CollapseSet:
-    """Collapse operators with the sqrt(rate) already folded in."""
+    """Collapse operators as their nonzero entries, sqrt(rate) folded in.
 
-    ops: tuple[np.ndarray, ...]
+    channels[k] = (rows, cols, values) says that operator k has entries
+    values at (rows, cols) and zeros elsewhere.  A truncated-sector
+    channel is one basis transition, a single entry.
+    """
+
+    channels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     labels: tuple[str, ...]
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.channels)
+
+
+# (label prefix, DecoherenceRates field, to level, from level) per qutrit
+_QUTRIT_CHANNELS = (
+    ("relax_ge", "gamma_ge", G, E),
+    ("relax_ef", "gamma_ef", E, F),
+    ("relax_gf", "gamma_gf", G, F),
+    ("dephase_e", "gamma_phi_e", E, E),
+    ("dephase_f", "gamma_phi_f", F, F),
+)
+
+
+def _entries(op: np.ndarray):
+    rows, cols = np.nonzero(op)
+    return rows, cols, op[rows, cols]
 
 
 def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSet:
@@ -137,44 +160,47 @@ def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSe
 
     Five channels per qutrit plus one per cavity, so a chain with q
     qutrits and c cavities has 5q + c operators when every rate is
-    nonzero.
+    nonzero.  A zero-rate channel is skipped before anything is built.
+    In truncated mode each channel is one transition |a><b| of the
+    sector basis, found by index arithmetic (|g>_j<l| on qutrit j in l
+    leaves the vacuum); in full mode the entries are read off the
+    embedded tensor-product operator.
     """
-    ops, labels = [], []
+    truncated = space.mode == "truncated"
+    channels, labels = [], []
 
-    def add(rate, op, label):
-        if rate > 0.0:
-            ops.append(math.sqrt(rate) * op)
-            labels.append(label)
+    def add(rate, label, rows, cols, values):
+        channels.append((np.asarray(rows), np.asarray(cols),
+                         math.sqrt(rate) * np.asarray(values, dtype=complex)))
+        labels.append(label)
+
+    def index(j, level):
+        return space.vacuum_index if level == G else space.qutrit_index(j, level)
 
     for j in range(1, space.n_qutrits + 1):
-        add(rates.gamma_ge, space.qutrit_transition(j, G, E), f"relax_ge_q{j}")
-        add(rates.gamma_ef, space.qutrit_transition(j, E, F), f"relax_ef_q{j}")
-        add(rates.gamma_gf, space.qutrit_transition(j, G, F), f"relax_gf_q{j}")
-        add(rates.gamma_phi_e, space.qutrit_transition(j, E, E), f"dephase_e_q{j}")
-        add(rates.gamma_phi_f, space.qutrit_transition(j, F, F), f"dephase_f_q{j}")
-    for j in range(1, space.n_cavities + 1):
-        add(rates.kappa, space.cavity_annihilation(j), f"loss_c{j}")
-    return CollapseSet(tuple(np.asarray(o, dtype=complex) for o in ops),
-                       tuple(labels))
+        for name, field_name, to_level, from_level in _QUTRIT_CHANNELS:
+            rate = getattr(rates, field_name)
+            if rate <= 0.0:
+                continue
+            if truncated:
+                add(rate, f"{name}_q{j}", [index(j, to_level)],
+                    [index(j, from_level)], [1.0])
+            else:
+                add(rate, f"{name}_q{j}", *_entries(
+                    space.qutrit_transition(j, to_level, from_level)))
+    if rates.kappa > 0.0:
+        for j in range(1, space.n_cavities + 1):
+            if truncated:
+                add(rates.kappa, f"loss_c{j}", [space.vacuum_index],
+                    [space.cavity_index(j)], [1.0])
+            else:
+                add(rates.kappa, f"loss_c{j}",
+                    *_entries(space.cavity_annihilation(j)))
+    return CollapseSet(tuple(channels), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
 # superoperators
-
-
-def lindblad_apply(rho: np.ndarray, h: np.ndarray,
-                   collapse: CollapseSet) -> np.ndarray:
-    """Right-hand side of the master equation, applied densely.
-
-    Reference implementation used to cross-check the sparse
-    Liouvillian; O(dim^3) per call.
-    """
-    out = -1j * (h @ rho - rho @ h)
-    for op in collapse.ops:
-        opd = op.conj().T
-        anti = opd @ op
-        out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
-    return out
 
 
 def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
@@ -183,10 +209,10 @@ def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
     eye = sp.identity(dim, format="csr")
     hs = sp.csr_matrix(h)
     liou = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
-    for op in collapse.ops:
-        ops = sp.csr_matrix(op)
-        anti = sp.csr_matrix(op.conj().T @ op)
-        liou = liou + sp.kron(ops, ops.conj()) \
+    for rows, cols, values in collapse.channels:
+        op = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+        anti = op.conj().T @ op
+        liou = liou + sp.kron(op, op.conj()) \
             - 0.5 * sp.kron(anti, eye) - 0.5 * sp.kron(eye, anti.T)
     return sp.csr_matrix(liou)
 
@@ -213,20 +239,6 @@ def _components(n: int, edges) -> list[list[int]]:
     return list(groups.values())
 
 
-def _basis_jumps(collapse: CollapseSet,
-                 dim: int) -> list[tuple[int, int, float]] | None:
-    """(target, source, rate) of each operator sqrt(rate) |a><b|, or None
-    when some operator is not a single basis transition."""
-    jumps = []
-    for op in collapse.ops:
-        nz = np.flatnonzero(op)
-        if len(nz) != 1:
-            return None
-        a, b = divmod(int(nz[0]), dim)
-        jumps.append((a, b, float(abs(op[a, b]) ** 2)))
-    return jumps
-
-
 def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Matrix exponential of each of many small square matrices.
 
@@ -245,8 +257,13 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
     for k, m in enumerate(mats):
         a[k, :len(m), :len(m)] = m
     norm = float(np.abs(a).sum(axis=1).max())
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm else 0
-    a /= 2.0 ** squarings
+    if not math.isfinite(norm):
+        raise IntegrationError(f"segment generator has 1-norm {norm}")
+    # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e with
+    # m in [1/2, 1), read exactly from the float
+    mantissa, exponent = math.frexp(norm)
+    squarings = max(0, exponent + (mantissa > 0.5))
+    a *= 2.0 ** -squarings             # exact; 2.0 ** 1025 would overflow
     eye = np.eye(size)
     exp_a = eye + a / 16
     for k in range(15, 0, -1):                # Horner: I + a/k (I + ...)
@@ -342,13 +359,15 @@ def _sparse_propagator(h: np.ndarray, duration: float,
 def compile_segment(h: np.ndarray, duration: float, collapse: CollapseSet):
     """Exact propagator rho -> rho(duration) of one constant-H segment.
 
-    The block form is used whenever every collapse operator is a single
-    basis transition (the whole truncated sector, with or without
-    noise); anything else falls back to the sparse Liouvillian.
+    The block form is used whenever every collapse operator has one
+    entry, a single basis transition (the whole truncated sector, with
+    or without noise); anything else falls back to the sparse
+    Liouvillian.
     """
-    jumps = _basis_jumps(collapse, h.shape[0])
-    if jumps is None:
+    if any(len(rows) != 1 for rows, _, _ in collapse.channels):
         return _sparse_propagator(h, duration, collapse)
+    jumps = [(int(rows[0]), int(cols[0]), float(abs(values[0]) ** 2))
+             for rows, cols, values in collapse.channels]
     return _block_propagator(h, duration, jumps)
 
 
@@ -439,7 +458,7 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 
 
 # ---------------------------------------------------------------------------
-# state checks and snapshot files
+# state checks
 
 
 def density_matrix_checks(rho: np.ndarray) -> dict[str, float]:
@@ -449,41 +468,3 @@ def density_matrix_checks(rho: np.ndarray) -> dict[str, float]:
     sym = 0.5 * (rho + rho.conj().T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return {"trace_error": tr, "hermiticity": herm, "min_eigenvalue": min_eig}
-
-
-_SNAP_MAGIC = b"CQWS"
-
-
-def save_snapshots(path, times, snapshots) -> None:
-    """Binary snapshot file.
-
-    Layout: magic "CQWS", then uint64 count, uint64 dim (little
-    endian), then count records of one float64 time followed by
-    dim*dim complex128 entries in row-major order.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(snapshots):
-        raise ValueError("times and snapshots length mismatch")
-    dim = snapshots[0].shape[0] if snapshots else 0
-    with open(path, "wb") as fh:
-        fh.write(_SNAP_MAGIC)
-        fh.write(struct.pack("<QQ", len(times), dim))
-        for t, rho in zip(times, snapshots):
-            if rho.shape != (dim, dim):
-                raise ValueError("inconsistent snapshot shapes")
-            fh.write(struct.pack("<d", float(t)))
-            fh.write(np.ascontiguousarray(rho, dtype=complex).tobytes())
-
-
-def load_snapshots(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SNAP_MAGIC:
-            raise ValueError("not a snapshot file")
-        count, dim = struct.unpack("<QQ", fh.read(16))
-        times = np.empty(count)
-        snaps = []
-        for i in range(count):
-            times[i] = struct.unpack("<d", fh.read(8))[0]
-            buf = fh.read(16 * dim * dim)
-            snaps.append(np.frombuffer(buf, dtype=complex).reshape(dim, dim).copy())
-    return times, snaps

@@ -63,6 +63,14 @@ def h_coin(space: StateSpace, params: DeviceParams) -> np.ndarray:
     """Global coin drive: sum_j Omega (e^{i phi} |e>_j<f| + h.c.)."""
     phase = np.exp(1j * params.phi)
     h = np.zeros((space.dim, space.dim), dtype=complex)
+    if space.mode == "truncated":
+        # one-body terms stay in the sector: |e><f| on qutrit j links
+        # exactly its f state to its e state
+        for j in range(1, space.n_qutrits + 1):
+            row, col = space.qutrit_index(j, E), space.qutrit_index(j, F)
+            h[row, col] += params.omega * phase
+            h[col, row] += params.omega * np.conj(phase)
+        return h
     for j in range(1, space.n_qutrits + 1):
         ef = space.qutrit_transition(j, E, F)
         h += params.omega * (phase * ef + np.conj(phase) * ef.conj().T)

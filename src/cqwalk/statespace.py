@@ -8,13 +8,18 @@ with N cavities between neighbours.  Two representations are supported:
     (non-ground qutrits plus photons) and the protocol keeps the system
     in the single-excitation sector.  That sector has dimension 3N+3:
     the joint vacuum, then (e, f) for each qutrit, then one photon in
-    each cavity.  All operators here are the compressions P F P of the
-    full-space operators F onto that sector.
+    each cavity.  Operators in this mode are the compressions P F P of
+    the full-space operators F onto that sector.  Each Hamiltonian term
+    and collapse operator of the protocol compresses to one transition
+    |a><b| between sector states, so they are built by index (from
+    qutrit_index and cavity_index), never as embedded dense operators.
 
 ``full``
     The exact tensor product of N+1 qutrits and N Fock-truncated
     cavities, dimension 3^(N+1) * cutoff^N.  Exponentially large; used
-    to validate the truncated representation at small N.
+    to validate the truncated representation at small N.  Only this mode
+    builds dense embedded operators (qutrit_transition,
+    cavity_annihilation).
 
 Basis ordering in truncated mode (index: state):
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +83,7 @@ class BasisLabel:
 
 
 class StateSpace:
-    """Basis enumeration and operator factory for one chain size.
+    """Basis enumeration and index lookups for one chain size.
 
     Parameters
     ----------
@@ -180,37 +185,26 @@ class StateSpace:
     # -- operators ----------------------------------------------------
 
     def qutrit_transition(self, site: int, to_level: int, from_level: int) -> np.ndarray:
-        """Matrix of |to><from| acting on qutrit `site` (identity elsewhere).
+        """Full-mode matrix of |to><from| on qutrit `site` (identity elsewhere).
 
-        In truncated mode this is the compression onto the
-        single-excitation sector, built directly from its action on the
-        sector basis (a matrix element survives only when both states
-        stay inside the sector).
+        Truncated-mode operators are built by index instead, from
+        qutrit_index/cavity_index (see protocol and lindblad).
         """
+        self._require("full")
         self._check_qutrit(site)
         if to_level not in (G, E, F) or from_level not in (G, E, F):
             raise ValueError("levels must be G, E or F")
-        if self.mode == "full":
-            local = np.zeros((3, 3))
-            local[to_level, from_level] = 1.0
-            return self._embed_qutrit(site, local)
-        m = np.zeros((self.dim, self.dim))
-        for col, lab in enumerate(self._labels):
-            out = _apply_transition(lab, site, to_level, from_level)
-            if out is not None:
-                m[self._trunc_index(out), col] = 1.0
-        return m
+        local = np.zeros((3, 3))
+        local[to_level, from_level] = 1.0
+        return self._embed_qutrit(site, local)
 
     def cavity_annihilation(self, site: int) -> np.ndarray:
-        """Photon annihilation operator of cavity `site`."""
+        """Full-mode photon annihilation operator of cavity `site`."""
+        self._require("full")
         self._check_cavity(site)
-        if self.mode == "full":
-            c = self.fock_cutoff
-            local = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
-            return self._embed_cavity(site, local)
-        m = np.zeros((self.dim, self.dim))
-        m[0, self.cavity_index(site)] = 1.0
-        return m
+        c = self.fock_cutoff
+        local = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
+        return self._embed_cavity(site, local)
 
     def excitation_number(self) -> np.ndarray:
         """Diagonal operator counting non-ground qutrits plus photons."""
@@ -222,13 +216,6 @@ class StateSpace:
                       for levels, photons in self._labels], dtype=float)
         return np.diag(d)
 
-    def _trunc_index(self, lab: BasisLabel) -> int:
-        if lab.kind == "vacuum":
-            return 0
-        if lab.kind == "qutrit":
-            return self.qutrit_index(lab.site, lab.level)
-        return self.cavity_index(lab.site)
-
     def _embed_qutrit(self, site: int, local: np.ndarray) -> np.ndarray:
         before = 3 ** (site - 1)
         after = (3 ** (self.n_qutrits - site)
@@ -239,30 +226,6 @@ class StateSpace:
         before = 3 ** self.n_qutrits * self.fock_cutoff ** (site - 1)
         after = self.fock_cutoff ** (self.n_cavities - site)
         return np.kron(np.kron(np.eye(before), local), np.eye(after))
-
-
-def _apply_transition(lab: BasisLabel, site: int, to_level: int,
-                      from_level: int):
-    """Apply |to><from| on qutrit `site` to a truncated basis state.
-
-    Returns the resulting BasisLabel, or None when the amplitude is zero
-    or the result leaves the single-excitation sector.
-    """
-    if lab.kind == "qutrit" and lab.site == site:
-        here = lab.level
-    else:
-        here = G
-    if here != from_level:
-        return None
-    if to_level == G:
-        if lab.kind == "qutrit" and lab.site == site:
-            return BasisLabel.vacuum()
-        return lab
-    # to_level is an excitation: any other excitation already present
-    # pushes the result out of the sector.
-    if lab.kind == "vacuum" or (lab.kind == "qutrit" and lab.site == site):
-        return BasisLabel.qutrit(site, to_level)
-    return None
 
 
 def embedding_matrix(trunc: StateSpace, full: StateSpace) -> np.ndarray:

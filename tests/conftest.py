@@ -56,3 +56,26 @@ def dense_expm_evolve(rho0, schedule, collapse):
             props[key] = expm(seg.duration * liou)
         vec = props[key] @ vec
     return vec.reshape(dim, dim)
+
+
+def dense_operators(collapse, dim):
+    """The collapse operators of a CollapseSet as dense dim x dim arrays."""
+    ops = []
+    for rows, cols, values in collapse.channels:
+        op = np.zeros((dim, dim), dtype=complex)
+        op[rows, cols] = values
+        ops.append(op)
+    return ops
+
+
+def lindblad_apply(rho, h, collapse):
+    """Right-hand side of the master equation, applied densely.
+
+    Reference for the sparse Liouvillian; O(dim^3) per call.
+    """
+    out = -1j * (h @ rho - rho @ h)
+    for op in dense_operators(collapse, h.shape[0]):
+        opd = op.conj().T
+        anti = opd @ op
+        out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
+    return out

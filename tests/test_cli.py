@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqwalk.cli import main
 from cqwalk.harness import REPORT_COLUMNS
@@ -116,10 +121,16 @@ def test_validate_subcommand(capsys):
     ["sweep", "--axis", "n_steps"],
     ["sweep", "--axis", "n_steps", "--values", "1", "--cross-values", "2"],
     ["frobnicate"],
+    ["run", "--phi-rad", "inf"],
+    ["run", "--t1-ge-us", "1e-320"],      # rate 1/lifetime overflows to inf
+    ["run", "--scale", "1e-320"],
+    ["run", "--scale", "inf"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("cqwalk: config error:")
+    assert err.count("\n") == 1                 # one line, no traceback
 
 
 def test_numerical_failure_exits_2(capsys):
@@ -127,6 +138,38 @@ def test_numerical_failure_exits_2(capsys):
     code = main(["run", "--n-steps", "1", "--t1-ge-us", "1e-300"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+_FLOAT_FLAGS = ("--g-over-2pi-mhz", "--omega-over-2pi-mhz",
+                "--mu-over-2pi-mhz", "--theta-rad", "--phi-rad", "--scale",
+                "--t1-cavity-us", "--t1-ge-us", "--t1-ef-us", "--t1-gf-us",
+                "--tphi-e-us", "--tphi-f-us")
+_FUZZ_FLOATS = st.one_of(
+    st.floats(0.01, 1000.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e-320, 1e300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_steps=st.integers(1, 3),
+       flags=st.fixed_dictionaries(
+           {}, optional={flag: _FUZZ_FLOATS for flag in _FLOAT_FLAGS}))
+def test_cli_contract_under_fuzzed_inputs(n_steps, flags):
+    argv = ["run", "--n-steps", str(n_steps), "--format", "json"]
+    for flag, value in flags.items():
+        argv += [flag, repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)                  # any escaping exception fails
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        assert "Traceback" not in err.getvalue()
+        return
+    (row,) = json.loads(out.getvalue())
+    numbers = [v for v in row.values() if isinstance(v, float)]
+    assert np.all(np.isfinite(numbers + row["P_me"] + row["P_id"]))
+    for key in ("S", "S_renorm"):
+        assert 0.0 <= row[key] <= 1.0 + 1e-12
 
 
 def test_io_failure_exits_3(capsys):

@@ -1,17 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_expm_evolve
+from conftest import dense_expm_evolve, lindblad_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cqwalk.lindblad import (CollapseSet, DecoherenceRates, _expm_small,
-                             build_collapse_set, density_matrix_checks,
-                             evolve_schedule, evolve_segment, lindblad_apply,
-                             liouvillian_matrix, load_snapshots,
-                             save_snapshots)
+from cqwalk.lindblad import (CollapseSet, DecoherenceRates, IntegrationError,
+                             _expm_small, build_collapse_set,
+                             density_matrix_checks, evolve_schedule,
+                             evolve_segment, liouvillian_matrix)
 from cqwalk.protocol import build_schedule
 from cqwalk.statespace import DeviceParams, StateSpace
 
@@ -57,8 +57,22 @@ def test_collapse_set_counts():
     only_kappa = build_collapse_set(space, DecoherenceRates(kappa=0.3))
     assert len(only_kappa) == 1
     assert only_kappa.labels == ("loss_c1",)
-    op = only_kappa.ops[0]
-    assert op[0, space.cavity_index(1)] == pytest.approx(math.sqrt(0.3))
+    rows, cols, values = only_kappa.channels[0]
+    assert (list(rows), list(cols)) == ([0], [space.cavity_index(1)])
+    assert values[0] == pytest.approx(math.sqrt(0.3))
+
+
+def test_collapse_set_of_long_chain_is_small():
+    # 485 one-entry channels at N=80; dense 243x243 operators would take
+    # about 460 MB
+    tracemalloc.start()
+    try:
+        collapse = build_collapse_set(StateSpace(80), DecoherenceRates.t0())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(collapse) == 5 * 81 + 80
+    assert peak < 1_000_000
 
 
 def test_liouvillian_matches_direct_application():
@@ -119,6 +133,15 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     out = evolve_schedule(rho0, schedule, collapse).rho
     oracle = dense_expm_evolve(rho0, schedule, collapse)
     assert np.max(np.abs(out - oracle)) <= 1e-12
+
+
+def test_small_exponentials_reject_non_finite_input():
+    with pytest.raises(IntegrationError):
+        _expm_small([np.array([[math.nan]]), np.eye(2)])
+    with pytest.raises(IntegrationError):
+        _expm_small([np.array([[math.inf]])])
+    # a finite norm near the float limit needs 1025 squarings
+    assert _expm_small([np.array([[-1e308]])])[0][0, 0] == 0.0
 
 
 def test_small_exponentials_match_scipy():
@@ -206,24 +229,3 @@ def test_evolution_preserves_trace_property(seed, scale):
     out, stats = evolve_segment(rho0, h, 2e-3, collapse)
     assert stats.trace_error < 1e-10
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-
-
-def test_snapshot_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    times = [0.0, 1.5e-3, 3.0e-3]
-    snaps = [_random_density(rng, 6) for _ in times]
-    path = tmp_path / "states.bin"
-    save_snapshots(path, times, snaps)
-    times2, snaps2 = load_snapshots(path)
-    assert np.allclose(times, times2)
-    for a, b in zip(snaps, snaps2):
-        assert np.array_equal(a, b)
-
-
-def test_snapshot_file_validation(tmp_path):
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"not a snapshot")
-    with pytest.raises(ValueError):
-        load_snapshots(bad)
-    with pytest.raises(ValueError):
-        save_snapshots(tmp_path / "x.bin", [0.0], [])

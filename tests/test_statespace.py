@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_operators
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqwalk.lindblad import DecoherenceRates, build_collapse_set
 from cqwalk.statespace import (E, F, G, BasisLabel, DeviceParams, StateSpace,
                                embedding_matrix)
 
@@ -60,29 +62,39 @@ def test_bad_constructor_args():
 
 
 def test_transition_is_adjoint_of_reverse():
-    sp = StateSpace(2)
-    for j in (1, 2, 3):
+    sp = StateSpace(1, mode="full")
+    for j in (1, 2):
         for a, b in ((G, E), (E, F), (G, F), (E, E)):
             assert np.array_equal(sp.qutrit_transition(j, a, b),
                                   sp.qutrit_transition(j, b, a).T)
+    # truncated-mode operators are built by index, not by these factories
+    with pytest.raises(ValueError):
+        StateSpace(1).qutrit_transition(1, E, F)
+    with pytest.raises(ValueError):
+        StateSpace(1).cavity_annihilation(1)
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_truncated_operators_are_full_space_compressions(cutoff):
-    # P F P on the single-excitation sector must equal the directly
-    # built truncated operator, for every one-body operator we use.
+    # Each index-built truncated channel sqrt(rate) |target><source| must
+    # be the single nonzero entry of V^T L V, where L is the full-space
+    # channel with the same label.  Distinct rates tell channels apart.
+    rates = DecoherenceRates(kappa=0.11, gamma_ge=0.13, gamma_ef=0.17,
+                             gamma_gf=0.19, gamma_phi_e=0.23,
+                             gamma_phi_f=0.29)
     trunc = StateSpace(2)
     full = StateSpace(2, mode="full", fock_cutoff=cutoff)
     v = embedding_matrix(trunc, full)
-    for j in (1, 2, 3):
-        for a, b in ((G, E), (E, F), (G, F), (E, E), (F, F), (G, G)):
-            compressed = v.T @ full.qutrit_transition(j, a, b) @ v
-            assert np.allclose(compressed, trunc.qutrit_transition(j, a, b),
-                               atol=1e-14)
-    for j in (1, 2):
-        compressed = v.T @ full.cavity_annihilation(j) @ v
-        assert np.allclose(compressed, trunc.cavity_annihilation(j),
-                           atol=1e-14)
+    t_set = build_collapse_set(trunc, rates)
+    f_set = build_collapse_set(full, rates)
+    assert t_set.labels == f_set.labels
+    assert len(t_set) == 5 * 3 + 2
+    full_ops = dict(zip(f_set.labels, dense_operators(f_set, full.dim)))
+    for label, (rows, cols, values) in zip(t_set.labels, t_set.channels):
+        compressed = v.T @ full_ops[label] @ v
+        (target,), (source,) = np.nonzero(compressed)
+        assert (list(rows), list(cols)) == ([target], [source])
+        assert values[0] == compressed[target, source]
 
 
 def test_embedding_is_isometry():
