@@ -20,11 +20,20 @@ the first.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .idealwalk import CoinState, coin_preset
 from .lindblad import DecoherenceRates
+from .protocol import segment_durations
 from .statespace import DeviceParams, StateSpace
+
+# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run (runs
+# in parallel under --workers are not counted): the three segment
+# Hamiltonians, rho0, the evolving state and the kernel's and the final
+# checks' temporaries.  A noisy N=320 run peaks at about eight; the bound
+# allows twelve.
+_STATE_COPIES = 12
 
 
 class ConfigError(ValueError):
@@ -201,6 +210,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("theta_rad must lie in (0, pi/2)")
     if not math.isfinite(cfg.phi_rad):
         bad("phi_rad must be finite")
+    if not all(math.isfinite(t)
+               for t in segment_durations(cfg.device_params()).values()):
+        bad("coupling or drive too small: a pulse would last forever")
     if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
         bad("scale must be positive and finite")
     for name in ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
@@ -211,12 +223,28 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.rates()
     except ValueError as exc:          # a lifetime so short its rate is inf
         bad(f"lifetime times scale too short: {exc}")
+    state_bytes = 16 * (3 * cfg.n_steps + 4) ** 2
+    memory = _physical_memory()
+    if memory is not None and _STATE_COPIES * state_bytes > memory:
+        bad(f"n_steps = {cfg.n_steps} needs about "
+            f"{_STATE_COPIES * state_bytes / 2**30:.3g} GiB of dense states"
+            f" for one run, more than the host's {memory / 2**30:.3g} GiB"
+            f" of physical memory")
     if cfg.fock_cutoff < 2:
         bad("fock_cutoff must be >= 2")
     for name in ("coin0", "representation", "format"):
         if getattr(cfg, name) not in _CHOICES[name]:
             bad(f"{name} must be one of {_CHOICES[name]}")
     return cfg
+
+
+def _physical_memory() -> int | None:
+    """Bytes of the host's physical memory, or None where the OS does not
+    say.  A container or cgroup memory limit is not seen here."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def config_from_mapping(mapping: dict[str, object],

@@ -16,24 +16,36 @@ no dim x dim matrix is formed.
 Each segment is propagated exactly; the map is compiled once per
 distinct (H, duration) of a schedule.  The input picks the form:
 
-block form (every L_k is one basis transition sqrt(gamma_k) |a_k><b_k|)
-    The generator splits as -i (H_eff rho - rho H_eff+) + J(rho) with
-    H_eff = H - i Gamma / 2, Gamma = sum_k gamma_k |b_k><b_k|, and
-    J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  J reads and writes only
-    diagonal entries, and H_eff is block diagonal on the connected
-    components of H.  So every entry outside the diagonal blocks of rho
-    evolves exactly as V rho V+ with V = expm(-i t H_eff), computed per
-    block, and the diagonal blocks form a closed linear system whose
-    propagator P = expm(t L_diag) then overwrites them.  L_diag is
-    exponentiated per group of blocks linked by jumps; a decay-free 1x1
-    block (the vacuum) only collects inflow and is shared by the groups
-    that feed it.  In the truncated sector the blocks are 2x2 (coin
-    e_j<->f_j, store e_j<->c_j, retrieve c_j<->e_{j+1}), so both maps
-    cost O(dim) to build and V rho V+ costs O(dim^2) to apply.
+site-local form (the single-excitation sector)
+    The sector basis is reordered by site: the vacuum, then the
+    triplets (e_j, f_j, c_j), then one empty slot where c_{N+1} would
+    be.  Coin (e_j<->f_j) and store (e_j<->c_j) act within the
+    triplets; retrieve (c_{j-1}<->e_j) acts within the same array
+    shifted by one slot, on (c_{j-1}, e_j, f_j), with the vacuum in
+    place of c_0.  Every collapse operator is one transition
+    sqrt(gamma_k) |a_k><b_k| whose target a_k lies in the triplet of
+    b_k or is the vacuum.  The generator splits as
+    -i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma / 2,
+    Gamma = sum_k gamma_k |b_k><b_k|, and
+    J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  H_eff is block diagonal
+    on the triplets and J writes only diagonal entries, so every entry
+    outside the triplets' diagonal blocks evolves as V rho V+ with
+    V = expm(-i t H_eff), one 3x3 map per site.  Each diagonal block
+    follows its own closed 9-dimensional system, and a tenth row of that
+    system sums the block's outflow into the vacuum; the vacuum has no
+    dynamics of its own, so its population just collects these sums.
+    Compiling a segment exponentiates these few-by-few generators of
+    every site as one numpy stack.  Each map is applied as a batched
+    matmul on reshaped views of rho.  Since the walker moves at most one
+    site per retrieve, only a leading block of the reordered rho is
+    nonzero: evolve_schedule reads that block's size off rho0 and grows
+    it segment by segment, so a walk from site 1 touches at most
+    (3n+4)^2 entries at step n.
 sparse form (anything else: the full tensor-product oracle)
     scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, built
     from the operators' entries as csr, with
-    vec(A rho B) = (A kron B^T) vec(rho) in row-major order.
+    vec(A rho B) = (A kron B^T) vec(rho) in row-major order.  scipy is
+    imported only here, so a sector run never loads it.
 """
 
 from __future__ import annotations
@@ -42,9 +54,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 
-from .protocol import SEG_RETRIEVE, Schedule
+from .protocol import SEG_RETRIEVE, Schedule, Segment
 from .statespace import E, F, G, StateSpace
 
 
@@ -203,8 +215,10 @@ def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSe
 # superoperators
 
 
-def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
-    """Sparse Liouvillian with vec(A rho B) = (A kron B^T) vec(rho)."""
+def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet):
+    """Sparse (csr) Liouvillian with vec(A rho B) = (A kron B^T) vec(rho)."""
+    import scipy.sparse as sp
+
     dim = h.shape[0]
     eye = sp.identity(dim, format="csr")
     hs = sp.csr_matrix(h)
@@ -219,24 +233,6 @@ def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet) -> sp.csr_matrix:
 
 # ---------------------------------------------------------------------------
 # segment propagators
-
-
-def _components(n: int, edges) -> list[list[int]]:
-    """Connected components of nodes 0..n-1, each in ascending order."""
-    root = list(range(n))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i, j in edges:
-        root[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
@@ -273,78 +269,132 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
     return [e[:len(m), :len(m)] for e, m in zip(exp_a, mats)]
 
 
-def _block_propagator(h: np.ndarray, duration: float,
-                      jumps: list[tuple[int, int, float]]):
-    """Exact segment map for rank-one jumps (see the module docstring)."""
-    dim = h.shape[0]
-    gamma = np.zeros(dim)
-    for _, b, rate in jumps:
-        gamma[b] += rate
-    h_eff = h - 0.5j * np.diag(gamma)
+def _site_frame(dim: int, collapse: CollapseSet):
+    """The site layout of a sector of dimension dim, or None.
 
-    # V = expm(-i t H_eff), one block at a time
-    blocks = _components(dim, zip(*np.nonzero(h)))
-    v = np.zeros((dim, dim), dtype=complex)
-    for blk, vb in zip(blocks, _expm_small(
-            [-1j * duration * h_eff[np.ix_(blk, blk)] for blk in blocks])):
-        v[np.ix_(blk, blk)] = vb
-    v = sp.csr_matrix(v)
-    v_conj = v.conj()
+    Returns (order, slot, jumps): order[s] is the sector index held by
+    layout slot s (the trailing empty slot has none), slot inverts it,
+    and jumps holds the collapse channels as (target slot, source slot,
+    rate) arrays.  None unless dim = 3N+3 for some N >= 1 and every
+    channel is one entry.
+    """
+    if dim % 3 or dim < 6 or any(
+            len(rows) != 1 for rows, _, _ in collapse.channels):
+        return None
+    space = StateSpace(dim // 3 - 1)
+    order = [space.vacuum_index]
+    for j in range(1, space.n_qutrits + 1):
+        order += [space.qutrit_index(j, E), space.qutrit_index(j, F)]
+        if j <= space.n_cavities:
+            order.append(space.cavity_index(j))
+    order = np.array(order)
+    slot = np.empty(dim, dtype=int)
+    slot[order] = np.arange(dim)
+    channels = collapse.channels
+    jumps = (np.array([slot[rows[0]] for rows, _, _ in channels], dtype=int),
+             np.array([slot[cols[0]] for _, cols, _ in channels], dtype=int),
+             np.array([abs(values[0]) ** 2 for _, _, values in channels]))
+    return order, slot, jumps
 
-    # Diagonal blocks: one closed system per group of blocks linked by
-    # jumps.  A decay-free 1x1 block (the vacuum) only collects inflow,
-    # so it joins every group that feeds it instead of merging them.
-    block_of = np.empty(dim, dtype=int)
-    for k, blk in enumerate(blocks):
-        block_of[blk] = k
-    jumps_from = [[] for _ in blocks]
-    for jump in jumps:
-        jumps_from[block_of[jump[1]]].append(jump)
 
-    def is_sink(i):
-        k = block_of[i]
-        return len(blocks[k]) == 1 and not jumps_from[k]
+def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
+    """Writable (count, 3, 3) view of the 3x3 diagonal blocks of the
+    square array a, the first starting at slot offset."""
+    s0, s1 = a.strides
+    return as_strided(a[offset:, offset:], shape=(count, 3, 3),
+                      strides=(3 * (s0 + s1), s0, s1))
 
-    links = [(block_of[a], block_of[b]) for a, b, _ in jumps if not is_sink(a)]
-    parts, gens = [], []
-    for group in _components(len(blocks), links):
-        own = [jump for k in group for jump in jumps_from[k]]
-        if not own:
-            continue                      # untouched by jumps: V is exact
-        entries = [(p, q) for k in group for p in blocks[k] for q in blocks[k]]
-        sinks = sorted({a for a, _, _ in own if is_sink(a)})
-        pos = {pq: n for n, pq in enumerate(entries + [(s, s) for s in sinks])}
-        gen = np.zeros((len(pos), len(pos)), dtype=complex)
-        off = 0
-        for k in group:
-            he = h_eff[np.ix_(blocks[k], blocks[k])]
-            eye = np.eye(len(he))
-            n = len(he) ** 2
-            # -i kron(he, eye) + i kron(eye, he*), without np.kron's overhead
-            gen[off:off + n, off:off + n] = (
-                -1j * he[:, None, :, None] * eye[None, :, None, :]
-                + 1j * eye[:, None, :, None] * he.conj()[None, :, None, :]
-            ).reshape(n, n)
-            off += n
-        for a, b, rate in own:
-            gen[pos[a, a], pos[b, b]] += rate
-        parts.append((tuple(np.array(entries).T), (sinks, sinks)))
-        gens.append(duration * gen)
-    # columns of the main entries only: a sink starts each group at 0 and
-    # collects that group's inflow
-    parts = [(entries, sinks, prop[:, :len(entries[0])])
-             for (entries, sinks), prop in zip(parts, _expm_small(gens))]
 
-    def propagate(rho):
-        before = [rho[entries] for entries, _, _ in parts]
-        out = (v_conj @ (v @ rho).T).T          # V rho V+
-        for (entries, sinks, prop), x in zip(parts, before):
-            y = prop @ x
-            out[entries] = y[:len(x)]
-            out[sinks] += y[len(x):]
-        return out
+@dataclass(frozen=True)
+class _SiteMaps:
+    """Exact map of one segment in the site layout (module docstring).
 
-    return propagate
+    Site j (0-based) covers slots offset + 3j .. offset + 3j + 2; slot 0
+    is the vacuum either way.  v[j] is expm(-i t H_eff) on site j,
+    blocks[j] maps its diagonal block, read row-major, and sink[j] gives
+    that block's outflow into the vacuum.  blocks and sink are None when
+    nothing decays.
+    """
+
+    offset: int
+    v: np.ndarray
+    blocks: np.ndarray | None
+    sink: np.ndarray | None
+
+    def apply(self, rho: np.ndarray, size: int) -> int:
+        """Propagate rho in place, given that only its leading size x size
+        block is nonzero; return the size of that block afterwards."""
+        sites = min(len(self.v), max(0, -(-(size - self.offset) // 3)))
+        end = self.offset + 3 * sites
+        a = rho[:end, :end]
+        if self.blocks is not None:
+            before = _triplets(a, self.offset, sites).copy().reshape(sites, 9)
+        rows = a[self.offset:]                               # V rho
+        rows[...] = np.matmul(self.v[:sites], rows.reshape(sites, 3, end)
+                              ).reshape(rows.shape)
+        cols = a.T[self.offset:]                             # (rho V+)^T
+        cols[...] = np.matmul(self.v[:sites].conj(),
+                              cols.reshape(sites, 3, end)).reshape(cols.shape)
+        if self.blocks is not None:
+            _triplets(a, self.offset, sites)[...] = np.matmul(
+                self.blocks[:sites], before[:, :, None]).reshape(sites, 3, 3)
+            a[0, 0] += np.sum(self.sink[:sites] * before)
+        return end
+
+
+def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
+               jumps) -> _SiteMaps | None:
+    """Compile one segment into per-site maps, or None when a term of h
+    or a jump does not fit the site structure.
+
+    Coin and store fit the triplets from slot 1 and retrieve those from
+    slot 0.  The vacuum (slot 0) must have no terms and no decay.
+    """
+    sites = (len(slot) + 1) // 3
+    rows, cols = np.nonzero(h)
+    values = h[rows, cols]
+    row, col = slot[rows], slot[cols]
+    target, source, rate = jumps
+    for offset in (1, 0):
+        if (np.all(row > 0) and np.all(col > 0) and np.all(source > 0)
+                and np.array_equal((row - offset) // 3, (col - offset) // 3)
+                and np.all((target == 0) | ((target - offset) // 3
+                                            == (source - offset) // 3))):
+            break
+    else:
+        return None
+
+    h_eff = np.zeros((sites, 3, 3), dtype=complex)
+    h_eff[(row - offset) // 3, (row - offset) % 3, (col - offset) % 3] = values
+    site, pos = np.divmod(source - offset, 3)
+    np.add.at(h_eff, (site, pos, pos), -0.5j * rate)
+    inflow = np.zeros((sites, 3, 3))       # [j, a, b]: rate of b -> a
+    sink = np.zeros((sites, 3))            # [j, b]: rate of b -> vacuum
+    inner = target > 0
+    np.add.at(inflow, (site[inner], (target[inner] - offset) % 3, pos[inner]),
+              rate[inner])
+    np.add.at(sink, (site[~inner], pos[~inner]), rate[~inner])
+
+    mats = list(-1j * duration * h_eff)
+    if rate.size:
+        # diagonal block B of a site, read row-major (index 3p + q), plus
+        # an accumulator for its outflow into the vacuum (index 9):
+        # -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps
+        eye = np.eye(3)
+        gen = np.zeros((sites, 10, 10), dtype=complex)
+        gen[:, :9, :9] = (
+            -1j * h_eff[:, :, None, :, None] * eye[None, None, :, None, :]
+            + 1j * eye[None, :, None, :, None]
+            * h_eff.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
+        gen[:, :9:4, :9:4] += inflow             # B_aa gains from B_bb
+        gen[:, 9, :9:4] = sink
+        mats += list(duration * gen)
+    exps = _expm_small(mats)
+    v = np.array(exps[:sites])
+    if not rate.size:
+        return _SiteMaps(offset, v, None, None)
+    props = np.array(exps[sites:])
+    return _SiteMaps(offset, v, props[:, :9, :9], props[:, 9, :9])
 
 
 def _sparse_propagator(h: np.ndarray, duration: float,
@@ -356,23 +406,18 @@ def _sparse_propagator(h: np.ndarray, duration: float,
     return lambda rho: expm_multiply(liou, rho.reshape(-1)).reshape(rho.shape)
 
 
-def compile_segment(h: np.ndarray, duration: float, collapse: CollapseSet):
-    """Exact propagator rho -> rho(duration) of one constant-H segment.
-
-    The block form is used whenever every collapse operator has one
-    entry, a single basis transition (the whole truncated sector, with
-    or without noise); anything else falls back to the sparse
-    Liouvillian.
-    """
-    if any(len(rows) != 1 for rows, _, _ in collapse.channels):
-        return _sparse_propagator(h, duration, collapse)
-    jumps = [(int(rows[0]), int(cols[0]), float(abs(values[0]) ** 2))
-             for rows, cols, values in collapse.channels]
-    return _block_propagator(h, duration, jumps)
-
-
 # ---------------------------------------------------------------------------
 # evolution
+
+
+def _symmetrize(a: np.ndarray) -> tuple[float, float]:
+    """Re-symmetrize a in place; return its trace error and the
+    Hermiticity drift it had before."""
+    skew = a - a.conj().T
+    drift = float(np.max(np.abs(skew)))
+    skew *= 0.5
+    a -= skew                                  # (a + a+) / 2
+    return abs(float(np.trace(a).real) - 1.0), drift
 
 
 @dataclass
@@ -380,25 +425,6 @@ class SegmentStats:
     substeps: int                 # time steps taken; 0, every map is exact
     trace_error: float
     hermiticity_drift: float
-
-
-def evolve_segment(rho: np.ndarray, h: np.ndarray, duration: float,
-                   collapse: CollapseSet, propagator=None
-                   ) -> tuple[np.ndarray, SegmentStats]:
-    """Propagate rho through one constant-H segment.
-
-    propagator is the segment's compile_segment result, compiled here
-    when not given.  Returns the re-symmetrized state and per-segment
-    diagnostics (the hermiticity drift is measured before the
-    symmetrization that removes it).
-    """
-    if propagator is None:
-        propagator = compile_segment(h, duration, collapse)
-    out = propagator(rho)
-    drift = float(np.max(np.abs(out - out.conj().T)))
-    out = 0.5 * (out + out.conj().T)
-    trace_error = abs(float(np.trace(out).real) - 1.0)
-    return out, SegmentStats(0, trace_error, drift)
 
 
 @dataclass
@@ -417,6 +443,52 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
+def _compile_key(seg) -> tuple[int, float]:
+    return id(seg.hamiltonian), seg.duration
+
+
+def _site_stepper(rho: np.ndarray, order: np.ndarray, maps: dict):
+    """step(segment) and public() of a run in the site layout.
+
+    step propagates and re-symmetrizes the leading block of the layout
+    that can be nonzero and returns that block's trace error and
+    Hermiticity drift; everything outside it is exactly 0.  The block
+    starts at rho0's support (a NaN counts) and grows by at most one
+    site per segment.  public() is the state in the sector basis.
+    """
+    dim = len(order)
+    state = np.zeros((dim + 1, dim + 1), dtype=complex)
+    state[:dim, :dim] = rho[np.ix_(order, order)]
+    nonzero = state != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    size = int(support[-1]) + 1 if support.size else 1
+
+    def step(seg):
+        nonlocal size
+        size = maps[_compile_key(seg)].apply(state, size)
+        return _symmetrize(state[:size, :size])
+
+    def public():
+        out = np.empty((dim, dim), dtype=complex)
+        out[np.ix_(order, order)] = state[:dim, :dim]
+        return out
+
+    return step, public
+
+
+def _sparse_stepper(rho: np.ndarray, kinds: dict, collapse: CollapseSet):
+    """step(segment) and public() of a run in the sparse form."""
+    props = {key: _sparse_propagator(seg.hamiltonian, seg.duration, collapse)
+             for key, seg in kinds.items()}
+
+    def step(seg):
+        nonlocal rho
+        rho = props[_compile_key(seg)](rho)
+        return _symmetrize(rho)
+
+    return step, lambda: rho.copy()
+
+
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                     collapse: CollapseSet,
                     record: str = "none") -> EvolutionResult:
@@ -424,37 +496,58 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 
     Each distinct (H, duration) is compiled once; the schedule shares
     one Hamiltonian per segment kind, so that is three compilations.
-    record: "none", "steps" (snapshot after each walk step) or
-    "segments" (after every pulse).
+    The site-local form runs when every segment fits it, the sparse
+    form otherwise.  record: "none", "steps" (snapshot after each walk
+    step) or "segments" (after every pulse); snapshots are in the basis
+    of rho0.
     """
     if record not in ("none", "steps", "segments"):
         raise ValueError(f"unknown record mode {record!r}")
     rho = np.array(rho0, dtype=complex)
+    kinds = {_compile_key(seg): seg for seg in schedule}
+    frame = _site_frame(len(rho), collapse)
+    maps = {} if frame is None else {
+        key: _site_maps(seg.hamiltonian, seg.duration, *frame[1:])
+        for key, seg in kinds.items()}
+    if frame is not None and all(m is not None for m in maps.values()):
+        step, public = _site_stepper(rho, frame[0], maps)
+    else:
+        step, public = _sparse_stepper(rho, kinds, collapse)
     t = 0.0
     times, snaps = [], []
     if record != "none":
         times.append(0.0)
-        snaps.append(rho.copy())
-    propagators = {}
+        snaps.append(public())
     trace_errors, drifts = [0.0], [0.0]
     for seg in schedule:
-        key = (id(seg.hamiltonian), seg.duration)
-        if key not in propagators:
-            propagators[key] = compile_segment(seg.hamiltonian, seg.duration,
-                                               collapse)
-        rho, stats = evolve_segment(rho, seg.hamiltonian, seg.duration,
-                                    collapse, propagators[key])
+        trace_error, drift = step(seg)
         t += seg.duration
-        trace_errors.append(stats.trace_error)
-        drifts.append(stats.hermiticity_drift)
+        trace_errors.append(trace_error)
+        drifts.append(drift)
         if record == "segments" or (record == "steps"
                                     and seg.label == SEG_RETRIEVE):
             times.append(t)
-            snaps.append(rho.copy())
+            snaps.append(public())
     # np.max, unlike max(), keeps a NaN from any segment
-    return EvolutionResult(rho=rho, times=np.asarray(times), snapshots=snaps,
+    return EvolutionResult(rho=public(), times=np.asarray(times),
+                           snapshots=snaps,
                            max_trace_error=float(np.max(trace_errors)),
                            max_hermiticity_drift=float(np.max(drifts)))
+
+
+def evolve_segment(rho: np.ndarray, h: np.ndarray, duration: float,
+                   collapse: CollapseSet) -> tuple[np.ndarray, SegmentStats]:
+    """Propagate rho through one constant-H segment, run as a one-segment
+    evolve_schedule.
+
+    Returns the re-symmetrized state and per-segment diagnostics (the
+    hermiticity drift is measured before the symmetrization that
+    removes it).
+    """
+    segment = Schedule((Segment("segment", 1, h, duration),))
+    res = evolve_schedule(rho, segment, collapse)
+    return res.rho, SegmentStats(0, res.max_trace_error,
+                                 res.max_hermiticity_drift)
 
 
 # ---------------------------------------------------------------------------

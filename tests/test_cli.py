@@ -125,6 +125,9 @@ def test_validate_subcommand(capsys):
     ["run", "--t1-ge-us", "1e-320"],      # rate 1/lifetime overflows to inf
     ["run", "--scale", "1e-320"],
     ["run", "--scale", "inf"],
+    ["run", "--g-over-2pi-mhz", "1e-320"],   # pi / 2g overflows to inf
+    ["run", "--mu-over-2pi-mhz", "1e-320"],
+    ["run", "--omega-over-2pi-mhz", "1e-320"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -71,6 +71,12 @@ def test_range_validation(overrides):
         config_from_mapping(overrides)
 
 
+def test_n_steps_bounded_by_physical_memory():
+    # 16 (3N+4)^2 bytes per dense state: about 1.4 TB at N = 10^5
+    with pytest.raises(ConfigError, match="physical memory"):
+        validate_config(ExperimentConfig(n_steps=10**5))
+
+
 def test_defaults_describe_baseline_device():
     cfg = ExperimentConfig()
     assert cfg.n_steps == 10

@@ -1,11 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import zero_noise_config
 
+import cqwalk
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -201,3 +206,20 @@ def test_report_column_values_align_with_columns():
     assert len(vals) == len(REPORT_COLUMNS)
     assert vals[REPORT_COLUMNS.index("coin0")] == "plus-i"
     assert vals[REPORT_COLUMNS.index("S")] == rep.s
+
+
+def test_sector_run_does_not_import_scipy():
+    # scipy only serves the sparse form; a fresh interpreter running a
+    # noisy sector experiment must never load it
+    code = ("import sys\n"
+            "from cqwalk import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(n_steps=3))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n")
+    src = str(Path(cqwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -12,8 +12,8 @@ from cqwalk.lindblad import (CollapseSet, DecoherenceRates, IntegrationError,
                              _expm_small, build_collapse_set,
                              density_matrix_checks, evolve_schedule,
                              evolve_segment, liouvillian_matrix)
-from cqwalk.protocol import build_schedule
-from cqwalk.statespace import DeviceParams, StateSpace
+from cqwalk.protocol import Schedule, Segment, build_schedule
+from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
 REF = DeviceParams.from_mhz(2, 50.0, 100.0)
 REF_1 = DeviceParams.from_mhz(1, 50.0, 100.0)
@@ -23,6 +23,20 @@ def _random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def _random_density_on(rng, dim, support):
+    """Random mixed state with support only on the given basis states."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(support, support)] = _random_density(rng, len(support))
+    return rho
+
+
+# all six channels on, each at its own rate, fast enough to matter within
+# a few steps
+DISTINCT_RATES = DecoherenceRates(kappa=0.9, gamma_ge=1.3, gamma_ef=1.7,
+                                  gamma_gf=2.3, gamma_phi_e=3.1,
+                                  gamma_phi_f=3.7)
 
 
 def test_t0_preset_rates():
@@ -135,6 +149,55 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_light_cone_matches_dense_oracle(n):
+    # the walker starts on site 1, with coherences to the vacuum
+    space = StateSpace(n)
+    schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0, 100.0))
+    collapse = build_collapse_set(space, DISTINCT_RATES)
+    assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
+    site_1 = [space.vacuum_index, space.qutrit_index(1, E),
+              space.qutrit_index(1, F)]
+    rho0 = _random_density_on(np.random.default_rng(n), space.dim, site_1)
+    res = evolve_schedule(rho0, schedule, collapse)
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(res.rho - oracle)) <= 1e-12
+    assert res.max_trace_error < 1e-12
+
+
+@pytest.mark.parametrize("where", ["site 2", "last sites"])
+def test_support_beyond_site_1_matches_dense_oracle(where):
+    # rho0 outside the light cone's start: the run begins on a larger
+    # block (the whole chain for the last sites) and must stay exact
+    space = StateSpace(3)
+    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    collapse = build_collapse_set(space, DISTINCT_RATES)
+    if where == "site 2":
+        support = [space.qutrit_index(2, E), space.qutrit_index(2, F)]
+    else:
+        support = [space.vacuum_index, space.qutrit_index(4, E),
+                   space.qutrit_index(4, F), space.cavity_index(3)]
+    rho0 = _random_density_on(np.random.default_rng(9), space.dim, support)
+    res = evolve_schedule(rho0, schedule, collapse)
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(res.rho - oracle)) <= 1e-12
+
+
+def test_hamiltonian_outside_the_sites_takes_sparse_form():
+    # a term linking two sites fits no site layout; the run must fall
+    # back to the sparse Liouvillian and stay exact
+    space = StateSpace(1)
+    collapse = build_collapse_set(space, DISTINCT_RATES)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    e1, e2 = space.qutrit_index(1, E), space.qutrit_index(2, E)
+    h[e1, e2] = h[e2, e1] = 300.0
+    schedule = Schedule((Segment("coin", 1, h, 4e-3),))
+    rho0 = _random_density(np.random.default_rng(2), space.dim)
+    res = evolve_schedule(rho0, schedule, collapse)
+    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    assert np.max(np.abs(res.rho - oracle)) < 1e-12
+
+
 def test_small_exponentials_reject_non_finite_input():
     with pytest.raises(IntegrationError):
         _expm_small([np.array([[math.nan]]), np.eye(2)])
@@ -200,6 +263,31 @@ def test_trace_and_hermiticity_tracked():
     assert checks["trace_error"] < 1e-10
     assert checks["hermiticity"] == 0.0
     assert checks["min_eigenvalue"] > -1e-12
+
+
+def test_snapshots_are_sector_states():
+    # each snapshot equals the final state of the matching prefix of the
+    # schedule, in the basis of rho0, and the last one the unrecorded run
+    space = StateSpace(3)
+    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    collapse = build_collapse_set(space, DISTINCT_RATES)
+    site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
+    rho0 = _random_density_on(np.random.default_rng(6), space.dim, site_1)
+    final = evolve_schedule(rho0, schedule, collapse).rho
+    by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
+    by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
+    assert np.array_equal(by_step.rho, final)
+    assert np.array_equal(by_step.snapshots[-1], final)
+    assert np.array_equal(by_seg.snapshots[-1], final)
+    assert np.array_equal(by_step.snapshots[0], rho0)
+    for n in range(1, 4):
+        prefix = Schedule(schedule.segments[:3 * n])
+        assert np.array_equal(by_step.snapshots[n],
+                              evolve_schedule(rho0, prefix, collapse).rho)
+        assert np.array_equal(by_seg.snapshots[3 * n], by_step.snapshots[n])
+    one_step = Schedule(schedule.segments[:3])
+    assert np.max(np.abs(by_step.snapshots[1] - dense_expm_evolve(
+        rho0, one_step, collapse))) <= 1e-12
 
 
 def test_record_modes():
