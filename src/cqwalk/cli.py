@@ -141,7 +141,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--cross-values needs --cross-axis")
     spec = SweepSpec(axis=args.axis, values=values,
                      cross_axis=cross_axis, cross_values=cross_values)
-    reports = run_sweep(cfg, spec, workers=args.workers)
+    reports = run_sweep(cfg, spec)
     _emit(reports, cfg)
     failures = [r for r in reports if r.error]
     if failures:
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cross-axis",
                          choices=("g", "omega_rabi", "n_steps", "scale"))
     p_sweep.add_argument("--cross-values")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="concurrent sweep processes")
 
     p_run.set_defaults(func=_cmd_run)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -6,6 +6,13 @@ tensor-product pipeline, and CSV/JSON report emission.  Every report
 row echoes the full parameter point so result files are
 self-describing; identical configs produce identical rows apart from
 the wall-clock column.
+
+A sweep runs each group of points that differ only in n_steps as one
+propagation of its largest n_steps, read out after every requested
+step: an n-step run is exactly the first n steps of a longer one,
+restricted to sites 1..n+1.  run_experiment is the one-point case of
+the same readout, so a sweep row equals the point's separate run in
+every field but wall_ms.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,15 +91,39 @@ def initial_density_matrix(space: StateSpace, coin: CoinState) -> np.ndarray:
 
 
 def run_experiment(cfg: ExperimentConfig, record: str = "none") -> Report:
-    """Build the schedule, evolve, read out and score one experiment."""
+    """Build the schedule, evolve, read out and score one experiment.
+
+    record (see evolve_schedule) other than "none" attaches the
+    EvolutionResult to the Report.
+    """
     cfg = validate_config(cfg)
     start = time.perf_counter()
+    (evolution,) = _evolve(cfg, (cfg.n_steps,), record)
+    return _report(cfg, evolution, start, keep=record != "none")
+
+
+def _evolve(cfg: ExperimentConfig, steps, record="none"):
+    """One EvolutionResult per entry of steps (distinct, increasing, the
+    last cfg.n_steps): that of the run of cfg with n_steps = n, all from
+    one propagation of cfg.  record applies to a single step."""
     space = cfg.space()
-    params = cfg.device_params()
-    schedule = build_schedule(space, params)
+    schedule = build_schedule(space, cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    evolution = evolve_schedule(rho0, schedule, collapse, record=record)
+    if len(steps) == 1:
+        return [evolve_schedule(rho0, schedule, collapse, record=record)]
+    return evolve_schedule(rho0, schedule, collapse, record=steps).snapshots
+
+
+def _report(cfg: ExperimentConfig, evolution: EvolutionResult, start: float,
+            keep: bool = False) -> Report:
+    """Read out, check and score cfg's run; wall_ms counts from start.
+
+    Raises IntegrationError when the state, its readout or its
+    diagnostics are not finite, or its trace error is above
+    TRACE_ERROR_BOUND.
+    """
+    space = cfg.space()
     dist = extract_distribution(evolution.rho, space)
     diagnostics = (evolution.max_trace_error, evolution.max_hermiticity_drift,
                    dist.residual_vacuum, dist.residual_cavity, *dist.p)
@@ -125,7 +155,7 @@ def run_experiment(cfg: ExperimentConfig, record: str = "none") -> Report:
         p_id=p_id,
         max_hermiticity_drift=evolution.max_hermiticity_drift,
         min_eigenvalue=checks["min_eigenvalue"],
-        evolution=evolution if record != "none" else None,
+        evolution=evolution if keep else None,
     )
 
 
@@ -191,7 +221,7 @@ def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig
     return grid
 
 
-def _error_report(cfg: ExperimentConfig, message: str) -> Report:
+def _error_report(cfg: ExperimentConfig, exc: Exception) -> Report:
     nan = float("nan")
     mu = cfg.mu_over_2pi_mhz
     return Report(
@@ -200,30 +230,45 @@ def _error_report(cfg: ExperimentConfig, message: str) -> Report:
         mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
         theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale,
         s=nan, s_renorm=nan, residual_vacuum=nan, residual_cavity=nan,
-        trace_error=nan, wall_ms=nan, error=message)
+        trace_error=nan, wall_ms=nan,
+        error=f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_point(cfg: ExperimentConfig) -> Report:
-    """Worker for one grid point; failures become error rows."""
-    try:
-        return run_experiment(cfg)
-    except Exception as exc:  # recorded per-row, sweep continues
-        return _error_report(cfg, f"{type(exc).__name__}: {exc}")
-
-
-def run_sweep(base: ExperimentConfig, spec: SweepSpec,
-              workers: int = 1) -> list[Report]:
+def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     """One Report per grid point, in grid order.
 
-    Points are independent; workers > 1 runs them in separate
-    processes with deterministic (grid-order) collection.  Per-point
-    failures are recorded on their row and do not abort the sweep.
+    Points equal in every field but n_steps form a group, whose largest
+    n_steps runs once; each point's row is read out after its own step
+    of that run, which is exactly the point's separate run (see
+    evolve_schedule).  So an n_steps axis, primary or cross, costs one
+    propagation per group.  Every row is checked on its own, with the
+    diagnostics up to its step, and its wall_ms runs from the start of
+    the group to its own readout.  Full-mode points each run alone.
+    Failures are recorded on their rows (every row of a group whose run
+    fails) and do not abort the sweep.
     """
     grid = sweep_grid(base, spec)
-    if workers <= 1:
-        return [_sweep_point(cfg) for cfg in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, grid))
+    groups: dict = {}
+    for i, cfg in enumerate(grid):
+        key = i if cfg.representation == "full" else replace(cfg, n_steps=1)
+        groups.setdefault(key, []).append(i)
+    rows: list = [None] * len(grid)
+    for members in groups.values():
+        top = max((grid[i] for i in members), key=lambda cfg: cfg.n_steps)
+        steps = tuple(sorted({grid[i].n_steps for i in members}))
+        start = time.perf_counter()
+        try:
+            runs = dict(zip(steps, _evolve(top, steps)))
+        except Exception as exc:  # recorded per-row, sweep continues
+            for i in members:
+                rows[i] = _error_report(grid[i], exc)
+            continue
+        for i in members:
+            try:
+                rows[i] = _report(grid[i], runs[grid[i].n_steps], start)
+            except Exception as exc:
+                rows[i] = _error_report(grid[i], exc)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@ site-local form (the single-excitation sector)
     site per retrieve, only a leading block of the reordered rho is
     nonzero: evolve_schedule reads that block's size off rho0 and grows
     it segment by segment, so a walk from site 1 touches at most
-    (3n+4)^2 entries at step n.
+    (3n+4)^2 entries at step n.  Up to step n such a walk never meets a
+    site map beyond site n+1, so its leading 3n+3 slots then hold, bit
+    for bit, the final state of an n-step chain; evolve_schedule can
+    read every shorter run out of one longer one.
 sparse form (anything else: the full tensor-product oracle)
     scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, built
     from the operators' entries as csr, with
@@ -248,9 +251,12 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
     """
     if not mats:
         return []
+    # most sites share their generator: exponentiate each distinct one once
+    keys = [(len(m), np.asarray(m, dtype=complex).tobytes()) for m in mats]
+    distinct = dict(zip(keys, mats))
     size = max(len(m) for m in mats)
-    a = np.zeros((len(mats), size, size), dtype=complex)
-    for k, m in enumerate(mats):
+    a = np.zeros((len(distinct), size, size), dtype=complex)
+    for k, m in enumerate(distinct.values()):
         a[k, :len(m), :len(m)] = m
     norm = float(np.abs(a).sum(axis=1).max())
     if not math.isfinite(norm):
@@ -266,7 +272,20 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
         exp_a = eye + (a @ exp_a) / k
     for _ in range(squarings):
         exp_a = exp_a @ exp_a
-    return [e[:len(m), :len(m)] for e, m in zip(exp_a, mats)]
+    exps = {key: e[:key[0], :key[0]] for key, e in zip(distinct, exp_a)}
+    return [exps[key] for key in keys]
+
+
+def _site_order(n_steps: int) -> np.ndarray:
+    """Sector index of each slot of the site layout of an n_steps chain
+    (the trailing empty slot has none)."""
+    space = StateSpace(n_steps)
+    order = [space.vacuum_index]
+    for j in range(1, space.n_qutrits + 1):
+        order += [space.qutrit_index(j, E), space.qutrit_index(j, F)]
+        if j <= space.n_cavities:
+            order.append(space.cavity_index(j))
+    return np.array(order)
 
 
 def _site_frame(dim: int, collapse: CollapseSet):
@@ -281,13 +300,7 @@ def _site_frame(dim: int, collapse: CollapseSet):
     if dim % 3 or dim < 6 or any(
             len(rows) != 1 for rows, _, _ in collapse.channels):
         return None
-    space = StateSpace(dim // 3 - 1)
-    order = [space.vacuum_index]
-    for j in range(1, space.n_qutrits + 1):
-        order += [space.qutrit_index(j, E), space.qutrit_index(j, F)]
-        if j <= space.n_cavities:
-            order.append(space.cavity_index(j))
-    order = np.array(order)
+    order = _site_order(dim // 3 - 1)
     slot = np.empty(dim, dtype=int)
     slot[order] = np.arange(dim)
     channels = collapse.channels
@@ -328,7 +341,8 @@ class _SiteMaps:
         end = self.offset + 3 * sites
         a = rho[:end, :end]
         if self.blocks is not None:
-            before = _triplets(a, self.offset, sites).copy().reshape(sites, 9)
+            triplets = _triplets(a, self.offset, sites)
+            before = triplets.copy().reshape(sites, 9)
         rows = a[self.offset:]                               # V rho
         rows[...] = np.matmul(self.v[:sites], rows.reshape(sites, 3, end)
                               ).reshape(rows.shape)
@@ -336,9 +350,9 @@ class _SiteMaps:
         cols[...] = np.matmul(self.v[:sites].conj(),
                               cols.reshape(sites, 3, end)).reshape(cols.shape)
         if self.blocks is not None:
-            _triplets(a, self.offset, sites)[...] = np.matmul(
-                self.blocks[:sites], before[:, :, None]).reshape(sites, 3, 3)
-            a[0, 0] += np.sum(self.sink[:sites] * before)
+            triplets[...] = np.matmul(self.blocks[:sites], before[:, :, None]
+                                      ).reshape(sites, 3, 3)
+            a[0, 0] += (self.sink[:sites] * before).sum()
         return end
 
 
@@ -375,20 +389,23 @@ def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
               rate[inner])
     np.add.at(sink, (site[~inner], pos[~inner]), rate[~inner])
 
-    mats = list(-1j * duration * h_eff)
-    if rate.size:
-        # diagonal block B of a site, read row-major (index 3p + q), plus
-        # an accumulator for its outflow into the vacuum (index 9):
-        # -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps
-        eye = np.eye(3)
-        gen = np.zeros((sites, 10, 10), dtype=complex)
-        gen[:, :9, :9] = (
-            -1j * h_eff[:, :, None, :, None] * eye[None, None, :, None, :]
-            + 1j * eye[None, :, None, :, None]
-            * h_eff.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
-        gen[:, :9:4, :9:4] += inflow             # B_aa gains from B_bb
-        gen[:, 9, :9:4] = sink
-        mats += list(duration * gen)
+    # a duration times a rate may overflow; _expm_small then reports the
+    # non-finite generator, so numpy need not warn first
+    with np.errstate(over="ignore"):
+        mats = list(-1j * duration * h_eff)
+        if rate.size:
+            # diagonal block B of a site, read row-major (index 3p + q),
+            # plus an accumulator for its outflow into the vacuum (index
+            # 9): -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps
+            eye = np.eye(3)
+            gen = np.zeros((sites, 10, 10), dtype=complex)
+            gen[:, :9, :9] = (
+                -1j * h_eff[:, :, None, :, None] * eye[None, None, :, None, :]
+                + 1j * eye[None, :, None, :, None]
+                * h_eff.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
+            gen[:, :9:4, :9:4] += inflow         # B_aa gains from B_bb
+            gen[:, 9, :9:4] = sink
+            mats += list(duration * gen)
     exps = _expm_small(mats)
     v = np.array(exps[:sites])
     if not rate.size:
@@ -414,10 +431,10 @@ def _symmetrize(a: np.ndarray) -> tuple[float, float]:
     """Re-symmetrize a in place; return its trace error and the
     Hermiticity drift it had before."""
     skew = a - a.conj().T
-    drift = float(np.max(np.abs(skew)))
+    drift = float(np.abs(skew).max())
     skew *= 0.5
     a -= skew                                  # (a + a+) / 2
-    return abs(float(np.trace(a).real) - 1.0), drift
+    return abs(float(a.trace().real) - 1.0), drift
 
 
 @dataclass
@@ -432,13 +449,15 @@ class EvolutionResult:
     """Final state plus accumulated diagnostics of one schedule run.
 
     snapshots/times hold the recorded states (always including t=0 when
-    recording is on); max_trace_error and max_hermiticity_drift are the
-    worst values seen across all segments, NaN if any segment gave NaN.
+    recording is on; with chosen steps, one EvolutionResult per step and
+    no t=0 entry, see evolve_schedule); max_trace_error and
+    max_hermiticity_drift are the worst values seen across all segments,
+    NaN if any segment gave NaN.
     """
 
     rho: np.ndarray
     times: np.ndarray
-    snapshots: list[np.ndarray] = field(default_factory=list)
+    snapshots: list = field(default_factory=list)
     max_trace_error: float = 0.0
     max_hermiticity_drift: float = 0.0
 
@@ -448,13 +467,15 @@ def _compile_key(seg) -> tuple[int, float]:
 
 
 def _site_stepper(rho: np.ndarray, order: np.ndarray, maps: dict):
-    """step(segment) and public() of a run in the site layout.
+    """step(segment) and public(n_steps) of a run in the site layout.
 
     step propagates and re-symmetrizes the leading block of the layout
     that can be nonzero and returns that block's trace error and
     Hermiticity drift; everything outside it is exactly 0.  The block
     starts at rho0's support (a NaN counts) and grows by at most one
-    site per segment.  public() is the state in the sector basis.
+    site per segment.  public() is the state in the sector basis;
+    public(n) is the leading 3n+3 slots in the order of the n-step
+    sector, which must hold the whole block.
     """
     dim = len(order)
     state = np.zeros((dim + 1, dim + 1), dtype=complex)
@@ -468,9 +489,13 @@ def _site_stepper(rho: np.ndarray, order: np.ndarray, maps: dict):
         size = maps[_compile_key(seg)].apply(state, size)
         return _symmetrize(state[:size, :size])
 
-    def public():
-        out = np.empty((dim, dim), dtype=complex)
-        out[np.ix_(order, order)] = state[:dim, :dim]
+    def public(n_steps=None):
+        sub = order if n_steps is None else _site_order(n_steps)
+        if n_steps is not None and size > len(sub):
+            raise ValueError(f"the state after step {n_steps} reaches beyond"
+                             f" site {n_steps + 1}")
+        out = np.empty((len(sub), len(sub)), dtype=complex)
+        out[np.ix_(sub, sub)] = state[:len(sub), :len(sub)]
         return out
 
     return step, public
@@ -491,17 +516,29 @@ def _sparse_stepper(rho: np.ndarray, kinds: dict, collapse: CollapseSet):
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                     collapse: CollapseSet,
-                    record: str = "none") -> EvolutionResult:
+                    record="none") -> EvolutionResult:
     """Run the whole pulse program.
 
     Each distinct (H, duration) is compiled once; the schedule shares
     one Hamiltonian per segment kind, so that is three compilations.
     The site-local form runs when every segment fits it, the sparse
     form otherwise.  record: "none", "steps" (snapshot after each walk
-    step) or "segments" (after every pulse); snapshots are in the basis
-    of rho0.
+    step), "segments" (after every pulse), both in the basis of rho0,
+    or a collection of step numbers.  For step numbers, snapshots holds
+    one EvolutionResult per distinct step n, in increasing order: the
+    n-step chain's own run from rho0's n-step counterpart, read off the
+    leading 3n+3 slots of the site layout, with the diagnostics up to
+    step n; times holds each step's end.  That is exact while the state
+    stays on sites 1..n+1 up to step n, as a walker started on site 1
+    does; a state that leaves them, or the sparse form, is a ValueError.
     """
-    if record not in ("none", "steps", "segments"):
+    steps = None
+    if not isinstance(record, str):
+        steps = {int(n) for n in record}
+        if not steps <= {seg.step for seg in schedule
+                         if seg.label == SEG_RETRIEVE}:
+            raise ValueError(f"steps {sorted(steps)} not all in the schedule")
+    elif record not in ("none", "steps", "segments"):
         raise ValueError(f"unknown record mode {record!r}")
     rho = np.array(rho0, dtype=complex)
     kinds = {_compile_key(seg): seg for seg in schedule}
@@ -511,11 +548,14 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         for key, seg in kinds.items()}
     if frame is not None and all(m is not None for m in maps.values()):
         step, public = _site_stepper(rho, frame[0], maps)
+    elif steps is not None:
+        raise ValueError("a readout after chosen steps needs the site-local"
+                         " form")
     else:
         step, public = _sparse_stepper(rho, kinds, collapse)
     t = 0.0
     times, snaps = [], []
-    if record != "none":
+    if steps is None and record != "none":
         times.append(0.0)
         snaps.append(public())
     trace_errors, drifts = [0.0], [0.0]
@@ -524,8 +564,15 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         t += seg.duration
         trace_errors.append(trace_error)
         drifts.append(drift)
-        if record == "segments" or (record == "steps"
-                                    and seg.label == SEG_RETRIEVE):
+        if steps is not None:
+            if seg.label == SEG_RETRIEVE and seg.step in steps:
+                times.append(t)
+                snaps.append(EvolutionResult(
+                    public(seg.step), np.zeros(0),
+                    max_trace_error=float(np.max(trace_errors)),
+                    max_hermiticity_drift=float(np.max(drifts))))
+        elif record == "segments" or (record == "steps"
+                                      and seg.label == SEG_RETRIEVE):
             times.append(t)
             snaps.append(public())
     # np.max, unlike max(), keeps a NaN from any segment

@@ -112,7 +112,6 @@ class StateSpace:
         self.fock_cutoff = int(fock_cutoff)
         if mode == "truncated":
             self.dim = 3 * self.n_steps + 3
-            self._labels = self._enumerate_truncated()
         else:
             if self.fock_cutoff < 2:
                 raise ValueError("fock_cutoff must be >= 2")
@@ -142,6 +141,8 @@ class StateSpace:
 
     @property
     def labels(self):
+        if self.mode == "truncated":    # built on demand; runs never read them
+            return self._enumerate_truncated()
         return list(self._labels)
 
     @property

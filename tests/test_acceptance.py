@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
 
-from cqwalk import ExperimentConfig, run_experiment, validate_truncation
+from cqwalk import (ExperimentConfig, SweepSpec, run_experiment, run_sweep,
+                    validate_truncation)
 from cqwalk.harness import Report, initial_density_matrix
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import build_collapse_set, evolve_schedule
@@ -190,10 +191,11 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
 
 
 def test_criterion_8_monotonicity(n10_coin_runs, n20_runs):
-    # similarity falls as the walk grows
-    s_by_n = {}
-    for n in (1, 2, 3, 4, 6, 8, 14):
-        s_by_n[n] = run_experiment(ExperimentConfig(n_steps=n)).s
+    # similarity falls as the walk grows; one sweep reads the shorter
+    # walks out of a single N=14 run
+    sweep = run_sweep(ExperimentConfig(),
+                      SweepSpec(axis="n_steps", values=(1, 2, 3, 4, 6, 8, 14)))
+    s_by_n = {rep.n_steps: rep.s for rep in sweep}
     s_by_n[10] = n10_coin_runs[0]["plus-i"].s
     s_by_n[20] = n20_runs[0][1.0].s
     ns = sorted(s_by_n)

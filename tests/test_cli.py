@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,7 @@ def test_validate_subcommand(capsys):
     ["run", "--g-over-2pi-mhz", "1e-320"],   # pi / 2g overflows to inf
     ["run", "--mu-over-2pi-mhz", "1e-320"],
     ["run", "--omega-over-2pi-mhz", "1e-320"],
+    ["sweep", "--axis", "n_steps", "--values", "1", "--workers", "2"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -137,10 +139,24 @@ def test_config_errors_exit_1(argv, capsys):
 
 
 def test_numerical_failure_exits_2(capsys):
-    # a 1e-300 us lifetime overflows the segment maps to NaN
+    # a 1e-300 us lifetime makes the segment maps so stiff that the trace
+    # error is far above its bound
     code = main(["run", "--n-steps", "1", "--t1-ge-us", "1e-300"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_generator_overflow_is_one_line_failure(capsys):
+    # pulse duration times rate overflows while the generator is scaled;
+    # the run must fail with its one message and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--n-steps", "1", "--omega-over-2pi-mhz",
+                     "1e-300", "--t1-ge-us", "1e-10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cqwalk: numerical failure:")
+    assert err.count("\n") == 1
 
 
 _FLOAT_FLAGS = ("--g-over-2pi-mhz", "--omega-over-2pi-mhz",

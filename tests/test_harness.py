@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from conftest import zero_noise_config
 
 import cqwalk
+from cqwalk import harness
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -18,7 +20,7 @@ from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid,
                             validate_truncation)
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.lindblad import IntegrationError
+from cqwalk.lindblad import IntegrationError, evolve_schedule
 from cqwalk.statespace import E, F, StateSpace
 
 
@@ -109,7 +111,8 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_records_failures_per_row():
-    # a 1e-300 us lifetime overflows the segment maps to NaN
+    # a 1e-300 us lifetime makes the segment maps so stiff that the trace
+    # error is far above its bound
     cfg = ExperimentConfig(n_steps=1, t1_ge_us=1e-300)
     reports = run_sweep(cfg, SweepSpec(axis="scale", values=(1.0, 0.5)))
     assert len(reports) == 2
@@ -119,14 +122,103 @@ def test_sweep_records_failures_per_row():
         assert rep.scale in (1.0, 0.5)   # config still echoed
 
 
-def test_sweep_workers_match_serial():
-    cfg = zero_noise_config(n_steps=2)
-    spec = SweepSpec(axis="g", values=(30.0, 50.0, 70.0))
-    serial = run_sweep(cfg, spec, workers=1)
-    parallel = run_sweep(cfg, spec, workers=2)
-    assert [r.g_over_2pi_mhz for r in parallel] == [30.0, 50.0, 70.0]
-    for a, b in zip(serial, parallel):
-        assert a.s == pytest.approx(b.s, abs=1e-12)
+def _bits(value):
+    """A Report field in a form where equal means bit-identical."""
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+def _assert_rows_are_separate_runs(rows, grid):
+    names = [f.name for f in fields(Report) if f.name != "wall_ms"]
+    assert len(rows) == len(grid)
+    for row, cfg in zip(rows, grid):
+        alone = run_experiment(cfg)
+        assert row.error is None and row.wall_ms > 0
+        assert [_bits(getattr(row, n)) for n in names] == \
+            [_bits(getattr(alone, n)) for n in names], cfg
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.0])
+@pytest.mark.parametrize("coin", ["zero", "one", "plus-i"])
+def test_n_steps_sweep_rows_equal_separate_runs(coin, scale):
+    base = ExperimentConfig(coin0=coin, scale=scale)
+    spec = SweepSpec(axis="n_steps", values=tuple(range(1, 9)))
+    _assert_rows_are_separate_runs(run_sweep(base, spec),
+                                   sweep_grid(base, spec))
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(axis="n_steps", values=(1, 2, 4), cross_axis="scale",
+              cross_values=(5.0, 0.2)),
+    SweepSpec(axis="scale", values=(1.0, 0.2), cross_axis="n_steps",
+              cross_values=(3, 1, 5)),
+    SweepSpec(axis="n_steps", values=(8, 3, 3, 1)),
+], ids=["n_steps x scale", "scale x n_steps", "unsorted with duplicate"])
+def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
+    base = ExperimentConfig()
+    grid = sweep_grid(base, spec)
+    rows = run_sweep(base, spec)
+    assert [(r.n_steps, r.scale) for r in rows] == \
+        [(c.n_steps, c.scale) for c in grid]          # grid order, both 3s
+    _assert_rows_are_separate_runs(rows, grid)
+
+
+def test_sweep_propagates_once_per_group(monkeypatch):
+    calls = []
+
+    def counting(rho0, schedule, collapse, record="none"):
+        calls.append(len(schedule) // 3)
+        return evolve_schedule(rho0, schedule, collapse, record=record)
+
+    monkeypatch.setattr(harness, "evolve_schedule", counting)
+    spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
+                     cross_axis="scale", cross_values=(5.0, 1.0, 0.2))
+    rows = run_sweep(ExperimentConfig(), spec)
+    assert len(rows) == 12 and all(r.error is None for r in rows)
+    assert calls == [6, 6, 6]                  # one N=6 run per scale
+
+
+def test_sweep_checks_each_row_up_to_its_step(monkeypatch):
+    # the trace-error bound applies to each row's worst value up to its
+    # own step: with the bound between two of those, the shorter rows
+    # pass and the longer ones fail, as their separate runs do
+    base = ExperimentConfig(scale=0.2)
+    spec = SweepSpec(axis="n_steps", values=tuple(range(1, 9)))
+    errors = sorted({run_experiment(cfg).trace_error
+                     for cfg in sweep_grid(base, spec)})
+    assert len(errors) > 1
+    monkeypatch.setattr(harness, "TRACE_ERROR_BOUND", errors[0])
+    rows = run_sweep(base, spec)
+    failed = []
+    for row, cfg in zip(rows, sweep_grid(base, spec)):
+        try:
+            alone = run_experiment(cfg)
+        except IntegrationError as exc:
+            assert row.error == f"IntegrationError: {exc}"
+            assert math.isnan(row.s) and math.isnan(row.wall_ms)
+            failed.append(cfg.n_steps)
+        else:
+            assert row.error is None and row.s == alone.s
+    assert 0 < len(failed) < len(rows)
+    assert failed == list(range(failed[0], 9))      # the longer ones
+
+
+@pytest.mark.parametrize("overrides", [
+    # pulse duration times rate overflows: the group's one run fails
+    {"omega_over_2pi_mhz": 1e-300, "t1_ge_us": 1e-10},
+    # finite but so stiff that each row's own trace error is too large
+    {"t1_ge_us": 1e-300},
+], ids=["generator overflow", "trace error"])
+def test_sweep_failures_give_one_error_row_per_point(overrides):
+    cfg = ExperimentConfig(**overrides)
+    rows = run_sweep(cfg, SweepSpec(axis="n_steps", values=(3, 1, 2)))
+    assert [r.n_steps for r in rows] == [3, 1, 2]
+    for row in rows:
+        with pytest.raises(IntegrationError) as alone:
+            run_experiment(replace(cfg, n_steps=row.n_steps))
+        assert row.error == f"IntegrationError: {alone.value}"
+        assert math.isnan(row.s)
 
 
 def test_validate_truncation_guard():

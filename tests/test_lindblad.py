@@ -290,6 +290,56 @@ def test_snapshots_are_sector_states():
         rho0, one_step, collapse))) <= 1e-12
 
 
+def test_step_readout_is_each_shorter_run():
+    # reading an 8-step run out after steps 2 and 5 gives, bit for bit,
+    # the 2- and 5-step runs on their own sectors from the same site-1
+    # state (vacuum coherences included), diagnostics up to that step
+    site_1 = [0, 1, 2]            # vacuum, e_1 and f_1 in every sector
+    block = _random_density(np.random.default_rng(5), len(site_1))
+
+    def run(n, record="none"):
+        space = StateSpace(n)
+        schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0,
+                                                               100.0))
+        rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+        rho0[np.ix_(site_1, site_1)] = block
+        return evolve_schedule(rho0, schedule,
+                               build_collapse_set(space, DISTINCT_RATES),
+                               record=record), schedule
+
+    (long, schedule) = run(8, record=[8, 5, 2, 5])
+    assert len(long.snapshots) == 3
+    assert np.array_equal(long.times, [sum(seg.duration for seg in
+                                           schedule.segments[:3 * n])
+                                       for n in (2, 5, 8)])
+    for n, snap in zip((2, 5, 8), long.snapshots):
+        alone, _ = run(n)
+        assert np.array_equal(snap.rho, alone.rho)
+        assert len(snap.times) == 0 and snap.snapshots == []
+        assert snap.max_trace_error == alone.max_trace_error
+        assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
+    assert np.array_equal(long.rho, long.snapshots[-1].rho)
+
+
+def test_step_readout_refusals():
+    space = StateSpace(3)
+    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    collapse = build_collapse_set(space, DISTINCT_RATES)
+    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+    rho0[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 1.0
+    with pytest.raises(ValueError, match="not all in the schedule"):
+        evolve_schedule(rho0, schedule, collapse, record=(4,))
+    # a walker started on site 2 may be on site 3 after one step, which
+    # a one-step chain does not have
+    with pytest.raises(ValueError, match="beyond site 2"):
+        evolve_schedule(rho0, schedule, collapse, record=(1, 3))
+    full = StateSpace(1, mode="full")
+    with pytest.raises(ValueError, match="site-local form"):
+        evolve_schedule(np.eye(full.dim) / full.dim, build_schedule(
+            full, REF_1), build_collapse_set(full, DISTINCT_RATES),
+            record=(1,))
+
+
 def test_record_modes():
     space = StateSpace(2)
     schedule = build_schedule(space, REF)
