@@ -10,28 +10,25 @@ scored against the exact walk by the squared Bhattacharyya overlap.
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       emit_report, initial_density_matrix, run_experiment,
-                      run_sweep, validate_truncation)
+                      run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
 from .lindblad import (CollapseSet, DecoherenceRates, EvolutionResult,
-                       IntegrationError, build_collapse_set, evolve_schedule,
-                       evolve_segment)
+                       IntegrationError, build_collapse_set, evolve_schedule)
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
 from .protocol import Schedule, Segment, build_schedule, coin_pulse_unitary
-from .statespace import (BasisLabel, DeviceParams, StateSpace,
-                         embedding_matrix)
+from .statespace import DeviceParams, StateSpace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisLabel", "CoinState", "CollapseSet", "ConfigError",
-    "DecoherenceRates", "DeviceParams", "Distribution", "EvolutionResult",
-    "ExperimentConfig", "IntegrationError", "Report",
-    "Schedule", "Segment", "StateSpace", "SweepSpec", "build_collapse_set",
-    "build_schedule", "coin_matrix", "coin_preset", "coin_pulse_unitary",
-    "emit_distribution", "emit_plot_script", "emit_report",
-    "embedding_matrix", "evolve_schedule", "evolve_segment",
+    "CoinState", "CollapseSet", "ConfigError", "DecoherenceRates",
+    "DeviceParams", "Distribution", "EvolutionResult", "ExperimentConfig",
+    "IntegrationError", "Report", "Schedule", "Segment", "StateSpace",
+    "SweepSpec", "build_collapse_set", "build_schedule", "coin_matrix",
+    "coin_preset", "coin_pulse_unitary", "emit_distribution",
+    "emit_plot_script", "emit_report", "evolve_schedule",
     "extract_distribution", "initial_density_matrix", "load_config",
     "run_experiment", "run_ideal", "run_sweep", "similarity",
-    "similarity_report", "validate_truncation",
+    "similarity_report",
 ]

@@ -5,7 +5,6 @@ Subcommands:
     run       one experiment, report to CSV/JSON
     sweep     grid of experiments over one or two axes
     dist      one experiment, per-site measured/ideal distribution
-    validate  truncated vs full tensor-product cross-check (small N)
     ideal     exact walk oracle only, no master equation
 
 Every ExperimentConfig field is available as a flag (key spelling with
@@ -24,8 +23,7 @@ import numpy as np
 from .config import (ConfigError, ExperimentConfig, config_from_mapping,
                      config_keys, load_config, parse_field_value)
 from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
-                      emit_report, run_experiment, run_sweep,
-                      validate_truncation)
+                      emit_report, run_experiment, run_sweep)
 from .idealwalk import coin_preset, run_ideal
 from .lindblad import IntegrationError
 
@@ -170,17 +168,6 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = _config_from_args(args)
-    rep = validate_truncation(cfg)
-    print(f"distribution_deviation = {rep.distribution_deviation:.6e}")
-    print(f"similarity_deviation = {rep.similarity_deviation:.6e}")
-    print(f"residual_vacuum_deviation = {rep.residual_vacuum_deviation:.6e}")
-    print(f"S_truncated = {rep.truncated.s:.9f}")
-    print(f"S_full = {rep.full.s:.9f}")
-    return 0
-
-
 def _cmd_ideal(args) -> int:
     cfg = _config_from_args(args)
     p = run_ideal(cfg.n_steps, cfg.theta_rad, coin_preset(cfg.coin0))
@@ -204,10 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single experiment")
     p_sweep = sub.add_parser("sweep", help="grid of experiments")
     p_dist = sub.add_parser("dist", help="per-site distribution of one run")
-    p_val = sub.add_parser("validate", help="truncation cross-check")
     p_ideal = sub.add_parser("ideal", help="exact walk oracle only")
 
-    for p in (p_run, p_sweep, p_dist, p_val, p_ideal):
+    for p in (p_run, p_sweep, p_dist, p_ideal):
         _add_config_flags(p)
     for p in (p_run, p_sweep, p_dist):
         p.add_argument("--plot-script", metavar="PATH",
@@ -225,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
     p_sweep.set_defaults(func=_cmd_sweep)
     p_dist.set_defaults(func=_cmd_dist)
-    p_val.set_defaults(func=_cmd_validate)
     p_ideal.set_defaults(func=_cmd_ideal)
     return parser
 

@@ -63,8 +63,6 @@ class ExperimentConfig:
     t1_gf_us: float = 10.0
     tphi_e_us: float = 5.0
     tphi_f_us: float = 5.0
-    representation: str = "truncated"
-    fock_cutoff: int = 2
     renormalize: bool = False
     output: str | None = None
     format: str = "csv"
@@ -83,10 +81,8 @@ class ExperimentConfig:
             t_phi_e=self.tphi_e_us, t_phi_f=self.tphi_f_us)
         return base.scaled(self.scale)
 
-    def space(self, mode: str | None = None) -> StateSpace:
-        mode = self.representation if mode is None else mode
-        return StateSpace(self.n_steps, mode=mode,
-                          fock_cutoff=self.fock_cutoff)
+    def space(self) -> StateSpace:
+        return StateSpace(self.n_steps)
 
     def coin(self) -> CoinState:
         return coin_preset(self.coin0)
@@ -108,8 +104,6 @@ _KEY_TO_FIELD = {
     "t1_gf_us": "t1_gf_us",
     "tphi_e_us": "tphi_e_us",
     "tphi_f_us": "tphi_f_us",
-    "representation": "representation",
-    "fock_cutoff": "fock_cutoff",
     "renormalize": "renormalize",
     "output": "output",
     "format": "format",
@@ -122,13 +116,12 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 _CHOICES = {
     "coin0": ("zero", "one", "plus-i"),
-    "representation": ("truncated", "full"),
     "format": ("csv", "json"),
 }
 
-_INT_FIELDS = {"n_steps", "fock_cutoff"}
+_INT_FIELDS = {"n_steps"}
 _BOOL_FIELDS = {"renormalize"}
-_STR_FIELDS = {"coin0", "representation", "format", "output"}
+_STR_FIELDS = {"coin0", "format", "output"}
 
 
 def _parse_value(field_name: str, raw: str, where: str):
@@ -230,9 +223,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"{_STATE_COPIES * state_bytes / 2**30:.3g} GiB of dense states"
             f" for one run, more than the host's {memory / 2**30:.3g} GiB"
             f" of physical memory")
-    if cfg.fock_cutoff < 2:
-        bad("fock_cutoff must be >= 2")
-    for name in ("coin0", "representation", "format"):
+    for name in ("coin0", "format"):
         if getattr(cfg, name) not in _CHOICES[name]:
             bad(f"{name} must be one of {_CHOICES[name]}")
     return cfg

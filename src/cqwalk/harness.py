@@ -1,11 +1,10 @@
 """Experiment orchestration and reporting.
 
 Single runs, parameter sweeps (coupling, drive, step count,
-decoherence scale), truncation validation against the full
-tensor-product pipeline, and CSV/JSON report emission.  Every report
-row echoes the full parameter point so result files are
-self-describing; identical configs produce identical rows apart from
-the wall-clock column.
+decoherence scale) and CSV/JSON report emission.  Every report row
+echoes the full parameter point so result files are self-describing;
+identical configs produce identical rows apart from the wall-clock
+column.
 
 A sweep runs each group of points that differ only in n_steps as one
 propagation of its largest n_steps, read out after every requested
@@ -77,16 +76,8 @@ class Report:
 def initial_density_matrix(space: StateSpace, coin: CoinState) -> np.ndarray:
     """Walker on qutrit 1 with coin (c0 -> f, c1 -> e), rest in vacuum."""
     psi = np.zeros(space.dim, dtype=complex)
-    if space.mode == "truncated":
-        psi[space.qutrit_index(1, F)] = coin.c0
-        psi[space.qutrit_index(1, E)] = coin.c1
-    else:
-        levels = [0] * space.n_qutrits
-        photons = (0,) * space.n_cavities
-        levels[0] = F
-        psi[space.full_index(levels, photons)] = coin.c0
-        levels[0] = E
-        psi[space.full_index(levels, photons)] = coin.c1
+    psi[space.qutrit_index(1, F)] = coin.c0
+    psi[space.qutrit_index(1, E)] = coin.c1
     return np.outer(psi, psi.conj())
 
 
@@ -243,15 +234,13 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     evolve_schedule).  So an n_steps axis, primary or cross, costs one
     propagation per group.  Every row is checked on its own, with the
     diagnostics up to its step, and its wall_ms runs from the start of
-    the group to its own readout.  Full-mode points each run alone.
-    Failures are recorded on their rows (every row of a group whose run
-    fails) and do not abort the sweep.
+    the group to its own readout.  Failures are recorded on their rows
+    (every row of a group whose run fails) and do not abort the sweep.
     """
     grid = sweep_grid(base, spec)
     groups: dict = {}
     for i, cfg in enumerate(grid):
-        key = i if cfg.representation == "full" else replace(cfg, n_steps=1)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(replace(cfg, n_steps=1), []).append(i)
     rows: list = [None] * len(grid)
     for members in groups.values():
         top = max((grid[i] for i in members), key=lambda cfg: cfg.n_steps)
@@ -269,40 +258,6 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
             except Exception as exc:
                 rows[i] = _error_report(grid[i], exc)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# truncation validation
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Deviations between the sector and full tensor-product pipelines."""
-
-    distribution_deviation: float
-    similarity_deviation: float
-    residual_vacuum_deviation: float
-    truncated: Report
-    full: Report
-
-
-def validate_truncation(cfg: ExperimentConfig) -> TruncationReport:
-    """Run the same experiment in both representations and compare.
-
-    Guarded to n_steps <= 2: the full space has dimension
-    3^(N+1) * cutoff^N and the comparison is only meant as a
-    correctness oracle, not a production path.
-    """
-    if cfg.n_steps > 2:
-        raise ConfigError("truncation validation is guarded to n_steps <= 2")
-    trunc = run_experiment(replace(cfg, representation="truncated"))
-    full = run_experiment(replace(cfg, representation="full"))
-    return TruncationReport(
-        distribution_deviation=float(np.max(np.abs(trunc.p_me - full.p_me))),
-        similarity_deviation=abs(trunc.s - full.s),
-        residual_vacuum_deviation=abs(trunc.residual_vacuum
-                                      - full.residual_vacuum),
-        truncated=trunc, full=full)
 
 
 # ---------------------------------------------------------------------------

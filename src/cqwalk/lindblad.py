@@ -8,47 +8,39 @@ with piecewise-constant H given by the schedule segments.  Collapse
 operators cover cavity photon loss, the three qutrit relaxation
 channels e->g, f->e, f->g, and pure dephasing of the e and f levels
 (L = sqrt(gamma_phi) |l><l|, so the bare coherences to the ground state
-decay at gamma_phi / 2).  A CollapseSet stores each operator as its
-nonzero entries; in the truncated sector every operator is one basis
-transition, so build_collapse_set writes that single entry by index and
-no dim x dim matrix is formed.
+decay at gamma_phi / 2).  In the single-excitation sector every one of
+them is one basis transition sqrt(gamma) |a><b|, so a CollapseSet holds
+each as its (target a, source b, rate gamma) triple, found by index; no
+dim x dim matrix is formed.
 
 Each segment is propagated exactly; the map is compiled once per
-distinct (H, duration) of a schedule.  The input picks the form:
+distinct (H, duration) of a schedule.  The sector basis is reordered by
+site: the vacuum, then the triplets (e_j, f_j, c_j), then one empty slot
+where c_{N+1} would be.  Coin (e_j<->f_j) and store (e_j<->c_j) act
+within the triplets; retrieve (c_{j-1}<->e_j) acts within the same array
+shifted by one slot, on (c_{j-1}, e_j, f_j), with the vacuum in place of
+c_0.  Every collapse channel's target lies in the triplet of its source
+or is the vacuum.  The generator splits as -i (H_eff rho - rho H_eff+)
++ J(rho) with H_eff = H - i Gamma / 2, Gamma = sum_k gamma_k |b_k><b_k|,
+and J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  H_eff is block diagonal
+on the triplets and J writes only diagonal entries, so every entry
+outside the triplets' diagonal blocks evolves as V rho V+ with
+V = expm(-i t H_eff), one 3x3 map per site.  Each diagonal block follows
+its own closed 9-dimensional system, and a tenth row of that system sums
+the block's outflow into the vacuum; the vacuum has no dynamics of its
+own, so its population just collects these sums.  Compiling a segment
+exponentiates these few-by-few generators of every site as one numpy
+stack.  Each map is applied as a batched matmul on reshaped views of
+rho.  A Hamiltonian term or collapse channel that does not fit this
+layout, or a state whose dimension is not 3N+3, is a ValueError.
 
-site-local form (the single-excitation sector)
-    The sector basis is reordered by site: the vacuum, then the
-    triplets (e_j, f_j, c_j), then one empty slot where c_{N+1} would
-    be.  Coin (e_j<->f_j) and store (e_j<->c_j) act within the
-    triplets; retrieve (c_{j-1}<->e_j) acts within the same array
-    shifted by one slot, on (c_{j-1}, e_j, f_j), with the vacuum in
-    place of c_0.  Every collapse operator is one transition
-    sqrt(gamma_k) |a_k><b_k| whose target a_k lies in the triplet of
-    b_k or is the vacuum.  The generator splits as
-    -i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma / 2,
-    Gamma = sum_k gamma_k |b_k><b_k|, and
-    J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  H_eff is block diagonal
-    on the triplets and J writes only diagonal entries, so every entry
-    outside the triplets' diagonal blocks evolves as V rho V+ with
-    V = expm(-i t H_eff), one 3x3 map per site.  Each diagonal block
-    follows its own closed 9-dimensional system, and a tenth row of that
-    system sums the block's outflow into the vacuum; the vacuum has no
-    dynamics of its own, so its population just collects these sums.
-    Compiling a segment exponentiates these few-by-few generators of
-    every site as one numpy stack.  Each map is applied as a batched
-    matmul on reshaped views of rho.  Since the walker moves at most one
-    site per retrieve, only a leading block of the reordered rho is
-    nonzero: evolve_schedule reads that block's size off rho0 and grows
-    it segment by segment, so a walk from site 1 touches at most
-    (3n+4)^2 entries at step n.  Up to step n such a walk never meets a
-    site map beyond site n+1, so its leading 3n+3 slots then hold, bit
-    for bit, the final state of an n-step chain; evolve_schedule can
-    read every shorter run out of one longer one.
-sparse form (anything else: the full tensor-product oracle)
-    scipy.sparse.linalg.expm_multiply on the sparse Liouvillian, built
-    from the operators' entries as csr, with
-    vec(A rho B) = (A kron B^T) vec(rho) in row-major order.  scipy is
-    imported only here, so a sector run never loads it.
+Since the walker moves at most one site per retrieve, only a leading
+block of the reordered rho is nonzero: evolve_schedule reads that
+block's size off rho0 and grows it segment by segment, so a walk from
+site 1 touches at most (3n+4)^2 entries at step n.  Up to step n such a
+walk never meets a site map beyond site n+1, so its leading 3n+3 slots
+then hold, bit for bit, the final state of an n-step chain;
+evolve_schedule can read every shorter run out of one longer one.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .protocol import SEG_RETRIEVE, Schedule, Segment
+from .protocol import SEG_RETRIEVE, Schedule
 from .statespace import E, F, G, StateSpace
 
 
@@ -141,14 +133,13 @@ class DecoherenceRates:
 
 @dataclass(frozen=True)
 class CollapseSet:
-    """Collapse operators as their nonzero entries, sqrt(rate) folded in.
+    """Collapse channels of the sector as (target, source, rate) triples.
 
-    channels[k] = (rows, cols, values) says that operator k has entries
-    values at (rows, cols) and zeros elsewhere.  A truncated-sector
-    channel is one basis transition, a single entry.
+    channels[k] = (a, b, gamma) is the operator sqrt(gamma) |a><b| of
+    the sector basis, labels[k] its name.
     """
 
-    channels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    channels: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...]
 
     def __len__(self):
@@ -165,29 +156,15 @@ _QUTRIT_CHANNELS = (
 )
 
 
-def _entries(op: np.ndarray):
-    rows, cols = np.nonzero(op)
-    return rows, cols, op[rows, cols]
-
-
 def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSet:
-    """All collapse operators of the chain; zero-rate channels dropped.
+    """All collapse channels of the chain; zero-rate channels dropped.
 
     Five channels per qutrit plus one per cavity, so a chain with q
-    qutrits and c cavities has 5q + c operators when every rate is
-    nonzero.  A zero-rate channel is skipped before anything is built.
-    In truncated mode each channel is one transition |a><b| of the
-    sector basis, found by index arithmetic (|g>_j<l| on qutrit j in l
-    leaves the vacuum); in full mode the entries are read off the
-    embedded tensor-product operator.
+    qutrits and c cavities has 5q + c channels when every rate is
+    nonzero.  Each is one transition |a><b| of the sector basis, found
+    by index arithmetic (|g>_j<l| on qutrit j in l leaves the vacuum).
     """
-    truncated = space.mode == "truncated"
     channels, labels = [], []
-
-    def add(rate, label, rows, cols, values):
-        channels.append((np.asarray(rows), np.asarray(cols),
-                         math.sqrt(rate) * np.asarray(values, dtype=complex)))
-        labels.append(label)
 
     def index(j, level):
         return space.vacuum_index if level == G else space.qutrit_index(j, level)
@@ -195,43 +172,16 @@ def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSe
     for j in range(1, space.n_qutrits + 1):
         for name, field_name, to_level, from_level in _QUTRIT_CHANNELS:
             rate = getattr(rates, field_name)
-            if rate <= 0.0:
-                continue
-            if truncated:
-                add(rate, f"{name}_q{j}", [index(j, to_level)],
-                    [index(j, from_level)], [1.0])
-            else:
-                add(rate, f"{name}_q{j}", *_entries(
-                    space.qutrit_transition(j, to_level, from_level)))
+            if rate > 0.0:
+                channels.append((index(j, to_level), index(j, from_level),
+                                 rate))
+                labels.append(f"{name}_q{j}")
     if rates.kappa > 0.0:
         for j in range(1, space.n_cavities + 1):
-            if truncated:
-                add(rates.kappa, f"loss_c{j}", [space.vacuum_index],
-                    [space.cavity_index(j)], [1.0])
-            else:
-                add(rates.kappa, f"loss_c{j}",
-                    *_entries(space.cavity_annihilation(j)))
+            channels.append((space.vacuum_index, space.cavity_index(j),
+                             rates.kappa))
+            labels.append(f"loss_c{j}")
     return CollapseSet(tuple(channels), tuple(labels))
-
-
-# ---------------------------------------------------------------------------
-# superoperators
-
-
-def liouvillian_matrix(h: np.ndarray, collapse: CollapseSet):
-    """Sparse (csr) Liouvillian with vec(A rho B) = (A kron B^T) vec(rho)."""
-    import scipy.sparse as sp
-
-    dim = h.shape[0]
-    eye = sp.identity(dim, format="csr")
-    hs = sp.csr_matrix(h)
-    liou = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
-    for rows, cols, values in collapse.channels:
-        op = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
-        anti = op.conj().T @ op
-        liou = liou + sp.kron(op, op.conj()) \
-            - 0.5 * sp.kron(anti, eye) - 0.5 * sp.kron(eye, anti.T)
-    return sp.csr_matrix(liou)
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +239,22 @@ def _site_order(n_steps: int) -> np.ndarray:
 
 
 def _site_frame(dim: int, collapse: CollapseSet):
-    """The site layout of a sector of dimension dim, or None.
+    """The site layout of a sector of dimension dim.
 
     Returns (order, slot, jumps): order[s] is the sector index held by
     layout slot s (the trailing empty slot has none), slot inverts it,
     and jumps holds the collapse channels as (target slot, source slot,
-    rate) arrays.  None unless dim = 3N+3 for some N >= 1 and every
-    channel is one entry.
+    rate) arrays.  A dim other than 3N+3 with N >= 1 is a ValueError.
     """
-    if dim % 3 or dim < 6 or any(
-            len(rows) != 1 for rows, _, _ in collapse.channels):
-        return None
+    if dim % 3 or dim < 6:
+        raise ValueError(f"a state of dimension {dim} is no single-excitation"
+                         " sector (3N+3, N >= 1)")
     order = _site_order(dim // 3 - 1)
     slot = np.empty(dim, dtype=int)
     slot[order] = np.arange(dim)
-    channels = collapse.channels
-    jumps = (np.array([slot[rows[0]] for rows, _, _ in channels], dtype=int),
-             np.array([slot[cols[0]] for _, cols, _ in channels], dtype=int),
-             np.array([abs(values[0]) ** 2 for _, _, values in channels]))
+    table = np.array(collapse.channels, dtype=float).reshape(-1, 3)
+    jumps = (slot[table[:, 0].astype(int)], slot[table[:, 1].astype(int)],
+             table[:, 2])
     return order, slot, jumps
 
 
@@ -357,12 +305,12 @@ class _SiteMaps:
 
 
 def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
-               jumps) -> _SiteMaps | None:
-    """Compile one segment into per-site maps, or None when a term of h
-    or a jump does not fit the site structure.
+               jumps) -> _SiteMaps:
+    """Compile one segment into per-site maps.
 
     Coin and store fit the triplets from slot 1 and retrieve those from
-    slot 0.  The vacuum (slot 0) must have no terms and no decay.
+    slot 0.  The vacuum (slot 0) must have no terms and no decay.  A term
+    of h or a jump that fits neither is a ValueError.
     """
     sites = (len(slot) + 1) // 3
     rows, cols = np.nonzero(h)
@@ -376,7 +324,8 @@ def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
                                             == (source - offset) // 3))):
             break
     else:
-        return None
+        raise ValueError("a Hamiltonian term or collapse channel does not"
+                         " fit the site layout")
 
     h_eff = np.zeros((sites, 3, 3), dtype=complex)
     h_eff[(row - offset) // 3, (row - offset) % 3, (col - offset) % 3] = values
@@ -414,15 +363,6 @@ def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
     return _SiteMaps(offset, v, props[:, :9, :9], props[:, 9, :9])
 
 
-def _sparse_propagator(h: np.ndarray, duration: float,
-                       collapse: CollapseSet):
-    """Action of expm(t L) on vec(rho) for general collapse operators."""
-    from scipy.sparse.linalg import expm_multiply
-
-    liou = duration * liouvillian_matrix(h, collapse)
-    return lambda rho: expm_multiply(liou, rho.reshape(-1)).reshape(rho.shape)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -435,13 +375,6 @@ def _symmetrize(a: np.ndarray) -> tuple[float, float]:
     skew *= 0.5
     a -= skew                                  # (a + a+) / 2
     return abs(float(a.trace().real) - 1.0), drift
-
-
-@dataclass
-class SegmentStats:
-    substeps: int                 # time steps taken; 0, every map is exact
-    trace_error: float
-    hermiticity_drift: float
 
 
 @dataclass
@@ -466,63 +399,16 @@ def _compile_key(seg) -> tuple[int, float]:
     return id(seg.hamiltonian), seg.duration
 
 
-def _site_stepper(rho: np.ndarray, order: np.ndarray, maps: dict):
-    """step(segment) and public(n_steps) of a run in the site layout.
-
-    step propagates and re-symmetrizes the leading block of the layout
-    that can be nonzero and returns that block's trace error and
-    Hermiticity drift; everything outside it is exactly 0.  The block
-    starts at rho0's support (a NaN counts) and grows by at most one
-    site per segment.  public() is the state in the sector basis;
-    public(n) is the leading 3n+3 slots in the order of the n-step
-    sector, which must hold the whole block.
-    """
-    dim = len(order)
-    state = np.zeros((dim + 1, dim + 1), dtype=complex)
-    state[:dim, :dim] = rho[np.ix_(order, order)]
-    nonzero = state != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    size = int(support[-1]) + 1 if support.size else 1
-
-    def step(seg):
-        nonlocal size
-        size = maps[_compile_key(seg)].apply(state, size)
-        return _symmetrize(state[:size, :size])
-
-    def public(n_steps=None):
-        sub = order if n_steps is None else _site_order(n_steps)
-        if n_steps is not None and size > len(sub):
-            raise ValueError(f"the state after step {n_steps} reaches beyond"
-                             f" site {n_steps + 1}")
-        out = np.empty((len(sub), len(sub)), dtype=complex)
-        out[np.ix_(sub, sub)] = state[:len(sub), :len(sub)]
-        return out
-
-    return step, public
-
-
-def _sparse_stepper(rho: np.ndarray, kinds: dict, collapse: CollapseSet):
-    """step(segment) and public() of a run in the sparse form."""
-    props = {key: _sparse_propagator(seg.hamiltonian, seg.duration, collapse)
-             for key, seg in kinds.items()}
-
-    def step(seg):
-        nonlocal rho
-        rho = props[_compile_key(seg)](rho)
-        return _symmetrize(rho)
-
-    return step, lambda: rho.copy()
-
-
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                     collapse: CollapseSet,
                     record="none") -> EvolutionResult:
-    """Run the whole pulse program.
+    """Run the whole pulse program on a sector state.
 
     Each distinct (H, duration) is compiled once; the schedule shares
     one Hamiltonian per segment kind, so that is three compilations.
-    The site-local form runs when every segment fits it, the sparse
-    form otherwise.  record: "none", "steps" (snapshot after each walk
+    rho0 must have dimension 3N+3, and every segment term and collapse
+    channel must fit the site layout (module docstring); anything else
+    is a ValueError.  record: "none", "steps" (snapshot after each walk
     step), "segments" (after every pulse), both in the basis of rho0,
     or a collection of step numbers.  For step numbers, snapshots holds
     one EvolutionResult per distinct step n, in increasing order: the
@@ -530,7 +416,7 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     leading 3n+3 slots of the site layout, with the diagnostics up to
     step n; times holds each step's end.  That is exact while the state
     stays on sites 1..n+1 up to step n, as a walker started on site 1
-    does; a state that leaves them, or the sparse form, is a ValueError.
+    does; a state that leaves them is a ValueError.
     """
     steps = None
     if not isinstance(record, str):
@@ -539,20 +425,33 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                          if seg.label == SEG_RETRIEVE}:
             raise ValueError(f"steps {sorted(steps)} not all in the schedule")
     elif record not in ("none", "steps", "segments"):
-        raise ValueError(f"unknown record mode {record!r}")
-    rho = np.array(rho0, dtype=complex)
+        raise ValueError(f"unknown record value {record!r}")
+    dim = len(rho0)
+    order, slot, jumps = _site_frame(dim, collapse)
     kinds = {_compile_key(seg): seg for seg in schedule}
-    frame = _site_frame(len(rho), collapse)
-    maps = {} if frame is None else {
-        key: _site_maps(seg.hamiltonian, seg.duration, *frame[1:])
-        for key, seg in kinds.items()}
-    if frame is not None and all(m is not None for m in maps.values()):
-        step, public = _site_stepper(rho, frame[0], maps)
-    elif steps is not None:
-        raise ValueError("a readout after chosen steps needs the site-local"
-                         " form")
-    else:
-        step, public = _sparse_stepper(rho, kinds, collapse)
+    maps = {key: _site_maps(seg.hamiltonian, seg.duration, slot, jumps)
+            for key, seg in kinds.items()}
+    # Only the leading size x size block of the layout can be nonzero: it
+    # starts at rho0's support (a NaN counts) and grows by at most one
+    # site per segment.  Everything outside it is exactly 0.
+    state = np.zeros((dim + 1, dim + 1), dtype=complex)
+    state[:dim, :dim] = np.asarray(rho0)[np.ix_(order, order)]
+    nonzero = state != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    size = int(support[-1]) + 1 if support.size else 1
+
+    def public(n_steps=None):
+        """The state in the sector basis; public(n) is the leading 3n+3
+        slots in the order of the n-step sector, which must hold the
+        whole block."""
+        sub = order if n_steps is None else _site_order(n_steps)
+        if n_steps is not None and size > len(sub):
+            raise ValueError(f"the state after step {n_steps} reaches beyond"
+                             f" site {n_steps + 1}")
+        out = np.empty((len(sub), len(sub)), dtype=complex)
+        out[np.ix_(sub, sub)] = state[:len(sub), :len(sub)]
+        return out
+
     t = 0.0
     times, snaps = [], []
     if steps is None and record != "none":
@@ -560,7 +459,8 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         snaps.append(public())
     trace_errors, drifts = [0.0], [0.0]
     for seg in schedule:
-        trace_error, drift = step(seg)
+        size = maps[_compile_key(seg)].apply(state, size)
+        trace_error, drift = _symmetrize(state[:size, :size])
         t += seg.duration
         trace_errors.append(trace_error)
         drifts.append(drift)
@@ -580,21 +480,6 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                            snapshots=snaps,
                            max_trace_error=float(np.max(trace_errors)),
                            max_hermiticity_drift=float(np.max(drifts)))
-
-
-def evolve_segment(rho: np.ndarray, h: np.ndarray, duration: float,
-                   collapse: CollapseSet) -> tuple[np.ndarray, SegmentStats]:
-    """Propagate rho through one constant-H segment, run as a one-segment
-    evolve_schedule.
-
-    Returns the re-symmetrized state and per-segment diagnostics (the
-    hermiticity drift is measured before the symmetrization that
-    removes it).
-    """
-    segment = Schedule((Segment("segment", 1, h, duration),))
-    res = evolve_schedule(rho, segment, collapse)
-    return res.rho, SegmentStats(0, res.max_trace_error,
-                                 res.max_hermiticity_drift)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import E, F, G, StateSpace
+from .statespace import E, F, StateSpace
 
 
 @dataclass
@@ -22,8 +22,7 @@ class Distribution:
 
     p[j-1] is the probability of finding the walker at qutrit j;
     residual_vacuum is the fully relaxed population and residual_cavity
-    everything else (photons still in flight, multi-excitation leakage
-    in full mode).
+    the photons still in flight.
     """
 
     p: np.ndarray
@@ -38,29 +37,14 @@ class Distribution:
 def extract_distribution(rho: np.ndarray, space: StateSpace) -> Distribution:
     """Diagonal readout of the walker position from a density matrix."""
     diag = np.real(np.diagonal(rho))
-    if space.mode == "truncated":
-        p = np.empty(space.n_qutrits)
-        for j in range(1, space.n_qutrits + 1):
-            p[j - 1] = (diag[space.qutrit_index(j, E)]
-                        + diag[space.qutrit_index(j, F)])
-        vac = float(diag[space.vacuum_index])
-        cav = float(sum(diag[space.cavity_index(j)]
-                        for j in range(1, space.n_cavities + 1)))
-        return Distribution(p, vac, cav)
-
-    p = np.zeros(space.n_qutrits)
-    vac = 0.0
-    cav = 0.0
-    for idx, (levels, photons) in enumerate(space.labels):
-        excited = [j for j, lv in enumerate(levels) if lv != G]
-        n_phot = sum(photons)
-        if not excited and n_phot == 0:
-            vac += diag[idx]
-        elif len(excited) == 1 and n_phot == 0:
-            p[excited[0]] += diag[idx]
-        else:
-            cav += diag[idx]
-    return Distribution(p, float(vac), float(cav))
+    p = np.empty(space.n_qutrits)
+    for j in range(1, space.n_qutrits + 1):
+        p[j - 1] = (diag[space.qutrit_index(j, E)]
+                    + diag[space.qutrit_index(j, F)])
+    vac = float(diag[space.vacuum_index])
+    cav = float(sum(diag[space.cavity_index(j)]
+                    for j in range(1, space.n_cavities + 1)))
+    return Distribution(p, vac, cav)
 
 
 def similarity(p_measured: np.ndarray, p_ideal: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import E, F, G, DeviceParams, StateSpace
+from .statespace import E, F, DeviceParams, StateSpace
 
 SEG_COIN = "coin"
 SEG_STORE = "store"
@@ -46,7 +46,6 @@ class Segment:
 @dataclass(frozen=True)
 class Schedule:
     segments: tuple[Segment, ...]
-    params: DeviceParams | None = None   # provenance; not used by evolution
 
     @property
     def total_duration(self) -> float:
@@ -63,52 +62,35 @@ def h_coin(space: StateSpace, params: DeviceParams) -> np.ndarray:
     """Global coin drive: sum_j Omega (e^{i phi} |e>_j<f| + h.c.)."""
     phase = np.exp(1j * params.phi)
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    if space.mode == "truncated":
-        # one-body terms stay in the sector: |e><f| on qutrit j links
-        # exactly its f state to its e state
-        for j in range(1, space.n_qutrits + 1):
-            row, col = space.qutrit_index(j, E), space.qutrit_index(j, F)
-            h[row, col] += params.omega * phase
-            h[col, row] += params.omega * np.conj(phase)
-        return h
+    # one-body terms stay in the sector: |e><f| on qutrit j links exactly
+    # its f state to its e state
     for j in range(1, space.n_qutrits + 1):
-        ef = space.qutrit_transition(j, E, F)
-        h += params.omega * (phase * ef + np.conj(phase) * ef.conj().T)
+        row, col = space.qutrit_index(j, E), space.qutrit_index(j, F)
+        h[row, col] += params.omega * phase
+        h[col, row] += params.omega * np.conj(phase)
     return h
 
 
 def h_store(space: StateSpace, params: DeviceParams) -> np.ndarray:
     """Qutrit-to-cavity transfer: sum_j g (a_j |e>_j<g| + h.c.)."""
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    if space.mode == "truncated":
-        # Two-body terms are written directly in the sector basis:
-        # a_j |e>_j<g| sends the one-photon state of cavity j to the
-        # e state of qutrit j and annihilates everything else.
-        for j in range(1, space.n_cavities + 1):
-            row, col = space.qutrit_index(j, E), space.cavity_index(j)
-            h[row, col] += params.g
-            h[col, row] += params.g
-        return h
+    # Two-body terms are written directly in the sector basis: a_j |e>_j<g|
+    # sends the one-photon state of cavity j to the e state of qutrit j
+    # and annihilates everything else.
     for j in range(1, space.n_cavities + 1):
-        term = params.g * (space.cavity_annihilation(j)
-                           @ space.qutrit_transition(j, E, G))
-        h += term + term.conj().T
+        row, col = space.qutrit_index(j, E), space.cavity_index(j)
+        h[row, col] += params.g
+        h[col, row] += params.g
     return h
 
 
 def h_retrieve(space: StateSpace, params: DeviceParams) -> np.ndarray:
     """Cavity-to-next-qutrit transfer: sum_j mu (a_j |e>_{j+1}<g| + h.c.)."""
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    if space.mode == "truncated":
-        for j in range(1, space.n_cavities + 1):
-            row, col = space.qutrit_index(j + 1, E), space.cavity_index(j)
-            h[row, col] += params.mu
-            h[col, row] += params.mu
-        return h
     for j in range(1, space.n_cavities + 1):
-        term = params.mu * (space.cavity_annihilation(j)
-                            @ space.qutrit_transition(j + 1, E, G))
-        h += term + term.conj().T
+        row, col = space.qutrit_index(j + 1, E), space.cavity_index(j)
+        h[row, col] += params.mu
+        h[col, row] += params.mu
     return h
 
 
@@ -140,7 +122,7 @@ def build_schedule(space: StateSpace, params: DeviceParams) -> Schedule:
     for step in range(1, params.n_steps + 1):
         for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE):
             segments.append(Segment(label, step, hs[label], durs[label]))
-    return Schedule(tuple(segments), params=params)
+    return Schedule(tuple(segments))
 
 
 def coin_pulse_unitary(theta: float, phi: float = -math.pi / 2) -> np.ndarray:

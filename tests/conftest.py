@@ -1,11 +1,11 @@
 import math
 
 import numpy as np
+from fullspace import liouvillian_matrix
 from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.idealwalk import coin_matrix
-from cqwalk.lindblad import liouvillian_matrix
 
 INF = math.inf
 
@@ -47,23 +47,25 @@ def dense_expm_evolve(rho0, schedule, collapse):
     has dim^2 rows, so keep dim below ~30.
     """
     dim = rho0.shape[0]
+    ops = dense_operators(collapse, dim)
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
     props = {}
     for seg in schedule:
         key = (id(seg.hamiltonian), seg.duration)
         if key not in props:
-            liou = liouvillian_matrix(seg.hamiltonian, collapse).toarray()
+            liou = liouvillian_matrix(seg.hamiltonian, ops).toarray()
             props[key] = expm(seg.duration * liou)
         vec = props[key] @ vec
     return vec.reshape(dim, dim)
 
 
 def dense_operators(collapse, dim):
-    """The collapse operators of a CollapseSet as dense dim x dim arrays."""
+    """The channels (target, source, rate) of a CollapseSet as dense
+    dim x dim operators sqrt(rate) |target><source|."""
     ops = []
-    for rows, cols, values in collapse.channels:
+    for target, source, rate in collapse.channels:
         op = np.zeros((dim, dim), dtype=complex)
-        op[rows, cols] = values
+        op[target, source] = math.sqrt(rate)
         ops.append(op)
     return ops
 
@@ -71,7 +73,7 @@ def dense_operators(collapse, dim):
 def lindblad_apply(rho, h, collapse):
     """Right-hand side of the master equation, applied densely.
 
-    Reference for the sparse Liouvillian; O(dim^3) per call.
+    Reference for the sparse Liouvillian of fullspace; O(dim^3) per call.
     """
     out = -1j * (h @ rho - rho @ h)
     for op in dense_operators(collapse, h.shape[0]):

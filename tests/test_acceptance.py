@@ -17,14 +17,13 @@ asserts, so a failing benchmark is reported with its measured values.
 
 import math
 import time
-from dataclasses import replace
 
+import fullspace
 import numpy as np
 import pytest
 from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
 
-from cqwalk import (ExperimentConfig, SweepSpec, run_experiment, run_sweep,
-                    validate_truncation)
+from cqwalk import ExperimentConfig, SweepSpec, run_experiment, run_sweep
 from cqwalk.harness import Report, initial_density_matrix
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import build_collapse_set, evolve_schedule
@@ -59,12 +58,15 @@ def zero_noise_runs():
 
 @pytest.fixture(scope="module")
 def truncation_check():
+    # the same experiment in the sector and in the full tensor space
+    cfg = ExperimentConfig(n_steps=2)
     start = time.perf_counter()
-    result = validate_truncation(ExperimentConfig(n_steps=2))
+    truncated = run_experiment(cfg)
+    full = fullspace.run_experiment(cfg)
     elapsed = time.perf_counter() - start
-    _RUN_LOG.append(("c2[truncated]", result.truncated))
-    _RUN_LOG.append(("c2[full]", result.full))
-    return result, elapsed
+    _RUN_LOG.append(("c2[truncated]", truncated))
+    _RUN_LOG.append(("c2[full]", full))
+    return float(np.max(np.abs(truncated.p_me - full.p_me))), elapsed
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +115,7 @@ def test_criterion_1_decoherence_free_exactness(zero_noise_runs):
 
 
 def test_criterion_2_truncation_oracle(truncation_check):
-    result, elapsed = truncation_check
-    dev = result.distribution_deviation
+    dev, elapsed = truncation_check
     ok = dev <= 1e-6 and elapsed < 30.0
     _check(2, ok, f"N=2 baseline noise: max per-site deviation vs full "
                   f"tensor space = {dev:.2e} (tol 1e-6), runtime "

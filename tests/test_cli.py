@@ -105,15 +105,6 @@ def test_sweep_cross_axis(capsys):
         ["5", "1", "5", "1"]
 
 
-def test_validate_subcommand(capsys):
-    code = main(["validate", "--n-steps", "1", "--coin0", "one"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "distribution_deviation" in out
-    dev = float(out.splitlines()[0].split("=")[1])
-    assert dev < 1e-6
-
-
 @pytest.mark.parametrize("argv", [
     ["run", "--coin0", "sideways"],
     ["run", "--n-steps", "zero"],
@@ -130,6 +121,9 @@ def test_validate_subcommand(capsys):
     ["run", "--mu-over-2pi-mhz", "1e-320"],
     ["run", "--omega-over-2pi-mhz", "1e-320"],
     ["sweep", "--axis", "n_steps", "--values", "1", "--workers", "2"],
+    ["run", "--representation", "full"],     # removed keys and subcommand
+    ["run", "--fock-cutoff", "3"],
+    ["validate", "--n-steps", "1"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -44,6 +44,8 @@ def test_parse_happy_path():
     ("scale = nan", "nan"),
     ("coin0 = left", "not one of"),
     ("g_over_2pi_MHz = fast", "expected number"),
+    ("n_steps = 2\nrepresentation = full", "line 2: unknown key"),
+    ("fock_cutoff = 3", "line 1: unknown key"),
 ])
 def test_parse_errors_carry_line_info(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -61,9 +63,9 @@ def test_parse_errors_carry_line_info(text, fragment):
     {"scale": 0.0},
     {"t1_ge_us": -1.0},
     {"omega_over_2pi_mhz": 0.0},
-    {"representation": "dense"},
+    {"coin0": "left"},
     {"format": "xml"},
-    {"fock_cutoff": 1},
+    {"phi_rad": math.nan},
     {"mu_over_2pi_mhz": -2.0},
 ])
 def test_range_validation(overrides):
@@ -125,12 +127,11 @@ def test_parse_field_value_override_path():
     assert parse_field_value("renormalize", "on") is True
     with pytest.raises(ConfigError):
         parse_field_value("made_up", "1")
-    with pytest.raises(ConfigError):
-        parse_field_value("representation", "dense")
+    with pytest.raises(ConfigError, match="unknown field"):
+        parse_field_value("representation", "full")   # removed key
 
 
 def test_derived_objects():
     cfg = ExperimentConfig(n_steps=3)
     assert cfg.space().dim == 12
-    assert cfg.space("full").dim == 3 ** 4 * 2 ** 3
     assert abs(cfg.coin().c1) == pytest.approx(1 / math.sqrt(2))

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import fullspace
 import numpy as np
 import pytest
 from conftest import zero_noise_config
@@ -17,8 +18,7 @@ from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
                             initial_density_matrix, report_to_json_obj,
-                            run_experiment, run_sweep, sweep_grid,
-                            validate_truncation)
+                            run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, evolve_schedule
 from cqwalk.statespace import E, F, StateSpace
@@ -37,11 +37,13 @@ def test_initial_density_matrix_truncated():
 
 
 def test_initial_density_matrix_full_mode():
-    space = StateSpace(1, mode="full")
-    rho = initial_density_matrix(space, coin_preset("one"))
-    idx = space.full_index((E, 0), (0,))
-    assert rho[idx, idx] == pytest.approx(1.0)
-    assert np.trace(rho) == pytest.approx(1.0)
+    # the sector's rho0, embedded, is the full-space oracle's rho0
+    space, full = StateSpace(1), fullspace.FullSpace(1)
+    v = fullspace.embedding_matrix(space, full)
+    for name in ("zero", "one", "plus-i"):
+        coin = coin_preset(name)
+        assert np.array_equal(v @ initial_density_matrix(space, coin) @ v.T,
+                              fullspace.initial_density_matrix(full, coin))
 
 
 def test_zero_noise_run_matches_ideal_oracle():
@@ -221,15 +223,11 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
         assert math.isnan(row.s)
 
 
-def test_validate_truncation_guard():
-    with pytest.raises(ConfigError):
-        validate_truncation(ExperimentConfig(n_steps=3))
-
-
 def test_validate_truncation_zero_noise_exact():
-    rep = validate_truncation(zero_noise_config(n_steps=1, coin0="one"))
-    assert rep.distribution_deviation < 1e-9
-    assert rep.similarity_deviation < 1e-9
+    cfg = zero_noise_config(n_steps=1, coin0="one")
+    sector, full = run_experiment(cfg), fullspace.run_experiment(cfg)
+    assert np.max(np.abs(sector.p_me - full.p_me)) < 1e-9
+    assert abs(sector.s - full.s) < 1e-9
 
 
 def _tiny_report():

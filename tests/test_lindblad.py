@@ -3,15 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_expm_evolve, lindblad_apply
+import fullspace
+from conftest import dense_expm_evolve, dense_operators, lindblad_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cqwalk.lindblad import (CollapseSet, DecoherenceRates, IntegrationError,
                              _expm_small, build_collapse_set,
-                             density_matrix_checks, evolve_schedule,
-                             evolve_segment, liouvillian_matrix)
+                             density_matrix_checks, evolve_schedule)
 from cqwalk.protocol import Schedule, Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
@@ -71,9 +71,7 @@ def test_collapse_set_counts():
     only_kappa = build_collapse_set(space, DecoherenceRates(kappa=0.3))
     assert len(only_kappa) == 1
     assert only_kappa.labels == ("loss_c1",)
-    rows, cols, values = only_kappa.channels[0]
-    assert (list(rows), list(cols)) == ([0], [space.cavity_index(1)])
-    assert values[0] == pytest.approx(math.sqrt(0.3))
+    assert only_kappa.channels == ((0, space.cavity_index(1), 0.3),)
 
 
 def test_collapse_set_of_long_chain_is_small():
@@ -97,8 +95,9 @@ def test_liouvillian_matches_direct_application():
     h = h + h.T
     rho = _random_density(rng, space.dim)
     direct = lindblad_apply(rho, h, collapse)
-    via_super = (liouvillian_matrix(h, collapse)
-                 @ rho.reshape(-1)).reshape(space.dim, space.dim)
+    liou = fullspace.liouvillian_matrix(h, dense_operators(collapse,
+                                                           space.dim))
+    via_super = (liou @ rho.reshape(-1)).reshape(space.dim, space.dim)
     assert np.allclose(direct, via_super, atol=1e-12)
 
 
@@ -183,9 +182,8 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
 
 
-def test_hamiltonian_outside_the_sites_takes_sparse_form():
-    # a term linking two sites fits no site layout; the run must fall
-    # back to the sparse Liouvillian and stay exact
+def test_hamiltonian_outside_the_sites_is_refused():
+    # a term linking two sites fits no site layout
     space = StateSpace(1)
     collapse = build_collapse_set(space, DISTINCT_RATES)
     h = np.zeros((space.dim, space.dim), dtype=complex)
@@ -193,9 +191,28 @@ def test_hamiltonian_outside_the_sites_takes_sparse_form():
     h[e1, e2] = h[e2, e1] = 300.0
     schedule = Schedule((Segment("coin", 1, h, 4e-3),))
     rho0 = _random_density(np.random.default_rng(2), space.dim)
-    res = evolve_schedule(rho0, schedule, collapse)
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
-    assert np.max(np.abs(res.rho - oracle)) < 1e-12
+    with pytest.raises(ValueError, match="site layout"):
+        evolve_schedule(rho0, schedule, collapse)
+
+
+def test_collapse_channel_between_sites_is_refused():
+    # |e_2><e_1| ends neither in the vacuum nor in its source's triplet
+    space = StateSpace(1)
+    schedule = build_schedule(space, REF_1)
+    hop = CollapseSet(((space.qutrit_index(2, E), space.qutrit_index(1, E),
+                        0.5),), ("hop",))
+    rho0 = _random_density(np.random.default_rng(3), space.dim)
+    with pytest.raises(ValueError, match="site layout"):
+        evolve_schedule(rho0, schedule, hop)
+
+
+@pytest.mark.parametrize("dim", [3, 7, 8])
+def test_state_outside_the_sector_is_refused(dim):
+    # only 3N+3 with N >= 1 is a sector dimension
+    h = np.zeros((dim, dim), dtype=complex)
+    schedule = Schedule((Segment("coin", 1, h, 1e-3),))
+    with pytest.raises(ValueError, match="single-excitation sector"):
+        evolve_schedule(np.eye(dim) / dim, schedule, CollapseSet((), ()))
 
 
 def test_small_exponentials_reject_non_finite_input():
@@ -219,26 +236,33 @@ def test_small_exponentials_match_scipy():
 
 
 def test_sparse_path_for_non_rank_one_collapse():
-    # full tensor space: embedded jumps are not single transitions
-    space = StateSpace(1, mode="full")
-    schedule = build_schedule(space, DeviceParams.from_mhz(1, 50.0, 100.0))
-    collapse = build_collapse_set(space, DecoherenceRates.t0(0.5))
-    rho0 = _random_density(np.random.default_rng(4), space.dim)
-    res = evolve_schedule(rho0, schedule, collapse)
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
-    assert np.max(np.abs(res.rho - oracle)) < 1e-12
-    assert res.max_trace_error < 1e-12
+    # the full-space oracle's expm_multiply run, whose embedded jumps are
+    # not single transitions, against a dense expm of the same
+    # Liouvillian
+    full = fullspace.FullSpace(1)
+    schedule = fullspace.build_schedule(full, REF_1)
+    ops = [op for _, op in fullspace.collapse_operators(
+        full, DecoherenceRates.t0())]
+    rho0 = _random_density(np.random.default_rng(4), full.dim)
+    rho, trace_error, _ = fullspace.evolve(rho0, schedule, ops)
+    vec = rho0.reshape(-1)
+    for seg in schedule:
+        liou = fullspace.liouvillian_matrix(seg.hamiltonian, ops).toarray()
+        vec = expm(seg.duration * liou) @ vec
+    assert np.max(np.abs(rho - vec.reshape(rho.shape))) < 1e-12
+    assert trace_error < 1e-12
 
 
 def test_segment_stats_report_exact_map():
+    # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
-    h = build_schedule(space, REF_1).segments[1].hamiltonian
+    store = build_schedule(space, REF_1).segments[1]
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[1, 1] = 1.0
-    _, stats = evolve_segment(rho0, h, 5e-3, collapse)
-    assert stats.substeps == 0
-    assert stats.trace_error < 1e-14
+    res = evolve_schedule(rho0, Schedule((store,)), collapse)
+    assert res.max_trace_error < 1e-14
+    assert res.max_hermiticity_drift < 1e-14
 
 
 def test_diagnostics_keep_nan():
@@ -333,11 +357,6 @@ def test_step_readout_refusals():
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
         evolve_schedule(rho0, schedule, collapse, record=(1, 3))
-    full = StateSpace(1, mode="full")
-    with pytest.raises(ValueError, match="site-local form"):
-        evolve_schedule(np.eye(full.dim) / full.dim, build_schedule(
-            full, REF_1), build_collapse_set(full, DISTINCT_RATES),
-            record=(1,))
 
 
 def test_record_modes():
@@ -364,6 +383,7 @@ def test_evolution_preserves_trace_property(seed, scale):
     rng = np.random.default_rng(seed)
     rho0 = _random_density(rng, space.dim)
     h = build_schedule(space, REF_1).segments[0].hamiltonian
-    out, stats = evolve_segment(rho0, h, 2e-3, collapse)
-    assert stats.trace_error < 1e-10
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+    res = evolve_schedule(rho0, Schedule((Segment("coin", 1, h, 2e-3),)),
+                          collapse)
+    assert res.max_trace_error < 1e-10
+    assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)

