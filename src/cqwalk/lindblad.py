@@ -32,7 +32,8 @@ own, so its population just collects these sums.  Compiling a segment
 exponentiates these few-by-few generators of every site as one numpy
 stack.  Each map is applied as a batched matmul on reshaped views of
 rho.  A Hamiltonian term or collapse channel that does not fit this
-layout, or a state whose dimension is not 3N+3, is a ValueError.
+layout or the state's dimension, or a state whose dimension is not
+3N+3, is a ValueError.
 
 Since the walker moves at most one site per retrieve, only a leading
 block of the reordered rho is nonzero: evolve_schedule reads that
@@ -41,6 +42,13 @@ site 1 touches at most (3n+4)^2 entries at step n.  Up to step n such a
 walk never meets a site map beyond site n+1, so its leading 3n+3 slots
 then hold, bit for bit, the final state of an n-step chain;
 evolve_schedule can read every shorter run out of one longer one.
+
+Without collapse channels, rho = U rho0 U+ = M C M+ with C rho0's
+leading k x k block (k = 3 on site 1) and M the first k columns of U.
+evolve_schedule then applies each site's V to the rows of
+y = [M | M C] alone, in the same light cone, and forms rho = (M C) M+
+only for a readout, where its Hermiticity drift is measured before it
+is re-symmetrized; the trace error |Re vdot(M, M C) - 1| is O(dim k).
 """
 
 from __future__ import annotations
@@ -244,7 +252,8 @@ def _site_frame(dim: int, collapse: CollapseSet):
     Returns (order, slot, jumps): order[s] is the sector index held by
     layout slot s (the trailing empty slot has none), slot inverts it,
     and jumps holds the collapse channels as (target slot, source slot,
-    rate) arrays.  A dim other than 3N+3 with N >= 1 is a ValueError.
+    rate) arrays.  A dim other than 3N+3 with N >= 1, or a channel
+    outside the sector, is a ValueError.
     """
     if dim % 3 or dim < 6:
         raise ValueError(f"a state of dimension {dim} is no single-excitation"
@@ -253,6 +262,9 @@ def _site_frame(dim: int, collapse: CollapseSet):
     slot = np.empty(dim, dtype=int)
     slot[order] = np.arange(dim)
     table = np.array(collapse.channels, dtype=float).reshape(-1, 3)
+    if np.any((table[:, :2] < 0) | (table[:, :2] >= dim)):
+        raise ValueError(f"a collapse channel lies outside the sector of"
+                         f" dimension {dim}")
     jumps = (slot[table[:, 0].astype(int)], slot[table[:, 1].astype(int)],
              table[:, 2])
     return order, slot, jumps
@@ -282,21 +294,32 @@ class _SiteMaps:
     blocks: np.ndarray | None
     sink: np.ndarray | None
 
+    def _sites(self, size: int) -> int:
+        """Sites reached when only the leading size slots are nonzero."""
+        return min(len(self.v), max(0, -(-(size - self.offset) // 3)))
+
+    def apply_rows(self, y: np.ndarray, size: int, conj=False) -> int:
+        """y <- V y (V* y if conj) in place, given that only the leading
+        size rows of y are nonzero; return that count afterwards."""
+        sites = self._sites(size)
+        end = self.offset + 3 * sites
+        v = self.v[:sites].conj() if conj else self.v[:sites]
+        rows = y[self.offset:end]
+        rows[...] = np.matmul(v, rows.reshape(sites, 3, y.shape[1])
+                              ).reshape(rows.shape)
+        return end
+
     def apply(self, rho: np.ndarray, size: int) -> int:
         """Propagate rho in place, given that only its leading size x size
         block is nonzero; return the size of that block afterwards."""
-        sites = min(len(self.v), max(0, -(-(size - self.offset) // 3)))
+        sites = self._sites(size)
         end = self.offset + 3 * sites
         a = rho[:end, :end]
         if self.blocks is not None:
             triplets = _triplets(a, self.offset, sites)
             before = triplets.copy().reshape(sites, 9)
-        rows = a[self.offset:]                               # V rho
-        rows[...] = np.matmul(self.v[:sites], rows.reshape(sites, 3, end)
-                              ).reshape(rows.shape)
-        cols = a.T[self.offset:]                             # (rho V+)^T
-        cols[...] = np.matmul(self.v[:sites].conj(),
-                              cols.reshape(sites, 3, end)).reshape(cols.shape)
+        self.apply_rows(a, size)                             # V rho
+        self.apply_rows(a.T, size, conj=True)                # (rho V+)^T
         if self.blocks is not None:
             triplets[...] = np.matmul(self.blocks[:sites], before[:, :, None]
                                       ).reshape(sites, 3, 3)
@@ -309,9 +332,13 @@ def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
     """Compile one segment into per-site maps.
 
     Coin and store fit the triplets from slot 1 and retrieve those from
-    slot 0.  The vacuum (slot 0) must have no terms and no decay.  A term
-    of h or a jump that fits neither is a ValueError.
+    slot 0.  The vacuum (slot 0) must have no terms and no decay.  An h
+    not len(slot) square, or a term or jump fitting neither, is a
+    ValueError.
     """
+    if np.shape(h) != (len(slot), len(slot)):
+        raise ValueError(f"a segment Hamiltonian of shape {np.shape(h)} does"
+                         f" not act on the sector of dimension {len(slot)}")
     sites = (len(slot) + 1) // 3
     rows, cols = np.nonzero(h)
     values = h[rows, cols]
@@ -377,15 +404,27 @@ def _symmetrize(a: np.ndarray) -> tuple[float, float]:
     return abs(float(a.trace().real) - 1.0), drift
 
 
+def _form(y: np.ndarray, k: int, block: np.ndarray) -> float:
+    """Write rho = (M C) M+ into block from the leading rows of
+    y = [M | M C], re-symmetrized; return its Hermiticity drift."""
+    rows = len(block)
+    block[...] = 0.0
+    for j in range(k):             # a fixed order, whatever the BLAS
+        block += np.outer(y[:rows, k + j], y[:rows, j].conj())
+    return _symmetrize(block)[1]
+
+
 @dataclass
 class EvolutionResult:
     """Final state plus accumulated diagnostics of one schedule run.
 
     snapshots/times hold the recorded states (always including t=0 when
     recording is on; with chosen steps, one EvolutionResult per step and
-    no t=0 entry, see evolve_schedule); max_trace_error and
-    max_hermiticity_drift are the worst values seen across all segments,
-    NaN if any segment gave NaN.
+    no t=0 entry, see evolve_schedule); max_trace_error is the worst
+    trace error after any segment, NaN if any segment gave NaN.
+    max_hermiticity_drift is, for a noisy run, the worst drift after any
+    segment (NaN likewise); for a noise-free run, whose rho is formed
+    only at readout, the drift of this result's own rho as formed.
     """
 
     rho: np.ndarray
@@ -406,15 +445,19 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 
     Each distinct (H, duration) is compiled once; the schedule shares
     one Hamiltonian per segment kind, so that is three compilations.
-    rho0 must have dimension 3N+3, and every segment term and collapse
-    channel must fit the site layout (module docstring); anything else
-    is a ValueError.  record: "none", "steps" (snapshot after each walk
-    step), "segments" (after every pulse), both in the basis of rho0,
-    or a collection of step numbers.  For step numbers, snapshots holds
-    one EvolutionResult per distinct step n, in increasing order: the
-    n-step chain's own run from rho0's n-step counterpart, read off the
-    leading 3n+3 slots of the site layout, with the diagnostics up to
-    step n; times holds each step's end.  That is exact while the state
+    rho0 must have dimension 3N+3, every segment Hamiltonian must be
+    dim x dim, and every segment term and collapse channel must fit the
+    site layout (module docstring); anything else is a ValueError.
+    Without collapse channels the run propagates rho0's light-cone
+    columns instead of rho and forms rho only for the final state and
+    each snapshot (module docstring).  record: "none", "steps"
+    (snapshot after each walk step), "segments" (after every pulse),
+    both in the basis of rho0, or a collection of step numbers.  For
+    step numbers, snapshots holds one EvolutionResult per distinct step
+    n, in increasing order: the n-step chain's own run from rho0's
+    n-step counterpart, read off the leading 3n+3 slots of the site
+    layout, with the diagnostics up to step n (for a noise-free run, the
+    drift of that step's formed rho); times holds each step's end.  That is exact while the state
     stays on sites 1..n+1 up to step n, as a walker started on site 1
     does; a state that leaves them is a ValueError.
     """
@@ -439,6 +482,11 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     nonzero = state != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     size = int(support[-1]) + 1 if support.size else 1
+    # noise-free: propagate y = [M | M C], not rho (module docstring)
+    y, k = None, size
+    if not len(collapse):
+        y = np.zeros((dim + 1, 2 * k), dtype=complex)
+        y[:k] = np.hstack([np.eye(k), state[:k, :k]])
 
     def public(n_steps=None):
         """The state in the sector basis; public(n) is the leading 3n+3
@@ -452,6 +500,13 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         out[np.ix_(sub, sub)] = state[:len(sub), :len(sub)]
         return out
 
+    def readout(n_steps=None):
+        """public(n_steps) and its Hermiticity drift: noisy, the worst
+        after any segment so far; noise-free, that of rho formed here."""
+        drift = (float(np.max(drifts)) if y is None     # keeps a NaN
+                 else _form(y, k, state[:size, :size]))
+        return public(n_steps), drift
+
     t = 0.0
     times, snaps = [], []
     if steps is None and record != "none":
@@ -459,27 +514,33 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         snaps.append(public())
     trace_errors, drifts = [0.0], [0.0]
     for seg in schedule:
-        size = maps[_compile_key(seg)].apply(state, size)
-        trace_error, drift = _symmetrize(state[:size, :size])
+        seg_maps = maps[_compile_key(seg)]
+        if y is None:
+            size = seg_maps.apply(state, size)
+            trace_error, drift = _symmetrize(state[:size, :size])
+            drifts.append(drift)
+        else:
+            size = seg_maps.apply_rows(y, size)
+            trace_error = abs(np.vdot(y[:size, :k], y[:size, k:]).real - 1.0)
         t += seg.duration
         trace_errors.append(trace_error)
-        drifts.append(drift)
         if steps is not None:
             if seg.label == SEG_RETRIEVE and seg.step in steps:
+                rho, drift = readout(seg.step)
                 times.append(t)
                 snaps.append(EvolutionResult(
-                    public(seg.step), np.zeros(0),
+                    rho, np.zeros(0),
                     max_trace_error=float(np.max(trace_errors)),
-                    max_hermiticity_drift=float(np.max(drifts))))
+                    max_hermiticity_drift=drift))
         elif record == "segments" or (record == "steps"
                                       and seg.label == SEG_RETRIEVE):
             times.append(t)
-            snaps.append(public())
-    # np.max, unlike max(), keeps a NaN from any segment
-    return EvolutionResult(rho=public(), times=np.asarray(times),
+            snaps.append(readout()[0])
+    rho, drift = readout()
+    return EvolutionResult(rho=rho, times=np.asarray(times),
                            snapshots=snaps,
                            max_trace_error=float(np.max(trace_errors)),
-                           max_hermiticity_drift=float(np.max(drifts)))
+                           max_hermiticity_drift=drift)
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,15 @@ def dense_expm_evolve(rho0, schedule, collapse):
     No block structure and no rank-one assumption; the superoperator
     has dim^2 rows, so keep dim below ~30.
     """
+    return dense_expm_states(rho0, schedule, collapse)[-1]
+
+
+def dense_expm_states(rho0, schedule, collapse):
+    """The states of dense_expm_evolve at t=0 and after every segment."""
     dim = rho0.shape[0]
     ops = dense_operators(collapse, dim)
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
+    states = [vec.reshape(dim, dim)]
     props = {}
     for seg in schedule:
         key = (id(seg.hamiltonian), seg.duration)
@@ -56,7 +62,8 @@ def dense_expm_evolve(rho0, schedule, collapse):
             liou = liouvillian_matrix(seg.hamiltonian, ops).toarray()
             props[key] = expm(seg.duration * liou)
         vec = props[key] @ vec
-    return vec.reshape(dim, dim)
+        states.append(vec.reshape(dim, dim))
+    return states
 
 
 def dense_operators(collapse, dim):

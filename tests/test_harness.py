@@ -13,7 +13,7 @@ import pytest
 from conftest import zero_noise_config
 
 import cqwalk
-from cqwalk import harness
+from cqwalk import harness, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -47,13 +47,33 @@ def test_initial_density_matrix_full_mode():
 
 
 def test_zero_noise_run_matches_ideal_oracle():
-    cfg = zero_noise_config(n_steps=4)
-    rep = run_experiment(cfg)
-    p_id = run_ideal(4, cfg.theta_rad, coin_preset(cfg.coin0))
-    assert np.max(np.abs(rep.p_me - p_id)) < 1e-8
-    assert rep.s == pytest.approx(1.0, abs=1e-9)
-    assert rep.residual_vacuum == pytest.approx(0.0, abs=1e-10)
-    assert rep.residual_cavity == pytest.approx(0.0, abs=1e-10)
+    for n in (4, 80):
+        cfg = zero_noise_config(n_steps=n)
+        rep = run_experiment(cfg)
+        p_id = run_ideal(n, cfg.theta_rad, coin_preset(cfg.coin0))
+        assert np.max(np.abs(rep.p_me - p_id)) < 1e-8, n
+        assert rep.s == pytest.approx(1.0, abs=1e-9)
+        assert rep.residual_vacuum == pytest.approx(0.0, abs=1e-10)
+        assert rep.residual_cavity == pytest.approx(0.0, abs=1e-10)
+
+
+def test_noise_decides_the_propagation_path(monkeypatch):
+    # a noise-free run propagates rho0's columns and never applies the
+    # site maps to rho; a noisy one never forms rho from columns
+    def refuse(*args):
+        raise AssertionError("wrong propagation path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad._SiteMaps, "apply", refuse)
+        rep = run_experiment(zero_noise_config(n_steps=20))
+        assert rep.s == pytest.approx(1.0, abs=1e-9)
+        spec = SweepSpec(axis="n_steps", values=(1, 4, 7))
+        rows = run_sweep(zero_noise_config(), spec)
+        assert [r.error for r in rows] == [None] * 3
+    monkeypatch.setattr(lindblad, "_form", refuse)
+    assert run_experiment(ExperimentConfig(n_steps=20)).error is None
+    rows = run_sweep(ExperimentConfig(), spec)
+    assert [r.error for r in rows] == [None] * 3
 
 
 def test_noisy_run_reports_positive_final_state():
@@ -141,10 +161,12 @@ def _assert_rows_are_separate_runs(rows, grid):
             [_bits(getattr(alone, n)) for n in names], cfg
 
 
-@pytest.mark.parametrize("scale", [0.2, 1.0])
+@pytest.mark.parametrize("scale", [0.2, 1.0, pytest.param(None,
+                                                          id="noise-free")])
 @pytest.mark.parametrize("coin", ["zero", "one", "plus-i"])
 def test_n_steps_sweep_rows_equal_separate_runs(coin, scale):
-    base = ExperimentConfig(coin0=coin, scale=scale)
+    base = (zero_noise_config(coin0=coin) if scale is None
+            else ExperimentConfig(coin0=coin, scale=scale))
     spec = SweepSpec(axis="n_steps", values=tuple(range(1, 9)))
     _assert_rows_are_separate_runs(run_sweep(base, spec),
                                    sweep_grid(base, spec))

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import fullspace
-from conftest import dense_expm_evolve, dense_operators, lindblad_apply
+from conftest import (dense_expm_evolve, dense_expm_states, dense_operators,
+                      lindblad_apply)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -37,6 +38,7 @@ def _random_density_on(rng, dim, support):
 DISTINCT_RATES = DecoherenceRates(kappa=0.9, gamma_ge=1.3, gamma_ef=1.7,
                                   gamma_gf=2.3, gamma_phi_e=3.1,
                                   gamma_phi_f=3.7)
+ZERO_RATES = DecoherenceRates.zero()
 
 
 def test_t0_preset_rates():
@@ -101,7 +103,7 @@ def test_liouvillian_matches_direct_application():
     assert np.allclose(direct, via_super, atol=1e-12)
 
 
-def test_rk4_agrees_with_exponential_backend():
+def test_noisy_run_matches_dense_oracle():
     # the production (block) path against the dense superoperator oracle
     space = StateSpace(2)
     params = DeviceParams.from_mhz(2, 50.0, 100.0)
@@ -114,7 +116,7 @@ def test_rk4_agrees_with_exponential_backend():
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
-def test_auto_uses_unitary_shortcut_for_closed_segments():
+def test_noise_free_run_is_unitary_conjugation():
     # without collapse channels the block path is U rho U+ exactly
     space = StateSpace(1)
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
@@ -164,6 +166,56 @@ def test_light_cone_matches_dense_oracle(n):
     assert res.max_trace_error < 1e-12
 
 
+@pytest.mark.parametrize("start", ["site 1", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_noise_free_columns_match_dense_oracle(n, start):
+    # with zero rates the run propagates rho0's light-cone columns and
+    # forms rho only at readouts; every record mode must read out the
+    # dense oracle's state, from a site-1 state with vacuum coherences
+    # (three columns) and from a random state on the whole sector
+    space = StateSpace(n)
+    params = DeviceParams.from_mhz(n, 50.0, 100.0)
+    schedule = build_schedule(space, params)
+    empty = build_collapse_set(space, ZERO_RATES)
+    site_1 = [space.vacuum_index, space.qutrit_index(1, E),
+              space.qutrit_index(1, F)]
+    rng = np.random.default_rng(n)
+    rho0 = (_random_density_on(rng, space.dim, site_1) if start == "site 1"
+            else _random_density(rng, space.dim))
+    want = dense_expm_states(rho0, schedule, empty)
+
+    def close(got, oracle):
+        return np.max(np.abs(got - oracle)) <= 1e-12
+
+    res = evolve_schedule(rho0, schedule, empty)
+    assert close(res.rho, want[-1])
+    assert res.max_trace_error < 1e-12
+    assert res.max_hermiticity_drift < 1e-12
+    by_seg = evolve_schedule(rho0, schedule, empty, record="segments")
+    assert len(by_seg.snapshots) == len(want)
+    assert all(close(got, w) for got, w in zip(by_seg.snapshots, want))
+    by_step = evolve_schedule(rho0, schedule, empty, record="steps")
+    assert len(by_step.snapshots) == n + 1
+    assert all(close(got, w) for got, w in zip(by_step.snapshots, want[::3]))
+    # step numbers: the m-step chain's own run from the same site-1 block;
+    # a random state spreads over the whole chain, so only step n
+    steps = range(1, n + 1) if start == "site 1" else [n]
+    by_n = evolve_schedule(rho0, schedule, empty, record=steps)
+    for m, snap in zip(steps, by_n.snapshots):
+        sub = StateSpace(m)
+        rho0_m = rho0
+        if m < n:
+            rho0_m = np.zeros((sub.dim, sub.dim), dtype=complex)
+            rho0_m[np.ix_(site_1, site_1)] = rho0[np.ix_(site_1, site_1)]
+        oracle = dense_expm_evolve(
+            rho0_m, build_schedule(sub, DeviceParams.from_mhz(m, 50.0,
+                                                              100.0)),
+            build_collapse_set(sub, ZERO_RATES))
+        assert close(snap.rho, oracle)
+        assert snap.max_trace_error < 1e-12
+        assert snap.max_hermiticity_drift < 1e-12
+
+
 @pytest.mark.parametrize("where", ["site 2", "last sites"])
 def test_support_beyond_site_1_matches_dense_oracle(where):
     # rho0 outside the light cone's start: the run begins on a larger
@@ -206,6 +258,41 @@ def test_collapse_channel_between_sites_is_refused():
         evolve_schedule(rho0, schedule, hop)
 
 
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_vacuum_stays_put(rates):
+    # the vacuum has no dynamics: a one-slot light cone meets no site of
+    # the coin and store maps, and stays the vacuum through every pulse
+    space = StateSpace(2)
+    schedule = build_schedule(space, REF)
+    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+    rho0[space.vacuum_index, space.vacuum_index] = 1.0
+    res = evolve_schedule(rho0, schedule, build_collapse_set(space, rates),
+                          record="segments")
+    assert all(np.array_equal(snap, rho0) for snap in res.snapshots)
+    assert np.array_equal(res.rho, rho0)
+    assert res.max_trace_error == 0.0 and res.max_hermiticity_drift == 0.0
+
+
+def test_schedule_of_another_chain_is_refused():
+    # an N=2 schedule (9 x 9 Hamiltonians) on an N=1 state
+    rho0 = np.zeros((6, 6), dtype=complex)
+    rho0[1, 1] = 1.0
+    schedule = build_schedule(StateSpace(2), REF)
+    with pytest.raises(ValueError, match="sector of dimension 6"):
+        evolve_schedule(rho0, schedule, CollapseSet((), ()))
+
+
+def test_collapse_set_of_another_chain_is_refused():
+    # an N=2 collapse set holds channels on slots an N=1 state lacks
+    space = StateSpace(1)
+    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+    rho0[1, 1] = 1.0
+    collapse = build_collapse_set(StateSpace(2), DISTINCT_RATES)
+    with pytest.raises(ValueError, match="sector of dimension 6"):
+        evolve_schedule(rho0, build_schedule(space, REF_1), collapse)
+
+
 @pytest.mark.parametrize("dim", [3, 7, 8])
 def test_state_outside_the_sector_is_refused(dim):
     # only 3N+3 with N >= 1 is a sector dimension
@@ -235,7 +322,7 @@ def test_small_exponentials_match_scipy():
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_sparse_path_for_non_rank_one_collapse():
+def test_fullspace_oracle_matches_dense_expm():
     # the full-space oracle's expm_multiply run, whose embedded jumps are
     # not single transitions, against a dense expm of the same
     # Liouvillian
@@ -253,7 +340,7 @@ def test_sparse_path_for_non_rank_one_collapse():
     assert trace_error < 1e-12
 
 
-def test_segment_stats_report_exact_map():
+def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
@@ -291,58 +378,63 @@ def test_trace_and_hermiticity_tracked():
 
 def test_snapshots_are_sector_states():
     # each snapshot equals the final state of the matching prefix of the
-    # schedule, in the basis of rho0, and the last one the unrecorded run
+    # schedule, in the basis of rho0, and the last one the unrecorded run;
+    # with zero rates the states are formed from propagated columns
     space = StateSpace(3)
     schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
-    collapse = build_collapse_set(space, DISTINCT_RATES)
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
     rho0 = _random_density_on(np.random.default_rng(6), space.dim, site_1)
-    final = evolve_schedule(rho0, schedule, collapse).rho
-    by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
-    by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
-    assert np.array_equal(by_step.rho, final)
-    assert np.array_equal(by_step.snapshots[-1], final)
-    assert np.array_equal(by_seg.snapshots[-1], final)
-    assert np.array_equal(by_step.snapshots[0], rho0)
-    for n in range(1, 4):
-        prefix = Schedule(schedule.segments[:3 * n])
-        assert np.array_equal(by_step.snapshots[n],
-                              evolve_schedule(rho0, prefix, collapse).rho)
-        assert np.array_equal(by_seg.snapshots[3 * n], by_step.snapshots[n])
-    one_step = Schedule(schedule.segments[:3])
-    assert np.max(np.abs(by_step.snapshots[1] - dense_expm_evolve(
-        rho0, one_step, collapse))) <= 1e-12
+    for rates in (ZERO_RATES, DISTINCT_RATES):
+        collapse = build_collapse_set(space, rates)
+        final = evolve_schedule(rho0, schedule, collapse).rho
+        by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
+        by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
+        assert np.array_equal(by_step.rho, final)
+        assert np.array_equal(by_step.snapshots[-1], final)
+        assert np.array_equal(by_seg.snapshots[-1], final)
+        assert np.array_equal(by_step.snapshots[0], rho0)
+        for n in range(1, 4):
+            prefix = Schedule(schedule.segments[:3 * n])
+            assert np.array_equal(by_step.snapshots[n],
+                                  evolve_schedule(rho0, prefix, collapse).rho)
+            assert np.array_equal(by_seg.snapshots[3 * n],
+                                  by_step.snapshots[n])
+        one_step = Schedule(schedule.segments[:3])
+        assert np.max(np.abs(by_step.snapshots[1] - dense_expm_evolve(
+            rho0, one_step, collapse))) <= 1e-12, rates
 
 
 def test_step_readout_is_each_shorter_run():
     # reading an 8-step run out after steps 2 and 5 gives, bit for bit,
     # the 2- and 5-step runs on their own sectors from the same site-1
-    # state (vacuum coherences included), diagnostics up to that step
+    # state (vacuum coherences included), diagnostics up to that step,
+    # with and without decoherence
     site_1 = [0, 1, 2]            # vacuum, e_1 and f_1 in every sector
     block = _random_density(np.random.default_rng(5), len(site_1))
 
-    def run(n, record="none"):
+    def run(n, rates, record="none"):
         space = StateSpace(n)
         schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0,
                                                                100.0))
         rho0 = np.zeros((space.dim, space.dim), dtype=complex)
         rho0[np.ix_(site_1, site_1)] = block
         return evolve_schedule(rho0, schedule,
-                               build_collapse_set(space, DISTINCT_RATES),
+                               build_collapse_set(space, rates),
                                record=record), schedule
 
-    (long, schedule) = run(8, record=[8, 5, 2, 5])
-    assert len(long.snapshots) == 3
-    assert np.array_equal(long.times, [sum(seg.duration for seg in
-                                           schedule.segments[:3 * n])
-                                       for n in (2, 5, 8)])
-    for n, snap in zip((2, 5, 8), long.snapshots):
-        alone, _ = run(n)
-        assert np.array_equal(snap.rho, alone.rho)
-        assert len(snap.times) == 0 and snap.snapshots == []
-        assert snap.max_trace_error == alone.max_trace_error
-        assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-    assert np.array_equal(long.rho, long.snapshots[-1].rho)
+    for rates in (ZERO_RATES, DISTINCT_RATES):
+        (long, schedule) = run(8, rates, record=[8, 5, 2, 5])
+        assert len(long.snapshots) == 3
+        assert np.array_equal(long.times, [sum(seg.duration for seg in
+                                               schedule.segments[:3 * n])
+                                           for n in (2, 5, 8)])
+        for n, snap in zip((2, 5, 8), long.snapshots):
+            alone, _ = run(n, rates)
+            assert np.array_equal(snap.rho, alone.rho)
+            assert len(snap.times) == 0 and snap.snapshots == []
+            assert snap.max_trace_error == alone.max_trace_error
+            assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
+        assert np.array_equal(long.rho, long.snapshots[-1].rho)
 
 
 def test_step_readout_refusals():
