@@ -16,7 +16,7 @@ from .lindblad import (CollapseSet, DecoherenceRates, EvolutionResult,
                        IntegrationError, build_collapse_set, evolve_schedule)
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
-from .protocol import Schedule, Segment, build_schedule, coin_pulse_unitary
+from .protocol import Schedule, Segment, build_schedule
 from .statespace import DeviceParams, StateSpace
 
 __version__ = "0.1.0"
@@ -26,9 +26,8 @@ __all__ = [
     "DeviceParams", "Distribution", "EvolutionResult", "ExperimentConfig",
     "IntegrationError", "Report", "Schedule", "Segment", "StateSpace",
     "SweepSpec", "build_collapse_set", "build_schedule", "coin_matrix",
-    "coin_preset", "coin_pulse_unitary", "emit_distribution",
-    "emit_plot_script", "emit_report", "evolve_schedule",
-    "extract_distribution", "initial_density_matrix", "load_config",
-    "run_experiment", "run_ideal", "run_sweep", "similarity",
+    "coin_preset", "emit_distribution", "emit_plot_script", "emit_report",
+    "evolve_schedule", "extract_distribution", "initial_density_matrix",
+    "load_config", "run_experiment", "run_ideal", "run_sweep", "similarity",
     "similarity_report",
 ]

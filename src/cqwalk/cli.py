@@ -22,8 +22,9 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, config_from_mapping,
                      config_keys, load_config, parse_field_value)
-from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
-                      emit_report, run_experiment, run_sweep)
+from .harness import (Report, SweepSpec, _opened, emit_distribution,
+                      emit_plot_script, emit_report, run_experiment,
+                      run_sweep)
 from .idealwalk import coin_preset, run_ideal
 from .lindblad import IntegrationError
 
@@ -90,13 +91,6 @@ def _parse_value_list(text: str, where: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _emit(reports: list[Report], cfg: ExperimentConfig) -> None:
-    if cfg.output:
-        emit_report(reports, cfg.output, cfg.format)
-    else:
-        emit_report(reports, sys.stdout, cfg.format)
-
-
 def _summary(rep: Report, renormalize: bool) -> str:
     if rep.error:
         return f"error: {rep.error}"
@@ -108,21 +102,17 @@ def _summary(rep: Report, renormalize: bool) -> str:
             f" cavity {rep.residual_cavity:.3e}")
 
 
-def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     rep = run_experiment(cfg)
-    _emit([rep], cfg)
+    emit_report([rep], cfg.output or sys.stdout, cfg.format)
     print(_summary(rep, cfg.renormalize), file=sys.stderr)
     if args.plot_script:
-        if not cfg.output:
-            raise ConfigError("--plot-script needs --output to reference")
         emit_plot_script(cfg.output, args.plot_script, kind="sweep",
                          axis="n_steps")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     if args.values is None:
         if args.axis != "g":
             raise ConfigError(f"--values is required for axis {args.axis!r}")
@@ -140,45 +130,32 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(axis=args.axis, values=values,
                      cross_axis=cross_axis, cross_values=cross_values)
     reports = run_sweep(cfg, spec)
-    _emit(reports, cfg)
+    emit_report(reports, cfg.output or sys.stdout, cfg.format)
     failures = [r for r in reports if r.error]
     if failures:
         print(f"{len(failures)}/{len(reports)} sweep points failed",
               file=sys.stderr)
     if args.plot_script:
-        if not cfg.output:
-            raise ConfigError("--plot-script needs --output to reference")
         emit_plot_script(cfg.output, args.plot_script, kind="sweep",
                          axis=args.axis)
     return 0
 
 
-def _cmd_dist(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_dist(args, cfg: ExperimentConfig) -> int:
     rep = run_experiment(cfg)
-    if cfg.output:
-        emit_distribution(rep, cfg.output)
-    else:
-        emit_distribution(rep, sys.stdout)
+    emit_distribution(rep, cfg.output or sys.stdout)
     print(_summary(rep, cfg.renormalize), file=sys.stderr)
     if args.plot_script:
-        if not cfg.output:
-            raise ConfigError("--plot-script needs --output to reference")
         emit_plot_script(cfg.output, args.plot_script, kind="dist")
     return 0
 
 
-def _cmd_ideal(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_ideal(args, cfg: ExperimentConfig) -> int:
     p = run_ideal(cfg.n_steps, cfg.theta_rad, coin_preset(cfg.coin0))
-    fh = open(cfg.output, "w", encoding="utf-8") if cfg.output else sys.stdout
-    try:
+    with _opened(cfg.output or sys.stdout) as fh:
         fh.write("site,P_id\n")
         for site, prob in enumerate(p, start=1):
             fh.write(f"{site},{prob:.12g}\n")
-    finally:
-        if cfg.output:
-            fh.close()
     return 0
 
 
@@ -219,7 +196,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        cfg = _config_from_args(args)
+        if getattr(args, "plot_script", None) and not cfg.output:
+            raise ConfigError("--plot-script needs --output to reference")
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"cqwalk: config error: {exc}", file=sys.stderr)
         return 1

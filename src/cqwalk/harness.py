@@ -16,6 +16,7 @@ every field but wall_ms.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -64,7 +65,6 @@ class Report:
     max_hermiticity_drift: float = 0.0
     min_eigenvalue: float = math.nan       # of the final state; JSON only
     error: str | None = None
-    evolution: EvolutionResult | None = None
 
     def column_values(self) -> list:
         return [self.n_steps, self.g_over_2pi_mhz, self.omega_over_2pi_mhz,
@@ -81,33 +81,39 @@ def initial_density_matrix(space: StateSpace, coin: CoinState) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def run_experiment(cfg: ExperimentConfig, record: str = "none") -> Report:
-    """Build the schedule, evolve, read out and score one experiment.
-
-    record (see evolve_schedule) other than "none" attaches the
-    EvolutionResult to the Report.
-    """
+def run_experiment(cfg: ExperimentConfig) -> Report:
+    """Build the schedule, evolve, read out and score one experiment."""
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    (evolution,) = _evolve(cfg, (cfg.n_steps,), record)
-    return _report(cfg, evolution, start, keep=record != "none")
+    (evolution,) = _evolve(cfg, (cfg.n_steps,))
+    return _report(cfg, evolution, start)
 
 
-def _evolve(cfg: ExperimentConfig, steps, record="none"):
+def _evolve(cfg: ExperimentConfig, steps) -> list[EvolutionResult]:
     """One EvolutionResult per entry of steps (distinct, increasing, the
     last cfg.n_steps): that of the run of cfg with n_steps = n, all from
-    one propagation of cfg.  record applies to a single step."""
+    one propagation of cfg."""
     space = cfg.space()
     schedule = build_schedule(space, cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
     if len(steps) == 1:
-        return [evolve_schedule(rho0, schedule, collapse, record=record)]
+        return [evolve_schedule(rho0, schedule, collapse)]
     return evolve_schedule(rho0, schedule, collapse, record=steps).snapshots
 
 
-def _report(cfg: ExperimentConfig, evolution: EvolutionResult, start: float,
-            keep: bool = False) -> Report:
+def _echo(cfg: ExperimentConfig) -> dict:
+    """The Report fields that echo cfg's parameter point (mu = auto is
+    reported as g)."""
+    mu = cfg.mu_over_2pi_mhz
+    return dict(n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
+                omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
+                mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
+                theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale)
+
+
+def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
+            start: float) -> Report:
     """Read out, check and score cfg's run; wall_ms counts from start.
 
     Raises IntegrationError when the state, its readout or its
@@ -127,15 +133,8 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult, start: float,
     p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
     sim = similarity_report(dist.p, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
-    mu = cfg.mu_over_2pi_mhz
     return Report(
-        n_steps=cfg.n_steps,
-        g_over_2pi_mhz=cfg.g_over_2pi_mhz,
-        omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
-        mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
-        theta_rad=cfg.theta_rad,
-        coin0=cfg.coin0,
-        scale=cfg.scale,
+        **_echo(cfg),
         s=sim.s,
         s_renorm=sim.s_renorm,
         residual_vacuum=dist.residual_vacuum,
@@ -146,7 +145,6 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult, start: float,
         p_id=p_id,
         max_hermiticity_drift=evolution.max_hermiticity_drift,
         min_eigenvalue=checks["min_eigenvalue"],
-        evolution=evolution if keep else None,
     )
 
 
@@ -192,6 +190,9 @@ class SweepSpec:
         for v in values:
             if not v > 0:
                 raise ConfigError(f"axis {axis!r} values must be positive")
+            if axis == "n_steps" and not float(v).is_integer():
+                raise ConfigError(f"axis 'n_steps' values must be whole"
+                                  f" numbers, not {v!r}")
 
 
 def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig]:
@@ -214,14 +215,9 @@ def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig
 
 def _error_report(cfg: ExperimentConfig, exc: Exception) -> Report:
     nan = float("nan")
-    mu = cfg.mu_over_2pi_mhz
     return Report(
-        n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
-        omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
-        mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
-        theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale,
-        s=nan, s_renorm=nan, residual_vacuum=nan, residual_cavity=nan,
-        trace_error=nan, wall_ms=nan,
+        **_echo(cfg), s=nan, s_renorm=nan, residual_vacuum=nan,
+        residual_cavity=nan, trace_error=nan, wall_ms=nan,
         error=f"{type(exc).__name__}: {exc}")
 
 
@@ -264,6 +260,18 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
 # report emission
 
 
+@contextlib.contextmanager
+def _opened(destination):
+    """destination as a text file: a path is opened for writing and
+    closed afterwards, a file object is used as it is."""
+    if isinstance(destination, (str, bytes)) or hasattr(destination,
+                                                        "__fspath__"):
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield destination
+
+
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -283,9 +291,7 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
         raise ValueError("no reports to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+    with _opened(destination) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(REPORT_COLUMNS)
@@ -295,9 +301,6 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
             json.dump([report_to_json_obj(rep) for rep in reports], fh,
                       indent=2)
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def report_to_json_obj(rep: Report) -> dict:
@@ -314,16 +317,11 @@ def emit_distribution(report: Report, destination) -> None:
     """Per-site paired columns: site, P_me, P_id (one row per site)."""
     if len(report.p_me) != len(report.p_id):
         raise ValueError("report has no paired distributions")
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+    with _opened(destination) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("site", "P_me", "P_id"))
         for site, (pm, pi) in enumerate(zip(report.p_me, report.p_id), start=1):
             writer.writerow((site, _cell(pm), _cell(pi)))
-    finally:
-        if own:
-            fh.close()
 
 
 _PLOT_KINDS = ("sweep", "dist")
@@ -366,10 +364,5 @@ def emit_plot_script(data_path: str, destination,
             f"     '{data_path}' skip 1 using ($1+0.18):3 with boxes "
             "title 'ideal'",
         ]
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    fh = open(destination, "w", encoding="utf-8") if own else destination
-    try:
+    with _opened(destination) as fh:
         fh.write("\n".join(lines) + "\n")
-    finally:
-        if own:
-            fh.close()

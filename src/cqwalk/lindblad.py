@@ -14,13 +14,14 @@ each as its (target a, source b, rate gamma) triple, found by index; no
 dim x dim matrix is formed.
 
 Each segment is propagated exactly; the map is compiled once per
-distinct (H, duration) of a schedule.  The sector basis is reordered by
-site: the vacuum, then the triplets (e_j, f_j, c_j), then one empty slot
-where c_{N+1} would be.  Coin (e_j<->f_j) and store (e_j<->c_j) act
-within the triplets; retrieve (c_{j-1}<->e_j) acts within the same array
-shifted by one slot, on (c_{j-1}, e_j, f_j), with the vacuum in place of
-c_0.  Every collapse channel's target lies in the triplet of its source
-or is the vacuum.  The generator splits as -i (H_eff rho - rho H_eff+)
+distinct (H, duration) of a schedule.  The sector basis is ordered by
+site (statespace): the vacuum, then the triplets (e_j, f_j, c_j), and
+the propagator adds one empty slot where c_{N+1} would be.  Coin
+(e_j<->f_j) and store (e_j<->c_j) act within the triplets; retrieve
+(c_{j-1}<->e_j) acts within the same array shifted by one slot, on
+(c_{j-1}, e_j, f_j), with the vacuum in place of c_0.  Every collapse
+channel's target lies in the triplet of its source or is the vacuum.
+The generator splits as -i (H_eff rho - rho H_eff+)
 + J(rho) with H_eff = H - i Gamma / 2, Gamma = sum_k gamma_k |b_k><b_k|,
 and J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  H_eff is block diagonal
 on the triplets and J writes only diagonal entries, so every entry
@@ -36,12 +37,13 @@ layout or the state's dimension, or a state whose dimension is not
 3N+3, is a ValueError.
 
 Since the walker moves at most one site per retrieve, only a leading
-block of the reordered rho is nonzero: evolve_schedule reads that
-block's size off rho0 and grows it segment by segment, so a walk from
-site 1 touches at most (3n+4)^2 entries at step n.  Up to step n such a
-walk never meets a site map beyond site n+1, so its leading 3n+3 slots
-then hold, bit for bit, the final state of an n-step chain;
-evolve_schedule can read every shorter run out of one longer one.
+block of rho is nonzero: evolve_schedule reads that block's size off
+rho0 and grows it segment by segment, so a walk from site 1 touches at
+most (3n+4)^2 entries at step n.  Up to step n such a walk never meets
+a site map beyond site n+1, so its leading 3n+3 x 3n+3 block then
+holds, bit for bit, the final state of an n-step chain, whose sector is
+the first 3n+3 states of this one; evolve_schedule can read every
+shorter run out of one longer one.
 
 Without collapse channels, rho = U rho0 U+ = M C M+ with C rho0's
 leading k x k block (k = 3 on site 1) and M the first k columns of U.
@@ -234,40 +236,21 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
     return [exps[key] for key in keys]
 
 
-def _site_order(n_steps: int) -> np.ndarray:
-    """Sector index of each slot of the site layout of an n_steps chain
-    (the trailing empty slot has none)."""
-    space = StateSpace(n_steps)
-    order = [space.vacuum_index]
-    for j in range(1, space.n_qutrits + 1):
-        order += [space.qutrit_index(j, E), space.qutrit_index(j, F)]
-        if j <= space.n_cavities:
-            order.append(space.cavity_index(j))
-    return np.array(order)
+def _jumps(dim: int, collapse: CollapseSet):
+    """The collapse channels as (target, source, rate) arrays, checked
+    against a sector of dimension dim.
 
-
-def _site_frame(dim: int, collapse: CollapseSet):
-    """The site layout of a sector of dimension dim.
-
-    Returns (order, slot, jumps): order[s] is the sector index held by
-    layout slot s (the trailing empty slot has none), slot inverts it,
-    and jumps holds the collapse channels as (target slot, source slot,
-    rate) arrays.  A dim other than 3N+3 with N >= 1, or a channel
-    outside the sector, is a ValueError.
+    A dim other than 3N+3 with N >= 1, or a channel outside the sector,
+    is a ValueError.
     """
     if dim % 3 or dim < 6:
         raise ValueError(f"a state of dimension {dim} is no single-excitation"
                          " sector (3N+3, N >= 1)")
-    order = _site_order(dim // 3 - 1)
-    slot = np.empty(dim, dtype=int)
-    slot[order] = np.arange(dim)
     table = np.array(collapse.channels, dtype=float).reshape(-1, 3)
     if np.any((table[:, :2] < 0) | (table[:, :2] >= dim)):
         raise ValueError(f"a collapse channel lies outside the sector of"
                          f" dimension {dim}")
-    jumps = (slot[table[:, 0].astype(int)], slot[table[:, 1].astype(int)],
-             table[:, 2])
-    return order, slot, jumps
+    return table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2]
 
 
 def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
@@ -327,22 +310,20 @@ class _SiteMaps:
         return end
 
 
-def _site_maps(h: np.ndarray, duration: float, slot: np.ndarray,
+def _site_maps(h: np.ndarray, duration: float, dim: int,
                jumps) -> _SiteMaps:
-    """Compile one segment into per-site maps.
+    """Compile one segment of a sector of dimension dim into per-site maps.
 
     Coin and store fit the triplets from slot 1 and retrieve those from
     slot 0.  The vacuum (slot 0) must have no terms and no decay.  An h
-    not len(slot) square, or a term or jump fitting neither, is a
-    ValueError.
+    not dim x dim, or a term or jump fitting neither, is a ValueError.
     """
-    if np.shape(h) != (len(slot), len(slot)):
+    if np.shape(h) != (dim, dim):
         raise ValueError(f"a segment Hamiltonian of shape {np.shape(h)} does"
-                         f" not act on the sector of dimension {len(slot)}")
-    sites = (len(slot) + 1) // 3
-    rows, cols = np.nonzero(h)
-    values = h[rows, cols]
-    row, col = slot[rows], slot[cols]
+                         f" not act on the sector of dimension {dim}")
+    sites = (dim + 1) // 3
+    row, col = np.nonzero(h)
+    values = h[row, col]
     target, source, rate = jumps
     for offset in (1, 0):
         if (np.all(row > 0) and np.all(col > 0) and np.all(source > 0)
@@ -418,10 +399,9 @@ def _form(y: np.ndarray, k: int, block: np.ndarray) -> float:
 class EvolutionResult:
     """Final state plus accumulated diagnostics of one schedule run.
 
-    snapshots/times hold the recorded states (always including t=0 when
-    recording is on; with chosen steps, one EvolutionResult per step and
-    no t=0 entry, see evolve_schedule); max_trace_error is the worst
-    trace error after any segment, NaN if any segment gave NaN.
+    snapshots holds one EvolutionResult per recorded step and times
+    each such step's end (see evolve_schedule); max_trace_error is the
+    worst trace error after any segment, NaN if any segment gave NaN.
     max_hermiticity_drift is, for a noisy run, the worst drift after any
     segment (NaN likewise); for a noise-free run, whose rho is formed
     only at readout, the drift of this result's own rho as formed.
@@ -439,8 +419,7 @@ def _compile_key(seg) -> tuple[int, float]:
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
-                    collapse: CollapseSet,
-                    record="none") -> EvolutionResult:
+                    collapse: CollapseSet, record=()) -> EvolutionResult:
     """Run the whole pulse program on a sector state.
 
     Each distinct (H, duration) is compiled once; the schedule shares
@@ -450,35 +429,32 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     site layout (module docstring); anything else is a ValueError.
     Without collapse channels the run propagates rho0's light-cone
     columns instead of rho and forms rho only for the final state and
-    each snapshot (module docstring).  record: "none", "steps"
-    (snapshot after each walk step), "segments" (after every pulse),
-    both in the basis of rho0, or a collection of step numbers.  For
-    step numbers, snapshots holds one EvolutionResult per distinct step
+    each snapshot (module docstring).  record is a collection of step
+    numbers.  snapshots then holds one EvolutionResult per distinct step
     n, in increasing order: the n-step chain's own run from rho0's
-    n-step counterpart, read off the leading 3n+3 slots of the site
-    layout, with the diagnostics up to step n (for a noise-free run, the
-    drift of that step's formed rho); times holds each step's end.  That is exact while the state
-    stays on sites 1..n+1 up to step n, as a walker started on site 1
-    does; a state that leaves them is a ValueError.
+    leading 3n+3 x 3n+3 block, read off the same block after step n,
+    with the diagnostics up to step n (for a noise-free run, the drift
+    of that step's formed rho); times holds each step's end.  That is
+    exact while the state stays on sites 1..n+1 up to step n, as a
+    walker started on site 1 does; a state that leaves them is a
+    ValueError.
     """
-    steps = None
-    if not isinstance(record, str):
-        steps = {int(n) for n in record}
-        if not steps <= {seg.step for seg in schedule
-                         if seg.label == SEG_RETRIEVE}:
-            raise ValueError(f"steps {sorted(steps)} not all in the schedule")
-    elif record not in ("none", "steps", "segments"):
-        raise ValueError(f"unknown record value {record!r}")
+    if isinstance(record, str):
+        raise ValueError(f"record takes step numbers, not {record!r}")
+    steps = {int(n) for n in record}
+    if not steps <= {seg.step for seg in schedule
+                     if seg.label == SEG_RETRIEVE}:
+        raise ValueError(f"steps {sorted(steps)} not all in the schedule")
     dim = len(rho0)
-    order, slot, jumps = _site_frame(dim, collapse)
+    jumps = _jumps(dim, collapse)
     kinds = {_compile_key(seg): seg for seg in schedule}
-    maps = {key: _site_maps(seg.hamiltonian, seg.duration, slot, jumps)
+    maps = {key: _site_maps(seg.hamiltonian, seg.duration, dim, jumps)
             for key, seg in kinds.items()}
-    # Only the leading size x size block of the layout can be nonzero: it
-    # starts at rho0's support (a NaN counts) and grows by at most one
-    # site per segment.  Everything outside it is exactly 0.
+    # Only the leading size x size block can be nonzero: it starts at
+    # rho0's support (a NaN counts) and grows by at most one site per
+    # segment.  Everything outside it is exactly 0.
     state = np.zeros((dim + 1, dim + 1), dtype=complex)
-    state[:dim, :dim] = np.asarray(rho0)[np.ix_(order, order)]
+    state[:dim, :dim] = rho0
     nonzero = state != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     size = int(support[-1]) + 1 if support.size else 1
@@ -488,30 +464,16 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         y = np.zeros((dim + 1, 2 * k), dtype=complex)
         y[:k] = np.hstack([np.eye(k), state[:k, :k]])
 
-    def public(n_steps=None):
-        """The state in the sector basis; public(n) is the leading 3n+3
-        slots in the order of the n-step sector, which must hold the
-        whole block."""
-        sub = order if n_steps is None else _site_order(n_steps)
-        if n_steps is not None and size > len(sub):
-            raise ValueError(f"the state after step {n_steps} reaches beyond"
-                             f" site {n_steps + 1}")
-        out = np.empty((len(sub), len(sub)), dtype=complex)
-        out[np.ix_(sub, sub)] = state[:len(sub), :len(sub)]
-        return out
-
-    def readout(n_steps=None):
-        """public(n_steps) and its Hermiticity drift: noisy, the worst
-        after any segment so far; noise-free, that of rho formed here."""
+    def readout(end):
+        """The leading end x end block of the state and its Hermiticity
+        drift: noisy, the worst after any segment so far; noise-free,
+        that of rho formed here."""
         drift = (float(np.max(drifts)) if y is None     # keeps a NaN
                  else _form(y, k, state[:size, :size]))
-        return public(n_steps), drift
+        return state[:end, :end].copy(), drift
 
     t = 0.0
     times, snaps = [], []
-    if steps is None and record != "none":
-        times.append(0.0)
-        snaps.append(public())
     trace_errors, drifts = [0.0], [0.0]
     for seg in schedule:
         seg_maps = maps[_compile_key(seg)]
@@ -524,19 +486,18 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
             trace_error = abs(np.vdot(y[:size, :k], y[:size, k:]).real - 1.0)
         t += seg.duration
         trace_errors.append(trace_error)
-        if steps is not None:
-            if seg.label == SEG_RETRIEVE and seg.step in steps:
-                rho, drift = readout(seg.step)
-                times.append(t)
-                snaps.append(EvolutionResult(
-                    rho, np.zeros(0),
-                    max_trace_error=float(np.max(trace_errors)),
-                    max_hermiticity_drift=drift))
-        elif record == "segments" or (record == "steps"
-                                      and seg.label == SEG_RETRIEVE):
+        if seg.label == SEG_RETRIEVE and seg.step in steps:
+            end = StateSpace(seg.step).dim
+            if size > end:
+                raise ValueError(f"the state after step {seg.step} reaches"
+                                 f" beyond site {seg.step + 1}")
+            rho, drift = readout(end)
             times.append(t)
-            snaps.append(readout()[0])
-    rho, drift = readout()
+            snaps.append(EvolutionResult(
+                rho, np.zeros(0),
+                max_trace_error=float(np.max(trace_errors)),
+                max_hermiticity_drift=drift))
+    rho, drift = readout(dim)
     return EvolutionResult(rho=rho, times=np.asarray(times),
                            snapshots=snaps,
                            max_trace_error=float(np.max(trace_errors)),

@@ -124,18 +124,3 @@ def build_schedule(space: StateSpace, params: DeviceParams) -> Schedule:
             segments.append(Segment(label, step, hs[label], durs[label]))
     return Schedule(tuple(segments))
 
-
-def coin_pulse_unitary(theta: float, phi: float = -math.pi / 2) -> np.ndarray:
-    """Closed-form single-qutrit unitary of one coin segment.
-
-    Basis order (g, e, f).  exp(-i t H) with
-    H = Omega (e^{i phi}|e><f| + h.c.) and t = theta/Omega depends only
-    on theta and phi.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.eye(3, dtype=complex)
-    u[E, E] = c
-    u[F, F] = c
-    u[E, F] = -1j * np.exp(1j * phi) * s
-    u[F, E] = -1j * np.exp(-1j * phi) * s
-    return u

@@ -5,19 +5,21 @@ with N cavities between neighbours.  The walk dynamics conserve the
 total excitation number (non-ground qutrits plus photons), and every
 pulse and collapse channel of the protocol keeps the system in the
 single-excitation sector.  That sector has dimension 3N+3: the joint
-vacuum, then (e, f) for each qutrit, then one photon in each cavity.
-Each Hamiltonian term and collapse operator compresses to one
-transition |a><b| between sector states, so they are built by index
-(from qutrit_index and cavity_index), never as embedded dense
-operators.  The tests check these against the full tensor-product space
-at small N.
+vacuum, then one triplet per site j, (e_j, f_j, c_j): qutrit j in e,
+qutrit j in f, one photon in cavity j.  The last site has no cavity.
+So the n-step sector is exactly the first 3n+3 states of the N-step
+sector for every n < N.  Each Hamiltonian term and collapse operator
+compresses to one transition |a><b| between sector states, so they are
+built by index (from qutrit_index and cavity_index), never as embedded
+dense operators.  The tests check these against the full
+tensor-product space at small N.
 
 Basis ordering (index: state):
 
     0                : vacuum (all qutrits g, no photons)
-    2j - 1           : qutrit j in e          (j = 1..N+1)
-    2j               : qutrit j in f
-    2(N+1) + j       : one photon in cavity j (j = 1..N)
+    3j - 2           : qutrit j in e          (j = 1..N+1)
+    3j - 1           : qutrit j in f
+    3j               : one photon in cavity j (j = 1..N)
 
 Units convention for the whole package: times in microseconds, angular
 frequencies in rad/us.  Interface helpers take laboratory-style
@@ -55,16 +57,16 @@ class StateSpace:
         if not 1 <= site <= self.n_qutrits:
             raise ValueError(f"qutrit site {site} outside 1..{self.n_qutrits}")
         if level == E:
-            return 2 * site - 1
+            return 3 * site - 2
         if level == F:
-            return 2 * site
+            return 3 * site - 1
         raise ValueError("level must be E or F")
 
     def cavity_index(self, site: int) -> int:
         """Index of the one-photon state of cavity `site`."""
         if not 1 <= site <= self.n_cavities:
             raise ValueError(f"cavity site {site} outside 1..{self.n_cavities}")
-        return 2 * self.n_qutrits + site
+        return 3 * site
 
 
 TWO_PI = 2.0 * math.pi

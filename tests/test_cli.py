@@ -124,12 +124,31 @@ def test_sweep_cross_axis(capsys):
     ["run", "--representation", "full"],     # removed keys and subcommand
     ["run", "--fock-cutoff", "3"],
     ["validate", "--n-steps", "1"],
+    ["sweep", "--axis", "n_steps", "--values", "1.5,2.9"],
+    ["sweep", "--axis", "scale", "--values", "1", "--cross-axis", "n_steps",
+     "--cross-values", "2.5"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("cqwalk: config error:")
     assert err.count("\n") == 1                 # one line, no traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n-steps", "1"],
+    ["sweep", "--axis", "n_steps", "--values", "1,2"],
+    ["dist", "--n-steps", "1"],
+])
+def test_plot_script_without_output_runs_nothing(argv, tmp_path, capsys):
+    # the script would reference a data file that is never written, so
+    # the config error comes before any run
+    script = tmp_path / "plot.gp"
+    assert main([*argv, "--plot-script", str(script)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("cqwalk: config error: --plot-script")
+    assert not script.exists()
 
 
 def test_numerical_failure_exits_2(capsys):

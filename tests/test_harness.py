@@ -90,15 +90,6 @@ def test_trace_error_above_bound_is_a_numerical_failure():
         run_experiment(ExperimentConfig(n_steps=1, t1_ge_us=1e-14))
 
 
-def test_run_experiment_record_attaches_snapshots():
-    cfg = zero_noise_config(n_steps=3)
-    rep = run_experiment(cfg, record="steps")
-    assert rep.evolution is not None
-    assert len(rep.evolution.snapshots) == 4
-    plain = run_experiment(cfg)
-    assert plain.evolution is None
-
-
 def test_single_point_sweep_equals_run_experiment():
     cfg = zero_noise_config(n_steps=2)
     spec = SweepSpec(axis="g", values=(50.0,))
@@ -191,7 +182,7 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(rho0, schedule, collapse, record="none"):
+    def counting(rho0, schedule, collapse, record=()):
         calls.append(len(schedule) // 3)
         return evolve_schedule(rho0, schedule, collapse, record=record)
 

@@ -170,9 +170,10 @@ def test_light_cone_matches_dense_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_noise_free_columns_match_dense_oracle(n, start):
     # with zero rates the run propagates rho0's light-cone columns and
-    # forms rho only at readouts; every record mode must read out the
-    # dense oracle's state, from a site-1 state with vacuum coherences
-    # (three columns) and from a random state on the whole sector
+    # forms rho only at readouts; every prefix of the schedule and every
+    # step readout must give the dense oracle's state, from a site-1
+    # state with vacuum coherences (three columns) and from a random
+    # state on the whole sector
     space = StateSpace(n)
     params = DeviceParams.from_mhz(n, 50.0, 100.0)
     schedule = build_schedule(space, params)
@@ -191,25 +192,19 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     assert close(res.rho, want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
-    by_seg = evolve_schedule(rho0, schedule, empty, record="segments")
-    assert len(by_seg.snapshots) == len(want)
-    assert all(close(got, w) for got, w in zip(by_seg.snapshots, want))
-    by_step = evolve_schedule(rho0, schedule, empty, record="steps")
-    assert len(by_step.snapshots) == n + 1
-    assert all(close(got, w) for got, w in zip(by_step.snapshots, want[::3]))
-    # step numbers: the m-step chain's own run from the same site-1 block;
-    # a random state spreads over the whole chain, so only step n
+    for i, oracle in enumerate(want):
+        prefix = Schedule(schedule.segments[:i])
+        assert close(evolve_schedule(rho0, prefix, empty).rho, oracle), i
+    # step numbers: the m-step chain's own run from rho0's leading block,
+    # which holds the whole site-1 state; a random state spreads over
+    # the whole chain, so only step n
     steps = range(1, n + 1) if start == "site 1" else [n]
     by_n = evolve_schedule(rho0, schedule, empty, record=steps)
     for m, snap in zip(steps, by_n.snapshots):
         sub = StateSpace(m)
-        rho0_m = rho0
-        if m < n:
-            rho0_m = np.zeros((sub.dim, sub.dim), dtype=complex)
-            rho0_m[np.ix_(site_1, site_1)] = rho0[np.ix_(site_1, site_1)]
         oracle = dense_expm_evolve(
-            rho0_m, build_schedule(sub, DeviceParams.from_mhz(m, 50.0,
-                                                              100.0)),
+            rho0[:sub.dim, :sub.dim],
+            build_schedule(sub, DeviceParams.from_mhz(m, 50.0, 100.0)),
             build_collapse_set(sub, ZERO_RATES))
         assert close(snap.rho, oracle)
         assert snap.max_trace_error < 1e-12
@@ -267,11 +262,13 @@ def test_vacuum_stays_put(rates):
     schedule = build_schedule(space, REF)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.vacuum_index, space.vacuum_index] = 1.0
-    res = evolve_schedule(rho0, schedule, build_collapse_set(space, rates),
-                          record="segments")
-    assert all(np.array_equal(snap, rho0) for snap in res.snapshots)
-    assert np.array_equal(res.rho, rho0)
-    assert res.max_trace_error == 0.0 and res.max_hermiticity_drift == 0.0
+    collapse = build_collapse_set(space, rates)
+    for i in range(len(schedule) + 1):
+        res = evolve_schedule(rho0, Schedule(schedule.segments[:i]),
+                              collapse)
+        assert np.array_equal(res.rho, rho0), i
+        assert res.max_trace_error == 0.0
+        assert res.max_hermiticity_drift == 0.0
 
 
 def test_schedule_of_another_chain_is_refused():
@@ -377,9 +374,11 @@ def test_trace_and_hermiticity_tracked():
 
 
 def test_snapshots_are_sector_states():
-    # each snapshot equals the final state of the matching prefix of the
-    # schedule, in the basis of rho0, and the last one the unrecorded run;
-    # with zero rates the states are formed from propagated columns
+    # each step snapshot is, bit for bit, the leading block of the final
+    # state of the matching prefix of the schedule, which is zero outside
+    # that block, with the prefix's diagnostics; the last one is the
+    # unrecorded run.  With zero rates the states are formed from
+    # propagated columns
     space = StateSpace(3)
     schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
@@ -387,21 +386,24 @@ def test_snapshots_are_sector_states():
     for rates in (ZERO_RATES, DISTINCT_RATES):
         collapse = build_collapse_set(space, rates)
         final = evolve_schedule(rho0, schedule, collapse).rho
-        by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
-        by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
+        by_step = evolve_schedule(rho0, schedule, collapse,
+                                  record=(1, 2, 3))
         assert np.array_equal(by_step.rho, final)
-        assert np.array_equal(by_step.snapshots[-1], final)
-        assert np.array_equal(by_seg.snapshots[-1], final)
-        assert np.array_equal(by_step.snapshots[0], rho0)
-        for n in range(1, 4):
+        assert np.array_equal(by_step.snapshots[-1].rho, final)
+        for n, snap in zip((1, 2, 3), by_step.snapshots):
             prefix = Schedule(schedule.segments[:3 * n])
-            assert np.array_equal(by_step.snapshots[n],
-                                  evolve_schedule(rho0, prefix, collapse).rho)
-            assert np.array_equal(by_seg.snapshots[3 * n],
-                                  by_step.snapshots[n])
-        one_step = Schedule(schedule.segments[:3])
-        assert np.max(np.abs(by_step.snapshots[1] - dense_expm_evolve(
-            rho0, one_step, collapse))) <= 1e-12, rates
+            alone = evolve_schedule(rho0, prefix, collapse)
+            end = StateSpace(n).dim
+            assert np.array_equal(snap.rho, alone.rho[:end, :end])
+            outside = alone.rho.copy()
+            outside[:end, :end] = 0.0
+            assert not outside.any()
+            assert snap.max_trace_error == alone.max_trace_error
+            assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
+            assert by_step.times[n - 1] == prefix.total_duration
+            if n == 1:
+                assert np.max(np.abs(alone.rho - dense_expm_evolve(
+                    rho0, prefix, collapse))) <= 1e-12, rates
 
 
 def test_step_readout_is_each_shorter_run():
@@ -409,13 +411,14 @@ def test_step_readout_is_each_shorter_run():
     # the 2- and 5-step runs on their own sectors from the same site-1
     # state (vacuum coherences included), diagnostics up to that step,
     # with and without decoherence
-    site_1 = [0, 1, 2]            # vacuum, e_1 and f_1 in every sector
-    block = _random_density(np.random.default_rng(5), len(site_1))
+    block = _random_density(np.random.default_rng(5), 3)
 
-    def run(n, rates, record="none"):
+    def run(n, rates, record=()):
         space = StateSpace(n)
         schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0,
                                                                100.0))
+        site_1 = [space.vacuum_index, space.qutrit_index(1, E),
+                  space.qutrit_index(1, F)]
         rho0 = np.zeros((space.dim, space.dim), dtype=complex)
         rho0[np.ix_(site_1, site_1)] = block
         return evolve_schedule(rho0, schedule,
@@ -452,19 +455,20 @@ def test_step_readout_refusals():
 
 
 def test_record_modes():
+    # record takes step numbers only; by default nothing is recorded
     space = StateSpace(2)
     schedule = build_schedule(space, REF)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[space.qutrit_index(1, 1), space.qutrit_index(1, 1)] = 1.0
-    by_step = evolve_schedule(rho0, schedule, collapse, record="steps")
-    assert len(by_step.snapshots) == 3          # t=0 plus two steps
-    assert by_step.times[0] == 0.0
+    rho0[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 1.0
+    plain = evolve_schedule(rho0, schedule, collapse)
+    assert plain.snapshots == [] and len(plain.times) == 0
+    by_step = evolve_schedule(rho0, schedule, collapse, record=range(1, 3))
+    assert len(by_step.snapshots) == 2
     assert by_step.times[-1] == pytest.approx(schedule.total_duration)
-    by_seg = evolve_schedule(rho0, schedule, collapse, record="segments")
-    assert len(by_seg.snapshots) == 7           # t=0 plus six segments
-    with pytest.raises(ValueError):
-        evolve_schedule(rho0, schedule, collapse, record="sometimes")
+    for mode in ("steps", "segments", "none"):
+        with pytest.raises(ValueError):
+            evolve_schedule(rho0, schedule, collapse, record=mode)
 
 
 @settings(max_examples=10, deadline=None)

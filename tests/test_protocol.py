@@ -3,15 +3,13 @@ import math
 import fullspace
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cqwalk import protocol
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
-                             build_schedule, coin_pulse_unitary, h_coin,
-                             h_retrieve, h_store, segment_durations)
+                             build_schedule, h_coin, h_retrieve, h_store,
+                             segment_durations)
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
 REF = DeviceParams.from_mhz(2, 50.0, 100.0)
@@ -61,17 +59,6 @@ def test_truncated_hamiltonians_match_full_space(builder):
     v = fullspace.embedding_matrix(trunc, full)
     assert np.allclose(v.T @ getattr(fullspace, builder)(full, params) @ v,
                        getattr(protocol, builder)(trunc, params), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(theta=st.floats(0.05, 3.0), phi=st.floats(-math.pi, math.pi))
-def test_coin_pulse_unitary_closed_form(theta, phi):
-    omega = 2 * math.pi * 80.0
-    h = np.zeros((3, 3), dtype=complex)
-    h[E, F] = omega * np.exp(1j * phi)
-    h[F, E] = omega * np.exp(-1j * phi)
-    u_ref = expm(-1j * (theta / omega) * h)
-    assert np.allclose(coin_pulse_unitary(theta, phi), u_ref, atol=1e-12)
 
 
 def _unitary_step(space, params):

@@ -15,24 +15,40 @@ from cqwalk.statespace import E, F, G, DeviceParams, StateSpace
 def test_truncated_dimension_and_ordering():
     sp = StateSpace(2)
     assert sp.dim == 9
-    # vac, q1:e, q1:f, q2:e, q2:f, q3:e, q3:f, c1:1, c2:1
+    # vac, then by site: q1:e, q1:f, c1:1, q2:e, q2:f, c2:1, q3:e, q3:f
     lookups = [sp.vacuum_index]
     for j in (1, 2, 3):
         lookups += [sp.qutrit_index(j, E), sp.qutrit_index(j, F)]
-    lookups += [sp.cavity_index(1), sp.cavity_index(2)]
+        if j < 3:
+            lookups.append(sp.cavity_index(j))
     assert lookups == list(range(9))
 
 
 def test_index_lookups_match_label_order():
-    # the documented order: 2j - 1 and 2j for qutrit j, 2(N+1) + j for
+    # the documented order: 3j - 2 and 3j - 1 for qutrit j, 3j for
     # cavity j
     sp = StateSpace(3)
     for j in range(1, 5):
-        assert (sp.qutrit_index(j, E), sp.qutrit_index(j, F)) == (2 * j - 1,
-                                                                   2 * j)
+        assert (sp.qutrit_index(j, E), sp.qutrit_index(j, F)) == (3 * j - 2,
+                                                                   3 * j - 1)
     for j in range(1, 4):
-        assert sp.cavity_index(j) == 8 + j
+        assert sp.cavity_index(j) == 3 * j
     assert sp.vacuum_index == 0
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+def test_shorter_sector_is_a_prefix(n_steps):
+    # every state of the n-step sector keeps its index in the 8-step one,
+    # and those indices are its first 3n+3
+    short, long = StateSpace(n_steps), StateSpace(8)
+    lookups = [(short.vacuum_index, long.vacuum_index)]
+    for j in range(1, short.n_qutrits + 1):
+        lookups += [(short.qutrit_index(j, level), long.qutrit_index(j, level))
+                    for level in (E, F)]
+    for j in range(1, short.n_cavities + 1):
+        lookups.append((short.cavity_index(j), long.cavity_index(j)))
+    assert all(a == b for a, b in lookups)
+    assert sorted(a for a, _ in lookups) == list(range(short.dim))
 
 
 def test_index_bounds_checked():
