@@ -28,11 +28,12 @@ from .lindblad import DecoherenceRates
 from .protocol import segment_durations
 from .statespace import DeviceParams, StateSpace
 
-# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run: the
-# three segment Hamiltonians, rho0, the evolving state and the kernel's
-# and the final checks' temporaries.  A noisy N=320 run peaks at about
-# eight; the bound allows twelve.  The (3n+3) x (3n+3) states a sweep
-# group keeps for its shorter points n are not counted.
+# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run:
+# rho0, the evolving state and the kernel's and the final checks'
+# temporaries (the segment Hamiltonians are per-site 3x3 stacks).  A
+# noisy N=320 run peaks at about four; the bound allows twelve.  The
+# (3n+3) x (3n+3) states a sweep group keeps for its shorter points n
+# are not counted.
 _STATE_COPIES = 12
 
 

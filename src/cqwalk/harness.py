@@ -94,7 +94,7 @@ def _evolve(cfg: ExperimentConfig, steps) -> list[EvolutionResult]:
     last cfg.n_steps): that of the run of cfg with n_steps = n, all from
     one propagation of cfg."""
     space = cfg.space()
-    schedule = build_schedule(space, cfg.device_params())
+    schedule = build_schedule(cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
     if len(steps) == 1:
@@ -285,7 +285,8 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
 
     destination is a path or a text file object.  JSON mirrors the CSV
     columns and adds the nested P_me / P_id arrays, the final state's
-    min_eigenvalue (and the error message for failed sweep points).
+    min_eigenvalue, the run's max_hermiticity_drift (and the error
+    message for failed sweep points).
     """
     if not reports:
         raise ValueError("no reports to emit")
@@ -308,6 +309,7 @@ def report_to_json_obj(rep: Report) -> dict:
     obj["P_me"] = [float(x) for x in np.asarray(rep.p_me)]
     obj["P_id"] = [float(x) for x in np.asarray(rep.p_id)]
     obj["min_eigenvalue"] = rep.min_eigenvalue
+    obj["max_hermiticity_drift"] = rep.max_hermiticity_drift
     if rep.error is not None:
         obj["error"] = rep.error
     return obj
@@ -337,10 +339,12 @@ def emit_plot_script(data_path: str, destination,
 
     Plain text, tool-agnostic commands: similarity against the swept
     axis for "sweep" files, paired measured/ideal bars for "dist"
-    files.
+    files.  The data path goes between single quotes, each ' in it
+    doubled (gnuplot's escape there).
     """
     if kind not in _PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}")
+    data = "'" + str(data_path).replace("'", "''") + "'"
     lines = ["set datafile separator ','", "set key top right"]
     if kind == "sweep":
         if axis not in _AXIS_TO_COLUMN:
@@ -350,7 +354,7 @@ def emit_plot_script(data_path: str, destination,
             f"set xlabel '{axis}'",
             "set ylabel 'similarity S'",
             "set yrange [0:1.05]",
-            f"plot '{data_path}' skip 1 using {col}:{_S_COLUMN} "
+            f"plot {data} skip 1 using {col}:{_S_COLUMN} "
             "with linespoints title 'S'",
         ]
     else:
@@ -359,9 +363,9 @@ def emit_plot_script(data_path: str, destination,
             "set ylabel 'probability'",
             "set style fill solid 0.4",
             "set boxwidth 0.35",
-            f"plot '{data_path}' skip 1 using ($1-0.18):2 with boxes "
+            f"plot {data} skip 1 using ($1-0.18):2 with boxes "
             "title 'simulated', \\",
-            f"     '{data_path}' skip 1 using ($1+0.18):3 with boxes "
+            f"     {data} skip 1 using ($1+0.18):3 with boxes "
             "title 'ideal'",
         ]
     with _opened(destination) as fh:

@@ -14,26 +14,29 @@ each as its (target a, source b, rate gamma) triple, found by index; no
 dim x dim matrix is formed.
 
 Each segment is propagated exactly; the map is compiled once per
-distinct (H, duration) of a schedule.  The sector basis is ordered by
-site (statespace): the vacuum, then the triplets (e_j, f_j, c_j), and
-the propagator adds one empty slot where c_{N+1} would be.  Coin
-(e_j<->f_j) and store (e_j<->c_j) act within the triplets; retrieve
-(c_{j-1}<->e_j) acts within the same array shifted by one slot, on
-(c_{j-1}, e_j, f_j), with the vacuum in place of c_0.  Every collapse
-channel's target lies in the triplet of its source or is the vacuum.
-The generator splits as -i (H_eff rho - rho H_eff+)
-+ J(rho) with H_eff = H - i Gamma / 2, Gamma = sum_k gamma_k |b_k><b_k|,
-and J(rho) = sum_k gamma_k rho_bb |a_k><a_k|.  H_eff is block diagonal
-on the triplets and J writes only diagonal entries, so every entry
-outside the triplets' diagonal blocks evolves as V rho V+ with
-V = expm(-i t H_eff), one 3x3 map per site.  Each diagonal block follows
-its own closed 9-dimensional system, and a tenth row of that system sums
-the block's outflow into the vacuum; the vacuum has no dynamics of its
-own, so its population just collects these sums.  Compiling a segment
-exponentiates these few-by-few generators of every site as one numpy
-stack.  Each map is applied as a batched matmul on reshaped views of
-rho.  A Hamiltonian term or collapse channel that does not fit this
-layout or the state's dimension, or a state whose dimension is not
+distinct (H, offset, duration) of a schedule.  The sector basis is
+ordered by site (statespace): the vacuum, then the triplets
+(e_j, f_j, c_j), and the propagator adds one empty slot where c_{N+1}
+would be.  A segment's H comes in site form (protocol.Segment), one 3x3
+block per site of its layout: coin (e_j<->f_j) and store (e_j<->c_j)
+act within the triplets (offset 1); retrieve (c_{j-1}<->e_j) acts within
+the same array shifted by one slot (offset 0), on (c_{j-1}, e_j, f_j),
+with the vacuum in place of c_0.  Every collapse channel's target lies
+in the triplet of its source or is the vacuum.  The generator splits as
+-i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma / 2,
+Gamma = sum_k gamma_k |b_k><b_k|, and J(rho) = sum_k gamma_k rho_bb
+|a_k><a_k|.  H_eff is block diagonal on the sites and J writes only
+diagonal entries, so every entry outside the sites' diagonal blocks
+evolves as V rho V+ with V = expm(-i t H_eff), one 3x3 map per site.
+Each diagonal block follows its own closed 9-dimensional system, and a
+tenth row of that system sums the block's outflow into the vacuum; the
+vacuum has no dynamics of its own, so its population just collects
+these sums.  Compiling a segment exponentiates these few-by-few
+generators of every site as one numpy stack.  Each map is applied as a
+batched matmul on reshaped views of rho.  A Hamiltonian stack of
+another chain than the state's, an offset other than 0 or 1, a term on
+the vacuum or on the empty slot, a collapse channel that does not fit
+the layout or the state's dimension, or a state whose dimension is not
 3N+3, is a ValueError.
 
 Since the walker moves at most one site per retrieve, only a leading
@@ -310,33 +313,33 @@ class _SiteMaps:
         return end
 
 
-def _site_maps(h: np.ndarray, duration: float, dim: int,
-               jumps) -> _SiteMaps:
+def _site_maps(seg, dim: int, jumps) -> _SiteMaps:
     """Compile one segment of a sector of dimension dim into per-site maps.
 
-    Coin and store fit the triplets from slot 1 and retrieve those from
-    slot 0.  The vacuum (slot 0) must have no terms and no decay.  An h
-    not dim x dim, or a term or jump fitting neither, is a ValueError.
+    seg.hamiltonian must hold one 3x3 block per site of the sector, at
+    offset 0 or 1 (protocol.Segment), with no term on the slot outside
+    the sector: the vacuum at offset 0 (it has no dynamics) and the empty
+    slot c_{N+1} at offset 1.  Every jump must leave a site for the
+    vacuum or stay in it.  Anything else is a ValueError.
     """
-    if np.shape(h) != (dim, dim):
+    h, offset, duration = seg.hamiltonian, seg.offset, seg.duration
+    sites = (dim + 1) // 3
+    if np.shape(h) != (sites, 3, 3):
         raise ValueError(f"a segment Hamiltonian of shape {np.shape(h)} does"
                          f" not act on the sector of dimension {dim}")
-    sites = (dim + 1) // 3
-    row, col = np.nonzero(h)
-    values = h[row, col]
+    if offset not in (0, 1):
+        raise ValueError(f"a segment offset of {offset!r} fits no site"
+                         " layout")
+    edge, slot = (0, 0) if offset == 0 else (-1, 2)
+    if np.any(h[edge, slot]) or np.any(h[edge, :, slot]):
+        raise ValueError("a Hamiltonian term acts outside the sector's"
+                         " sites")
     target, source, rate = jumps
-    for offset in (1, 0):
-        if (np.all(row > 0) and np.all(col > 0) and np.all(source > 0)
-                and np.array_equal((row - offset) // 3, (col - offset) // 3)
-                and np.all((target == 0) | ((target - offset) // 3
-                                            == (source - offset) // 3))):
-            break
-    else:
-        raise ValueError("a Hamiltonian term or collapse channel does not"
-                         " fit the site layout")
+    same_site = (target - offset) // 3 == (source - offset) // 3
+    if not (np.all(source > 0) and np.all((target == 0) | same_site)):
+        raise ValueError("a collapse channel does not fit the site layout")
 
-    h_eff = np.zeros((sites, 3, 3), dtype=complex)
-    h_eff[(row - offset) // 3, (row - offset) % 3, (col - offset) % 3] = values
+    h_eff = np.array(h, dtype=complex)
     site, pos = np.divmod(source - offset, 3)
     np.add.at(h_eff, (site, pos, pos), -0.5j * rate)
     inflow = np.zeros((sites, 3, 3))       # [j, a, b]: rate of b -> a
@@ -414,19 +417,20 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
-def _compile_key(seg) -> tuple[int, float]:
-    return id(seg.hamiltonian), seg.duration
+def _compile_key(seg) -> tuple[int, int, float]:
+    return id(seg.hamiltonian), seg.offset, seg.duration
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                     collapse: CollapseSet, record=()) -> EvolutionResult:
     """Run the whole pulse program on a sector state.
 
-    Each distinct (H, duration) is compiled once; the schedule shares
-    one Hamiltonian per segment kind, so that is three compilations.
-    rho0 must have dimension 3N+3, every segment Hamiltonian must be
-    dim x dim, and every segment term and collapse channel must fit the
-    site layout (module docstring); anything else is a ValueError.
+    Each distinct (H, offset, duration) is compiled once; the schedule
+    shares one Hamiltonian stack per segment kind, so that is three
+    compilations.  rho0 must have dimension 3N+3, every segment must
+    carry one 3x3 block per site of that chain, and every segment term
+    and collapse channel must fit the site layout (module docstring);
+    anything else is a ValueError.
     Without collapse channels the run propagates rho0's light-cone
     columns instead of rho and forms rho only for the final state and
     each snapshot (module docstring).  record is a collection of step
@@ -448,8 +452,7 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     dim = len(rho0)
     jumps = _jumps(dim, collapse)
     kinds = {_compile_key(seg): seg for seg in schedule}
-    maps = {key: _site_maps(seg.hamiltonian, seg.duration, dim, jumps)
-            for key, seg in kinds.items()}
+    maps = {key: _site_maps(seg, dim, jumps) for key, seg in kinds.items()}
     # Only the leading size x size block can be nonzero: it starts at
     # rho0's support (a NaN counts) and grows by at most one site per
     # segment.  Everything outside it is exactly 0.

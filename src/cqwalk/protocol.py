@@ -17,6 +17,13 @@ Each step applies, to every site in parallel:
 
 The f level never moves: coin-0 population stays on its qutrit, which
 is the walk's "stay" branch, while coin-1 (e) hops one site right.
+
+In the single-excitation sector each pulse is a direct sum of 2x2
+swaps, one per site: coin e_j<->f_j, store e_j<->c_j, retrieve
+c_{j-1}<->e_j.  So a segment carries its Hamiltonian in site form, one
+3x3 block per site and the offset of the site layout it fits (Segment),
+written by index; no dim x dim matrix is formed.  The tests check each
+kind against the compression of its tensor-product counterpart.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import E, F, DeviceParams, StateSpace
+from .statespace import DeviceParams
 
 SEG_COIN = "coin"
 SEG_STORE = "store"
@@ -35,11 +42,23 @@ SEG_RETRIEVE = "retrieve"
 
 @dataclass(frozen=True)
 class Segment:
-    """One piecewise-constant pulse: H applied for `duration` (us)."""
+    """One piecewise-constant pulse, applied for `duration` (us), in site
+    form.
+
+    hamiltonian[j] is the pulse's 3x3 Hamiltonian on site j (0-based) of
+    the sector basis shifted by offset (statespace): site j covers basis
+    slots offset + 3j .. offset + 3j + 2.  Offset 1 gives the triplets
+    (e_j, f_j, c_j), where coin and store act; offset 0 gives
+    (c_{j-1}, e_j, f_j), with the vacuum in place of c_0, where retrieve
+    acts.  An N-step chain has N+1 sites either way, so the stack has
+    shape (N+1, 3, 3); at offset 1 its last slot, c_{N+1}, does not
+    exist.
+    """
 
     label: str
     step: int                 # 1-based walk step this segment belongs to
     hamiltonian: np.ndarray
+    offset: int
     duration: float
 
 
@@ -47,51 +66,11 @@ class Segment:
 class Schedule:
     segments: tuple[Segment, ...]
 
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
     def __iter__(self):
         return iter(self.segments)
 
     def __len__(self):
         return len(self.segments)
-
-
-def h_coin(space: StateSpace, params: DeviceParams) -> np.ndarray:
-    """Global coin drive: sum_j Omega (e^{i phi} |e>_j<f| + h.c.)."""
-    phase = np.exp(1j * params.phi)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    # one-body terms stay in the sector: |e><f| on qutrit j links exactly
-    # its f state to its e state
-    for j in range(1, space.n_qutrits + 1):
-        row, col = space.qutrit_index(j, E), space.qutrit_index(j, F)
-        h[row, col] += params.omega * phase
-        h[col, row] += params.omega * np.conj(phase)
-    return h
-
-
-def h_store(space: StateSpace, params: DeviceParams) -> np.ndarray:
-    """Qutrit-to-cavity transfer: sum_j g (a_j |e>_j<g| + h.c.)."""
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    # Two-body terms are written directly in the sector basis: a_j |e>_j<g|
-    # sends the one-photon state of cavity j to the e state of qutrit j
-    # and annihilates everything else.
-    for j in range(1, space.n_cavities + 1):
-        row, col = space.qutrit_index(j, E), space.cavity_index(j)
-        h[row, col] += params.g
-        h[col, row] += params.g
-    return h
-
-
-def h_retrieve(space: StateSpace, params: DeviceParams) -> np.ndarray:
-    """Cavity-to-next-qutrit transfer: sum_j mu (a_j |e>_{j+1}<g| + h.c.)."""
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, space.n_cavities + 1):
-        row, col = space.qutrit_index(j + 1, E), space.cavity_index(j)
-        h[row, col] += params.mu
-        h[col, row] += params.mu
-    return h
 
 
 def segment_durations(params: DeviceParams) -> dict[str, float]:
@@ -103,24 +82,28 @@ def segment_durations(params: DeviceParams) -> dict[str, float]:
     }
 
 
-def build_schedule(space: StateSpace, params: DeviceParams) -> Schedule:
+def build_schedule(params: DeviceParams) -> Schedule:
     """Full pulse program: n_steps repetitions of coin/store/retrieve.
 
-    The three Hamiltonians are shared across steps (the drive is
-    global and steps are identical), so evolution compiles three
-    segment maps regardless of n_steps.
+    Each kind's per-site Hamiltonians are written by index and shared
+    across steps (the drive is global and steps are identical), so
+    evolution compiles three segment maps regardless of n_steps.
     """
-    if space.n_steps != params.n_steps:
-        raise ValueError("state space and params disagree on n_steps")
-    hs = {
-        SEG_COIN: h_coin(space, params),
-        SEG_STORE: h_store(space, params),
-        SEG_RETRIEVE: h_retrieve(space, params),
-    }
+    sites = params.n_steps + 1
+    coin, store, retrieve = (np.zeros((sites, 3, 3), dtype=complex)
+                             for _ in range(3))
+    phase = np.exp(1j * params.phi)
+    # (e_j, f_j, c_j) at offset 1; the last site has no cavity
+    coin[:, 0, 1] = params.omega * phase
+    coin[:, 1, 0] = params.omega * np.conj(phase)
+    store[:-1, 0, 2] = store[:-1, 2, 0] = params.g
+    # (c_{j-1}, e_j, f_j) at offset 0; the first site's c_0 is the vacuum
+    retrieve[1:, 0, 1] = retrieve[1:, 1, 0] = params.mu
+    hs = {SEG_COIN: (coin, 1), SEG_STORE: (store, 1),
+          SEG_RETRIEVE: (retrieve, 0)}
     durs = segment_durations(params)
     segments = []
     for step in range(1, params.n_steps + 1):
         for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE):
-            segments.append(Segment(label, step, hs[label], durs[label]))
+            segments.append(Segment(label, step, *hs[label], durs[label]))
     return Schedule(tuple(segments))
-

@@ -9,10 +9,11 @@ vacuum, then one triplet per site j, (e_j, f_j, c_j): qutrit j in e,
 qutrit j in f, one photon in cavity j.  The last site has no cavity.
 So the n-step sector is exactly the first 3n+3 states of the N-step
 sector for every n < N.  Each Hamiltonian term and collapse operator
-compresses to one transition |a><b| between sector states, so they are
-built by index (from qutrit_index and cavity_index), never as embedded
-dense operators.  The tests check these against the full
-tensor-product space at small N.
+compresses to one transition |a><b| between sector states.  So a
+collapse channel is built by index (from qutrit_index and
+cavity_index), and a pulse Hamiltonian as one 3x3 block per site
+(protocol), never as an embedded dense operator.  The tests check both
+against the full tensor-product space at small N.
 
 Basis ordering (index: state):
 

@@ -57,13 +57,27 @@ def dense_expm_states(rho0, schedule, collapse):
     states = [vec.reshape(dim, dim)]
     props = {}
     for seg in schedule:
-        key = (id(seg.hamiltonian), seg.duration)
+        key = (id(seg.hamiltonian), seg.offset, seg.duration)
         if key not in props:
-            liou = liouvillian_matrix(seg.hamiltonian, ops).toarray()
+            liou = liouvillian_matrix(dense_hamiltonian(seg), ops).toarray()
             props[key] = expm(seg.duration * liou)
         vec = props[key] @ vec
         states.append(vec.reshape(dim, dim))
     return states
+
+
+def dense_hamiltonian(seg):
+    """A site-form segment's Hamiltonian as a dense matrix on the sector of
+    its chain: site j's 3x3 block on basis slots seg.offset + 3j ..
+    seg.offset + 3j + 2 (protocol.Segment)."""
+    dim = 3 * len(seg.hamiltonian)
+    h = np.zeros((dim + 1, dim + 1), dtype=complex)
+    for j, block in enumerate(seg.hamiltonian):
+        start = seg.offset + 3 * j
+        h[start:start + 3, start:start + 3] = block
+    # the slot after the sector (c_{N+1} at offset 1) must stay empty
+    assert not h[dim].any() and not h[:, dim].any()
+    return h[:dim, :dim]
 
 
 def dense_operators(collapse, dim):

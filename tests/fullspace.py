@@ -28,8 +28,8 @@ from scipy.sparse.linalg import expm_multiply
 from cqwalk.harness import Report
 from cqwalk.idealwalk import run_ideal
 from cqwalk.metrics import Distribution, similarity_report
-from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE, Schedule,
-                             Segment, segment_durations)
+from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
+                             segment_durations)
 from cqwalk.statespace import E, F, G
 
 
@@ -142,15 +142,15 @@ def h_retrieve(full: FullSpace, params) -> np.ndarray:
     return _swaps(full, params.mu, 1)
 
 
-def build_schedule(full: FullSpace, params) -> Schedule:
-    """n_steps repetitions of coin, store, retrieve, one matrix per kind."""
+def build_schedule(full: FullSpace, params) -> list:
+    """(H, duration) of every segment: n_steps repetitions of coin,
+    store, retrieve, one matrix per kind."""
     hs = {SEG_COIN: h_coin(full, params), SEG_STORE: h_store(full, params),
           SEG_RETRIEVE: h_retrieve(full, params)}
     durations = segment_durations(params)
-    return Schedule(tuple(
-        Segment(label, step, hs[label], durations[label])
-        for step in range(1, params.n_steps + 1)
-        for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE)))
+    return [(hs[label], durations[label])
+            for _ in range(params.n_steps)
+            for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE)]
 
 
 # (label prefix, DecoherenceRates field, to level, from level) per qutrit
@@ -226,18 +226,17 @@ def liouvillian_matrix(h: np.ndarray, ops) -> sp.csr_matrix:
     return sp.csr_matrix(liou)
 
 
-def evolve(rho0: np.ndarray, schedule: Schedule, ops):
-    """(rho, max trace error, max Hermiticity drift) of the schedule run
-    by expm_multiply, re-symmetrizing rho after every segment; the drift
-    is taken before that."""
+def evolve(rho0: np.ndarray, schedule, ops):
+    """(rho, max trace error, max Hermiticity drift) of the (H, duration)
+    schedule run by expm_multiply, re-symmetrizing rho after every
+    segment; the drift is taken before that."""
     generators = {}
     rho = np.array(rho0, dtype=complex)
     trace_errors, drifts = [0.0], [0.0]
-    for seg in schedule:
-        key = (id(seg.hamiltonian), seg.duration)
+    for h, duration in schedule:
+        key = (id(h), duration)
         if key not in generators:
-            generators[key] = seg.duration * liouvillian_matrix(
-                seg.hamiltonian, ops)
+            generators[key] = duration * liouvillian_matrix(h, ops)
         rho = expm_multiply(generators[key], rho.reshape(-1)).reshape(rho.shape)
         skew = rho - rho.conj().T
         drifts.append(float(np.abs(skew).max()))

@@ -177,7 +177,7 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     # backend agreement at N=5, baseline noise
     cfg = ExperimentConfig(n_steps=5)
     space = cfg.space()
-    schedule = build_schedule(space, cfg.device_params())
+    schedule = build_schedule(cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
     rho_block = evolve_schedule(rho0, schedule, collapse).rho

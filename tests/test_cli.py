@@ -37,6 +37,7 @@ def test_run_json_format(tmp_path):
     data = json.loads(path.read_text())
     assert data[0]["n_steps"] == 1
     assert len(data[0]["P_id"]) == 2
+    assert 0.0 <= data[0]["max_hermiticity_drift"] < 1e-12
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -149,6 +150,17 @@ def test_plot_script_without_output_runs_nothing(argv, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("cqwalk: config error: --plot-script")
     assert not script.exists()
+
+
+def test_plot_script_escapes_quotes_in_data_path(tmp_path, monkeypatch):
+    # gnuplot doubles a ' inside a single-quoted string
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--n-steps", "1", "--output", "it's.csv",
+                 "--plot-script", "q.gp", *ZERO_NOISE])
+    assert code == 0
+    (plot,) = [line for line in (tmp_path / "q.gp").read_text().splitlines()
+               if line.startswith("plot ")]
+    assert plot.startswith("plot 'it''s.csv' skip 1 ")
 
 
 def test_numerical_failure_exits_2(capsys):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import fullspace
-from conftest import (dense_expm_evolve, dense_expm_states, dense_operators,
-                      lindblad_apply)
+from conftest import (dense_expm_evolve, dense_expm_states,
+                      dense_hamiltonian, dense_operators, lindblad_apply)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -89,6 +89,19 @@ def test_collapse_set_of_long_chain_is_small():
     assert peak < 1_000_000
 
 
+def test_schedule_of_long_chain_is_small():
+    # three (321, 3, 3) site stacks at N=320; dense 963x963 Hamiltonians
+    # would take about 45 MB
+    tracemalloc.start()
+    try:
+        schedule = build_schedule(DeviceParams.from_mhz(320, 50.0, 100.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule) == 3 * 320
+    assert peak < 2_000_000
+
+
 def test_liouvillian_matches_direct_application():
     rng = np.random.default_rng(3)
     space = StateSpace(1)
@@ -107,7 +120,7 @@ def test_noisy_run_matches_dense_oracle():
     # the production (block) path against the dense superoperator oracle
     space = StateSpace(2)
     params = DeviceParams.from_mhz(2, 50.0, 100.0)
-    schedule = build_schedule(space, params)
+    schedule = build_schedule(params)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rng = np.random.default_rng(5)
     rho0 = _random_density(rng, space.dim)
@@ -120,14 +133,14 @@ def test_noise_free_run_is_unitary_conjugation():
     # without collapse channels the block path is U rho U+ exactly
     space = StateSpace(1)
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
-    schedule = build_schedule(space, params)
+    schedule = build_schedule(params)
     empty = CollapseSet((), ())
     rng = np.random.default_rng(11)
     rho0 = _random_density(rng, space.dim)
     out = evolve_schedule(rho0, schedule, empty).rho
     want = rho0
     for seg in schedule:
-        u = expm(-1j * seg.duration * seg.hamiltonian)
+        u = expm(-1j * seg.duration * dense_hamiltonian(seg))
         want = u @ want @ u.conj().T
     assert np.max(np.abs(out - want)) < 1e-12
     # purity preserved without collapse channels
@@ -141,7 +154,7 @@ def test_noise_free_run_is_unitary_conjugation():
 def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     space = StateSpace(n)
     schedule = build_schedule(
-        space, DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
+        DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
     collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
     assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
     rho0 = _random_density(np.random.default_rng(seed), space.dim)
@@ -154,7 +167,7 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
 def test_light_cone_matches_dense_oracle(n):
     # the walker starts on site 1, with coherences to the vacuum
     space = StateSpace(n)
-    schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0, 100.0))
+    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
     collapse = build_collapse_set(space, DISTINCT_RATES)
     assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
@@ -176,7 +189,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     # state on the whole sector
     space = StateSpace(n)
     params = DeviceParams.from_mhz(n, 50.0, 100.0)
-    schedule = build_schedule(space, params)
+    schedule = build_schedule(params)
     empty = build_collapse_set(space, ZERO_RATES)
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
@@ -204,7 +217,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
         sub = StateSpace(m)
         oracle = dense_expm_evolve(
             rho0[:sub.dim, :sub.dim],
-            build_schedule(sub, DeviceParams.from_mhz(m, 50.0, 100.0)),
+            build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)),
             build_collapse_set(sub, ZERO_RATES))
         assert close(snap.rho, oracle)
         assert snap.max_trace_error < 1e-12
@@ -216,7 +229,7 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     # rho0 outside the light cone's start: the run begins on a larger
     # block (the whole chain for the last sites) and must stay exact
     space = StateSpace(3)
-    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     collapse = build_collapse_set(space, DISTINCT_RATES)
     if where == "site 2":
         support = [space.qutrit_index(2, E), space.qutrit_index(2, F)]
@@ -230,22 +243,27 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
 
 
 def test_hamiltonian_outside_the_sites_is_refused():
-    # a term linking two sites fits no site layout
+    # a term on the vacuum of an offset-0 stack, on the missing c_2 of an
+    # offset-1 stack, or a stack at an offset that fits no site layout
     space = StateSpace(1)
     collapse = build_collapse_set(space, DISTINCT_RATES)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    e1, e2 = space.qutrit_index(1, E), space.qutrit_index(2, E)
-    h[e1, e2] = h[e2, e1] = 300.0
-    schedule = Schedule((Segment("coin", 1, h, 4e-3),))
     rho0 = _random_density(np.random.default_rng(2), space.dim)
-    with pytest.raises(ValueError, match="site layout"):
-        evolve_schedule(rho0, schedule, collapse)
+    vacuum, beyond = (np.zeros((2, 3, 3), dtype=complex) for _ in range(2))
+    vacuum[0, 0, 1] = vacuum[0, 1, 0] = 300.0          # vacuum <-> e_1
+    beyond[1, 0, 2] = beyond[1, 2, 0] = 300.0          # e_2 <-> c_2
+    store = build_schedule(REF_1).segments[1]
+    for h, offset, match in ((vacuum, 0, "outside the sector's sites"),
+                             (beyond, 1, "outside the sector's sites"),
+                             (store.hamiltonian, 2, "fits no site layout")):
+        schedule = Schedule((Segment("store", 1, h, offset, 4e-3),))
+        with pytest.raises(ValueError, match=match):
+            evolve_schedule(rho0, schedule, collapse)
 
 
 def test_collapse_channel_between_sites_is_refused():
     # |e_2><e_1| ends neither in the vacuum nor in its source's triplet
     space = StateSpace(1)
-    schedule = build_schedule(space, REF_1)
+    schedule = build_schedule(REF_1)
     hop = CollapseSet(((space.qutrit_index(2, E), space.qutrit_index(1, E),
                         0.5),), ("hop",))
     rho0 = _random_density(np.random.default_rng(3), space.dim)
@@ -259,7 +277,7 @@ def test_vacuum_stays_put(rates):
     # the vacuum has no dynamics: a one-slot light cone meets no site of
     # the coin and store maps, and stays the vacuum through every pulse
     space = StateSpace(2)
-    schedule = build_schedule(space, REF)
+    schedule = build_schedule(REF)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.vacuum_index, space.vacuum_index] = 1.0
     collapse = build_collapse_set(space, rates)
@@ -272,10 +290,10 @@ def test_vacuum_stays_put(rates):
 
 
 def test_schedule_of_another_chain_is_refused():
-    # an N=2 schedule (9 x 9 Hamiltonians) on an N=1 state
+    # an N=2 schedule (three sites per stack) on an N=1 state
     rho0 = np.zeros((6, 6), dtype=complex)
     rho0[1, 1] = 1.0
-    schedule = build_schedule(StateSpace(2), REF)
+    schedule = build_schedule(REF)
     with pytest.raises(ValueError, match="sector of dimension 6"):
         evolve_schedule(rho0, schedule, CollapseSet((), ()))
 
@@ -287,14 +305,14 @@ def test_collapse_set_of_another_chain_is_refused():
     rho0[1, 1] = 1.0
     collapse = build_collapse_set(StateSpace(2), DISTINCT_RATES)
     with pytest.raises(ValueError, match="sector of dimension 6"):
-        evolve_schedule(rho0, build_schedule(space, REF_1), collapse)
+        evolve_schedule(rho0, build_schedule(REF_1), collapse)
 
 
 @pytest.mark.parametrize("dim", [3, 7, 8])
 def test_state_outside_the_sector_is_refused(dim):
     # only 3N+3 with N >= 1 is a sector dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    schedule = Schedule((Segment("coin", 1, h, 1e-3),))
+    h = np.zeros(((dim + 1) // 3, 3, 3), dtype=complex)
+    schedule = Schedule((Segment("coin", 1, h, 1, 1e-3),))
     with pytest.raises(ValueError, match="single-excitation sector"):
         evolve_schedule(np.eye(dim) / dim, schedule, CollapseSet((), ()))
 
@@ -330,9 +348,9 @@ def test_fullspace_oracle_matches_dense_expm():
     rho0 = _random_density(np.random.default_rng(4), full.dim)
     rho, trace_error, _ = fullspace.evolve(rho0, schedule, ops)
     vec = rho0.reshape(-1)
-    for seg in schedule:
-        liou = fullspace.liouvillian_matrix(seg.hamiltonian, ops).toarray()
-        vec = expm(seg.duration * liou) @ vec
+    for h, duration in schedule:
+        liou = fullspace.liouvillian_matrix(h, ops).toarray()
+        vec = expm(duration * liou) @ vec
     assert np.max(np.abs(rho - vec.reshape(rho.shape))) < 1e-12
     assert trace_error < 1e-12
 
@@ -341,7 +359,7 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
-    store = build_schedule(space, REF_1).segments[1]
+    store = build_schedule(REF_1).segments[1]
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[1, 1] = 1.0
     res = evolve_schedule(rho0, Schedule((store,)), collapse)
@@ -351,7 +369,7 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
 
 def test_diagnostics_keep_nan():
     space = StateSpace(1)
-    schedule = build_schedule(space, REF_1)
+    schedule = build_schedule(REF_1)
     rho0 = np.full((space.dim, space.dim), np.nan, dtype=complex)
     res = evolve_schedule(rho0, schedule, CollapseSet((), ()))
     assert math.isnan(res.max_trace_error)
@@ -360,7 +378,7 @@ def test_diagnostics_keep_nan():
 
 def test_trace_and_hermiticity_tracked():
     space = StateSpace(2)
-    schedule = build_schedule(space, REF)
+    schedule = build_schedule(REF)
     collapse = build_collapse_set(space, DecoherenceRates.t0(0.2))
     rng = np.random.default_rng(7)
     rho0 = _random_density(rng, space.dim)
@@ -380,7 +398,7 @@ def test_snapshots_are_sector_states():
     # unrecorded run.  With zero rates the states are formed from
     # propagated columns
     space = StateSpace(3)
-    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
     rho0 = _random_density_on(np.random.default_rng(6), space.dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
@@ -400,7 +418,8 @@ def test_snapshots_are_sector_states():
             assert not outside.any()
             assert snap.max_trace_error == alone.max_trace_error
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-            assert by_step.times[n - 1] == prefix.total_duration
+            assert by_step.times[n - 1] == sum(seg.duration
+                                               for seg in prefix)
             if n == 1:
                 assert np.max(np.abs(alone.rho - dense_expm_evolve(
                     rho0, prefix, collapse))) <= 1e-12, rates
@@ -415,8 +434,7 @@ def test_step_readout_is_each_shorter_run():
 
     def run(n, rates, record=()):
         space = StateSpace(n)
-        schedule = build_schedule(space, DeviceParams.from_mhz(n, 50.0,
-                                                               100.0))
+        schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
         site_1 = [space.vacuum_index, space.qutrit_index(1, E),
                   space.qutrit_index(1, F)]
         rho0 = np.zeros((space.dim, space.dim), dtype=complex)
@@ -442,7 +460,7 @@ def test_step_readout_is_each_shorter_run():
 
 def test_step_readout_refusals():
     space = StateSpace(3)
-    schedule = build_schedule(space, DeviceParams.from_mhz(3, 50.0, 100.0))
+    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     collapse = build_collapse_set(space, DISTINCT_RATES)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 1.0
@@ -457,7 +475,7 @@ def test_step_readout_refusals():
 def test_record_modes():
     # record takes step numbers only; by default nothing is recorded
     space = StateSpace(2)
-    schedule = build_schedule(space, REF)
+    schedule = build_schedule(REF)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 1.0
@@ -465,7 +483,8 @@ def test_record_modes():
     assert plain.snapshots == [] and len(plain.times) == 0
     by_step = evolve_schedule(rho0, schedule, collapse, record=range(1, 3))
     assert len(by_step.snapshots) == 2
-    assert by_step.times[-1] == pytest.approx(schedule.total_duration)
+    assert by_step.times[-1] == pytest.approx(sum(seg.duration
+                                                  for seg in schedule))
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
             evolve_schedule(rho0, schedule, collapse, record=mode)
@@ -478,8 +497,8 @@ def test_evolution_preserves_trace_property(seed, scale):
     collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
     rng = np.random.default_rng(seed)
     rho0 = _random_density(rng, space.dim)
-    h = build_schedule(space, REF_1).segments[0].hamiltonian
-    res = evolve_schedule(rho0, Schedule((Segment("coin", 1, h, 2e-3),)),
-                          collapse)
+    coin = build_schedule(REF_1).segments[0]
+    longer = Segment("coin", 1, coin.hamiltonian, coin.offset, 2e-3)
+    res = evolve_schedule(rho0, Schedule((longer,)), collapse)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)

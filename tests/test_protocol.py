@@ -3,13 +3,12 @@ import math
 import fullspace
 import numpy as np
 import pytest
+from conftest import dense_hamiltonian
 from scipy.linalg import expm
 
-from cqwalk import protocol
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
-                             build_schedule, h_coin, h_retrieve, h_store,
-                             segment_durations)
+                             build_schedule, segment_durations)
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
 REF = DeviceParams.from_mhz(2, 50.0, 100.0)
@@ -24,52 +23,48 @@ def test_reference_segment_durations():
 
 
 def test_schedule_structure():
-    space = StateSpace(2)
-    sched = build_schedule(space, REF)
+    sched = build_schedule(REF)
     assert len(sched) == 6
     assert [s.label for s in sched] == [SEG_COIN, SEG_STORE, SEG_RETRIEVE] * 2
     assert [s.step for s in sched] == [1, 1, 1, 2, 2, 2]
-    assert sched.total_duration == pytest.approx(2 * 11.25e-3)
-    # identical pulses share one matrix -> one compiled map per kind
+    assert [s.offset for s in sched] == [1, 1, 0] * 2
+    assert sum(s.duration for s in sched) == pytest.approx(2 * 11.25e-3)
+    # one 3x3 block per site of the 2-step chain
+    assert all(s.hamiltonian.shape == (3, 3, 3) for s in sched)
+    # identical pulses share one stack -> one compiled map per kind
     assert sched.segments[0].hamiltonian is sched.segments[3].hamiltonian
 
 
-def test_schedule_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        build_schedule(StateSpace(3), REF)
-
-
 def test_hamiltonians_hermitian():
-    space = StateSpace(3)
     params = DeviceParams.from_mhz(3, 40.0, 80.0, mu_over_2pi_mhz=35.0,
                                    phi_rad=0.7)
-    for h in (h_coin(space, params), h_store(space, params),
-              h_retrieve(space, params)):
+    for seg in build_schedule(params).segments[:3]:
+        h = dense_hamiltonian(seg)
         assert np.allclose(h, h.conj().T)
 
 
 @pytest.mark.parametrize("builder", ["h_coin", "h_store", "h_retrieve"])
 def test_truncated_hamiltonians_match_full_space(builder):
-    # Couplings are two-body; the truncated matrices must equal the
-    # compression of the exact tensor-product operators.
+    # Couplings are two-body; each segment's site-form Hamiltonian, laid
+    # out densely, must equal the compression of the exact tensor-product
+    # operator.
     params = DeviceParams.from_mhz(2, 47.0, 93.0, mu_over_2pi_mhz=21.0,
                                    phi_rad=-0.4)
     trunc = StateSpace(2)
     full = fullspace.FullSpace(2, fock_cutoff=3)
     v = fullspace.embedding_matrix(trunc, full)
+    kind = ("h_coin", "h_store", "h_retrieve").index(builder)
+    seg = build_schedule(params).segments[kind]
     assert np.allclose(v.T @ getattr(fullspace, builder)(full, params) @ v,
-                       getattr(protocol, builder)(trunc, params), atol=1e-12)
+                       dense_hamiltonian(seg), atol=1e-12)
 
 
-def _unitary_step(space, params):
+def _unitary_step(params):
     """Exact propagator of one walk step (three segments, no noise)."""
-    durs = segment_durations(params)
-    u = np.eye(space.dim, dtype=complex)
-    for label, h in ((SEG_COIN, h_coin(space, params)),
-                     (SEG_STORE, h_store(space, params)),
-                     (SEG_RETRIEVE, h_retrieve(space, params))):
-        u = expm(-1j * durs[label] * h) @ u
-    return u
+    coin, store, retrieve = (
+        expm(-1j * seg.duration * dense_hamiltonian(seg))
+        for seg in build_schedule(params).segments[:3])
+    return retrieve @ store @ coin
 
 
 @pytest.mark.parametrize("coin_name", ["zero", "one", "plus-i"])
@@ -80,7 +75,7 @@ def test_composite_step_reproduces_ideal_walk(coin_name, theta):
     n = 3
     params = DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta)
     space = StateSpace(n)
-    u = _unitary_step(space, params)
+    u = _unitary_step(params)
     coin = coin_preset(coin_name)
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.qutrit_index(1, F)] = coin.c0
@@ -102,8 +97,8 @@ def test_store_segment_swaps_excitation_into_cavity():
     # with amplitude -i (a perfect half swap of the resonant pair).
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     space = StateSpace(1)
-    u = expm(-1j * segment_durations(params)[SEG_STORE]
-             * h_store(space, params))
+    store = build_schedule(params).segments[1]
+    u = expm(-1j * store.duration * dense_hamiltonian(store))
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.qutrit_index(1, E)] = 1.0
     out = u @ psi
