@@ -16,6 +16,7 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -76,10 +77,15 @@ def _parse_value_list(text: str, where: str) -> tuple[float, ...]:
                 step = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError:
                 raise ConfigError(f"{where}: bad range {token!r}") from None
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ConfigError(f"{where}: range {token!r} is not finite")
             if step <= 0 or stop < start:
                 raise ConfigError(f"{where}: empty range {token!r}")
-            n = int(round((stop - start) / step))
-            out.extend(start + i * step for i in range(n + 1)
+            count = (stop - start) / step
+            if not math.isfinite(count):
+                raise ConfigError(f"{where}: range {token!r} has too many"
+                                  " values")
+            out.extend(start + i * step for i in range(round(count) + 1)
                        if start + i * step <= stop + 1e-9 * step)
         else:
             try:

@@ -28,12 +28,12 @@ from .lindblad import DecoherenceRates
 from .protocol import segment_durations
 from .statespace import DeviceParams, StateSpace
 
-# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run:
-# rho0, the evolving state and the kernel's and the final checks'
-# temporaries (the segment Hamiltonians are per-site 3x3 stacks).  A
-# noisy N=320 run peaks at about four; the bound allows twelve.  The
-# (3n+3) x (3n+3) states a sweep group keeps for its shorter points n
-# are not counted.
+# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run or
+# sweep group of largest n_steps N: rho0, the state, one readout and the
+# kernel's and checks' temporaries (the segment Hamiltonians are 3x3
+# stacks; a group scores each readout before it goes on).  A noisy N=320
+# run peaks at about 3.7, an n_steps 1..160 sweep at 5.5; the bound
+# allows twelve.
 _STATE_COPIES = 12
 
 

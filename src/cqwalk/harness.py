@@ -7,11 +7,11 @@ identical configs produce identical rows apart from the wall-clock
 column.
 
 A sweep runs each group of points that differ only in n_steps as one
-propagation of its largest n_steps, read out after every requested
-step: an n-step run is exactly the first n steps of a longer one,
-restricted to sites 1..n+1.  run_experiment is the one-point case of
-the same readout, so a sweep row equals the point's separate run in
-every field but wall_ms.
+propagation of its largest n_steps, scoring each shorter point as soon
+as the run reaches its step: an n-step run is exactly the first n steps
+of a longer one, restricted to sites 1..n+1.  Every readout, at a step
+or at the end, is made the same way, so a sweep row equals the point's
+separate run in every field but wall_ms.
 """
 
 from __future__ import annotations
@@ -85,21 +85,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Build the schedule, evolve, read out and score one experiment."""
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    (evolution,) = _evolve(cfg, (cfg.n_steps,))
-    return _report(cfg, evolution, start)
+    return _report(cfg, _evolve(cfg), start)
 
 
-def _evolve(cfg: ExperimentConfig, steps) -> list[EvolutionResult]:
-    """One EvolutionResult per entry of steps (distinct, increasing, the
-    last cfg.n_steps): that of the run of cfg with n_steps = n, all from
-    one propagation of cfg."""
+def _evolve(cfg: ExperimentConfig, steps=(), on_step=None) -> EvolutionResult:
+    """The final state of cfg's run; on_step(n, result) gets the run of
+    cfg with n_steps = n for each n in steps (see evolve_schedule)."""
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
     collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    if len(steps) == 1:
-        return [evolve_schedule(rho0, schedule, collapse)]
-    return evolve_schedule(rho0, schedule, collapse, record=steps).snapshots
+    return evolve_schedule(rho0, schedule, collapse, steps, on_step)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
@@ -114,9 +110,10 @@ def _echo(cfg: ExperimentConfig) -> dict:
 
 def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
             start: float) -> Report:
-    """Read out, check and score cfg's run; wall_ms counts from start.
+    """Check and score evolution, the state read out of cfg's run (at
+    its end or at its step of a longer one); wall_ms counts from start.
 
-    Raises IntegrationError when the state, its readout or its
+    Raises IntegrationError when the state, its distribution or its
     diagnostics are not finite, or its trace error is above
     TRACE_ERROR_BOUND.
     """
@@ -225,13 +222,14 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     """One Report per grid point, in grid order.
 
     Points equal in every field but n_steps form a group, whose largest
-    n_steps runs once; each point's row is read out after its own step
-    of that run, which is exactly the point's separate run (see
-    evolve_schedule).  So an n_steps axis, primary or cross, costs one
-    propagation per group.  Every row is checked on its own, with the
-    diagnostics up to its step, and its wall_ms runs from the start of
-    the group to its own readout.  Failures are recorded on their rows
-    (every row of a group whose run fails) and do not abort the sweep.
+    n_steps runs once, from whose final state the largest point's row
+    comes.  Each shorter row is read out, checked and scored as that run
+    reaches its step, which is exactly the point's separate run (see
+    evolve_schedule), so a group holds one state at a time.  Every row
+    has the diagnostics up to its step, and its wall_ms runs from the
+    start of the group to its own readout.  Failures are recorded on
+    their rows (if the group's run fails, on every row not yet written)
+    and do not abort the sweep.
     """
     grid = sweep_grid(base, spec)
     groups: dict = {}
@@ -240,19 +238,23 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     rows: list = [None] * len(grid)
     for members in groups.values():
         top = max((grid[i] for i in members), key=lambda cfg: cfg.n_steps)
-        steps = tuple(sorted({grid[i].n_steps for i in members}))
         start = time.perf_counter()
-        try:
-            runs = dict(zip(steps, _evolve(top, steps)))
-        except Exception as exc:  # recorded per-row, sweep continues
+
+        def write(n, evolution):
             for i in members:
-                rows[i] = _error_report(grid[i], exc)
-            continue
-        for i in members:
-            try:
-                rows[i] = _report(grid[i], runs[grid[i].n_steps], start)
-            except Exception as exc:
-                rows[i] = _error_report(grid[i], exc)
+                if grid[i].n_steps == n:
+                    try:
+                        rows[i] = _report(grid[i], evolution, start)
+                    except Exception as exc:  # recorded per-row
+                        rows[i] = _error_report(grid[i], exc)
+
+        try:
+            write(top.n_steps, _evolve(top, {grid[i].n_steps for i in members}
+                                       - {top.n_steps}, write))
+        except Exception as exc:  # the group's run failed; sweep continues
+            for i in members:
+                if rows[i] is None:
+                    rows[i] = _error_report(grid[i], exc)
     return rows
 
 

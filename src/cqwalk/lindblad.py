@@ -45,21 +45,23 @@ rho0 and grows it segment by segment, so a walk from site 1 touches at
 most (3n+4)^2 entries at step n.  Up to step n such a walk never meets
 a site map beyond site n+1, so its leading 3n+3 x 3n+3 block then
 holds, bit for bit, the final state of an n-step chain, whose sector is
-the first 3n+3 states of this one; evolve_schedule can read every
-shorter run out of one longer one.
+the first 3n+3 states of this one; evolve_schedule hands each shorter
+run to its caller as soon as it reaches that step.
 
 Without collapse channels, rho = U rho0 U+ = M C M+ with C rho0's
 leading k x k block (k = 3 on site 1) and M the first k columns of U.
 evolve_schedule then applies each site's V to the rows of
 y = [M | M C] alone, in the same light cone, and forms rho = (M C) M+
-only for a readout, where its Hermiticity drift is measured before it
-is re-symmetrized; the trace error |Re vdot(M, M C) - 1| is O(dim k).
+only for a readout.  After each segment a run tracks only its trace
+error (for columns |Re vdot(M, M C) - 1|, O(dim k)).  A readout
+measures the Hermiticity drift of its rho, a copy of the state or the
+rho just formed (the state itself at the end), then re-symmetrizes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -378,41 +380,36 @@ def _site_maps(seg, dim: int, jumps) -> _SiteMaps:
 # evolution
 
 
-def _symmetrize(a: np.ndarray) -> tuple[float, float]:
-    """Re-symmetrize a in place; return its trace error and the
-    Hermiticity drift it had before."""
-    skew = a - a.conj().T
+def _symmetrize(a: np.ndarray) -> float:
+    """Re-symmetrize a in place; return its Hermiticity drift before."""
+    skew = a.conj().T
+    np.subtract(a, skew, out=skew)             # a - a+, one temporary
     drift = float(np.abs(skew).max())
     skew *= 0.5
     a -= skew                                  # (a + a+) / 2
-    return abs(float(a.trace().real) - 1.0), drift
+    return drift
 
 
-def _form(y: np.ndarray, k: int, block: np.ndarray) -> float:
-    """Write rho = (M C) M+ into block from the leading rows of
-    y = [M | M C], re-symmetrized; return its Hermiticity drift."""
-    rows = len(block)
-    block[...] = 0.0
+def _form(y: np.ndarray, k: int, rows: int, end: int) -> np.ndarray:
+    """rho = (M C) M+, end x end, from the leading rows of y = [M | M C]."""
+    rho = np.zeros((end, end), dtype=complex)
+    block = rho[:rows, :rows]
     for j in range(k):             # a fixed order, whatever the BLAS
         block += np.outer(y[:rows, k + j], y[:rows, j].conj())
-    return _symmetrize(block)[1]
+    return rho
 
 
 @dataclass
 class EvolutionResult:
-    """Final state plus accumulated diagnostics of one schedule run.
+    """A state read out of a schedule run, with its diagnostics.
 
-    snapshots holds one EvolutionResult per recorded step and times
-    each such step's end (see evolve_schedule); max_trace_error is the
-    worst trace error after any segment, NaN if any segment gave NaN.
-    max_hermiticity_drift is, for a noisy run, the worst drift after any
-    segment (NaN likewise); for a noise-free run, whose rho is formed
-    only at readout, the drift of this result's own rho as formed.
+    max_trace_error is the worst trace error after any segment up to
+    the readout, NaN if any segment gave NaN; max_hermiticity_drift is
+    the largest |rho - rho+| entry of rho as read out, before rho was
+    re-symmetrized.
     """
 
     rho: np.ndarray
-    times: np.ndarray
-    snapshots: list = field(default_factory=list)
     max_trace_error: float = 0.0
     max_hermiticity_drift: float = 0.0
 
@@ -422,8 +419,10 @@ def _compile_key(seg) -> tuple[int, int, float]:
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
-                    collapse: CollapseSet, record=()) -> EvolutionResult:
-    """Run the whole pulse program on a sector state.
+                    collapse: CollapseSet, steps=(),
+                    on_step=None) -> EvolutionResult:
+    """Run the whole pulse program on a sector state; return the final
+    state.
 
     Each distinct (H, offset, duration) is compiled once; the schedule
     shares one Hamiltonian stack per segment kind, so that is three
@@ -431,24 +430,22 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     carry one 3x3 block per site of that chain, and every segment term
     and collapse channel must fit the site layout (module docstring);
     anything else is a ValueError.
-    Without collapse channels the run propagates rho0's light-cone
-    columns instead of rho and forms rho only for the final state and
-    each snapshot (module docstring).  record is a collection of step
-    numbers.  snapshots then holds one EvolutionResult per distinct step
-    n, in increasing order: the n-step chain's own run from rho0's
-    leading 3n+3 x 3n+3 block, read off the same block after step n,
-    with the diagnostics up to step n (for a noise-free run, the drift
-    of that step's formed rho); times holds each step's end.  That is
-    exact while the state stays on sites 1..n+1 up to step n, as a
-    walker started on site 1 does; a state that leaves them is a
-    ValueError.
+    steps is a collection of step numbers, which needs on_step.  Once
+    the run reaches step n of them, on_step(n, result) gets the n-step
+    chain's own run from rho0's leading 3n+3 x 3n+3 block, read off the
+    same block after step n, in increasing order of n.  That is exact
+    while the state stays on sites 1..n+1 up to step n, as a walker
+    started on site 1 does; a state that leaves them is a ValueError.
     """
-    if isinstance(record, str):
-        raise ValueError(f"record takes step numbers, not {record!r}")
-    steps = {int(n) for n in record}
+    if isinstance(steps, str):
+        raise ValueError(f"steps takes step numbers, not {steps!r}")
+    steps = {int(n) for n in steps}
+    if steps and on_step is None:
+        raise ValueError("steps need an on_step callback")
     if not steps <= {seg.step for seg in schedule
                      if seg.label == SEG_RETRIEVE}:
         raise ValueError(f"steps {sorted(steps)} not all in the schedule")
+    rho0 = np.asarray(rho0)
     dim = len(rho0)
     jumps = _jumps(dim, collapse)
     kinds = {_compile_key(seg): seg for seg in schedule}
@@ -456,55 +453,47 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     # Only the leading size x size block can be nonzero: it starts at
     # rho0's support (a NaN counts) and grows by at most one site per
     # segment.  Everything outside it is exactly 0.
-    state = np.zeros((dim + 1, dim + 1), dtype=complex)
-    state[:dim, :dim] = rho0
-    nonzero = state != 0
+    nonzero = rho0 != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     size = int(support[-1]) + 1 if support.size else 1
-    # noise-free: propagate y = [M | M C], not rho (module docstring)
-    y, k = None, size
-    if not len(collapse):
+    if len(collapse):
+        y, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
+        state[:dim, :dim] = rho0
+    else:               # propagate y = [M | M C], not rho (module docstring)
+        k = size
         y = np.zeros((dim + 1, 2 * k), dtype=complex)
-        y[:k] = np.hstack([np.eye(k), state[:k, :k]])
+        y[:k] = np.hstack([np.eye(k), rho0[:k, :k]])
 
-    def readout(end):
-        """The leading end x end block of the state and its Hermiticity
-        drift: noisy, the worst after any segment so far; noise-free,
-        that of rho formed here."""
-        drift = (float(np.max(drifts)) if y is None     # keeps a NaN
-                 else _form(y, k, state[:size, :size]))
-        return state[:end, :end].copy(), drift
+    def readout(end, final=False):
+        """rho's leading end x end block, re-symmetrized after its drift
+        is taken.  A step readout never touches the state; the final one
+        works on it in place and copies only then, so no copy is alive
+        beside the temporaries of _symmetrize."""
+        if y is not None:
+            rho = _form(y, k, min(size, end), end)
+        else:
+            rho = state[:end, :end] if final else state[:end, :end].copy()
+        drift = _symmetrize(rho)
+        return EvolutionResult(np.ascontiguousarray(rho),
+                               float(max_trace_error), drift)
 
-    t = 0.0
-    times, snaps = [], []
-    trace_errors, drifts = [0.0], [0.0]
+    max_trace_error = np.float64(0.0)
     for seg in schedule:
         seg_maps = maps[_compile_key(seg)]
         if y is None:
             size = seg_maps.apply(state, size)
-            trace_error, drift = _symmetrize(state[:size, :size])
-            drifts.append(drift)
+            trace_error = abs(state[:size, :size].trace().real - 1.0)
         else:
             size = seg_maps.apply_rows(y, size)
             trace_error = abs(np.vdot(y[:size, :k], y[:size, k:]).real - 1.0)
-        t += seg.duration
-        trace_errors.append(trace_error)
+        max_trace_error = np.maximum(max_trace_error, trace_error)  # NaN stays
         if seg.label == SEG_RETRIEVE and seg.step in steps:
             end = StateSpace(seg.step).dim
             if size > end:
                 raise ValueError(f"the state after step {seg.step} reaches"
                                  f" beyond site {seg.step + 1}")
-            rho, drift = readout(end)
-            times.append(t)
-            snaps.append(EvolutionResult(
-                rho, np.zeros(0),
-                max_trace_error=float(np.max(trace_errors)),
-                max_hermiticity_drift=drift))
-    rho, drift = readout(dim)
-    return EvolutionResult(rho=rho, times=np.asarray(times),
-                           snapshots=snaps,
-                           max_trace_error=float(np.max(trace_errors)),
-                           max_hermiticity_drift=drift)
+            on_step(seg.step, readout(end))
+    return readout(dim, final=True)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,10 @@ def test_sweep_cross_axis(capsys):
     ["sweep", "--axis", "n_steps", "--values", "1.5,2.9"],
     ["sweep", "--axis", "scale", "--values", "1", "--cross-axis", "n_steps",
      "--cross-values", "2.5"],
+    ["sweep", "--axis", "g", "--values", "nan:5"],     # non-finite ranges
+    ["sweep", "--axis", "g", "--values", "1:inf"],
+    ["sweep", "--axis", "g", "--values", "1:5:nan"],
+    ["sweep", "--axis", "g", "--values", "0:1e300:1e-300"],  # count overflows
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

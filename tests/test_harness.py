@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from conftest import zero_noise_config
 
 import cqwalk
-from cqwalk import harness, lindblad
+from cqwalk import config, harness, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -182,9 +183,9 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(rho0, schedule, collapse, record=()):
+    def counting(rho0, schedule, collapse, steps=(), on_step=None):
         calls.append(len(schedule) // 3)
-        return evolve_schedule(rho0, schedule, collapse, record=record)
+        return evolve_schedule(rho0, schedule, collapse, steps, on_step)
 
     monkeypatch.setattr(harness, "evolve_schedule", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
@@ -234,6 +235,46 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
             run_experiment(replace(cfg, n_steps=row.n_steps))
         assert row.error == f"IntegrationError: {alone.value}"
         assert math.isnan(row.s)
+
+
+def test_group_failure_keeps_rows_already_written(monkeypatch):
+    # rows scored before the group's run fails keep their results; only
+    # the rows not yet written become error rows
+    def failing_at_the_end(rho0, schedule, collapse, steps, on_step):
+        evolve_schedule(rho0, schedule, collapse, steps, on_step)
+        raise IntegrationError("failed after the last step readout")
+
+    monkeypatch.setattr(harness, "evolve_schedule", failing_at_the_end)
+    rows = run_sweep(ExperimentConfig(),
+                     SweepSpec(axis="n_steps", values=(3, 1, 2)))
+    assert [r.error for r in rows] == [
+        "IntegrationError: failed after the last step readout", None, None]
+    monkeypatch.undo()
+    for row in rows[1:]:
+        assert row.s == run_experiment(ExperimentConfig(n_steps=row.n_steps)).s
+
+
+def test_long_noisy_run_keeps_hermiticity():
+    # diagnostics are taken only at readouts, and rho is re-symmetrized
+    # only there: hundreds of segments must not build up drift
+    rep = run_experiment(ExperimentConfig(n_steps=160))
+    assert rep.max_hermiticity_drift < 1e-14
+    assert rep.trace_error < 1e-12
+
+
+def test_sweep_group_holds_one_state_at_a_time():
+    # a group scores each step's readout before it propagates further,
+    # so an n_steps 1..40 sweep stays within the memory bound that
+    # validate_config assumes for one N=40 run
+    spec = SweepSpec(axis="n_steps", values=tuple(range(1, 41)))
+    tracemalloc.start()
+    try:
+        rows = run_sweep(ExperimentConfig(), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in rows)
+    assert peak < config._STATE_COPIES * 16 * (3 * 40 + 4) ** 2
 
 
 def test_validate_truncation_zero_noise_exact():

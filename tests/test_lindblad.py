@@ -26,6 +26,15 @@ def _random_density(rng, dim):
     return rho / np.trace(rho)
 
 
+def _run_with_readouts(rho0, schedule, collapse, steps):
+    """evolve_schedule's final result and its step readouts, as the
+    (n, result) pairs on_step got, in call order."""
+    readouts = []
+    res = evolve_schedule(rho0, schedule, collapse, steps,
+                          lambda n, r: readouts.append((n, r)))
+    return res, readouts
+
+
 def _random_density_on(rng, dim, support):
     """Random mixed state with support only on the given basis states."""
     rho = np.zeros((dim, dim), dtype=complex)
@@ -212,8 +221,9 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     # which holds the whole site-1 state; a random state spreads over
     # the whole chain, so only step n
     steps = range(1, n + 1) if start == "site 1" else [n]
-    by_n = evolve_schedule(rho0, schedule, empty, record=steps)
-    for m, snap in zip(steps, by_n.snapshots):
+    _, readouts = _run_with_readouts(rho0, schedule, empty, steps)
+    assert [m for m, _ in readouts] == list(steps)
+    for m, snap in readouts:
         sub = StateSpace(m)
         oracle = dense_expm_evolve(
             rho0[:sub.dim, :sub.dim],
@@ -392,10 +402,10 @@ def test_trace_and_hermiticity_tracked():
 
 
 def test_snapshots_are_sector_states():
-    # each step snapshot is, bit for bit, the leading block of the final
+    # each step readout is, bit for bit, the leading block of the final
     # state of the matching prefix of the schedule, which is zero outside
     # that block, with the prefix's diagnostics; the last one is the
-    # unrecorded run.  With zero rates the states are formed from
+    # run without readouts.  With zero rates the states are formed from
     # propagated columns
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
@@ -404,11 +414,12 @@ def test_snapshots_are_sector_states():
     for rates in (ZERO_RATES, DISTINCT_RATES):
         collapse = build_collapse_set(space, rates)
         final = evolve_schedule(rho0, schedule, collapse).rho
-        by_step = evolve_schedule(rho0, schedule, collapse,
-                                  record=(1, 2, 3))
+        by_step, readouts = _run_with_readouts(rho0, schedule, collapse,
+                                               (1, 2, 3))
         assert np.array_equal(by_step.rho, final)
-        assert np.array_equal(by_step.snapshots[-1].rho, final)
-        for n, snap in zip((1, 2, 3), by_step.snapshots):
+        assert np.array_equal(readouts[-1][1].rho, final)
+        assert [n for n, _ in readouts] == [1, 2, 3]
+        for n, snap in readouts:
             prefix = Schedule(schedule.segments[:3 * n])
             alone = evolve_schedule(rho0, prefix, collapse)
             end = StateSpace(n).dim
@@ -418,8 +429,6 @@ def test_snapshots_are_sector_states():
             assert not outside.any()
             assert snap.max_trace_error == alone.max_trace_error
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-            assert by_step.times[n - 1] == sum(seg.duration
-                                               for seg in prefix)
             if n == 1:
                 assert np.max(np.abs(alone.rho - dense_expm_evolve(
                     rho0, prefix, collapse))) <= 1e-12, rates
@@ -432,30 +441,25 @@ def test_step_readout_is_each_shorter_run():
     # with and without decoherence
     block = _random_density(np.random.default_rng(5), 3)
 
-    def run(n, rates, record=()):
+    def run(n, rates, steps=()):
         space = StateSpace(n)
         schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
         site_1 = [space.vacuum_index, space.qutrit_index(1, E),
                   space.qutrit_index(1, F)]
         rho0 = np.zeros((space.dim, space.dim), dtype=complex)
         rho0[np.ix_(site_1, site_1)] = block
-        return evolve_schedule(rho0, schedule,
-                               build_collapse_set(space, rates),
-                               record=record), schedule
+        return _run_with_readouts(rho0, schedule,
+                                  build_collapse_set(space, rates), steps)
 
     for rates in (ZERO_RATES, DISTINCT_RATES):
-        (long, schedule) = run(8, rates, record=[8, 5, 2, 5])
-        assert len(long.snapshots) == 3
-        assert np.array_equal(long.times, [sum(seg.duration for seg in
-                                               schedule.segments[:3 * n])
-                                           for n in (2, 5, 8)])
-        for n, snap in zip((2, 5, 8), long.snapshots):
+        long, readouts = run(8, rates, steps=[8, 5, 2, 5])
+        assert [n for n, _ in readouts] == [2, 5, 8]
+        for n, snap in readouts:
             alone, _ = run(n, rates)
             assert np.array_equal(snap.rho, alone.rho)
-            assert len(snap.times) == 0 and snap.snapshots == []
             assert snap.max_trace_error == alone.max_trace_error
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-        assert np.array_equal(long.rho, long.snapshots[-1].rho)
+        assert np.array_equal(long.rho, readouts[-1][1].rho)
 
 
 def test_step_readout_refusals():
@@ -465,29 +469,32 @@ def test_step_readout_refusals():
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 1.0
     with pytest.raises(ValueError, match="not all in the schedule"):
-        evolve_schedule(rho0, schedule, collapse, record=(4,))
+        _run_with_readouts(rho0, schedule, collapse, (4,))
     # a walker started on site 2 may be on site 3 after one step, which
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
-        evolve_schedule(rho0, schedule, collapse, record=(1, 3))
+        _run_with_readouts(rho0, schedule, collapse, (1, 3))
 
 
 def test_record_modes():
-    # record takes step numbers only; by default nothing is recorded
+    # steps takes step numbers only, each read out through on_step; by
+    # default nothing is read out
     space = StateSpace(2)
     schedule = build_schedule(REF)
     collapse = build_collapse_set(space, DecoherenceRates.t0())
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 1.0
-    plain = evolve_schedule(rho0, schedule, collapse)
-    assert plain.snapshots == [] and len(plain.times) == 0
-    by_step = evolve_schedule(rho0, schedule, collapse, record=range(1, 3))
-    assert len(by_step.snapshots) == 2
-    assert by_step.times[-1] == pytest.approx(sum(seg.duration
-                                                  for seg in schedule))
+    plain = evolve_schedule(rho0, schedule, collapse,
+                            on_step=pytest.fail)
+    by_step, readouts = _run_with_readouts(rho0, schedule, collapse,
+                                           range(1, 3))
+    assert [n for n, _ in readouts] == [1, 2]
+    assert np.array_equal(by_step.rho, plain.rho)
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
-            evolve_schedule(rho0, schedule, collapse, record=mode)
+            _run_with_readouts(rho0, schedule, collapse, mode)
+    with pytest.raises(ValueError, match="on_step"):
+        evolve_schedule(rho0, schedule, collapse, steps=(1,))
 
 
 @settings(max_examples=10, deadline=None)
