@@ -12,8 +12,8 @@ from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       emit_report, initial_density_matrix, run_experiment,
                       run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
-from .lindblad import (CollapseSet, DecoherenceRates, EvolutionResult,
-                       IntegrationError, build_collapse_set, evolve_schedule)
+from .lindblad import (DecoherenceRates, EvolutionResult, IntegrationError,
+                       evolve_schedule)
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
 from .protocol import Schedule, Segment, build_schedule
@@ -22,11 +22,11 @@ from .statespace import DeviceParams, StateSpace
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinState", "CollapseSet", "ConfigError", "DecoherenceRates",
-    "DeviceParams", "Distribution", "EvolutionResult", "ExperimentConfig",
+    "CoinState", "ConfigError", "DecoherenceRates", "DeviceParams",
+    "Distribution", "EvolutionResult", "ExperimentConfig",
     "IntegrationError", "Report", "Schedule", "Segment", "StateSpace",
-    "SweepSpec", "build_collapse_set", "build_schedule", "coin_matrix",
-    "coin_preset", "emit_distribution", "emit_plot_script", "emit_report",
+    "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
+    "emit_distribution", "emit_plot_script", "emit_report",
     "evolve_schedule", "extract_distribution", "initial_density_matrix",
     "load_config", "run_experiment", "run_ideal", "run_sweep", "similarity",
     "similarity_report",

@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, validate_config
 from .idealwalk import CoinState, run_ideal
-from .lindblad import (EvolutionResult, IntegrationError, build_collapse_set,
-                       density_matrix_checks, evolve_schedule)
+from .lindblad import (EvolutionResult, IntegrationError, evolve_schedule,
+                       min_eigenvalue)
 from .metrics import extract_distribution, similarity_report
 from .protocol import build_schedule
 from .statespace import E, F, StateSpace
@@ -93,9 +93,8 @@ def _evolve(cfg: ExperimentConfig, steps=(), on_step=None) -> EvolutionResult:
     cfg with n_steps = n for each n in steps (see evolve_schedule)."""
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
-    collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    return evolve_schedule(rho0, schedule, collapse, steps, on_step)
+    return evolve_schedule(rho0, schedule, cfg.rates(), steps, on_step)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
@@ -126,7 +125,7 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
     if evolution.max_trace_error > TRACE_ERROR_BOUND:
         raise IntegrationError(f"trace error {evolution.max_trace_error:.3g}"
                                f" above {TRACE_ERROR_BOUND:g}")
-    checks = density_matrix_checks(evolution.rho)
+    min_eig = min_eigenvalue(evolution.rho)
     p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
     sim = similarity_report(dist.p, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
@@ -141,7 +140,7 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
         p_me=dist.p,
         p_id=p_id,
         max_hermiticity_drift=evolution.max_hermiticity_drift,
-        min_eigenvalue=checks["min_eigenvalue"],
+        min_eigenvalue=min_eig,
     )
 
 

@@ -4,14 +4,15 @@ The density matrix evolves under
 
     drho/dt = -i [H, rho] + sum_k ( L_k rho L_k+ - 1/2 {L_k+ L_k, rho} )
 
-with piecewise-constant H given by the schedule segments.  Collapse
-operators cover cavity photon loss, the three qutrit relaxation
-channels e->g, f->e, f->g, and pure dephasing of the e and f levels
-(L = sqrt(gamma_phi) |l><l|, so the bare coherences to the ground state
-decay at gamma_phi / 2).  In the single-excitation sector every one of
-them is one basis transition sqrt(gamma) |a><b|, so a CollapseSet holds
-each as its (target a, source b, rate gamma) triple, found by index; no
-dim x dim matrix is formed.
+with piecewise-constant H given by the schedule segments.  Every site
+has the same six collapse channels (DecoherenceRates): cavity photon
+loss, the three qutrit relaxation channels e->g, f->e, f->g, and pure
+dephasing of the e and f levels (L = sqrt(gamma_phi) |l><l|, so the
+bare coherences to the ground state decay at gamma_phi / 2).  In the
+single-excitation sector each is one basis transition sqrt(gamma)
+|a><b| that stays in its site or ends in the vacuum, so the rates are
+written straight into each site's data; no channel list or dim x dim
+matrix is formed.
 
 Each segment is propagated exactly; the map is compiled once per
 distinct (H, offset, duration) of a schedule.  The sector basis is
@@ -21,13 +22,15 @@ would be.  A segment's H comes in site form (protocol.Segment), one 3x3
 block per site of its layout: coin (e_j<->f_j) and store (e_j<->c_j)
 act within the triplets (offset 1); retrieve (c_{j-1}<->e_j) acts within
 the same array shifted by one slot (offset 0), on (c_{j-1}, e_j, f_j),
-with the vacuum in place of c_0.  Every collapse channel's target lies
-in the triplet of its source or is the vacuum.  The generator splits as
--i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma / 2,
-Gamma = sum_k gamma_k |b_k><b_k|, and J(rho) = sum_k gamma_k rho_bb
-|a_k><a_k|.  H_eff is block diagonal on the sites and J writes only
-diagonal entries, so every entry outside the sites' diagonal blocks
-evolves as V rho V+ with V = expm(-i t H_eff), one 3x3 map per site.
+with the vacuum in place of c_0, which has no decay.  The generator
+splits as -i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma
+/ 2, Gamma = sum_k gamma_k |b_k><b_k|, and J(rho) = sum_k gamma_k
+rho_bb |a_k><a_k|.  Per site that is a total decay of each slot, an
+inflow within the site (f->e and the two dephasing channels) and a sink
+into the vacuum (e->g, f->g and photon loss).  H_eff is block diagonal
+on the sites and J writes only diagonal entries, so every entry outside
+the sites' diagonal blocks evolves as V rho V+ with V = expm(-i t
+H_eff), one 3x3 map per site.
 Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
@@ -35,8 +38,7 @@ these sums.  Compiling a segment exponentiates these few-by-few
 generators of every site as one numpy stack.  Each map is applied as a
 batched matmul on reshaped views of rho.  A Hamiltonian stack of
 another chain than the state's, an offset other than 0 or 1, a term on
-the vacuum or on the empty slot, a collapse channel that does not fit
-the layout or the state's dimension, or a state whose dimension is not
+the vacuum or on the empty slot, or a state whose dimension is not
 3N+3, is a ValueError.
 
 Since the walker moves at most one site per retrieve, only a leading
@@ -48,7 +50,7 @@ holds, bit for bit, the final state of an n-step chain, whose sector is
 the first 3n+3 states of this one; evolve_schedule hands each shorter
 run to its caller as soon as it reaches that step.
 
-Without collapse channels, rho = U rho0 U+ = M C M+ with C rho0's
+When every rate is 0, rho = U rho0 U+ = M C M+ with C rho0's
 leading k x k block (k = 3 on site 1) and M the first k columns of U.
 evolve_schedule then applies each site's V to the rows of
 y = [M | M C] alone, in the same light cone, and forms rho = (M C) M+
@@ -67,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .protocol import SEG_RETRIEVE, Schedule
-from .statespace import E, F, G, StateSpace
+from .statespace import StateSpace
 
 
 class IntegrationError(RuntimeError):
@@ -113,10 +115,6 @@ class DecoherenceRates:
         }
 
     @classmethod
-    def zero(cls) -> "DecoherenceRates":
-        return cls()
-
-    @classmethod
     def from_lifetimes_us(cls, t_cavity: float = math.inf,
                           t_ge: float = math.inf, t_ef: float = math.inf,
                           t_gf: float = math.inf, t_phi_e: float = math.inf,
@@ -127,76 +125,12 @@ class DecoherenceRates:
                    gamma_ef=inv(t_ef), gamma_gf=inv(t_gf),
                    gamma_phi_e=inv(t_phi_e), gamma_phi_f=inv(t_phi_f))
 
-    @classmethod
-    def t0(cls, scale: float = 1.0) -> "DecoherenceRates":
-        """Baseline device: 10 us loss/relaxation, 5 us dephasing.
-
-        scale multiplies every lifetime, so scale=5 is a five-fold
-        better device and scale=0.2 a five-fold worse one.
-        """
-        return cls.from_lifetimes_us(
-            t_cavity=10.0, t_ge=10.0, t_ef=10.0, t_gf=10.0,
-            t_phi_e=5.0, t_phi_f=5.0).scaled(scale)
-
     def scaled(self, lifetime_factor: float) -> "DecoherenceRates":
         """New rates with every lifetime multiplied by lifetime_factor."""
         if lifetime_factor <= 0:
             raise ValueError("lifetime factor must be positive")
         return DecoherenceRates(
             **{k: v / lifetime_factor for k, v in self.as_dict().items()})
-
-
-@dataclass(frozen=True)
-class CollapseSet:
-    """Collapse channels of the sector as (target, source, rate) triples.
-
-    channels[k] = (a, b, gamma) is the operator sqrt(gamma) |a><b| of
-    the sector basis, labels[k] its name.
-    """
-
-    channels: tuple[tuple[int, int, float], ...]
-    labels: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.channels)
-
-
-# (label prefix, DecoherenceRates field, to level, from level) per qutrit
-_QUTRIT_CHANNELS = (
-    ("relax_ge", "gamma_ge", G, E),
-    ("relax_ef", "gamma_ef", E, F),
-    ("relax_gf", "gamma_gf", G, F),
-    ("dephase_e", "gamma_phi_e", E, E),
-    ("dephase_f", "gamma_phi_f", F, F),
-)
-
-
-def build_collapse_set(space: StateSpace, rates: DecoherenceRates) -> CollapseSet:
-    """All collapse channels of the chain; zero-rate channels dropped.
-
-    Five channels per qutrit plus one per cavity, so a chain with q
-    qutrits and c cavities has 5q + c channels when every rate is
-    nonzero.  Each is one transition |a><b| of the sector basis, found
-    by index arithmetic (|g>_j<l| on qutrit j in l leaves the vacuum).
-    """
-    channels, labels = [], []
-
-    def index(j, level):
-        return space.vacuum_index if level == G else space.qutrit_index(j, level)
-
-    for j in range(1, space.n_qutrits + 1):
-        for name, field_name, to_level, from_level in _QUTRIT_CHANNELS:
-            rate = getattr(rates, field_name)
-            if rate > 0.0:
-                channels.append((index(j, to_level), index(j, from_level),
-                                 rate))
-                labels.append(f"{name}_q{j}")
-    if rates.kappa > 0.0:
-        for j in range(1, space.n_cavities + 1):
-            channels.append((space.vacuum_index, space.cavity_index(j),
-                             rates.kappa))
-            labels.append(f"loss_c{j}")
-    return CollapseSet(tuple(channels), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +173,6 @@ def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
         exp_a = exp_a @ exp_a
     exps = {key: e[:key[0], :key[0]] for key, e in zip(distinct, exp_a)}
     return [exps[key] for key in keys]
-
-
-def _jumps(dim: int, collapse: CollapseSet):
-    """The collapse channels as (target, source, rate) arrays, checked
-    against a sector of dimension dim.
-
-    A dim other than 3N+3 with N >= 1, or a channel outside the sector,
-    is a ValueError.
-    """
-    if dim % 3 or dim < 6:
-        raise ValueError(f"a state of dimension {dim} is no single-excitation"
-                         " sector (3N+3, N >= 1)")
-    table = np.array(collapse.channels, dtype=float).reshape(-1, 3)
-    if np.any((table[:, :2] < 0) | (table[:, :2] >= dim)):
-        raise ValueError(f"a collapse channel lies outside the sector of"
-                         f" dimension {dim}")
-    return table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2]
 
 
 def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
@@ -315,14 +232,15 @@ class _SiteMaps:
         return end
 
 
-def _site_maps(seg, dim: int, jumps) -> _SiteMaps:
+def _site_maps(seg, dim: int, rates: DecoherenceRates) -> _SiteMaps:
     """Compile one segment of a sector of dimension dim into per-site maps.
 
     seg.hamiltonian must hold one 3x3 block per site of the sector, at
     offset 0 or 1 (protocol.Segment), with no term on the slot outside
     the sector: the vacuum at offset 0 (it has no dynamics) and the empty
-    slot c_{N+1} at offset 1.  Every jump must leave a site for the
-    vacuum or stay in it.  Anything else is a ValueError.
+    slot c_{N+1} at offset 1.  Anything else is a ValueError.  Each site
+    decays by the six rates, by level slot: (e, f, c) at offset 1 and
+    (c_{j-1}, e, f) at offset 0; the slot outside the sector has none.
     """
     h, offset, duration = seg.hamiltonian, seg.offset, seg.duration
     sites = (dim + 1) // 3
@@ -332,30 +250,31 @@ def _site_maps(seg, dim: int, jumps) -> _SiteMaps:
     if offset not in (0, 1):
         raise ValueError(f"a segment offset of {offset!r} fits no site"
                          " layout")
-    edge, slot = (0, 0) if offset == 0 else (-1, 2)
-    if np.any(h[edge, slot]) or np.any(h[edge, :, slot]):
+    edge, c = (0, 0) if offset == 0 else (-1, 2)
+    if np.any(h[edge, c]) or np.any(h[edge, :, c]):
         raise ValueError("a Hamiltonian term acts outside the sector's"
                          " sites")
-    target, source, rate = jumps
-    same_site = (target - offset) // 3 == (source - offset) // 3
-    if not (np.all(source > 0) and np.all((target == 0) | same_site)):
-        raise ValueError("a collapse channel does not fit the site layout")
-
-    h_eff = np.array(h, dtype=complex)
-    site, pos = np.divmod(source - offset, 3)
-    np.add.at(h_eff, (site, pos, pos), -0.5j * rate)
+    e, f = (1, 2) if offset == 0 else (0, 1)
+    r, noisy = rates, rates != DecoherenceRates()
+    decay = np.zeros((sites, 3))           # [j, b]: total rate out of b
     inflow = np.zeros((sites, 3, 3))       # [j, a, b]: rate of b -> a
     sink = np.zeros((sites, 3))            # [j, b]: rate of b -> vacuum
-    inner = target > 0
-    np.add.at(inflow, (site[inner], (target[inner] - offset) % 3, pos[inner]),
-              rate[inner])
-    np.add.at(sink, (site[~inner], pos[~inner]), rate[~inner])
+    decay[:, e] = r.gamma_ge + r.gamma_phi_e
+    decay[:, f] = r.gamma_ef + r.gamma_gf + r.gamma_phi_f
+    decay[:, c] = sink[:, c] = r.kappa
+    decay[edge, c] = sink[edge, c] = 0.0
+    sink[:, e], sink[:, f] = r.gamma_ge, r.gamma_gf
+    inflow[:, e, f] = r.gamma_ef
+    inflow[:, e, e], inflow[:, f, f] = r.gamma_phi_e, r.gamma_phi_f
 
-    # a duration times a rate may overflow; _expm_small then reports the
-    # non-finite generator, so numpy need not warn first
-    with np.errstate(over="ignore"):
+    # a sum of rates, or a duration times one, may overflow; _expm_small
+    # then reports the non-finite generator, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_eff = np.array(h, dtype=complex)
+        slots = np.arange(3)
+        h_eff[:, slots, slots] -= 0.5j * decay
         mats = list(-1j * duration * h_eff)
-        if rate.size:
+        if noisy:
             # diagonal block B of a site, read row-major (index 3p + q),
             # plus an accumulator for its outflow into the vacuum (index
             # 9): -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps
@@ -370,7 +289,7 @@ def _site_maps(seg, dim: int, jumps) -> _SiteMaps:
             mats += list(duration * gen)
     exps = _expm_small(mats)
     v = np.array(exps[:sites])
-    if not rate.size:
+    if not noisy:
         return _SiteMaps(offset, v, None, None)
     props = np.array(exps[sites:])
     return _SiteMaps(offset, v, props[:, :9, :9], props[:, 9, :9])
@@ -419,17 +338,18 @@ def _compile_key(seg) -> tuple[int, int, float]:
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
-                    collapse: CollapseSet, steps=(),
+                    rates: DecoherenceRates, steps=(),
                     on_step=None) -> EvolutionResult:
     """Run the whole pulse program on a sector state; return the final
     state.
 
     Each distinct (H, offset, duration) is compiled once; the schedule
     shares one Hamiltonian stack per segment kind, so that is three
-    compilations.  rho0 must have dimension 3N+3, every segment must
-    carry one 3x3 block per site of that chain, and every segment term
-    and collapse channel must fit the site layout (module docstring);
-    anything else is a ValueError.
+    compilations.  Every site of the chain decays by the six rates; the
+    run is noise-free exactly when all of them are 0.  rho0 must have
+    dimension 3N+3, and every segment must carry one 3x3 block per site
+    of that chain, with no term outside the site layout (module
+    docstring); anything else is a ValueError.
     steps is a collection of step numbers, which needs on_step.  Once
     the run reaches step n of them, on_step(n, result) gets the n-step
     chain's own run from rho0's leading 3n+3 x 3n+3 block, read off the
@@ -447,16 +367,18 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
         raise ValueError(f"steps {sorted(steps)} not all in the schedule")
     rho0 = np.asarray(rho0)
     dim = len(rho0)
-    jumps = _jumps(dim, collapse)
+    if dim % 3 or dim < 6:
+        raise ValueError(f"a state of dimension {dim} is no single-excitation"
+                         " sector (3N+3, N >= 1)")
     kinds = {_compile_key(seg): seg for seg in schedule}
-    maps = {key: _site_maps(seg, dim, jumps) for key, seg in kinds.items()}
+    maps = {key: _site_maps(seg, dim, rates) for key, seg in kinds.items()}
     # Only the leading size x size block can be nonzero: it starts at
     # rho0's support (a NaN counts) and grows by at most one site per
     # segment.  Everything outside it is exactly 0.
     nonzero = rho0 != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     size = int(support[-1]) + 1 if support.size else 1
-    if len(collapse):
+    if rates != DecoherenceRates():
         y, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
         state[:dim, :dim] = rho0
     else:               # propagate y = [M | M C], not rho (module docstring)
@@ -500,10 +422,6 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 # state checks
 
 
-def density_matrix_checks(rho: np.ndarray) -> dict[str, float]:
-    """trace_error, hermiticity, min_eigenvalue of a candidate state."""
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    tr = abs(float(np.trace(rho).real) - 1.0)
-    sym = 0.5 * (rho + rho.conj().T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return {"trace_error": tr, "hermiticity": herm, "min_eigenvalue": min_eig}
+def min_eigenvalue(rho: np.ndarray) -> float:
+    """The smallest eigenvalue of rho's Hermitian part."""
+    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])

@@ -40,19 +40,19 @@ def brute_force_walk(n, theta, coin):
     return np.abs(out[0::2]) ** 2 + np.abs(out[1::2]) ** 2
 
 
-def dense_expm_evolve(rho0, schedule, collapse):
+def dense_expm_evolve(rho0, schedule, rates):
     """Small-N oracle: dense expm(t L) of the Liouvillian per segment.
 
     No block structure and no rank-one assumption; the superoperator
     has dim^2 rows, so keep dim below ~30.
     """
-    return dense_expm_states(rho0, schedule, collapse)[-1]
+    return dense_expm_states(rho0, schedule, rates)[-1]
 
 
-def dense_expm_states(rho0, schedule, collapse):
+def dense_expm_states(rho0, schedule, rates):
     """The states of dense_expm_evolve at t=0 and after every segment."""
     dim = rho0.shape[0]
-    ops = dense_operators(collapse, dim)
+    ops = dense_operators(rates, dim)
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
     states = [vec.reshape(dim, dim)]
     props = {}
@@ -80,24 +80,48 @@ def dense_hamiltonian(seg):
     return h[:dim, :dim]
 
 
-def dense_operators(collapse, dim):
-    """The channels (target, source, rate) of a CollapseSet as dense
-    dim x dim operators sqrt(rate) |target><source|."""
+def sector_channels(rates, dim):
+    """(label, target, source, rate) of every open collapse channel of the
+    sector of dimension dim = 3N+3, each the transition sqrt(rate)
+    |target><source|, found by the index arithmetic of the statespace
+    docstring (vacuum 0, e_j 3j - 2, f_j 3j - 1, c_j 3j).  Labels and
+    order are those of fullspace.collapse_operators."""
+    n = dim // 3 - 1
+    channels = []
+    for j in range(1, n + 2):
+        e, f = 3 * j - 2, 3 * j - 1
+        for name, rate, target, source in (
+                ("relax_ge", rates.gamma_ge, 0, e),
+                ("relax_ef", rates.gamma_ef, e, f),
+                ("relax_gf", rates.gamma_gf, 0, f),
+                ("dephase_e", rates.gamma_phi_e, e, e),
+                ("dephase_f", rates.gamma_phi_f, f, f)):
+            if rate > 0.0:
+                channels.append((f"{name}_q{j}", target, source, rate))
+    if rates.kappa > 0.0:
+        for j in range(1, n + 1):
+            channels.append((f"loss_c{j}", 0, 3 * j, rates.kappa))
+    return channels
+
+
+def dense_operators(rates, dim):
+    """The sector_channels of rates as dense dim x dim operators
+    sqrt(rate) |target><source|."""
     ops = []
-    for target, source, rate in collapse.channels:
+    for _, target, source, rate in sector_channels(rates, dim):
         op = np.zeros((dim, dim), dtype=complex)
         op[target, source] = math.sqrt(rate)
         ops.append(op)
     return ops
 
 
-def lindblad_apply(rho, h, collapse):
+def lindblad_apply(rho, h, rates):
     """Right-hand side of the master equation, applied densely.
 
     Reference for the sparse Liouvillian of fullspace; O(dim^3) per call.
     """
     out = -1j * (h @ rho - rho @ h)
-    for op in dense_operators(collapse, h.shape[0]):
+    for op in dense_operators(rates, h.shape[0]):
         opd = op.conj().T
         anti = opd @ op
         out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)

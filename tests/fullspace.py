@@ -165,7 +165,7 @@ _QUTRIT_CHANNELS = (
 
 def collapse_operators(full: FullSpace, rates) -> list:
     """(label, sqrt(rate) L) of every open channel, labelled and ordered
-    as cqwalk's build_collapse_set."""
+    as conftest.sector_channels."""
     ops = []
     for j in range(1, full.n_qutrits + 1):
         for name, field_name, to_level, from_level in _QUTRIT_CHANNELS:

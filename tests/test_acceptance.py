@@ -26,7 +26,7 @@ from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
 from cqwalk import ExperimentConfig, SweepSpec, run_experiment, run_sweep
 from cqwalk.harness import Report, initial_density_matrix
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.lindblad import build_collapse_set, evolve_schedule
+from cqwalk.lindblad import evolve_schedule
 from cqwalk.protocol import build_schedule
 
 COINS = ("zero", "one", "plus-i")
@@ -178,10 +178,9 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     cfg = ExperimentConfig(n_steps=5)
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
-    collapse = build_collapse_set(space, cfg.rates())
     rho0 = initial_density_matrix(space, cfg.coin())
-    rho_block = evolve_schedule(rho0, schedule, collapse).rho
-    rho_dense = dense_expm_evolve(rho0, schedule, collapse)
+    rho_block = evolve_schedule(rho0, schedule, cfg.rates()).rho
+    rho_dense = dense_expm_evolve(rho0, schedule, cfg.rates())
     backend_dev = float(np.max(np.abs(rho_block - rho_dense)))
     ok = (worst_trace <= 1e-8 and worst_herm <= 1e-10
           and backend_dev <= 1e-7)

@@ -176,16 +176,19 @@ def test_numerical_failure_exits_2(capsys):
 
 
 def test_generator_overflow_is_one_line_failure(capsys):
-    # pulse duration times rate overflows while the generator is scaled;
-    # the run must fail with its one message and no numpy warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["run", "--n-steps", "1", "--omega-over-2pi-mhz",
-                     "1e-300", "--t1-ge-us", "1e-10"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("cqwalk: numerical failure:")
-    assert err.count("\n") == 1
+    # pulse duration times rate overflows while the generator is scaled,
+    # or the sum of the three f rates overflows before it; the run must
+    # fail with its one message and no numpy warning
+    for argv in (["--omega-over-2pi-mhz", "1e-300", "--t1-ge-us", "1e-10"],
+                 ["--t1-ef-us", "1e-308", "--t1-gf-us", "1e-308",
+                  "--tphi-f-us", "1e-308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--n-steps", "1", *argv])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("cqwalk: numerical failure:"), argv
+        assert err.count("\n") == 1, argv
 
 
 _FLOAT_FLAGS = ("--g-over-2pi-mhz", "--omega-over-2pi-mhz",

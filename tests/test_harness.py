@@ -183,9 +183,9 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(rho0, schedule, collapse, steps=(), on_step=None):
+    def counting(rho0, schedule, rates, steps=(), on_step=None):
         calls.append(len(schedule) // 3)
-        return evolve_schedule(rho0, schedule, collapse, steps, on_step)
+        return evolve_schedule(rho0, schedule, rates, steps, on_step)
 
     monkeypatch.setattr(harness, "evolve_schedule", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
@@ -240,8 +240,8 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
 def test_group_failure_keeps_rows_already_written(monkeypatch):
     # rows scored before the group's run fails keep their results; only
     # the rows not yet written become error rows
-    def failing_at_the_end(rho0, schedule, collapse, steps, on_step):
-        evolve_schedule(rho0, schedule, collapse, steps, on_step)
+    def failing_at_the_end(rho0, schedule, rates, steps, on_step):
+        evolve_schedule(rho0, schedule, rates, steps, on_step)
         raise IntegrationError("failed after the last step readout")
 
     monkeypatch.setattr(harness, "evolve_schedule", failing_at_the_end)

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cqwalk.lindblad import (CollapseSet, DecoherenceRates, IntegrationError,
-                             _expm_small, build_collapse_set,
-                             density_matrix_checks, evolve_schedule)
+from cqwalk import ExperimentConfig
+from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
+                             evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Schedule, Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
@@ -26,11 +26,11 @@ def _random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-def _run_with_readouts(rho0, schedule, collapse, steps):
+def _run_with_readouts(rho0, schedule, rates, steps):
     """evolve_schedule's final result and its step readouts, as the
     (n, result) pairs on_step got, in call order."""
     readouts = []
-    res = evolve_schedule(rho0, schedule, collapse, steps,
+    res = evolve_schedule(rho0, schedule, rates, steps,
                           lambda n, r: readouts.append((n, r)))
     return res, readouts
 
@@ -47,11 +47,13 @@ def _random_density_on(rng, dim, support):
 DISTINCT_RATES = DecoherenceRates(kappa=0.9, gamma_ge=1.3, gamma_ef=1.7,
                                   gamma_gf=2.3, gamma_phi_e=3.1,
                                   gamma_phi_f=3.7)
-ZERO_RATES = DecoherenceRates.zero()
+ZERO_RATES = DecoherenceRates()
+# the default device: 10 us loss and relaxation, 5 us dephasing
+T0_RATES = ExperimentConfig().rates()
 
 
 def test_t0_preset_rates():
-    r = DecoherenceRates.t0()
+    r = T0_RATES
     assert r.kappa == pytest.approx(0.1)
     assert r.gamma_ge == pytest.approx(0.1)
     assert r.gamma_ef == pytest.approx(0.1)
@@ -61,41 +63,15 @@ def test_t0_preset_rates():
 
 
 def test_rate_scaling_divides_rates():
-    r = DecoherenceRates.t0(scale=5.0)
+    r = ExperimentConfig(scale=5.0).rates()
     assert r.kappa == pytest.approx(0.02)
     assert r.gamma_phi_e == pytest.approx(0.04)
     with pytest.raises(ValueError):
-        DecoherenceRates.t0().scaled(0.0)
+        T0_RATES.scaled(0.0)
     with pytest.raises(ValueError):
         DecoherenceRates(kappa=-1.0)
     with pytest.raises(ValueError):
         DecoherenceRates(kappa=math.nan)
-
-
-def test_collapse_set_counts():
-    space = StateSpace(1)
-    full = build_collapse_set(space, DecoherenceRates.t0())
-    # five channels per qutrit, one per cavity: 5*2 + 1
-    assert len(full) == 11
-    none = build_collapse_set(space, DecoherenceRates.zero())
-    assert len(none) == 0
-    only_kappa = build_collapse_set(space, DecoherenceRates(kappa=0.3))
-    assert len(only_kappa) == 1
-    assert only_kappa.labels == ("loss_c1",)
-    assert only_kappa.channels == ((0, space.cavity_index(1), 0.3),)
-
-
-def test_collapse_set_of_long_chain_is_small():
-    # 485 one-entry channels at N=80; dense 243x243 operators would take
-    # about 460 MB
-    tracemalloc.start()
-    try:
-        collapse = build_collapse_set(StateSpace(80), DecoherenceRates.t0())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(collapse) == 5 * 81 + 80
-    assert peak < 1_000_000
 
 
 def test_schedule_of_long_chain_is_small():
@@ -114,12 +90,11 @@ def test_schedule_of_long_chain_is_small():
 def test_liouvillian_matches_direct_application():
     rng = np.random.default_rng(3)
     space = StateSpace(1)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
     h = rng.normal(size=(space.dim, space.dim))
     h = h + h.T
     rho = _random_density(rng, space.dim)
-    direct = lindblad_apply(rho, h, collapse)
-    liou = fullspace.liouvillian_matrix(h, dense_operators(collapse,
+    direct = lindblad_apply(rho, h, T0_RATES)
+    liou = fullspace.liouvillian_matrix(h, dense_operators(T0_RATES,
                                                            space.dim))
     via_super = (liou @ rho.reshape(-1)).reshape(space.dim, space.dim)
     assert np.allclose(direct, via_super, atol=1e-12)
@@ -130,11 +105,10 @@ def test_noisy_run_matches_dense_oracle():
     space = StateSpace(2)
     params = DeviceParams.from_mhz(2, 50.0, 100.0)
     schedule = build_schedule(params)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
     rng = np.random.default_rng(5)
     rho0 = _random_density(rng, space.dim)
-    out = evolve_schedule(rho0, schedule, collapse).rho
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    out = evolve_schedule(rho0, schedule, T0_RATES).rho
+    oracle = dense_expm_evolve(rho0, schedule, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
@@ -143,10 +117,9 @@ def test_noise_free_run_is_unitary_conjugation():
     space = StateSpace(1)
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     schedule = build_schedule(params)
-    empty = CollapseSet((), ())
     rng = np.random.default_rng(11)
     rho0 = _random_density(rng, space.dim)
-    out = evolve_schedule(rho0, schedule, empty).rho
+    out = evolve_schedule(rho0, schedule, ZERO_RATES).rho
     want = rho0
     for seg in schedule:
         u = expm(-1j * seg.duration * dense_hamiltonian(seg))
@@ -164,26 +137,34 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     space = StateSpace(n)
     schedule = build_schedule(
         DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
-    collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
-    assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
+    rates = ExperimentConfig(scale=scale).rates()
     rho0 = _random_density(np.random.default_rng(seed), space.dim)
-    out = evolve_schedule(rho0, schedule, collapse).rho
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    out = evolve_schedule(rho0, schedule, rates).rho
+    oracle = dense_expm_evolve(rho0, schedule, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_light_cone_matches_dense_oracle(n):
+# each channel alone at its own rate: a rate put on the wrong slot of a
+# site (e, f and c sit at other slots at offsets 0 and 1), on the vacuum
+# or on the missing c_{N+1} shows here
+_ONE_CHANNEL = [pytest.param(n, DecoherenceRates(**{name: rate}),
+                             id=f"{name}-{n}")
+                for name, rate in DISTINCT_RATES.as_dict().items()
+                for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, rates",
+                         [pytest.param(n, DISTINCT_RATES, id=str(n))
+                          for n in range(1, 6)] + _ONE_CHANNEL)
+def test_light_cone_matches_dense_oracle(n, rates):
     # the walker starts on site 1, with coherences to the vacuum
     space = StateSpace(n)
     schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    collapse = build_collapse_set(space, DISTINCT_RATES)
-    assert len(collapse) == 5 * space.n_qutrits + space.n_cavities
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
     rho0 = _random_density_on(np.random.default_rng(n), space.dim, site_1)
-    res = evolve_schedule(rho0, schedule, collapse)
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    res = evolve_schedule(rho0, schedule, rates)
+    oracle = dense_expm_evolve(rho0, schedule, rates)
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
     assert res.max_trace_error < 1e-12
 
@@ -199,36 +180,35 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     space = StateSpace(n)
     params = DeviceParams.from_mhz(n, 50.0, 100.0)
     schedule = build_schedule(params)
-    empty = build_collapse_set(space, ZERO_RATES)
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
     rng = np.random.default_rng(n)
     rho0 = (_random_density_on(rng, space.dim, site_1) if start == "site 1"
             else _random_density(rng, space.dim))
-    want = dense_expm_states(rho0, schedule, empty)
+    want = dense_expm_states(rho0, schedule, ZERO_RATES)
 
     def close(got, oracle):
         return np.max(np.abs(got - oracle)) <= 1e-12
 
-    res = evolve_schedule(rho0, schedule, empty)
+    res = evolve_schedule(rho0, schedule, ZERO_RATES)
     assert close(res.rho, want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
     for i, oracle in enumerate(want):
         prefix = Schedule(schedule.segments[:i])
-        assert close(evolve_schedule(rho0, prefix, empty).rho, oracle), i
+        assert close(evolve_schedule(rho0, prefix, ZERO_RATES).rho, oracle), i
     # step numbers: the m-step chain's own run from rho0's leading block,
     # which holds the whole site-1 state; a random state spreads over
     # the whole chain, so only step n
     steps = range(1, n + 1) if start == "site 1" else [n]
-    _, readouts = _run_with_readouts(rho0, schedule, empty, steps)
+    _, readouts = _run_with_readouts(rho0, schedule, ZERO_RATES, steps)
     assert [m for m, _ in readouts] == list(steps)
     for m, snap in readouts:
         sub = StateSpace(m)
         oracle = dense_expm_evolve(
             rho0[:sub.dim, :sub.dim],
             build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)),
-            build_collapse_set(sub, ZERO_RATES))
+            ZERO_RATES)
         assert close(snap.rho, oracle)
         assert snap.max_trace_error < 1e-12
         assert snap.max_hermiticity_drift < 1e-12
@@ -240,15 +220,14 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     # block (the whole chain for the last sites) and must stay exact
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    collapse = build_collapse_set(space, DISTINCT_RATES)
     if where == "site 2":
         support = [space.qutrit_index(2, E), space.qutrit_index(2, F)]
     else:
         support = [space.vacuum_index, space.qutrit_index(4, E),
                    space.qutrit_index(4, F), space.cavity_index(3)]
     rho0 = _random_density_on(np.random.default_rng(9), space.dim, support)
-    res = evolve_schedule(rho0, schedule, collapse)
-    oracle = dense_expm_evolve(rho0, schedule, collapse)
+    res = evolve_schedule(rho0, schedule, DISTINCT_RATES)
+    oracle = dense_expm_evolve(rho0, schedule, DISTINCT_RATES)
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
 
 
@@ -256,7 +235,6 @@ def test_hamiltonian_outside_the_sites_is_refused():
     # a term on the vacuum of an offset-0 stack, on the missing c_2 of an
     # offset-1 stack, or a stack at an offset that fits no site layout
     space = StateSpace(1)
-    collapse = build_collapse_set(space, DISTINCT_RATES)
     rho0 = _random_density(np.random.default_rng(2), space.dim)
     vacuum, beyond = (np.zeros((2, 3, 3), dtype=complex) for _ in range(2))
     vacuum[0, 0, 1] = vacuum[0, 1, 0] = 300.0          # vacuum <-> e_1
@@ -267,18 +245,7 @@ def test_hamiltonian_outside_the_sites_is_refused():
                              (store.hamiltonian, 2, "fits no site layout")):
         schedule = Schedule((Segment("store", 1, h, offset, 4e-3),))
         with pytest.raises(ValueError, match=match):
-            evolve_schedule(rho0, schedule, collapse)
-
-
-def test_collapse_channel_between_sites_is_refused():
-    # |e_2><e_1| ends neither in the vacuum nor in its source's triplet
-    space = StateSpace(1)
-    schedule = build_schedule(REF_1)
-    hop = CollapseSet(((space.qutrit_index(2, E), space.qutrit_index(1, E),
-                        0.5),), ("hop",))
-    rho0 = _random_density(np.random.default_rng(3), space.dim)
-    with pytest.raises(ValueError, match="site layout"):
-        evolve_schedule(rho0, schedule, hop)
+            evolve_schedule(rho0, schedule, DISTINCT_RATES)
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -290,10 +257,9 @@ def test_vacuum_stays_put(rates):
     schedule = build_schedule(REF)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.vacuum_index, space.vacuum_index] = 1.0
-    collapse = build_collapse_set(space, rates)
     for i in range(len(schedule) + 1):
         res = evolve_schedule(rho0, Schedule(schedule.segments[:i]),
-                              collapse)
+                              rates)
         assert np.array_equal(res.rho, rho0), i
         assert res.max_trace_error == 0.0
         assert res.max_hermiticity_drift == 0.0
@@ -305,17 +271,7 @@ def test_schedule_of_another_chain_is_refused():
     rho0[1, 1] = 1.0
     schedule = build_schedule(REF)
     with pytest.raises(ValueError, match="sector of dimension 6"):
-        evolve_schedule(rho0, schedule, CollapseSet((), ()))
-
-
-def test_collapse_set_of_another_chain_is_refused():
-    # an N=2 collapse set holds channels on slots an N=1 state lacks
-    space = StateSpace(1)
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[1, 1] = 1.0
-    collapse = build_collapse_set(StateSpace(2), DISTINCT_RATES)
-    with pytest.raises(ValueError, match="sector of dimension 6"):
-        evolve_schedule(rho0, build_schedule(REF_1), collapse)
+        evolve_schedule(rho0, schedule, ZERO_RATES)
 
 
 @pytest.mark.parametrize("dim", [3, 7, 8])
@@ -324,7 +280,7 @@ def test_state_outside_the_sector_is_refused(dim):
     h = np.zeros(((dim + 1) // 3, 3, 3), dtype=complex)
     schedule = Schedule((Segment("coin", 1, h, 1, 1e-3),))
     with pytest.raises(ValueError, match="single-excitation sector"):
-        evolve_schedule(np.eye(dim) / dim, schedule, CollapseSet((), ()))
+        evolve_schedule(np.eye(dim) / dim, schedule, ZERO_RATES)
 
 
 def test_small_exponentials_reject_non_finite_input():
@@ -354,7 +310,7 @@ def test_fullspace_oracle_matches_dense_expm():
     full = fullspace.FullSpace(1)
     schedule = fullspace.build_schedule(full, REF_1)
     ops = [op for _, op in fullspace.collapse_operators(
-        full, DecoherenceRates.t0())]
+        full, T0_RATES)]
     rho0 = _random_density(np.random.default_rng(4), full.dim)
     rho, trace_error, _ = fullspace.evolve(rho0, schedule, ops)
     vec = rho0.reshape(-1)
@@ -368,11 +324,10 @@ def test_fullspace_oracle_matches_dense_expm():
 def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
     store = build_schedule(REF_1).segments[1]
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[1, 1] = 1.0
-    res = evolve_schedule(rho0, Schedule((store,)), collapse)
+    res = evolve_schedule(rho0, Schedule((store,)), T0_RATES)
     assert res.max_trace_error < 1e-14
     assert res.max_hermiticity_drift < 1e-14
 
@@ -381,7 +336,7 @@ def test_diagnostics_keep_nan():
     space = StateSpace(1)
     schedule = build_schedule(REF_1)
     rho0 = np.full((space.dim, space.dim), np.nan, dtype=complex)
-    res = evolve_schedule(rho0, schedule, CollapseSet((), ()))
+    res = evolve_schedule(rho0, schedule, ZERO_RATES)
     assert math.isnan(res.max_trace_error)
     assert math.isnan(res.max_hermiticity_drift)
 
@@ -389,16 +344,15 @@ def test_diagnostics_keep_nan():
 def test_trace_and_hermiticity_tracked():
     space = StateSpace(2)
     schedule = build_schedule(REF)
-    collapse = build_collapse_set(space, DecoherenceRates.t0(0.2))
     rng = np.random.default_rng(7)
     rho0 = _random_density(rng, space.dim)
-    res = evolve_schedule(rho0, schedule, collapse)
+    res = evolve_schedule(rho0, schedule,
+                          ExperimentConfig(scale=0.2).rates())
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
-    checks = density_matrix_checks(res.rho)
-    assert checks["trace_error"] < 1e-10
-    assert checks["hermiticity"] == 0.0
-    assert checks["min_eigenvalue"] > -1e-12
+    assert abs(np.trace(res.rho).real - 1.0) < 1e-10
+    assert np.max(np.abs(res.rho - res.rho.conj().T)) == 0.0
+    assert min_eigenvalue(res.rho) > -1e-12
 
 
 def test_snapshots_are_sector_states():
@@ -412,16 +366,15 @@ def test_snapshots_are_sector_states():
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
     rho0 = _random_density_on(np.random.default_rng(6), space.dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
-        collapse = build_collapse_set(space, rates)
-        final = evolve_schedule(rho0, schedule, collapse).rho
-        by_step, readouts = _run_with_readouts(rho0, schedule, collapse,
+        final = evolve_schedule(rho0, schedule, rates).rho
+        by_step, readouts = _run_with_readouts(rho0, schedule, rates,
                                                (1, 2, 3))
         assert np.array_equal(by_step.rho, final)
         assert np.array_equal(readouts[-1][1].rho, final)
         assert [n for n, _ in readouts] == [1, 2, 3]
         for n, snap in readouts:
             prefix = Schedule(schedule.segments[:3 * n])
-            alone = evolve_schedule(rho0, prefix, collapse)
+            alone = evolve_schedule(rho0, prefix, rates)
             end = StateSpace(n).dim
             assert np.array_equal(snap.rho, alone.rho[:end, :end])
             outside = alone.rho.copy()
@@ -431,7 +384,7 @@ def test_snapshots_are_sector_states():
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
             if n == 1:
                 assert np.max(np.abs(alone.rho - dense_expm_evolve(
-                    rho0, prefix, collapse))) <= 1e-12, rates
+                    rho0, prefix, rates))) <= 1e-12, rates
 
 
 def test_step_readout_is_each_shorter_run():
@@ -449,7 +402,7 @@ def test_step_readout_is_each_shorter_run():
         rho0 = np.zeros((space.dim, space.dim), dtype=complex)
         rho0[np.ix_(site_1, site_1)] = block
         return _run_with_readouts(rho0, schedule,
-                                  build_collapse_set(space, rates), steps)
+                                  rates, steps)
 
     for rates in (ZERO_RATES, DISTINCT_RATES):
         long, readouts = run(8, rates, steps=[8, 5, 2, 5])
@@ -465,15 +418,14 @@ def test_step_readout_is_each_shorter_run():
 def test_step_readout_refusals():
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    collapse = build_collapse_set(space, DISTINCT_RATES)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 1.0
     with pytest.raises(ValueError, match="not all in the schedule"):
-        _run_with_readouts(rho0, schedule, collapse, (4,))
+        _run_with_readouts(rho0, schedule, DISTINCT_RATES, (4,))
     # a walker started on site 2 may be on site 3 after one step, which
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
-        _run_with_readouts(rho0, schedule, collapse, (1, 3))
+        _run_with_readouts(rho0, schedule, DISTINCT_RATES, (1, 3))
 
 
 def test_record_modes():
@@ -481,31 +433,30 @@ def test_record_modes():
     # default nothing is read out
     space = StateSpace(2)
     schedule = build_schedule(REF)
-    collapse = build_collapse_set(space, DecoherenceRates.t0())
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 1.0
-    plain = evolve_schedule(rho0, schedule, collapse,
+    plain = evolve_schedule(rho0, schedule, T0_RATES,
                             on_step=pytest.fail)
-    by_step, readouts = _run_with_readouts(rho0, schedule, collapse,
+    by_step, readouts = _run_with_readouts(rho0, schedule, T0_RATES,
                                            range(1, 3))
     assert [n for n, _ in readouts] == [1, 2]
     assert np.array_equal(by_step.rho, plain.rho)
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
-            _run_with_readouts(rho0, schedule, collapse, mode)
+            _run_with_readouts(rho0, schedule, T0_RATES, mode)
     with pytest.raises(ValueError, match="on_step"):
-        evolve_schedule(rho0, schedule, collapse, steps=(1,))
+        evolve_schedule(rho0, schedule, T0_RATES, steps=(1,))
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.2, 5.0))
 def test_evolution_preserves_trace_property(seed, scale):
     space = StateSpace(1)
-    collapse = build_collapse_set(space, DecoherenceRates.t0(scale))
+    rates = ExperimentConfig(scale=scale).rates()
     rng = np.random.default_rng(seed)
     rho0 = _random_density(rng, space.dim)
     coin = build_schedule(REF_1).segments[0]
     longer = Segment("coin", 1, coin.hamiltonian, coin.offset, 2e-3)
-    res = evolve_schedule(rho0, Schedule((longer,)), collapse)
+    res = evolve_schedule(rho0, Schedule((longer,)), rates)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)

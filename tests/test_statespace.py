@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_operators
+from conftest import dense_operators, sector_channels
 from fullspace import (FullSpace, collapse_operators, embedding_matrix,
                        sector_states)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqwalk.lindblad import DecoherenceRates, build_collapse_set
+from cqwalk.lindblad import DecoherenceRates
 from cqwalk.statespace import E, F, G, DeviceParams, StateSpace
 
 
@@ -91,8 +91,9 @@ def test_transition_is_adjoint_of_reverse():
 
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_truncated_operators_are_full_space_compressions(cutoff):
-    # Each index-built channel sqrt(rate) |target><source| must equal
-    # V^T L V, where L is the full-space channel with the same label.
+    # Each channel sqrt(rate) |target><source| of the dense oracle, built
+    # by index, must equal V^T L V, where L is the full-space channel with
+    # the same label.
     # Distinct rates tell channels apart.
     rates = DecoherenceRates(kappa=0.11, gamma_ge=0.13, gamma_ef=0.17,
                              gamma_gf=0.19, gamma_phi_e=0.23,
@@ -100,12 +101,13 @@ def test_truncated_operators_are_full_space_compressions(cutoff):
     trunc = StateSpace(2)
     full = FullSpace(2, fock_cutoff=cutoff)
     v = embedding_matrix(trunc, full)
-    t_set = build_collapse_set(trunc, rates)
+    channels = sector_channels(rates, trunc.dim)
     full_ops = collapse_operators(full, rates)
-    assert t_set.labels == tuple(label for label, _ in full_ops)
-    assert len(t_set) == 5 * 3 + 2
+    assert ([label for label, *_ in channels]
+            == [label for label, _ in full_ops])
+    assert len(channels) == 5 * 3 + 2
     for (_, op), sector_op in zip(full_ops,
-                                  dense_operators(t_set, trunc.dim)):
+                                  dense_operators(rates, trunc.dim)):
         assert np.array_equal(v.T @ op @ v, sector_op)
 
 
