@@ -39,7 +39,8 @@ REPORT_COLUMNS = (
     "residual_cavity", "trace_error", "wall_ms",
 )
 
-# Worst per-segment trace error a reported run may have (criterion 7).
+# Worst trace error, taken after every applied map (a step's coin and
+# store are one map), that a reported run may have (criterion 7).
 TRACE_ERROR_BOUND = 1e-8
 
 

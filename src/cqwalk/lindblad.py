@@ -35,15 +35,19 @@ Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
 these sums.  Compiling a segment exponentiates these few-by-few
-generators of every site as one numpy stack.  Each map is applied as a
-batched matmul on reshaped views of rho.  A Hamiltonian stack of
+generators of every site as one numpy stack.  Consecutive segments on
+one layout with no step readout between them compose into one exact map
+of the same per-site form, made once per distinct run of them before
+the propagation starts, so a walk step applies two maps: coin then
+store, and retrieve.  Each map is applied as a batched matmul on
+reshaped views of rho.  A Hamiltonian stack of
 another chain than the state's, an offset other than 0 or 1, a term on
 the vacuum or on the empty slot, or a state whose dimension is not
 3N+3, is a ValueError.
 
 Since the walker moves at most one site per retrieve, only a leading
 block of rho is nonzero: evolve_schedule reads that block's size off
-rho0 and grows it segment by segment, so a walk from site 1 touches at
+rho0 and grows it map by map, so a walk from site 1 touches at
 most (3n+4)^2 entries at step n.  Up to step n such a walk never meets
 a site map beyond site n+1, so its leading 3n+3 x 3n+3 block then
 holds, bit for bit, the final state of an n-step chain, whose sector is
@@ -54,16 +58,17 @@ When every rate is 0, rho = U rho0 U+ = M C M+ with C rho0's
 leading k x k block (k = 3 on site 1) and M the first k columns of U.
 evolve_schedule then applies each site's V to the rows of
 y = [M | M C] alone, in the same light cone, and forms rho = (M C) M+
-only for a readout.  After each segment a run tracks only its trace
-error (for columns |Re vdot(M, M C) - 1|, O(dim k)).  A readout
+only for a readout.  After each applied map a run tracks only its
+trace error (for columns |Re vdot(M, M C) - 1|, O(dim k)).  A readout
 measures the Hermiticity drift of its rho, a copy of the state or the
 rho just formed (the state itself at the end), then re-symmetrizes it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -185,19 +190,38 @@ def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SiteMaps:
-    """Exact map of one segment in the site layout (module docstring).
+    """Exact map of one segment, or of consecutive segments on one site
+    layout, in that layout (module docstring).
 
     Site j (0-based) covers slots offset + 3j .. offset + 3j + 2; slot 0
-    is the vacuum either way.  v[j] is expm(-i t H_eff) on site j,
-    blocks[j] maps its diagonal block, read row-major, and sink[j] gives
-    that block's outflow into the vacuum.  blocks and sink are None when
-    nothing decays.
+    is the vacuum either way.  v[j] is expm(-i t H_eff) on site j (v_conj
+    its conjugate), blocks[j] maps its diagonal block, read row-major,
+    and sink[j] gives that block's outflow into the vacuum.  blocks and
+    sink are None when nothing decays.
     """
 
     offset: int
     v: np.ndarray
     blocks: np.ndarray | None
     sink: np.ndarray | None
+    v_conj: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "v_conj", self.v.conj())
+
+    def then(self, later: "_SiteMaps") -> "_SiteMaps":
+        """This map followed by later, on the same layout, as one map.
+
+        Per site, V = V_later V_this; the diagonal block and its vacuum
+        accumulator evolve by [[B, 0], [s, 1]], so B = B_later B_this and
+        s = s_this + s_later B_this.  Exact, since the vacuum itself has
+        no dynamics (at offset 0 it is an inert slot of site 0).
+        """
+        v = later.v @ self.v
+        if self.blocks is None:
+            return _SiteMaps(self.offset, v, None, None)
+        return _SiteMaps(self.offset, v, later.blocks @ self.blocks,
+                         self.sink + (later.sink[:, None] @ self.blocks)[:, 0])
 
     def _sites(self, size: int) -> int:
         """Sites reached when only the leading size slots are nonzero."""
@@ -208,7 +232,7 @@ class _SiteMaps:
         size rows of y are nonzero; return that count afterwards."""
         sites = self._sites(size)
         end = self.offset + 3 * sites
-        v = self.v[:sites].conj() if conj else self.v[:sites]
+        v = (self.v_conj if conj else self.v)[:sites]
         rows = y[self.offset:end]
         rows[...] = np.matmul(v, rows.reshape(sites, 3, y.shape[1])
                               ).reshape(rows.shape)
@@ -299,9 +323,17 @@ def _site_maps(seg, dim: int, rates: DecoherenceRates) -> _SiteMaps:
 # evolution
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """a+ as a new C-ordered array: one transposed copy, conjugated in
+    place, so that every pass over it after that is contiguous."""
+    h = a.T.copy()
+    np.conjugate(h, out=h)
+    return h
+
+
 def _symmetrize(a: np.ndarray) -> float:
     """Re-symmetrize a in place; return its Hermiticity drift before."""
-    skew = a.conj().T
+    skew = _adjoint(a)
     np.subtract(a, skew, out=skew)             # a - a+, one temporary
     drift = float(np.abs(skew).max())
     skew *= 0.5
@@ -312,9 +344,9 @@ def _symmetrize(a: np.ndarray) -> float:
 def _form(y: np.ndarray, k: int, rows: int, end: int) -> np.ndarray:
     """rho = (M C) M+, end x end, from the leading rows of y = [M | M C]."""
     rho = np.zeros((end, end), dtype=complex)
-    block = rho[:rows, :rows]
-    for j in range(k):             # a fixed order, whatever the BLAS
-        block += np.outer(y[:rows, k + j], y[:rows, j].conj())
+    # einsum's own loop, no BLAS: a fixed order, whatever the BLAS
+    np.einsum("ij,kj->ik", y[:rows, k:], y[:rows, :k].conj(),
+              out=rho[:rows, :rows])
     return rho
 
 
@@ -322,10 +354,10 @@ def _form(y: np.ndarray, k: int, rows: int, end: int) -> np.ndarray:
 class EvolutionResult:
     """A state read out of a schedule run, with its diagnostics.
 
-    max_trace_error is the worst trace error after any segment up to
-    the readout, NaN if any segment gave NaN; max_hermiticity_drift is
-    the largest |rho - rho+| entry of rho as read out, before rho was
-    re-symmetrized.
+    max_trace_error is the worst of the trace errors taken after every
+    applied map (a step's coin and store are one map) up to the readout,
+    NaN if any map gave NaN; max_hermiticity_drift is the largest
+    |rho - rho+| entry of rho as read out, before rho was re-symmetrized.
     """
 
     rho: np.ndarray
@@ -333,8 +365,32 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
-def _compile_key(seg) -> tuple[int, int, float]:
-    return id(seg.hamiltonian), seg.offset, seg.duration
+def _program(schedule: Schedule, dim: int, rates: DecoherenceRates,
+             steps: set[int]) -> list[tuple[_SiteMaps, int | None]]:
+    """The schedule as the maps to apply, each with the step read out
+    after it (None for none).
+
+    Consecutive segments on one layout with no readout between them
+    form one map.  Each distinct (H, offset, duration) is compiled once,
+    and each distinct run of them composed once.
+    """
+    maps = {}                   # by segment key, then by run of keys
+    runs = []                   # [segment keys, step read out after them]
+    for seg in schedule:
+        key = id(seg.hamiltonian), seg.offset, seg.duration
+        if key not in maps:
+            maps[key] = _site_maps(seg, dim, rates)
+        if runs and runs[-1][1] is None and runs[-1][0][-1][1] == seg.offset:
+            runs[-1][0] += (key,)
+        else:
+            runs.append([(key,), None])
+        if seg.label == SEG_RETRIEVE and seg.step in steps:
+            runs[-1][1] = seg.step
+    for keys, _ in runs:
+        if keys not in maps:
+            maps[keys] = functools.reduce(_SiteMaps.then,
+                                          [maps[key] for key in keys])
+    return [(maps[keys], step) for keys, step in runs]
 
 
 def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
@@ -343,9 +399,12 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     """Run the whole pulse program on a sector state; return the final
     state.
 
-    Each distinct (H, offset, duration) is compiled once; the schedule
-    shares one Hamiltonian stack per segment kind, so that is three
-    compilations.  Every site of the chain decays by the six rates; the
+    Each distinct (H, offset, duration) is compiled once, and
+    consecutive segments on one site layout with no step readout between
+    them are applied as one composed map.  The schedule shares one
+    Hamiltonian stack per segment kind, so that is three compilations
+    and one composition, and a step applies two maps: coin then store,
+    and retrieve.  Every site of the chain decays by the six rates; the
     run is noise-free exactly when all of them are 0.  rho0 must have
     dimension 3N+3, and every segment must carry one 3x3 block per site
     of that chain, with no term outside the site layout (module
@@ -370,11 +429,10 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     if dim % 3 or dim < 6:
         raise ValueError(f"a state of dimension {dim} is no single-excitation"
                          " sector (3N+3, N >= 1)")
-    kinds = {_compile_key(seg): seg for seg in schedule}
-    maps = {key: _site_maps(seg, dim, rates) for key, seg in kinds.items()}
+    program = _program(schedule, dim, rates, steps)
     # Only the leading size x size block can be nonzero: it starts at
     # rho0's support (a NaN counts) and grows by at most one site per
-    # segment.  Everything outside it is exactly 0.
+    # map.  Everything outside it is exactly 0.
     nonzero = rho0 != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     size = int(support[-1]) + 1 if support.size else 1
@@ -400,21 +458,20 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
                                float(max_trace_error), drift)
 
     max_trace_error = np.float64(0.0)
-    for seg in schedule:
-        seg_maps = maps[_compile_key(seg)]
+    for site_maps, step in program:
         if y is None:
-            size = seg_maps.apply(state, size)
+            size = site_maps.apply(state, size)
             trace_error = abs(state[:size, :size].trace().real - 1.0)
         else:
-            size = seg_maps.apply_rows(y, size)
+            size = site_maps.apply_rows(y, size)
             trace_error = abs(np.vdot(y[:size, :k], y[:size, k:]).real - 1.0)
         max_trace_error = np.maximum(max_trace_error, trace_error)  # NaN stays
-        if seg.label == SEG_RETRIEVE and seg.step in steps:
-            end = StateSpace(seg.step).dim
+        if step is not None:
+            end = StateSpace(step).dim
             if size > end:
-                raise ValueError(f"the state after step {seg.step} reaches"
-                                 f" beyond site {seg.step + 1}")
-            on_step(seg.step, readout(end))
+                raise ValueError(f"the state after step {step} reaches"
+                                 f" beyond site {step + 1}")
+            on_step(step, readout(end))
     return readout(dim, final=True)
 
 
@@ -424,4 +481,7 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 
 def min_eigenvalue(rho: np.ndarray) -> float:
     """The smallest eigenvalue of rho's Hermitian part."""
-    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    h = _adjoint(rho)
+    h += rho
+    h *= 0.5                 # the bits of 0.5 * (rho + rho.conj().T)
+    return float(np.linalg.eigvalsh(h)[0])

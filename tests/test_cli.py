@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqwalk
 from cqwalk.cli import main
 from cqwalk.harness import REPORT_COLUMNS
 
@@ -228,3 +233,25 @@ def test_io_failure_exits_3(capsys):
                  "--output", "/nonexistent-dir/report.csv"])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [[], ZERO_NOISE],
+                         ids=["noisy", "noise-free"])
+def test_report_does_not_depend_on_blas_threads(noise):
+    # identical configs give identical rows, whatever the BLAS thread
+    # count: every field but wall_ms is equal at one and two threads
+    src = str(Path(cqwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    rows = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqwalk.cli", "run", "--n-steps", "6",
+             "--format", "json", *noise],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)
+        del row["wall_ms"]
+        rows.append(row)
+    assert rows[0] == rows[1]

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
+                             _form, _site_maps, _SiteMaps, _symmetrize,
                              evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Schedule, Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
@@ -231,6 +232,91 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_composed_map_is_the_maps_in_sequence(n, rates):
+    # coin then store (offset 1, with the empty c_{N+1} slot) and two
+    # retrieves (offset 0, with the vacuum as site 0's inert slot), each
+    # composed into one map, against the two maps applied one after the
+    # other to a random state on the whole sector, the last site and the
+    # vacuum sink included; noise-free also to random columns
+    space = StateSpace(n)
+    coin, store, retrieve = build_schedule(
+        DeviceParams.from_mhz(n, 50.0, 100.0)).segments[:3]
+    rng = np.random.default_rng(n)
+    for first, second in ((coin, store), (retrieve, retrieve)):
+        a, b = (_site_maps(seg, space.dim, rates) for seg in (first, second))
+        both = a.then(b)
+        assert both.offset == first.offset
+        assert (both.blocks is None) == (rates == ZERO_RATES)
+        rho = np.zeros((space.dim + 1, space.dim + 1), dtype=complex)
+        rho[:-1, :-1] = _random_density(rng, space.dim)
+        want, got = rho.copy(), rho.copy()
+        a.apply(want, space.dim + 1)
+        b.apply(want, space.dim + 1)
+        assert both.apply(got, space.dim + 1) == space.dim + first.offset
+        assert np.max(np.abs(got - want)) <= 1e-14
+        if rates == ZERO_RATES:
+            shape = (space.dim + 1, 4)
+            y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            y[-1] = 0.0
+            want, got = y.copy(), y.copy()
+            a.apply_rows(want, space.dim + 1)
+            b.apply_rows(want, space.dim + 1)
+            both.apply_rows(got, space.dim + 1)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("rates, method", [(ZERO_RATES, "apply_rows"),
+                                           (DISTINCT_RATES, "apply")],
+                         ids=["zero rates", "distinct rates"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
+    # coin and store are one composed map, made once per run; retrieve
+    # is the other, with or without step readouts
+    applied, composed = [], []
+    original, then = getattr(_SiteMaps, method), _SiteMaps.then
+
+    def counted(self, *args, **kwargs):
+        applied.append(self.offset)
+        return original(self, *args, **kwargs)
+
+    def counted_then(self, later):
+        composed.append(self.offset)
+        return then(self, later)
+
+    monkeypatch.setattr(_SiteMaps, method, counted)
+    monkeypatch.setattr(_SiteMaps, "then", counted_then)
+    space = StateSpace(n)
+    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
+    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
+    rho0[space.qutrit_index(1, E), space.qutrit_index(1, E)] = 1.0
+    for steps in ((), range(1, n + 1)):
+        applied.clear()
+        composed.clear()
+        _run_with_readouts(rho0, schedule, rates, steps)
+        assert applied == [1, 0] * n
+        assert composed == [1]
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_prefix_ending_after_a_coin_matches_dense_oracle(rates):
+    # a prefix that stops between coin and store applies the coin map
+    # alone, at the last step and after it
+    n = 3
+    space = StateSpace(n)
+    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
+    rho0 = _random_density(np.random.default_rng(8), space.dim)
+    for m in range(n):
+        prefix = Schedule(schedule.segments[:3 * m + 1])
+        res = evolve_schedule(rho0, prefix, rates)
+        oracle = dense_expm_evolve(rho0, prefix, rates)
+        assert np.max(np.abs(res.rho - oracle)) <= 1e-12, m
+        assert res.max_trace_error < 1e-12
+
+
 def test_hamiltonian_outside_the_sites_is_refused():
     # a term on the vacuum of an offset-0 stack, on the missing c_2 of an
     # offset-1 stack, or a stack at an offset that fits no site layout
@@ -353,6 +439,50 @@ def test_trace_and_hermiticity_tracked():
     assert abs(np.trace(res.rho).real - 1.0) < 1e-10
     assert np.max(np.abs(res.rho - res.rho.conj().T)) == 0.0
     assert min_eigenvalue(res.rho) > -1e-12
+
+
+@pytest.mark.parametrize("dim", [31, 244, 964])
+def test_min_eigenvalue_takes_the_hermitian_part(monkeypatch, dim):
+    # the Hermitian part eigvalsh gets is, bit for bit, 0.5 (rho + rho+)
+    rng = np.random.default_rng(dim)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda h: seen.append(h.copy()) or np.zeros(1))
+    min_eigenvalue(rho)
+    want = 0.5 * (rho + rho.conj().T)
+    assert seen[0].tobytes() == want.tobytes()
+
+
+def test_form_is_the_sum_of_outer_products():
+    # (M C) M+ in one einsum against the column-by-column sum, which
+    # adds in another order: equal to a few ulps of the largest term
+    rng = np.random.default_rng(4)
+    k, rows, end = 3, 40, 46
+    shape = (end + 1, 2 * k)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = np.zeros((end, end), dtype=complex)
+    for j in range(k):
+        want[:rows, :rows] += np.outer(y[:rows, k + j], y[:rows, j].conj())
+    got = _form(y, k, rows, end)
+    assert not got[rows:].any() and not got[:, rows:].any()
+    scale = k * np.abs(y).max() ** 2
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symmetrize_is_the_strided_form(order):
+    # drift and result, bit for bit, as a - (a - a+) / 2 taken on the
+    # strided adjoint; an F-ordered input is no special case
+    rng = np.random.default_rng(3)
+    rho = rng.normal(size=(244, 244)) + 1j * rng.normal(size=(244, 244))
+    a = np.array(rho, order=order)
+    skew = rho - rho.conj().T
+    assert _symmetrize(a) == np.abs(skew).max()
+    assert a.tobytes(order="C") == (rho - 0.5 * skew).tobytes()
+    f = np.asfortranarray(rho)
+    min_eigenvalue(f)
+    assert f.tobytes(order="C") == rho.tobytes()       # left untouched
 
 
 def test_snapshots_are_sector_states():
