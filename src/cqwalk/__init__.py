@@ -9,8 +9,7 @@ scored against the exact walk by the squared Bhattacharyya overlap.
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
-                      emit_report, initial_density_matrix, run_experiment,
-                      run_sweep)
+                      emit_report, initial_state, run_experiment, run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
 from .lindblad import (DecoherenceRates, EvolutionResult, IntegrationError,
                        evolve_schedule)
@@ -27,7 +26,7 @@ __all__ = [
     "IntegrationError", "Report", "Schedule", "Segment", "StateSpace",
     "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
-    "evolve_schedule", "extract_distribution", "initial_density_matrix",
+    "evolve_schedule", "extract_distribution", "initial_state",
     "load_config", "run_experiment", "run_ideal", "run_sweep", "similarity",
     "similarity_report",
 ]

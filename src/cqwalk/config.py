@@ -29,11 +29,11 @@ from .protocol import segment_durations
 from .statespace import DeviceParams, StateSpace
 
 # Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run or
-# sweep group of largest n_steps N: rho0, the state, one readout and the
-# kernel's and checks' temporaries (the segment Hamiltonians are 3x3
-# stacks; a group scores each readout before it goes on).  A noisy N=320
-# run peaks at about 3.7, an n_steps 1..160 sweep at 5.5; the bound
-# allows twelve.
+# sweep group of largest n_steps N: the state, one readout and the
+# kernel's and checks' temporaries (the initial state is a vector and the
+# segment Hamiltonians are 3x3 stacks; a group scores each readout
+# before it goes on).  Under tracemalloc a noisy N=320 run peaks at
+# about 2.6, an n_steps 1..160 sweep at 3.8; the bound allows twelve.
 _STATE_COPIES = 12
 
 

@@ -74,12 +74,12 @@ class Report:
                 self.residual_cavity, self.trace_error, self.wall_ms]
 
 
-def initial_density_matrix(space: StateSpace, coin: CoinState) -> np.ndarray:
-    """Walker on qutrit 1 with coin (c0 -> f, c1 -> e), rest in vacuum."""
+def initial_state(space: StateSpace, coin: CoinState) -> np.ndarray:
+    """psi0: the walker on qutrit 1 with coin (c0 -> f, c1 -> e)."""
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.qutrit_index(1, F)] = coin.c0
     psi[space.qutrit_index(1, E)] = coin.c1
-    return np.outer(psi, psi.conj())
+    return psi
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -94,8 +94,8 @@ def _evolve(cfg: ExperimentConfig, steps=(), on_step=None) -> EvolutionResult:
     cfg with n_steps = n for each n in steps (see evolve_schedule)."""
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
-    rho0 = initial_density_matrix(space, cfg.coin())
-    return evolve_schedule(rho0, schedule, cfg.rates(), steps, on_step)
+    psi0 = initial_state(space, cfg.coin())
+    return evolve_schedule(psi0, schedule, cfg.rates(), steps, on_step)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:

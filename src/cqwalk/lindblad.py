@@ -42,26 +42,27 @@ the propagation starts, so a walk step applies two maps: coin then
 store, and retrieve.  Each map is applied as a batched matmul on
 reshaped views of rho.  A Hamiltonian stack of
 another chain than the state's, an offset other than 0 or 1, a term on
-the vacuum or on the empty slot, or a state whose dimension is not
-3N+3, is a ValueError.
+the vacuum or on the empty slot, or a state that is not a vector of
+length 3N+3, is a ValueError.
 
-Since the walker moves at most one site per retrieve, only a leading
-block of rho is nonzero: evolve_schedule reads that block's size off
-rho0 and grows it map by map, so a walk from site 1 touches at
-most (3n+4)^2 entries at step n.  Up to step n such a walk never meets
-a site map beyond site n+1, so its leading 3n+3 x 3n+3 block then
-holds, bit for bit, the final state of an n-step chain, whose sector is
-the first 3n+3 states of this one; evolve_schedule hands each shorter
-run to its caller as soon as it reaches that step.
+The walker starts as a state vector psi0.  Since it moves at most one
+site per retrieve, only a leading block of rho is nonzero:
+evolve_schedule reads that block's size off psi0 and grows it map by
+map, so a walk from site 1 touches at most (3n+4)^2 entries at step n.
+Up to step n such a walk never meets a site map beyond site n+1, so its
+leading 3n+3 x 3n+3 block then holds, bit for bit, the final state of
+an n-step chain, whose sector is the first 3n+3 states of this one;
+evolve_schedule hands each shorter run to its caller as soon as it
+reaches that step.
 
-When every rate is 0, rho = U rho0 U+ = M C M+ with C rho0's
-leading k x k block (k = 3 on site 1) and M the first k columns of U.
-evolve_schedule then applies each site's V to the rows of
-y = [M | M C] alone, in the same light cone, and forms rho = (M C) M+
-only for a readout.  After each applied map a run tracks only its
-trace error (for columns |Re vdot(M, M C) - 1|, O(dim k)).  A readout
-measures the Hermiticity drift of its rho, a copy of the state or the
-rho just formed (the state itself at the end), then re-symmetrizes it.
+When every rate is 0, rho = psi psi+ with psi = U psi0: evolve_schedule
+then applies each site's V to the single column psi, in the same light
+cone, and forms psi psi+ only for a readout; otherwise it writes
+psi0 psi0+ into the light-cone block of rho.  After each applied map a
+run tracks only its trace error (|Re vdot(psi, psi) - 1| for psi).  A
+readout measures the Hermiticity drift of its rho, a copy of the state
+or the rho just formed (the state itself at the end), then
+re-symmetrizes it.
 """
 
 from __future__ import annotations
@@ -341,23 +342,23 @@ def _symmetrize(a: np.ndarray) -> float:
     return drift
 
 
-def _form(y: np.ndarray, k: int, rows: int, end: int) -> np.ndarray:
-    """rho = (M C) M+, end x end, from the leading rows of y = [M | M C]."""
+def _outer(psi: np.ndarray, size: int, end: int) -> np.ndarray:
+    """psi psi+ as an end x end array, given that only the leading size
+    entries of psi are nonzero."""
     rho = np.zeros((end, end), dtype=complex)
-    # einsum's own loop, no BLAS: a fixed order, whatever the BLAS
-    np.einsum("ij,kj->ik", y[:rows, k:], y[:rows, :k].conj(),
-              out=rho[:rows, :rows])
+    np.multiply(psi[:size, None], psi[:size].conj(), out=rho[:size, :size])
     return rho
 
 
 @dataclass
 class EvolutionResult:
-    """A state read out of a schedule run, with its diagnostics.
+    """A density matrix read out of a schedule run, with its diagnostics.
 
     max_trace_error is the worst of the trace errors taken after every
     applied map (a step's coin and store are one map) up to the readout,
-    NaN if any map gave NaN; max_hermiticity_drift is the largest
-    |rho - rho+| entry of rho as read out, before rho was re-symmetrized.
+    of rho or, noise-free, of psi; NaN if any map gave NaN;
+    max_hermiticity_drift is the largest |rho - rho+| entry of rho as
+    read out, before rho was re-symmetrized.
     """
 
     rho: np.ndarray
@@ -393,11 +394,11 @@ def _program(schedule: Schedule, dim: int, rates: DecoherenceRates,
     return [(maps[keys], step) for keys, step in runs]
 
 
-def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
+def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
                     rates: DecoherenceRates, steps=(),
                     on_step=None) -> EvolutionResult:
-    """Run the whole pulse program on a sector state; return the final
-    state.
+    """Run the whole pulse program from the sector state vector psi0;
+    return the final density matrix.
 
     Each distinct (H, offset, duration) is compiled once, and
     consecutive segments on one site layout with no step readout between
@@ -405,14 +406,14 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     Hamiltonian stack per segment kind, so that is three compilations
     and one composition, and a step applies two maps: coin then store,
     and retrieve.  Every site of the chain decays by the six rates; the
-    run is noise-free exactly when all of them are 0.  rho0 must have
-    dimension 3N+3, and every segment must carry one 3x3 block per site
-    of that chain, with no term outside the site layout (module
+    run is noise-free exactly when all of them are 0.  psi0 must be a
+    vector of length 3N+3, and every segment must carry one 3x3 block
+    per site of that chain, with no term outside the site layout (module
     docstring); anything else is a ValueError.
     steps is a collection of step numbers, which needs on_step.  Once
     the run reaches step n of them, on_step(n, result) gets the n-step
-    chain's own run from rho0's leading 3n+3 x 3n+3 block, read off the
-    same block after step n, in increasing order of n.  That is exact
+    chain's own run from psi0's leading 3n+3 entries, read off rho's
+    leading block after step n, in increasing order of n.  That is exact
     while the state stays on sites 1..n+1 up to step n, as a walker
     started on site 1 does; a state that leaves them is a ValueError.
     """
@@ -424,33 +425,29 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
     if not steps <= {seg.step for seg in schedule
                      if seg.label == SEG_RETRIEVE}:
         raise ValueError(f"steps {sorted(steps)} not all in the schedule")
-    rho0 = np.asarray(rho0)
-    dim = len(rho0)
-    if dim % 3 or dim < 6:
-        raise ValueError(f"a state of dimension {dim} is no single-excitation"
-                         " sector (3N+3, N >= 1)")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
+        raise ValueError(f"a state of shape {psi0.shape} is no single-"
+                         "excitation sector vector of shape (3N+3,), N >= 1")
+    dim = len(psi0)
     program = _program(schedule, dim, rates, steps)
-    # Only the leading size x size block can be nonzero: it starts at
-    # rho0's support (a NaN counts) and grows by at most one site per
-    # map.  Everything outside it is exactly 0.
-    nonzero = rho0 != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    # Only the leading size entries of psi, and the leading size x size
+    # block of rho, can be nonzero: size starts at psi0's support (a NaN
+    # counts) and grows by at most one site per map.
+    support = np.flatnonzero(psi0)
     size = int(support[-1]) + 1 if support.size else 1
     if rates != DecoherenceRates():
-        y, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
-        state[:dim, :dim] = rho0
-    else:               # propagate y = [M | M C], not rho (module docstring)
-        k = size
-        y = np.zeros((dim + 1, 2 * k), dtype=complex)
-        y[:k] = np.hstack([np.eye(k), rho0[:k, :k]])
+        psi, state = None, _outer(psi0, size, dim + 1)
+    else:   # propagate psi as one column, not rho (module docstring)
+        psi = np.append(psi0, 0.0)[:, None]
 
     def readout(end, final=False):
         """rho's leading end x end block, re-symmetrized after its drift
         is taken.  A step readout never touches the state; the final one
         works on it in place and copies only then, so no copy is alive
         beside the temporaries of _symmetrize."""
-        if y is not None:
-            rho = _form(y, k, min(size, end), end)
+        if psi is not None:
+            rho = _outer(psi[:, 0], min(size, end), end)
         else:
             rho = state[:end, :end] if final else state[:end, :end].copy()
         drift = _symmetrize(rho)
@@ -459,12 +456,12 @@ def evolve_schedule(rho0: np.ndarray, schedule: Schedule,
 
     max_trace_error = np.float64(0.0)
     for site_maps, step in program:
-        if y is None:
+        if psi is None:
             size = site_maps.apply(state, size)
             trace_error = abs(state[:size, :size].trace().real - 1.0)
         else:
-            size = site_maps.apply_rows(y, size)
-            trace_error = abs(np.vdot(y[:size, :k], y[:size, k:]).real - 1.0)
+            size = site_maps.apply_rows(psi, size)
+            trace_error = abs(np.vdot(psi[:size], psi[:size]).real - 1.0)
         max_trace_error = np.maximum(max_trace_error, trace_error)  # NaN stays
         if step is not None:
             end = StateSpace(step).dim

@@ -24,7 +24,7 @@ import pytest
 from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
 
 from cqwalk import ExperimentConfig, SweepSpec, run_experiment, run_sweep
-from cqwalk.harness import Report, initial_density_matrix
+from cqwalk.harness import Report, initial_state
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import evolve_schedule
 from cqwalk.protocol import build_schedule
@@ -178,9 +178,10 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     cfg = ExperimentConfig(n_steps=5)
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
-    rho0 = initial_density_matrix(space, cfg.coin())
-    rho_block = evolve_schedule(rho0, schedule, cfg.rates()).rho
-    rho_dense = dense_expm_evolve(rho0, schedule, cfg.rates())
+    psi0 = initial_state(space, cfg.coin())
+    rho_block = evolve_schedule(psi0, schedule, cfg.rates()).rho
+    rho_dense = dense_expm_evolve(np.outer(psi0, psi0.conj()), schedule,
+                                  cfg.rates())
     backend_dev = float(np.max(np.abs(rho_block - rho_dense)))
     ok = (worst_trace <= 1e-8 and worst_herm <= 1e-10
           and backend_dev <= 1e-7)

@@ -18,7 +18,7 @@ from cqwalk import config, harness, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
-                            initial_density_matrix, report_to_json_obj,
+                            initial_state, report_to_json_obj,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, evolve_schedule
@@ -26,9 +26,12 @@ from cqwalk.statespace import E, F, StateSpace
 
 
 def test_initial_density_matrix_truncated():
+    # psi0 psi0+ of the walker's state vector
     space = StateSpace(2)
     coin = coin_preset("plus-i")
-    rho = initial_density_matrix(space, coin)
+    psi = initial_state(space, coin)
+    assert psi.shape == (space.dim,)
+    rho = np.outer(psi, psi.conj())
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.trace(rho @ rho).real == pytest.approx(1.0)  # pure
     e, f = space.qutrit_index(1, E), space.qutrit_index(1, F)
@@ -38,12 +41,13 @@ def test_initial_density_matrix_truncated():
 
 
 def test_initial_density_matrix_full_mode():
-    # the sector's rho0, embedded, is the full-space oracle's rho0
+    # the sector's psi0 psi0+, embedded, is the full-space oracle's rho0
     space, full = StateSpace(1), fullspace.FullSpace(1)
     v = fullspace.embedding_matrix(space, full)
     for name in ("zero", "one", "plus-i"):
         coin = coin_preset(name)
-        assert np.array_equal(v @ initial_density_matrix(space, coin) @ v.T,
+        psi = initial_state(space, coin)
+        assert np.array_equal(v @ np.outer(psi, psi.conj()) @ v.T,
                               fullspace.initial_density_matrix(full, coin))
 
 
@@ -59,10 +63,17 @@ def test_zero_noise_run_matches_ideal_oracle():
 
 
 def test_noise_decides_the_propagation_path(monkeypatch):
-    # a noise-free run propagates rho0's columns and never applies the
-    # site maps to rho; a noisy one never forms rho from columns
+    # a noise-free run propagates psi0 as one column and never applies
+    # the site maps to rho; a noisy one never propagates a column
     def refuse(*args):
         raise AssertionError("wrong propagation path")
+
+    apply_rows = lindblad._SiteMaps.apply_rows
+
+    def rows_of_rho(self, y, size, conj=False):
+        if y.shape[1] == 1:
+            refuse()
+        return apply_rows(self, y, size, conj)
 
     with monkeypatch.context() as patch:
         patch.setattr(lindblad._SiteMaps, "apply", refuse)
@@ -71,7 +82,7 @@ def test_noise_decides_the_propagation_path(monkeypatch):
         spec = SweepSpec(axis="n_steps", values=(1, 4, 7))
         rows = run_sweep(zero_noise_config(), spec)
         assert [r.error for r in rows] == [None] * 3
-    monkeypatch.setattr(lindblad, "_form", refuse)
+    monkeypatch.setattr(lindblad._SiteMaps, "apply_rows", rows_of_rho)
     assert run_experiment(ExperimentConfig(n_steps=20)).error is None
     rows = run_sweep(ExperimentConfig(), spec)
     assert [r.error for r in rows] == [None] * 3
@@ -183,9 +194,9 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(rho0, schedule, rates, steps=(), on_step=None):
+    def counting(psi0, schedule, rates, steps=(), on_step=None):
         calls.append(len(schedule) // 3)
-        return evolve_schedule(rho0, schedule, rates, steps, on_step)
+        return evolve_schedule(psi0, schedule, rates, steps, on_step)
 
     monkeypatch.setattr(harness, "evolve_schedule", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
@@ -240,8 +251,8 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
 def test_group_failure_keeps_rows_already_written(monkeypatch):
     # rows scored before the group's run fails keep their results; only
     # the rows not yet written become error rows
-    def failing_at_the_end(rho0, schedule, rates, steps, on_step):
-        evolve_schedule(rho0, schedule, rates, steps, on_step)
+    def failing_at_the_end(psi0, schedule, rates, steps, on_step):
+        evolve_schedule(psi0, schedule, rates, steps, on_step)
         raise IntegrationError("failed after the last step readout")
 
     monkeypatch.setattr(harness, "evolve_schedule", failing_at_the_end)
@@ -260,6 +271,21 @@ def test_long_noisy_run_keeps_hermiticity():
     rep = run_experiment(ExperimentConfig(n_steps=160))
     assert rep.max_hermiticity_drift < 1e-14
     assert rep.trace_error < 1e-12
+
+
+def test_noisy_run_builds_no_dense_initial_state():
+    # the run writes psi0 psi0+ straight into its state's light-cone
+    # block, so no dense rho0 is alive beside it: a noisy N=160 run peaks
+    # below 3.2 dense (3N+4)^2 states (about 2.7; 3.8 with a dense rho0)
+    n = 160
+    tracemalloc.start()
+    try:
+        rep = run_experiment(ExperimentConfig(n_steps=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.error is None
+    assert peak < 3.2 * 16 * (3 * n + 4) ** 2
 
 
 def test_sweep_group_holds_one_state_at_a_time():

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
-                             _form, _site_maps, _SiteMaps, _symmetrize,
+                             _site_maps, _SiteMaps, _symmetrize,
                              evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Schedule, Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
@@ -27,20 +27,34 @@ def _random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-def _run_with_readouts(rho0, schedule, rates, steps):
+def _run_with_readouts(psi0, schedule, rates, steps):
     """evolve_schedule's final result and its step readouts, as the
     (n, result) pairs on_step got, in call order."""
     readouts = []
-    res = evolve_schedule(rho0, schedule, rates, steps,
+    res = evolve_schedule(psi0, schedule, rates, steps,
                           lambda n, r: readouts.append((n, r)))
     return res, readouts
 
 
-def _random_density_on(rng, dim, support):
-    """Random mixed state with support only on the given basis states."""
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[np.ix_(support, support)] = _random_density(rng, len(support))
-    return rho
+def _random_state(rng, dim, support=None):
+    """Random normalized state vector, with support only on the given
+    basis states (on all of them by default)."""
+    support = np.arange(dim) if support is None else support
+    psi = np.zeros(dim, dtype=complex)
+    psi[support] = (rng.normal(size=len(support))
+                    + 1j * rng.normal(size=len(support)))
+    return psi / np.linalg.norm(psi)
+
+
+def _basis_state(dim, index):
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+def _density(psi):
+    """psi psi+, the density matrix the dense oracle starts from."""
+    return np.outer(psi, psi.conj())
 
 
 # all six channels on, each at its own rate, fast enough to matter within
@@ -107,9 +121,9 @@ def test_noisy_run_matches_dense_oracle():
     params = DeviceParams.from_mhz(2, 50.0, 100.0)
     schedule = build_schedule(params)
     rng = np.random.default_rng(5)
-    rho0 = _random_density(rng, space.dim)
-    out = evolve_schedule(rho0, schedule, T0_RATES).rho
-    oracle = dense_expm_evolve(rho0, schedule, T0_RATES)
+    psi0 = _random_state(rng, space.dim)
+    out = evolve_schedule(psi0, schedule, T0_RATES).rho
+    oracle = dense_expm_evolve(_density(psi0), schedule, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
@@ -119,8 +133,9 @@ def test_noise_free_run_is_unitary_conjugation():
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     schedule = build_schedule(params)
     rng = np.random.default_rng(11)
-    rho0 = _random_density(rng, space.dim)
-    out = evolve_schedule(rho0, schedule, ZERO_RATES).rho
+    psi0 = _random_state(rng, space.dim)
+    rho0 = _density(psi0)
+    out = evolve_schedule(psi0, schedule, ZERO_RATES).rho
     want = rho0
     for seg in schedule:
         u = expm(-1j * seg.duration * dense_hamiltonian(seg))
@@ -139,9 +154,9 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     schedule = build_schedule(
         DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
     rates = ExperimentConfig(scale=scale).rates()
-    rho0 = _random_density(np.random.default_rng(seed), space.dim)
-    out = evolve_schedule(rho0, schedule, rates).rho
-    oracle = dense_expm_evolve(rho0, schedule, rates)
+    psi0 = _random_state(np.random.default_rng(seed), space.dim)
+    out = evolve_schedule(psi0, schedule, rates).rho
+    oracle = dense_expm_evolve(_density(psi0), schedule, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
@@ -163,9 +178,9 @@ def test_light_cone_matches_dense_oracle(n, rates):
     schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
-    rho0 = _random_density_on(np.random.default_rng(n), space.dim, site_1)
-    res = evolve_schedule(rho0, schedule, rates)
-    oracle = dense_expm_evolve(rho0, schedule, rates)
+    psi0 = _random_state(np.random.default_rng(n), space.dim, site_1)
+    res = evolve_schedule(psi0, schedule, rates)
+    oracle = dense_expm_evolve(_density(psi0), schedule, rates)
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
     assert res.max_trace_error < 1e-12
 
@@ -173,41 +188,41 @@ def test_light_cone_matches_dense_oracle(n, rates):
 @pytest.mark.parametrize("start", ["site 1", "random"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_noise_free_columns_match_dense_oracle(n, start):
-    # with zero rates the run propagates rho0's light-cone columns and
-    # forms rho only at readouts; every prefix of the schedule and every
+    # with zero rates the run propagates psi as one column and forms
+    # psi psi+ only at readouts; every prefix of the schedule and every
     # step readout must give the dense oracle's state, from a site-1
-    # state with vacuum coherences (three columns) and from a random
-    # state on the whole sector
+    # state with vacuum amplitude and from a random state on the whole
+    # sector
     space = StateSpace(n)
     params = DeviceParams.from_mhz(n, 50.0, 100.0)
     schedule = build_schedule(params)
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
     rng = np.random.default_rng(n)
-    rho0 = (_random_density_on(rng, space.dim, site_1) if start == "site 1"
-            else _random_density(rng, space.dim))
-    want = dense_expm_states(rho0, schedule, ZERO_RATES)
+    psi0 = _random_state(rng, space.dim,
+                         site_1 if start == "site 1" else None)
+    want = dense_expm_states(_density(psi0), schedule, ZERO_RATES)
 
     def close(got, oracle):
         return np.max(np.abs(got - oracle)) <= 1e-12
 
-    res = evolve_schedule(rho0, schedule, ZERO_RATES)
+    res = evolve_schedule(psi0, schedule, ZERO_RATES)
     assert close(res.rho, want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
     for i, oracle in enumerate(want):
         prefix = Schedule(schedule.segments[:i])
-        assert close(evolve_schedule(rho0, prefix, ZERO_RATES).rho, oracle), i
-    # step numbers: the m-step chain's own run from rho0's leading block,
+        assert close(evolve_schedule(psi0, prefix, ZERO_RATES).rho, oracle), i
+    # step numbers: the m-step chain's own run from psi0's leading entries,
     # which holds the whole site-1 state; a random state spreads over
     # the whole chain, so only step n
     steps = range(1, n + 1) if start == "site 1" else [n]
-    _, readouts = _run_with_readouts(rho0, schedule, ZERO_RATES, steps)
+    _, readouts = _run_with_readouts(psi0, schedule, ZERO_RATES, steps)
     assert [m for m, _ in readouts] == list(steps)
     for m, snap in readouts:
         sub = StateSpace(m)
         oracle = dense_expm_evolve(
-            rho0[:sub.dim, :sub.dim],
+            _density(psi0[:sub.dim]),
             build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)),
             ZERO_RATES)
         assert close(snap.rho, oracle)
@@ -217,7 +232,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
 
 @pytest.mark.parametrize("where", ["site 2", "last sites"])
 def test_support_beyond_site_1_matches_dense_oracle(where):
-    # rho0 outside the light cone's start: the run begins on a larger
+    # psi0 outside the light cone's start: the run begins on a larger
     # block (the whole chain for the last sites) and must stay exact
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
@@ -226,9 +241,9 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     else:
         support = [space.vacuum_index, space.qutrit_index(4, E),
                    space.qutrit_index(4, F), space.cavity_index(3)]
-    rho0 = _random_density_on(np.random.default_rng(9), space.dim, support)
-    res = evolve_schedule(rho0, schedule, DISTINCT_RATES)
-    oracle = dense_expm_evolve(rho0, schedule, DISTINCT_RATES)
+    psi0 = _random_state(np.random.default_rng(9), space.dim, support)
+    res = evolve_schedule(psi0, schedule, DISTINCT_RATES)
+    oracle = dense_expm_evolve(_density(psi0), schedule, DISTINCT_RATES)
     assert np.max(np.abs(res.rho - oracle)) <= 1e-12
 
 
@@ -290,12 +305,11 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
     monkeypatch.setattr(_SiteMaps, "then", counted_then)
     space = StateSpace(n)
     schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[space.qutrit_index(1, E), space.qutrit_index(1, E)] = 1.0
+    psi0 = _basis_state(space.dim, space.qutrit_index(1, E))
     for steps in ((), range(1, n + 1)):
         applied.clear()
         composed.clear()
-        _run_with_readouts(rho0, schedule, rates, steps)
+        _run_with_readouts(psi0, schedule, rates, steps)
         assert applied == [1, 0] * n
         assert composed == [1]
 
@@ -308,11 +322,11 @@ def test_prefix_ending_after_a_coin_matches_dense_oracle(rates):
     n = 3
     space = StateSpace(n)
     schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    rho0 = _random_density(np.random.default_rng(8), space.dim)
+    psi0 = _random_state(np.random.default_rng(8), space.dim)
     for m in range(n):
         prefix = Schedule(schedule.segments[:3 * m + 1])
-        res = evolve_schedule(rho0, prefix, rates)
-        oracle = dense_expm_evolve(rho0, prefix, rates)
+        res = evolve_schedule(psi0, prefix, rates)
+        oracle = dense_expm_evolve(_density(psi0), prefix, rates)
         assert np.max(np.abs(res.rho - oracle)) <= 1e-12, m
         assert res.max_trace_error < 1e-12
 
@@ -321,7 +335,7 @@ def test_hamiltonian_outside_the_sites_is_refused():
     # a term on the vacuum of an offset-0 stack, on the missing c_2 of an
     # offset-1 stack, or a stack at an offset that fits no site layout
     space = StateSpace(1)
-    rho0 = _random_density(np.random.default_rng(2), space.dim)
+    psi0 = _random_state(np.random.default_rng(2), space.dim)
     vacuum, beyond = (np.zeros((2, 3, 3), dtype=complex) for _ in range(2))
     vacuum[0, 0, 1] = vacuum[0, 1, 0] = 300.0          # vacuum <-> e_1
     beyond[1, 0, 2] = beyond[1, 2, 0] = 300.0          # e_2 <-> c_2
@@ -331,7 +345,7 @@ def test_hamiltonian_outside_the_sites_is_refused():
                              (store.hamiltonian, 2, "fits no site layout")):
         schedule = Schedule((Segment("store", 1, h, offset, 4e-3),))
         with pytest.raises(ValueError, match=match):
-            evolve_schedule(rho0, schedule, DISTINCT_RATES)
+            evolve_schedule(psi0, schedule, DISTINCT_RATES)
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -341,32 +355,35 @@ def test_vacuum_stays_put(rates):
     # the coin and store maps, and stays the vacuum through every pulse
     space = StateSpace(2)
     schedule = build_schedule(REF)
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[space.vacuum_index, space.vacuum_index] = 1.0
+    psi0 = _basis_state(space.dim, space.vacuum_index)
     for i in range(len(schedule) + 1):
-        res = evolve_schedule(rho0, Schedule(schedule.segments[:i]),
+        res = evolve_schedule(psi0, Schedule(schedule.segments[:i]),
                               rates)
-        assert np.array_equal(res.rho, rho0), i
+        assert np.array_equal(res.rho, _density(psi0)), i
         assert res.max_trace_error == 0.0
         assert res.max_hermiticity_drift == 0.0
 
 
 def test_schedule_of_another_chain_is_refused():
     # an N=2 schedule (three sites per stack) on an N=1 state
-    rho0 = np.zeros((6, 6), dtype=complex)
-    rho0[1, 1] = 1.0
+    psi0 = _basis_state(6, 1)
     schedule = build_schedule(REF)
     with pytest.raises(ValueError, match="sector of dimension 6"):
-        evolve_schedule(rho0, schedule, ZERO_RATES)
+        evolve_schedule(psi0, schedule, ZERO_RATES)
 
 
-@pytest.mark.parametrize("dim", [3, 7, 8])
-def test_state_outside_the_sector_is_refused(dim):
-    # only 3N+3 with N >= 1 is a sector dimension
+@pytest.mark.parametrize("shape", [pytest.param((dim,), id=str(dim))
+                                   for dim in (3, 7, 8)]
+                         + [pytest.param((6, 6), id="6x6")])
+def test_state_outside_the_sector_is_refused(shape):
+    # only a vector of length 3N+3 with N >= 1 is a sector state; a
+    # density matrix is not, even of a sector's dimension
+    dim = shape[0]
     h = np.zeros(((dim + 1) // 3, 3, 3), dtype=complex)
     schedule = Schedule((Segment("coin", 1, h, 1, 1e-3),))
-    with pytest.raises(ValueError, match="single-excitation sector"):
-        evolve_schedule(np.eye(dim) / dim, schedule, ZERO_RATES)
+    with pytest.raises(ValueError,
+                       match=r"single-excitation sector.*\(3N\+3,\)"):
+        evolve_schedule(np.full(shape, dim ** -0.5), schedule, ZERO_RATES)
 
 
 def test_small_exponentials_reject_non_finite_input():
@@ -411,9 +428,8 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
     store = build_schedule(REF_1).segments[1]
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[1, 1] = 1.0
-    res = evolve_schedule(rho0, Schedule((store,)), T0_RATES)
+    res = evolve_schedule(_basis_state(space.dim, 1), Schedule((store,)),
+                          T0_RATES)
     assert res.max_trace_error < 1e-14
     assert res.max_hermiticity_drift < 1e-14
 
@@ -421,8 +437,8 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
 def test_diagnostics_keep_nan():
     space = StateSpace(1)
     schedule = build_schedule(REF_1)
-    rho0 = np.full((space.dim, space.dim), np.nan, dtype=complex)
-    res = evolve_schedule(rho0, schedule, ZERO_RATES)
+    psi0 = np.full(space.dim, np.nan, dtype=complex)
+    res = evolve_schedule(psi0, schedule, ZERO_RATES)
     assert math.isnan(res.max_trace_error)
     assert math.isnan(res.max_hermiticity_drift)
 
@@ -431,8 +447,8 @@ def test_trace_and_hermiticity_tracked():
     space = StateSpace(2)
     schedule = build_schedule(REF)
     rng = np.random.default_rng(7)
-    rho0 = _random_density(rng, space.dim)
-    res = evolve_schedule(rho0, schedule,
+    psi0 = _random_state(rng, space.dim)
+    res = evolve_schedule(psi0, schedule,
                           ExperimentConfig(scale=0.2).rates())
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
@@ -452,22 +468,6 @@ def test_min_eigenvalue_takes_the_hermitian_part(monkeypatch, dim):
     min_eigenvalue(rho)
     want = 0.5 * (rho + rho.conj().T)
     assert seen[0].tobytes() == want.tobytes()
-
-
-def test_form_is_the_sum_of_outer_products():
-    # (M C) M+ in one einsum against the column-by-column sum, which
-    # adds in another order: equal to a few ulps of the largest term
-    rng = np.random.default_rng(4)
-    k, rows, end = 3, 40, 46
-    shape = (end + 1, 2 * k)
-    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    want = np.zeros((end, end), dtype=complex)
-    for j in range(k):
-        want[:rows, :rows] += np.outer(y[:rows, k + j], y[:rows, j].conj())
-    got = _form(y, k, rows, end)
-    assert not got[rows:].any() and not got[:, rows:].any()
-    scale = k * np.abs(y).max() ** 2
-    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -490,21 +490,21 @@ def test_snapshots_are_sector_states():
     # state of the matching prefix of the schedule, which is zero outside
     # that block, with the prefix's diagnostics; the last one is the
     # run without readouts.  With zero rates the states are formed from
-    # propagated columns
+    # the propagated psi
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
-    rho0 = _random_density_on(np.random.default_rng(6), space.dim, site_1)
+    psi0 = _random_state(np.random.default_rng(6), space.dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
-        final = evolve_schedule(rho0, schedule, rates).rho
-        by_step, readouts = _run_with_readouts(rho0, schedule, rates,
+        final = evolve_schedule(psi0, schedule, rates).rho
+        by_step, readouts = _run_with_readouts(psi0, schedule, rates,
                                                (1, 2, 3))
         assert np.array_equal(by_step.rho, final)
         assert np.array_equal(readouts[-1][1].rho, final)
         assert [n for n, _ in readouts] == [1, 2, 3]
         for n, snap in readouts:
             prefix = Schedule(schedule.segments[:3 * n])
-            alone = evolve_schedule(rho0, prefix, rates)
+            alone = evolve_schedule(psi0, prefix, rates)
             end = StateSpace(n).dim
             assert np.array_equal(snap.rho, alone.rho[:end, :end])
             outside = alone.rho.copy()
@@ -514,25 +514,24 @@ def test_snapshots_are_sector_states():
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
             if n == 1:
                 assert np.max(np.abs(alone.rho - dense_expm_evolve(
-                    rho0, prefix, rates))) <= 1e-12, rates
+                    _density(psi0), prefix, rates))) <= 1e-12, rates
 
 
 def test_step_readout_is_each_shorter_run():
     # reading an 8-step run out after steps 2 and 5 gives, bit for bit,
     # the 2- and 5-step runs on their own sectors from the same site-1
-    # state (vacuum coherences included), diagnostics up to that step,
+    # state (vacuum amplitude included), diagnostics up to that step,
     # with and without decoherence
-    block = _random_density(np.random.default_rng(5), 3)
+    amplitudes = _random_state(np.random.default_rng(5), 3)
 
     def run(n, rates, steps=()):
         space = StateSpace(n)
         schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
         site_1 = [space.vacuum_index, space.qutrit_index(1, E),
                   space.qutrit_index(1, F)]
-        rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-        rho0[np.ix_(site_1, site_1)] = block
-        return _run_with_readouts(rho0, schedule,
-                                  rates, steps)
+        psi0 = np.zeros(space.dim, dtype=complex)
+        psi0[site_1] = amplitudes
+        return _run_with_readouts(psi0, schedule, rates, steps)
 
     for rates in (ZERO_RATES, DISTINCT_RATES):
         long, readouts = run(8, rates, steps=[8, 5, 2, 5])
@@ -548,14 +547,13 @@ def test_step_readout_is_each_shorter_run():
 def test_step_readout_refusals():
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 1.0
+    psi0 = _basis_state(space.dim, space.qutrit_index(2, E))
     with pytest.raises(ValueError, match="not all in the schedule"):
-        _run_with_readouts(rho0, schedule, DISTINCT_RATES, (4,))
+        _run_with_readouts(psi0, schedule, DISTINCT_RATES, (4,))
     # a walker started on site 2 may be on site 3 after one step, which
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
-        _run_with_readouts(rho0, schedule, DISTINCT_RATES, (1, 3))
+        _run_with_readouts(psi0, schedule, DISTINCT_RATES, (1, 3))
 
 
 def test_record_modes():
@@ -563,19 +561,18 @@ def test_record_modes():
     # default nothing is read out
     space = StateSpace(2)
     schedule = build_schedule(REF)
-    rho0 = np.zeros((space.dim, space.dim), dtype=complex)
-    rho0[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 1.0
-    plain = evolve_schedule(rho0, schedule, T0_RATES,
+    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    plain = evolve_schedule(psi0, schedule, T0_RATES,
                             on_step=pytest.fail)
-    by_step, readouts = _run_with_readouts(rho0, schedule, T0_RATES,
+    by_step, readouts = _run_with_readouts(psi0, schedule, T0_RATES,
                                            range(1, 3))
     assert [n for n, _ in readouts] == [1, 2]
     assert np.array_equal(by_step.rho, plain.rho)
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
-            _run_with_readouts(rho0, schedule, T0_RATES, mode)
+            _run_with_readouts(psi0, schedule, T0_RATES, mode)
     with pytest.raises(ValueError, match="on_step"):
-        evolve_schedule(rho0, schedule, T0_RATES, steps=(1,))
+        evolve_schedule(psi0, schedule, T0_RATES, steps=(1,))
 
 
 @settings(max_examples=10, deadline=None)
@@ -584,9 +581,9 @@ def test_evolution_preserves_trace_property(seed, scale):
     space = StateSpace(1)
     rates = ExperimentConfig(scale=scale).rates()
     rng = np.random.default_rng(seed)
-    rho0 = _random_density(rng, space.dim)
+    psi0 = _random_state(rng, space.dim)
     coin = build_schedule(REF_1).segments[0]
     longer = Segment("coin", 1, coin.hamiltonian, coin.offset, 2e-3)
-    res = evolve_schedule(rho0, Schedule((longer,)), rates)
+    res = evolve_schedule(psi0, Schedule((longer,)), rates)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)
