@@ -32,8 +32,10 @@ from .statespace import DeviceParams, StateSpace
 # sweep group of largest n_steps N: the state, one readout and the
 # kernel's and checks' temporaries (the initial state is a vector and the
 # segment Hamiltonians are 3x3 stacks; a group scores each readout
-# before it goes on).  Under tracemalloc a noisy N=320 run peaks at
-# about 2.6, an n_steps 1..160 sweep at 3.8; the bound allows twelve.
+# before it goes on).  Under tracemalloc a noisy N=160 run peaks at
+# about 2.69 and a noisy n_steps 1..160 sweep at 3.8.  A noise-free run
+# holds psi, not rho: N=320 peaks at 0.06 and an n_steps 1..160 sweep at
+# 0.17, so for noise-free runs the bound of twelve is conservative.
 _STATE_COPIES = 12
 
 

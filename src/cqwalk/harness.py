@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, validate_config
-from .idealwalk import CoinState, run_ideal
+from .idealwalk import CoinState, run_ideal, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, evolve_schedule,
                        min_eigenvalue)
 from .metrics import extract_distribution, similarity_report
@@ -86,7 +86,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Build the schedule, evolve, read out and score one experiment."""
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    return _report(cfg, _evolve(cfg), start)
+    return _report(cfg, _evolve(cfg), start,
+                   run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin()))
 
 
 def _evolve(cfg: ExperimentConfig, steps=(), on_step=None) -> EvolutionResult:
@@ -109,16 +110,17 @@ def _echo(cfg: ExperimentConfig) -> dict:
 
 
 def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
-            start: float) -> Report:
+            start: float, p_id: np.ndarray) -> Report:
     """Check and score evolution, the state read out of cfg's run (at
-    its end or at its step of a longer one); wall_ms counts from start.
+    its end or at its step of a longer one), against p_id, cfg's ideal
+    walk; wall_ms counts from start.
 
     Raises IntegrationError when the state, its distribution or its
     diagnostics are not finite, or its trace error is above
     TRACE_ERROR_BOUND.
     """
     space = cfg.space()
-    dist = extract_distribution(evolution.rho, space)
+    dist = extract_distribution(evolution.populations, space)
     diagnostics = (evolution.max_trace_error, evolution.max_hermiticity_drift,
                    dist.residual_vacuum, dist.residual_cavity, *dist.p)
     if not np.all(np.isfinite(diagnostics)):
@@ -126,8 +128,7 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
     if evolution.max_trace_error > TRACE_ERROR_BOUND:
         raise IntegrationError(f"trace error {evolution.max_trace_error:.3g}"
                                f" above {TRACE_ERROR_BOUND:g}")
-    min_eig = min_eigenvalue(evolution.rho)
-    p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
+    min_eig = min_eigenvalue(evolution.state)
     sim = similarity_report(dist.p, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
     return Report(
@@ -225,9 +226,10 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     n_steps runs once, from whose final state the largest point's row
     comes.  Each shorter row is read out, checked and scored as that run
     reaches its step, which is exactly the point's separate run (see
-    evolve_schedule), so a group holds one state at a time.  Every row
-    has the diagnostics up to its step, and its wall_ms runs from the
-    start of the group to its own readout.  Failures are recorded on
+    evolve_schedule), so a group holds one state at a time.  Likewise
+    one ideal walk of the largest n_steps gives every row's P_id.  Every
+    row has the diagnostics up to its step, and its wall_ms runs from
+    the start of the group to its own readout.  Failures are recorded on
     their rows (if the group's run fails, on every row not yet written)
     and do not abort the sweep.
     """
@@ -238,19 +240,22 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     rows: list = [None] * len(grid)
     for members in groups.values():
         top = max((grid[i] for i in members), key=lambda cfg: cfg.n_steps)
+        steps = {grid[i].n_steps for i in members}
         start = time.perf_counter()
 
         def write(n, evolution):
             for i in members:
                 if grid[i].n_steps == n:
                     try:
-                        rows[i] = _report(grid[i], evolution, start)
+                        rows[i] = _report(grid[i], evolution, start, p_id[n])
                     except Exception as exc:  # recorded per-row
                         rows[i] = _error_report(grid[i], exc)
 
         try:
-            write(top.n_steps, _evolve(top, {grid[i].n_steps for i in members}
-                                       - {top.n_steps}, write))
+            p_id = {n: site_probabilities(amps) for n, amps in
+                    enumerate(walk(top.n_steps, top.theta_rad, top.coin()))
+                    if n in steps}
+            write(top.n_steps, _evolve(top, steps - {top.n_steps}, write))
         except Exception as exc:  # the group's run failed; sweep continues
             for i in members:
                 if rows[i] is None:

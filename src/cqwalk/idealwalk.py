@@ -12,7 +12,9 @@ reach the wall, so the shift is exactly unitary on the stored range.
 
 from __future__ import annotations
 
+import collections
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,19 +77,34 @@ def step(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
     return out
 
 
-def walk_amplitudes(n_steps: int, theta: float, coin: CoinState) -> np.ndarray:
-    """Final (n_steps+1, 2) amplitudes for a walker started at site 1."""
+def walk(n_steps: int, theta: float, coin: CoinState) -> Iterator[np.ndarray]:
+    """The amplitudes after each step n = 0..n_steps of one n_steps-step
+    walk from site 1, as (n+1, 2) arrays on sites 1..n+1.
+
+    Up to step n the walker never leaves sites 1..n+1, so each is, bit
+    for bit, the final amplitudes of an n-step walk.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     amps = np.zeros((n_steps + 1, 2), dtype=complex)
     amps[0] = coin.as_vector()
     c = coin_matrix(theta)
-    for _ in range(n_steps):
+    yield amps[:1]
+    for n in range(1, n_steps + 1):
         amps = step(amps, c)
-    return amps
+        yield amps[:n + 1]
+
+
+def walk_amplitudes(n_steps: int, theta: float, coin: CoinState) -> np.ndarray:
+    """Final (n_steps+1, 2) amplitudes for a walker started at site 1."""
+    return collections.deque(walk(n_steps, theta, coin), maxlen=1)[0]
+
+
+def site_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Site occupation probabilities of (n_sites, 2) amplitudes."""
+    return np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
 
 
 def run_ideal(n_steps: int, theta: float, coin: CoinState) -> np.ndarray:
     """Site occupation probabilities after n_steps ideal walk steps."""
-    amps = walk_amplitudes(n_steps, theta, coin)
-    return np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
+    return site_probabilities(walk_amplitudes(n_steps, theta, coin))

@@ -57,12 +57,14 @@ reaches that step.
 
 When every rate is 0, rho = psi psi+ with psi = U psi0: evolve_schedule
 then applies each site's V to the single column psi, in the same light
-cone, and forms psi psi+ only for a readout; otherwise it writes
-psi0 psi0+ into the light-cone block of rho.  After each applied map a
-run tracks only its trace error (|Re vdot(psi, psi) - 1| for psi).  A
-readout measures the Hermiticity drift of its rho, a copy of the state
-or the rho just formed (the state itself at the end), then
-re-symmetrizes it.
+cone, and reads out psi itself, so a noise-free run never forms a dim x
+dim array; otherwise it writes psi0 psi0+ into the light-cone block of
+rho.  After each applied map a run tracks only its trace error
+(|Re vdot(psi, psi) - 1| for psi).  A readout of rho measures its
+Hermiticity drift, on a copy of the state (the state itself at the
+end), then re-symmetrizes it; psi has no drift to measure.  Only this
+module tells the two forms apart: a readout carries its populations,
+and min_eigenvalue takes either form.
 """
 
 from __future__ import annotations
@@ -342,26 +344,22 @@ def _symmetrize(a: np.ndarray) -> float:
     return drift
 
 
-def _outer(psi: np.ndarray, size: int, end: int) -> np.ndarray:
-    """psi psi+ as an end x end array, given that only the leading size
-    entries of psi are nonzero."""
-    rho = np.zeros((end, end), dtype=complex)
-    np.multiply(psi[:size, None], psi[:size].conj(), out=rho[:size, :size])
-    return rho
-
-
 @dataclass
 class EvolutionResult:
-    """A density matrix read out of a schedule run, with its diagnostics.
+    """A state read out of a schedule run, with its diagnostics.
 
-    max_trace_error is the worst of the trace errors taken after every
-    applied map (a step's coin and store are one map) up to the readout,
-    of rho or, noise-free, of psi; NaN if any map gave NaN;
-    max_hermiticity_drift is the largest |rho - rho+| entry of rho as
-    read out, before rho was re-symmetrized.
+    state is the state vector psi (length 3N+3) of a noise-free run and
+    the density matrix rho (3N+3 x 3N+3) of a noisy one; populations is
+    its real diagonal, |psi_i|^2 or rho_ii.  max_trace_error is the worst
+    of the trace errors taken after every applied map (a step's coin and
+    store are one map) up to the readout, of rho or of psi; NaN if any
+    map gave NaN.  max_hermiticity_drift is the largest |rho - rho+|
+    entry of rho as read out, before rho was re-symmetrized; for psi,
+    which forms no rho, it is 0.0, or NaN if psi is not finite.
     """
 
-    rho: np.ndarray
+    state: np.ndarray
+    populations: np.ndarray
     max_trace_error: float = 0.0
     max_hermiticity_drift: float = 0.0
 
@@ -398,7 +396,7 @@ def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
                     rates: DecoherenceRates, steps=(),
                     on_step=None) -> EvolutionResult:
     """Run the whole pulse program from the sector state vector psi0;
-    return the final density matrix.
+    return the final state: psi when every rate is 0, else rho.
 
     Each distinct (H, offset, duration) is compiled once, and
     consecutive segments on one site layout with no step readout between
@@ -412,10 +410,11 @@ def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
     docstring); anything else is a ValueError.
     steps is a collection of step numbers, which needs on_step.  Once
     the run reaches step n of them, on_step(n, result) gets the n-step
-    chain's own run from psi0's leading 3n+3 entries, read off rho's
-    leading block after step n, in increasing order of n.  That is exact
-    while the state stays on sites 1..n+1 up to step n, as a walker
-    started on site 1 does; a state that leaves them is a ValueError.
+    chain's own run from psi0's leading 3n+3 entries, read off the
+    state's leading entries after step n, in increasing order of n.
+    That is exact while the state stays on sites 1..n+1 up to step n, as
+    a walker started on site 1 does; a state that leaves them is a
+    ValueError.
     """
     if isinstance(steps, str):
         raise ValueError(f"steps takes step numbers, not {steps!r}")
@@ -437,22 +436,29 @@ def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
     support = np.flatnonzero(psi0)
     size = int(support[-1]) + 1 if support.size else 1
     if rates != DecoherenceRates():
-        psi, state = None, _outer(psi0, size, dim + 1)
+        psi, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
+        np.multiply(psi0[:size, None], psi0[:size].conj(),
+                    out=state[:size, :size])
     else:   # propagate psi as one column, not rho (module docstring)
         psi = np.append(psi0, 0.0)[:, None]
 
     def readout(end, final=False):
-        """rho's leading end x end block, re-symmetrized after its drift
-        is taken.  A step readout never touches the state; the final one
-        works on it in place and copies only then, so no copy is alive
-        beside the temporaries of _symmetrize."""
+        """psi's leading end entries, or rho's leading end x end block,
+        re-symmetrized after its drift is taken.  A step readout never
+        touches rho; the final one works on it in place and copies only
+        then, so no copy is alive beside the temporaries of
+        _symmetrize."""
         if psi is not None:
-            rho = _outer(psi[:, 0], min(size, end), end)
+            out = psi[:end, 0].copy()
+            populations = (out * out.conj()).real
+            drift = 0.0 if np.isfinite(out).all() else math.nan
         else:
             rho = state[:end, :end] if final else state[:end, :end].copy()
-        drift = _symmetrize(rho)
-        return EvolutionResult(np.ascontiguousarray(rho),
-                               float(max_trace_error), drift)
+            drift = _symmetrize(rho)
+            out = np.ascontiguousarray(rho)
+            populations = out.diagonal().real.copy()
+        return EvolutionResult(out, populations, float(max_trace_error),
+                               drift)
 
     max_trace_error = np.float64(0.0)
     for site_maps, step in program:
@@ -476,9 +482,14 @@ def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
 # state checks
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
-    """The smallest eigenvalue of rho's Hermitian part."""
-    h = _adjoint(rho)
-    h += rho
+def min_eigenvalue(state: np.ndarray) -> float:
+    """The smallest eigenvalue of a state as read out: of a density
+    matrix's Hermitian part, or of psi psi+ for a sector state vector
+    psi, which is 0.0 (rank 1 below a dimension of at least 6), NaN if
+    psi is not finite."""
+    if state.ndim == 1:
+        return 0.0 if np.isfinite(state).all() else math.nan
+    h = _adjoint(state)
+    h += state
     h *= 0.5                 # the bits of 0.5 * (rho + rho.conj().T)
     return float(np.linalg.eigvalsh(h)[0])

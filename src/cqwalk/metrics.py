@@ -34,9 +34,12 @@ class Distribution:
                      + self.residual_cavity)
 
 
-def extract_distribution(rho: np.ndarray, space: StateSpace) -> Distribution:
-    """Diagonal readout of the walker position from a density matrix."""
-    diag = np.real(np.diagonal(rho))
+def extract_distribution(populations: np.ndarray,
+                         space: StateSpace) -> Distribution:
+    """Walker position readout from the populations of the sector basis
+    states: the diagonal of the density matrix, |psi_i|^2 for a pure
+    state (lindblad.EvolutionResult.populations)."""
+    diag = np.asarray(populations)
     p = np.empty(space.n_qutrits)
     for j in range(1, space.n_qutrits + 1):
         p[j - 1] = (diag[space.qutrit_index(j, E)]

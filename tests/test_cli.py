@@ -235,9 +235,14 @@ def test_io_failure_exits_3(capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("noise", [[], ZERO_NOISE],
-                         ids=["noisy", "noise-free"])
-def test_report_does_not_depend_on_blas_threads(noise):
+@pytest.mark.parametrize("noise, n_steps", [
+    pytest.param([], "6", id="noisy"),
+    pytest.param(ZERO_NOISE, "6", id="noise-free"),
+    # large enough for BLAS to split work between threads: a pure
+    # state's diagnostics come from psi, with no eigvalsh to differ
+    pytest.param(ZERO_NOISE, "80", id="noise-free N=80"),
+])
+def test_report_does_not_depend_on_blas_threads(noise, n_steps):
     # identical configs give identical rows, whatever the BLAS thread
     # count: every field but wall_ms is equal at one and two threads
     src = str(Path(cqwalk.__file__).resolve().parents[1])
@@ -247,7 +252,7 @@ def test_report_does_not_depend_on_blas_threads(noise):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": src if not path else src + os.pathsep + path}
         proc = subprocess.run(
-            [sys.executable, "-m", "cqwalk.cli", "run", "--n-steps", "6",
+            [sys.executable, "-m", "cqwalk.cli", "run", "--n-steps", n_steps,
              "--format", "json", *noise],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

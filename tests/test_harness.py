@@ -14,7 +14,7 @@ import pytest
 from conftest import zero_noise_config
 
 import cqwalk
-from cqwalk import config, harness, lindblad
+from cqwalk import config, harness, idealwalk, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -206,6 +206,36 @@ def test_sweep_propagates_once_per_group(monkeypatch):
     assert calls == [6, 6, 6]                  # one N=6 run per scale
 
 
+def test_sweep_walks_the_ideal_walk_once_per_group(monkeypatch):
+    # each group's rows take P_id from one ideal walk of its largest
+    # n_steps, not one walk per row
+    steps = []
+    step = idealwalk.step
+
+    def counting(amps, coin):
+        steps.append(len(amps))
+        return step(amps, coin)
+
+    monkeypatch.setattr(idealwalk, "step", counting)
+    spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
+                     cross_axis="scale", cross_values=(5.0, 0.2))
+    rows = run_sweep(ExperimentConfig(), spec)
+    assert len(rows) == 8 and all(r.error is None for r in rows)
+    assert steps == [7] * 6 * 2             # six N=6 steps per scale
+
+
+def test_noise_free_readouts_form_no_spectrum(monkeypatch):
+    # a pure state's diagnostics come from psi: no readout of a
+    # noise-free run or sweep calls eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", pytest.fail)
+    rows = run_sweep(zero_noise_config(),
+                     SweepSpec(axis="n_steps", values=(3, 1, 2)))
+    for row in rows:
+        assert row.error is None and row.s == pytest.approx(1.0)
+        assert row.min_eigenvalue == 0.0
+        assert row.max_hermiticity_drift == 0.0
+
+
 def test_sweep_checks_each_row_up_to_its_step(monkeypatch):
     # the trace-error bound applies to each row's worst value up to its
     # own step: with the bound between two of those, the shorter rows
@@ -286,6 +316,21 @@ def test_noisy_run_builds_no_dense_initial_state():
         tracemalloc.stop()
     assert rep.error is None
     assert peak < 3.2 * 16 * (3 * n + 4) ** 2
+
+
+def test_noise_free_run_forms_no_dense_state():
+    # a noise-free run propagates and reads out psi, so an N=320 run
+    # peaks far below one dense (3N+4)^2 state (about 0.06 of one; 2.5
+    # with psi psi+ formed at the readout)
+    n = 320
+    tracemalloc.start()
+    try:
+        rep = run_experiment(zero_noise_config(n_steps=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.error is None and rep.s == pytest.approx(1.0)
+    assert peak < 0.5 * 16 * (3 * n + 4) ** 2
 
 
 def test_sweep_group_holds_one_state_at_a_time():

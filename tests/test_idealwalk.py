@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqwalk.idealwalk import (CoinState, coin_matrix, coin_preset, run_ideal,
-                              step, walk_amplitudes)
+                              site_probabilities, step, walk,
+                              walk_amplitudes)
 
 
 def test_coin_matrix_is_orthogonal_involution():
@@ -110,6 +111,22 @@ def test_walk_amplitudes_shape_and_start():
     assert amps[0, 1] == 1.0
     with pytest.raises(ValueError):
         walk_amplitudes(-1, 1.0, coin_preset("one"))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 1.2],
+                         ids=["pi/4", "0.3", "1.2"])
+@pytest.mark.parametrize("coin", ["zero", "one", "plus-i"])
+def test_walk_prefixes_are_the_shorter_walks(coin, theta):
+    # after step n, the first n+1 sites of one N-step walk are, bit for
+    # bit, the n-step walk (checked at every eighth step): a sweep scores
+    # every row from one walk
+    n_steps = 160
+    for n, amps in enumerate(walk(n_steps, theta, coin_preset(coin))):
+        assert amps.shape == (n + 1, 2)
+        if n % 8 == 0:
+            assert (site_probabilities(amps).tobytes()
+                    == run_ideal(n, theta, coin_preset(coin)).tobytes()), n
+    assert n == n_steps
 
 
 def test_coin_matrix_domain():

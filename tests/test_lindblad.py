@@ -57,6 +57,18 @@ def _density(psi):
     return np.outer(psi, psi.conj())
 
 
+def _rho(res):
+    """The density matrix of a result: its state, or psi psi+ formed
+    here from the psi a noise-free run reads out."""
+    return _density(res.state) if res.state.ndim == 1 else res.state
+
+
+def _leading(state, end):
+    """Index of the leading end entries of psi, or the leading end x end
+    block of rho."""
+    return (slice(end),) * state.ndim
+
+
 # all six channels on, each at its own rate, fast enough to matter within
 # a few steps
 DISTINCT_RATES = DecoherenceRates(kappa=0.9, gamma_ge=1.3, gamma_ef=1.7,
@@ -122,20 +134,21 @@ def test_noisy_run_matches_dense_oracle():
     schedule = build_schedule(params)
     rng = np.random.default_rng(5)
     psi0 = _random_state(rng, space.dim)
-    out = evolve_schedule(psi0, schedule, T0_RATES).rho
+    out = evolve_schedule(psi0, schedule, T0_RATES).state
     oracle = dense_expm_evolve(_density(psi0), schedule, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_noise_free_run_is_unitary_conjugation():
-    # without collapse channels the block path is U rho U+ exactly
+    # without collapse channels the run reads out psi = U psi0, whose
+    # psi psi+ is U rho0 U+ exactly
     space = StateSpace(1)
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     schedule = build_schedule(params)
     rng = np.random.default_rng(11)
     psi0 = _random_state(rng, space.dim)
     rho0 = _density(psi0)
-    out = evolve_schedule(psi0, schedule, ZERO_RATES).rho
+    out = _density(evolve_schedule(psi0, schedule, ZERO_RATES).state)
     want = rho0
     for seg in schedule:
         u = expm(-1j * seg.duration * dense_hamiltonian(seg))
@@ -155,7 +168,7 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
         DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
     rates = ExperimentConfig(scale=scale).rates()
     psi0 = _random_state(np.random.default_rng(seed), space.dim)
-    out = evolve_schedule(psi0, schedule, rates).rho
+    out = evolve_schedule(psi0, schedule, rates).state
     oracle = dense_expm_evolve(_density(psi0), schedule, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
@@ -181,16 +194,16 @@ def test_light_cone_matches_dense_oracle(n, rates):
     psi0 = _random_state(np.random.default_rng(n), space.dim, site_1)
     res = evolve_schedule(psi0, schedule, rates)
     oracle = dense_expm_evolve(_density(psi0), schedule, rates)
-    assert np.max(np.abs(res.rho - oracle)) <= 1e-12
+    assert np.max(np.abs(res.state - oracle)) <= 1e-12
     assert res.max_trace_error < 1e-12
 
 
 @pytest.mark.parametrize("start", ["site 1", "random"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_noise_free_columns_match_dense_oracle(n, start):
-    # with zero rates the run propagates psi as one column and forms
-    # psi psi+ only at readouts; every prefix of the schedule and every
-    # step readout must give the dense oracle's state, from a site-1
+    # with zero rates the run propagates psi as one column and reads it
+    # out; psi psi+, formed here, of every prefix of the schedule and
+    # every step readout must give the dense oracle's state, from a site-1
     # state with vacuum amplitude and from a random state on the whole
     # sector
     space = StateSpace(n)
@@ -207,12 +220,13 @@ def test_noise_free_columns_match_dense_oracle(n, start):
         return np.max(np.abs(got - oracle)) <= 1e-12
 
     res = evolve_schedule(psi0, schedule, ZERO_RATES)
-    assert close(res.rho, want[-1])
+    assert close(_density(res.state), want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
     for i, oracle in enumerate(want):
         prefix = Schedule(schedule.segments[:i])
-        assert close(evolve_schedule(psi0, prefix, ZERO_RATES).rho, oracle), i
+        assert close(_density(evolve_schedule(psi0, prefix,
+                                              ZERO_RATES).state), oracle), i
     # step numbers: the m-step chain's own run from psi0's leading entries,
     # which holds the whole site-1 state; a random state spreads over
     # the whole chain, so only step n
@@ -225,7 +239,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
             _density(psi0[:sub.dim]),
             build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)),
             ZERO_RATES)
-        assert close(snap.rho, oracle)
+        assert close(_density(snap.state), oracle)
         assert snap.max_trace_error < 1e-12
         assert snap.max_hermiticity_drift < 1e-12
 
@@ -244,7 +258,7 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
     psi0 = _random_state(np.random.default_rng(9), space.dim, support)
     res = evolve_schedule(psi0, schedule, DISTINCT_RATES)
     oracle = dense_expm_evolve(_density(psi0), schedule, DISTINCT_RATES)
-    assert np.max(np.abs(res.rho - oracle)) <= 1e-12
+    assert np.max(np.abs(res.state - oracle)) <= 1e-12
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -327,7 +341,7 @@ def test_prefix_ending_after_a_coin_matches_dense_oracle(rates):
         prefix = Schedule(schedule.segments[:3 * m + 1])
         res = evolve_schedule(psi0, prefix, rates)
         oracle = dense_expm_evolve(_density(psi0), prefix, rates)
-        assert np.max(np.abs(res.rho - oracle)) <= 1e-12, m
+        assert np.max(np.abs(_rho(res) - oracle)) <= 1e-12, m
         assert res.max_trace_error < 1e-12
 
 
@@ -359,7 +373,7 @@ def test_vacuum_stays_put(rates):
     for i in range(len(schedule) + 1):
         res = evolve_schedule(psi0, Schedule(schedule.segments[:i]),
                               rates)
-        assert np.array_equal(res.rho, _density(psi0)), i
+        assert np.array_equal(_rho(res), _density(psi0)), i
         assert res.max_trace_error == 0.0
         assert res.max_hermiticity_drift == 0.0
 
@@ -434,6 +448,39 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
     assert res.max_hermiticity_drift < 1e-14
 
 
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_readout_carries_its_populations(rates):
+    # every readout's populations are, bit for bit, the real diagonal of
+    # its density matrix; a noise-free run reads out psi itself, with no
+    # drift, and psi psi+ has the exact smallest eigenvalue 0
+    space = StateSpace(3)
+    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
+    psi0 = _random_state(np.random.default_rng(4), space.dim,
+                         [space.qutrit_index(1, E), space.qutrit_index(1, F)])
+    res, readouts = _run_with_readouts(psi0, schedule, rates, (1, 2))
+    for snap in [res] + [snap for _, snap in readouts]:
+        assert (snap.populations.tobytes()
+                == _rho(snap).diagonal().real.tobytes())
+    if rates == ZERO_RATES:
+        assert res.state.shape == (space.dim,)
+        assert res.max_hermiticity_drift == 0.0
+        assert min_eigenvalue(res.state) == 0.0
+        assert abs(np.linalg.eigvalsh(_density(res.state))[0]) < 1e-15
+    else:
+        assert res.state.shape == (space.dim, space.dim)
+
+
+def test_min_eigenvalue_of_a_state_vector():
+    # psi psi+ has rank 1 below its dimension: the smallest eigenvalue is
+    # 0.0, or NaN when psi is not finite
+    psi = _random_state(np.random.default_rng(2), 6)
+    assert min_eigenvalue(psi) == 0.0
+    for bad in (math.nan, math.inf):
+        psi[3] = bad
+        assert math.isnan(min_eigenvalue(psi))
+
+
 def test_diagnostics_keep_nan():
     space = StateSpace(1)
     schedule = build_schedule(REF_1)
@@ -452,9 +499,9 @@ def test_trace_and_hermiticity_tracked():
                           ExperimentConfig(scale=0.2).rates())
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
-    assert abs(np.trace(res.rho).real - 1.0) < 1e-10
-    assert np.max(np.abs(res.rho - res.rho.conj().T)) == 0.0
-    assert min_eigenvalue(res.rho) > -1e-12
+    assert abs(np.trace(res.state).real - 1.0) < 1e-10
+    assert np.max(np.abs(res.state - res.state.conj().T)) == 0.0
+    assert min_eigenvalue(res.state) > -1e-12
 
 
 @pytest.mark.parametrize("dim", [31, 244, 964])
@@ -489,31 +536,32 @@ def test_snapshots_are_sector_states():
     # each step readout is, bit for bit, the leading block of the final
     # state of the matching prefix of the schedule, which is zero outside
     # that block, with the prefix's diagnostics; the last one is the
-    # run without readouts.  With zero rates the states are formed from
-    # the propagated psi
+    # run without readouts.  With zero rates the states are the
+    # propagated psi
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
     psi0 = _random_state(np.random.default_rng(6), space.dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
-        final = evolve_schedule(psi0, schedule, rates).rho
+        final = evolve_schedule(psi0, schedule, rates).state
         by_step, readouts = _run_with_readouts(psi0, schedule, rates,
                                                (1, 2, 3))
-        assert np.array_equal(by_step.rho, final)
-        assert np.array_equal(readouts[-1][1].rho, final)
+        assert np.array_equal(by_step.state, final)
+        assert np.array_equal(readouts[-1][1].state, final)
         assert [n for n, _ in readouts] == [1, 2, 3]
         for n, snap in readouts:
             prefix = Schedule(schedule.segments[:3 * n])
             alone = evolve_schedule(psi0, prefix, rates)
             end = StateSpace(n).dim
-            assert np.array_equal(snap.rho, alone.rho[:end, :end])
-            outside = alone.rho.copy()
-            outside[:end, :end] = 0.0
+            lead = _leading(alone.state, end)
+            assert np.array_equal(snap.state, alone.state[lead])
+            outside = alone.state.copy()
+            outside[lead] = 0.0
             assert not outside.any()
             assert snap.max_trace_error == alone.max_trace_error
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
             if n == 1:
-                assert np.max(np.abs(alone.rho - dense_expm_evolve(
+                assert np.max(np.abs(_rho(alone) - dense_expm_evolve(
                     _density(psi0), prefix, rates))) <= 1e-12, rates
 
 
@@ -538,10 +586,10 @@ def test_step_readout_is_each_shorter_run():
         assert [n for n, _ in readouts] == [2, 5, 8]
         for n, snap in readouts:
             alone, _ = run(n, rates)
-            assert np.array_equal(snap.rho, alone.rho)
+            assert np.array_equal(snap.state, alone.state)
             assert snap.max_trace_error == alone.max_trace_error
             assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-        assert np.array_equal(long.rho, readouts[-1][1].rho)
+        assert np.array_equal(long.state, readouts[-1][1].state)
 
 
 def test_step_readout_refusals():
@@ -567,7 +615,7 @@ def test_record_modes():
     by_step, readouts = _run_with_readouts(psi0, schedule, T0_RATES,
                                            range(1, 3))
     assert [n for n, _ in readouts] == [1, 2]
-    assert np.array_equal(by_step.rho, plain.rho)
+    assert np.array_equal(by_step.state, plain.state)
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
             _run_with_readouts(psi0, schedule, T0_RATES, mode)
@@ -586,4 +634,4 @@ def test_evolution_preserves_trace_property(seed, scale):
     longer = Segment("coin", 1, coin.hamiltonian, coin.offset, 2e-3)
     res = evolve_schedule(psi0, Schedule((longer,)), rates)
     assert res.max_trace_error < 1e-10
-    assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(res.state).real == pytest.approx(1.0, abs=1e-10)
