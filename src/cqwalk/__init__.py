@@ -15,7 +15,7 @@ from .lindblad import (DecoherenceRates, EvolutionResult, IntegrationError,
                        evolve_schedule)
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
-from .protocol import Schedule, Segment, build_schedule
+from .protocol import Segment, build_schedule
 from .statespace import DeviceParams, StateSpace
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoinState", "ConfigError", "DecoherenceRates", "DeviceParams",
     "Distribution", "EvolutionResult", "ExperimentConfig",
-    "IntegrationError", "Report", "Schedule", "Segment", "StateSpace",
+    "IntegrationError", "Report", "Segment", "StateSpace",
     "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
     "evolve_schedule", "extract_distribution", "initial_state",

@@ -20,6 +20,7 @@ the first.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -193,6 +194,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     def bad(msg):
         raise ConfigError(msg)
 
+    if (isinstance(cfg.n_steps, bool)
+            or not isinstance(cfg.n_steps, numbers.Integral)):
+        bad(f"n_steps must be an integer, not {cfg.n_steps!r}")
     if cfg.n_steps < 1:
         bad("n_steps must be >= 1")
     for name in ("g_over_2pi_mhz", "omega_over_2pi_mhz"):

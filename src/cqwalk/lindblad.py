@@ -14,15 +14,16 @@ single-excitation sector each is one basis transition sqrt(gamma)
 written straight into each site's data; no channel list or dim x dim
 matrix is formed.
 
-Each segment is propagated exactly; the map is compiled once per
-distinct (H, offset, duration) of a schedule.  The sector basis is
-ordered by site (statespace): the vacuum, then the triplets
-(e_j, f_j, c_j), and the propagator adds one empty slot where c_{N+1}
-would be.  A segment's H comes in site form (protocol.Segment), one 3x3
-block per site of its layout: coin (e_j<->f_j) and store (e_j<->c_j)
-act within the triplets (offset 1); retrieve (c_{j-1}<->e_j) acts within
-the same array shifted by one slot (offset 0), on (c_{j-1}, e_j, f_j),
-with the vacuum in place of c_0, which has no decay.  The generator
+The schedule is one walk step, which a run of an N-step chain applies
+N times; each of its segments is propagated exactly by a map compiled
+once per run.  The sector basis is ordered by site (statespace): the
+vacuum, then the triplets (e_j, f_j, c_j), and the propagator adds one
+empty slot where c_{N+1} would be.  A segment's H comes in site form
+(protocol.Segment), one 3x3 block per site of its layout: coin
+(e_j<->f_j) and store (e_j<->c_j) act within the triplets (offset 1);
+retrieve (c_{j-1}<->e_j) acts within the same array shifted by one slot
+(offset 0), on (c_{j-1}, e_j, f_j), with the vacuum in place of c_0,
+which has no decay.  The generator
 splits as -i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma
 / 2, Gamma = sum_k gamma_k |b_k><b_k|, and J(rho) = sum_k gamma_k
 rho_bb |a_k><a_k|.  Per site that is a total decay of each slot, an
@@ -35,15 +36,14 @@ Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
 these sums.  Compiling a segment exponentiates these few-by-few
-generators of every site as one numpy stack.  Consecutive segments on
-one layout with no step readout between them compose into one exact map
-of the same per-site form, made once per distinct run of them before
-the propagation starts, so a walk step applies two maps: coin then
-store, and retrieve.  Each map is applied as a batched matmul on
-reshaped views of rho.  A Hamiltonian stack of
-another chain than the state's, an offset other than 0 or 1, a term on
-the vacuum or on the empty slot, or a state that is not a vector of
-length 3N+3, is a ValueError.
+generators of every site as one numpy stack.  Consecutive segments of
+the step on one layout compose into one exact map of the same per-site
+form before the propagation starts, so a walk step applies two maps:
+coin then store, and retrieve.  Each map is applied as a batched matmul
+on reshaped views of rho.  A Hamiltonian stack of another chain than
+the state's, an offset other than 0 or 1, a term on the vacuum or on
+the empty slot, or a state that is not a vector of length 3N+3, is a
+ValueError.
 
 The walker starts as a state vector psi0.  Since it moves at most one
 site per retrieve, only a leading block of rho is nonzero:
@@ -70,13 +70,15 @@ and min_eigenvalue takes either form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .protocol import SEG_RETRIEVE, Schedule
+from .protocol import Segment
 from .statespace import StateSpace
 
 
@@ -364,72 +366,47 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
-def _program(schedule: Schedule, dim: int, rates: DecoherenceRates,
-             steps: set[int]) -> list[tuple[_SiteMaps, int | None]]:
-    """The schedule as the maps to apply, each with the step read out
-    after it (None for none).
-
-    Consecutive segments on one layout with no readout between them
-    form one map.  Each distinct (H, offset, duration) is compiled once,
-    and each distinct run of them composed once.
-    """
-    maps = {}                   # by segment key, then by run of keys
-    runs = []                   # [segment keys, step read out after them]
-    for seg in schedule:
-        key = id(seg.hamiltonian), seg.offset, seg.duration
-        if key not in maps:
-            maps[key] = _site_maps(seg, dim, rates)
-        if runs and runs[-1][1] is None and runs[-1][0][-1][1] == seg.offset:
-            runs[-1][0] += (key,)
-        else:
-            runs.append([(key,), None])
-        if seg.label == SEG_RETRIEVE and seg.step in steps:
-            runs[-1][1] = seg.step
-    for keys, _ in runs:
-        if keys not in maps:
-            maps[keys] = functools.reduce(_SiteMaps.then,
-                                          [maps[key] for key in keys])
-    return [(maps[keys], step) for keys, step in runs]
-
-
-def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
+def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
                     rates: DecoherenceRates, steps=(),
                     on_step=None) -> EvolutionResult:
-    """Run the whole pulse program from the sector state vector psi0;
-    return the final state: psi when every rate is 0, else rho.
+    """Run the walk from the sector state vector psi0: the schedule, one
+    walk step, N times on the chain of psi0, of length 3N+3; return the
+    final state: psi when every rate is 0, else rho.
 
-    Each distinct (H, offset, duration) is compiled once, and
-    consecutive segments on one site layout with no step readout between
-    them are applied as one composed map.  The schedule shares one
-    Hamiltonian stack per segment kind, so that is three compilations
-    and one composition, and a step applies two maps: coin then store,
-    and retrieve.  Every site of the chain decays by the six rates; the
-    run is noise-free exactly when all of them are 0.  psi0 must be a
-    vector of length 3N+3, and every segment must carry one 3x3 block
-    per site of that chain, with no term outside the site layout (module
-    docstring); anything else is a ValueError.
-    steps is a collection of step numbers, which needs on_step.  Once
-    the run reaches step n of them, on_step(n, result) gets the n-step
-    chain's own run from psi0's leading 3n+3 entries, read off the
-    state's leading entries after step n, in increasing order of n.
-    That is exact while the state stays on sites 1..n+1 up to step n, as
-    a walker started on site 1 does; a state that leaves them is a
+    Each segment is compiled once, and consecutive segments on one site
+    layout are applied as one composed map, so a protocol step applies
+    two maps: coin then store, and retrieve.  Every site of the chain
+    decays by the six rates; the run is noise-free exactly when all of
+    them are 0.  psi0 must be a vector of length 3N+3, N >= 1, and every
+    segment must carry one 3x3 block per site of that chain, with no
+    term outside the site layout (module docstring); anything else is a
     ValueError.
+    steps is a collection of step numbers in 1..N, which needs on_step.
+    Once the run has applied the schedule n times for an n of them,
+    on_step(n, result) gets the n-step chain's own run from psi0's
+    leading 3n+3 entries, read off the state's leading entries, in
+    increasing order of n.  That is exact while the state stays on
+    sites 1..n+1 up to step n, as a walker started on site 1 does; a
+    state that leaves them is a ValueError.
     """
     if isinstance(steps, str):
         raise ValueError(f"steps takes step numbers, not {steps!r}")
-    steps = {int(n) for n in steps}
+    steps = {operator.index(n) for n in steps}
     if steps and on_step is None:
         raise ValueError("steps need an on_step callback")
-    if not steps <= {seg.step for seg in schedule
-                     if seg.label == SEG_RETRIEVE}:
-        raise ValueError(f"steps {sorted(steps)} not all in the schedule")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
         raise ValueError(f"a state of shape {psi0.shape} is no single-"
                          "excitation sector vector of shape (3N+3,), N >= 1")
     dim = len(psi0)
-    program = _program(schedule, dim, rates, steps)
+    n_steps = dim // 3 - 1
+    if not steps <= set(range(1, n_steps + 1)):
+        raise ValueError(f"steps {sorted(steps)} not all in the schedule's"
+                         f" steps 1..{n_steps}")
+    step_maps = [functools.reduce(_SiteMaps.then,
+                                  [_site_maps(seg, dim, rates) for seg in run])
+                 for _, run in itertools.groupby(
+                     schedule, operator.attrgetter("offset"))]
     # Only the leading size entries of psi, and the leading size x size
     # block of rho, can be nonzero: size starts at psi0's support (a NaN
     # counts) and grows by at most one site per map.
@@ -461,15 +438,17 @@ def evolve_schedule(psi0: np.ndarray, schedule: Schedule,
                                drift)
 
     max_trace_error = np.float64(0.0)
-    for site_maps, step in program:
-        if psi is None:
-            size = site_maps.apply(state, size)
-            trace_error = abs(state[:size, :size].trace().real - 1.0)
-        else:
-            size = site_maps.apply_rows(psi, size)
-            trace_error = abs(np.vdot(psi[:size], psi[:size]).real - 1.0)
-        max_trace_error = np.maximum(max_trace_error, trace_error)  # NaN stays
-        if step is not None:
+    for step in range(1, n_steps + 1):
+        for site_maps in step_maps:
+            if psi is None:
+                size = site_maps.apply(state, size)
+                trace_error = abs(state[:size, :size].trace().real - 1.0)
+            else:
+                size = site_maps.apply_rows(psi, size)
+                trace_error = abs(np.vdot(psi[:size], psi[:size]).real - 1.0)
+            # NaN stays
+            max_trace_error = np.maximum(max_trace_error, trace_error)
+        if step in steps:
             end = StateSpace(step).dim
             if size > end:
                 raise ValueError(f"the state after step {step} reaches"

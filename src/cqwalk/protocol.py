@@ -1,6 +1,7 @@
-"""Pulse schedule realizing one walk step as three global segments.
+"""Pulse schedule of one walk step: three global segments.
 
-Each step applies, to every site in parallel:
+A walk of N steps repeats the same step N times.  Each step applies, to
+every site in parallel:
 
 1. "coin"      drive Omega (e^{i phi}|e><f| + h.c.) on every qutrit for
                t = theta / Omega.  With phi = -pi/2 this rotates the
@@ -56,21 +57,9 @@ class Segment:
     """
 
     label: str
-    step: int                 # 1-based walk step this segment belongs to
     hamiltonian: np.ndarray
     offset: int
     duration: float
-
-
-@dataclass(frozen=True)
-class Schedule:
-    segments: tuple[Segment, ...]
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self):
-        return len(self.segments)
 
 
 def segment_durations(params: DeviceParams) -> dict[str, float]:
@@ -82,12 +71,12 @@ def segment_durations(params: DeviceParams) -> dict[str, float]:
     }
 
 
-def build_schedule(params: DeviceParams) -> Schedule:
-    """Full pulse program: n_steps repetitions of coin/store/retrieve.
+def build_schedule(params: DeviceParams) -> tuple[Segment, ...]:
+    """One walk step, (coin, store, retrieve), on the chain of
+    params.n_steps steps; a walk repeats it n_steps times.
 
-    Each kind's per-site Hamiltonians are written by index and shared
-    across steps (the drive is global and steps are identical), so
-    evolution compiles three segment maps regardless of n_steps.
+    Each kind's per-site Hamiltonians are written by index, one stack of
+    shape (n_steps + 1, 3, 3).
     """
     sites = params.n_steps + 1
     coin, store, retrieve = (np.zeros((sites, 3, 3), dtype=complex)
@@ -99,11 +88,7 @@ def build_schedule(params: DeviceParams) -> Schedule:
     store[:-1, 0, 2] = store[:-1, 2, 0] = params.g
     # (c_{j-1}, e_j, f_j) at offset 0; the first site's c_0 is the vacuum
     retrieve[1:, 0, 1] = retrieve[1:, 1, 0] = params.mu
-    hs = {SEG_COIN: (coin, 1), SEG_STORE: (store, 1),
-          SEG_RETRIEVE: (retrieve, 0)}
     durs = segment_durations(params)
-    segments = []
-    for step in range(1, params.n_steps + 1):
-        for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE):
-            segments.append(Segment(label, step, *hs[label], durs[label]))
-    return Schedule(tuple(segments))
+    return (Segment(SEG_COIN, coin, 1, durs[SEG_COIN]),
+            Segment(SEG_STORE, store, 1, durs[SEG_STORE]),
+            Segment(SEG_RETRIEVE, retrieve, 0, durs[SEG_RETRIEVE]))

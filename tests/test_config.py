@@ -67,6 +67,10 @@ def test_parse_errors_carry_line_info(text, fragment):
     {"format": "xml"},
     {"phi_rad": math.nan},
     {"mu_over_2pi_mhz": -2.0},
+    {"n_steps": 2.5},
+    {"n_steps": 2.0},
+    {"n_steps": True},
+    {"n_steps": "3"},
 ])
 def test_range_validation(overrides):
     with pytest.raises(ConfigError):

@@ -195,7 +195,7 @@ def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
     def counting(psi0, schedule, rates, steps=(), on_step=None):
-        calls.append(len(schedule) // 3)
+        calls.append(len(psi0) // 3 - 1)
         return evolve_schedule(psi0, schedule, rates, steps, on_step)
 
     monkeypatch.setattr(harness, "evolve_schedule", counting)

@@ -14,7 +14,7 @@ from cqwalk import ExperimentConfig
 from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
                              _site_maps, _SiteMaps, _symmetrize,
                              evolve_schedule, min_eigenvalue)
-from cqwalk.protocol import Schedule, Segment, build_schedule
+from cqwalk.protocol import Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
 REF = DeviceParams.from_mhz(2, 50.0, 100.0)
@@ -63,12 +63,6 @@ def _rho(res):
     return _density(res.state) if res.state.ndim == 1 else res.state
 
 
-def _leading(state, end):
-    """Index of the leading end entries of psi, or the leading end x end
-    block of rho."""
-    return (slice(end),) * state.ndim
-
-
 # all six channels on, each at its own rate, fast enough to matter within
 # a few steps
 DISTINCT_RATES = DecoherenceRates(kappa=0.9, gamma_ge=1.3, gamma_ef=1.7,
@@ -110,7 +104,7 @@ def test_schedule_of_long_chain_is_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(schedule) == 3 * 320
+    assert len(schedule) == 3
     assert peak < 2_000_000
 
 
@@ -135,7 +129,7 @@ def test_noisy_run_matches_dense_oracle():
     rng = np.random.default_rng(5)
     psi0 = _random_state(rng, space.dim)
     out = evolve_schedule(psi0, schedule, T0_RATES).state
-    oracle = dense_expm_evolve(_density(psi0), schedule, T0_RATES)
+    oracle = dense_expm_evolve(_density(psi0), schedule * 2, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
@@ -169,7 +163,7 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
     rates = ExperimentConfig(scale=scale).rates()
     psi0 = _random_state(np.random.default_rng(seed), space.dim)
     out = evolve_schedule(psi0, schedule, rates).state
-    oracle = dense_expm_evolve(_density(psi0), schedule, rates)
+    oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
@@ -193,7 +187,7 @@ def test_light_cone_matches_dense_oracle(n, rates):
               space.qutrit_index(1, F)]
     psi0 = _random_state(np.random.default_rng(n), space.dim, site_1)
     res = evolve_schedule(psi0, schedule, rates)
-    oracle = dense_expm_evolve(_density(psi0), schedule, rates)
+    oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
     assert res.max_trace_error < 1e-12
 
@@ -202,10 +196,9 @@ def test_light_cone_matches_dense_oracle(n, rates):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_noise_free_columns_match_dense_oracle(n, start):
     # with zero rates the run propagates psi as one column and reads it
-    # out; psi psi+, formed here, of every prefix of the schedule and
-    # every step readout must give the dense oracle's state, from a site-1
-    # state with vacuum amplitude and from a random state on the whole
-    # sector
+    # out; psi psi+, formed here, of the final state and of every step
+    # readout must give the dense oracle's state, from a site-1 state
+    # with vacuum amplitude and from a random state on the whole sector
     space = StateSpace(n)
     params = DeviceParams.from_mhz(n, 50.0, 100.0)
     schedule = build_schedule(params)
@@ -214,7 +207,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     rng = np.random.default_rng(n)
     psi0 = _random_state(rng, space.dim,
                          site_1 if start == "site 1" else None)
-    want = dense_expm_states(_density(psi0), schedule, ZERO_RATES)
+    want = dense_expm_states(_density(psi0), schedule * n, ZERO_RATES)
 
     def close(got, oracle):
         return np.max(np.abs(got - oracle)) <= 1e-12
@@ -223,21 +216,22 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     assert close(_density(res.state), want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
-    for i, oracle in enumerate(want):
-        prefix = Schedule(schedule.segments[:i])
-        assert close(_density(evolve_schedule(psi0, prefix,
-                                              ZERO_RATES).state), oracle), i
     # step numbers: the m-step chain's own run from psi0's leading entries,
     # which holds the whole site-1 state; a random state spreads over
-    # the whole chain, so only step n
+    # the whole chain, so only step n.  Step m ends at the oracle's state
+    # 3m, whose leading block the readout is
     steps = range(1, n + 1) if start == "site 1" else [n]
     _, readouts = _run_with_readouts(psi0, schedule, ZERO_RATES, steps)
     assert [m for m, _ in readouts] == list(steps)
     for m, snap in readouts:
         sub = StateSpace(m)
+        boundary = want[3 * m].copy()
+        assert close(_density(snap.state), boundary[:sub.dim, :sub.dim]), m
+        boundary[:sub.dim, :sub.dim] = 0.0
+        assert close(boundary, 0.0), m
         oracle = dense_expm_evolve(
             _density(psi0[:sub.dim]),
-            build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)),
+            build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)) * m,
             ZERO_RATES)
         assert close(_density(snap.state), oracle)
         assert snap.max_trace_error < 1e-12
@@ -257,7 +251,7 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
                    space.qutrit_index(4, F), space.cavity_index(3)]
     psi0 = _random_state(np.random.default_rng(9), space.dim, support)
     res = evolve_schedule(psi0, schedule, DISTINCT_RATES)
-    oracle = dense_expm_evolve(_density(psi0), schedule, DISTINCT_RATES)
+    oracle = dense_expm_evolve(_density(psi0), schedule * 3, DISTINCT_RATES)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
 
 
@@ -272,7 +266,7 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
     # vacuum sink included; noise-free also to random columns
     space = StateSpace(n)
     coin, store, retrieve = build_schedule(
-        DeviceParams.from_mhz(n, 50.0, 100.0)).segments[:3]
+        DeviceParams.from_mhz(n, 50.0, 100.0))
     rng = np.random.default_rng(n)
     for first, second in ((coin, store), (retrieve, retrieve)):
         a, b = (_site_maps(seg, space.dim, rates) for seg in (first, second))
@@ -330,18 +324,16 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
                          ids=["zero rates", "distinct rates"])
-def test_prefix_ending_after_a_coin_matches_dense_oracle(rates):
-    # a prefix that stops between coin and store applies the coin map
-    # alone, at the last step and after it
-    n = 3
-    space = StateSpace(n)
-    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    psi0 = _random_state(np.random.default_rng(8), space.dim)
-    for m in range(n):
-        prefix = Schedule(schedule.segments[:3 * m + 1])
-        res = evolve_schedule(psi0, prefix, rates)
-        oracle = dense_expm_evolve(_density(psi0), prefix, rates)
-        assert np.max(np.abs(_rho(res) - oracle)) <= 1e-12, m
+def test_one_segment_schedule_repeats_per_step(rates):
+    # a schedule of the coin alone is the step: an N-chain run applies
+    # it N times, as the oracle of (coin,) * N does
+    for n in (1, 2, 3):
+        space = StateSpace(n)
+        coin = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))[0]
+        psi0 = _random_state(np.random.default_rng(8), space.dim)
+        res = evolve_schedule(psi0, (coin,), rates)
+        oracle = dense_expm_evolve(_density(psi0), (coin,) * n, rates)
+        assert np.max(np.abs(_rho(res) - oracle)) <= 1e-12, n
         assert res.max_trace_error < 1e-12
 
 
@@ -353,11 +345,11 @@ def test_hamiltonian_outside_the_sites_is_refused():
     vacuum, beyond = (np.zeros((2, 3, 3), dtype=complex) for _ in range(2))
     vacuum[0, 0, 1] = vacuum[0, 1, 0] = 300.0          # vacuum <-> e_1
     beyond[1, 0, 2] = beyond[1, 2, 0] = 300.0          # e_2 <-> c_2
-    store = build_schedule(REF_1).segments[1]
+    store = build_schedule(REF_1)[1]
     for h, offset, match in ((vacuum, 0, "outside the sector's sites"),
                              (beyond, 1, "outside the sector's sites"),
                              (store.hamiltonian, 2, "fits no site layout")):
-        schedule = Schedule((Segment("store", 1, h, offset, 4e-3),))
+        schedule = (Segment("store", h, offset, 4e-3),)
         with pytest.raises(ValueError, match=match):
             evolve_schedule(psi0, schedule, DISTINCT_RATES)
 
@@ -371,8 +363,7 @@ def test_vacuum_stays_put(rates):
     schedule = build_schedule(REF)
     psi0 = _basis_state(space.dim, space.vacuum_index)
     for i in range(len(schedule) + 1):
-        res = evolve_schedule(psi0, Schedule(schedule.segments[:i]),
-                              rates)
+        res = evolve_schedule(psi0, schedule[:i], rates)
         assert np.array_equal(_rho(res), _density(psi0)), i
         assert res.max_trace_error == 0.0
         assert res.max_hermiticity_drift == 0.0
@@ -394,7 +385,7 @@ def test_state_outside_the_sector_is_refused(shape):
     # density matrix is not, even of a sector's dimension
     dim = shape[0]
     h = np.zeros(((dim + 1) // 3, 3, 3), dtype=complex)
-    schedule = Schedule((Segment("coin", 1, h, 1, 1e-3),))
+    schedule = (Segment("coin", h, 1, 1e-3),)
     with pytest.raises(ValueError,
                        match=r"single-excitation sector.*\(3N\+3,\)"):
         evolve_schedule(np.full(shape, dim ** -0.5), schedule, ZERO_RATES)
@@ -441,9 +432,8 @@ def test_fullspace_oracle_matches_dense_expm():
 def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
-    store = build_schedule(REF_1).segments[1]
-    res = evolve_schedule(_basis_state(space.dim, 1), Schedule((store,)),
-                          T0_RATES)
+    store = build_schedule(REF_1)[1]
+    res = evolve_schedule(_basis_state(space.dim, 1), (store,), T0_RATES)
     assert res.max_trace_error < 1e-14
     assert res.max_hermiticity_drift < 1e-14
 
@@ -533,11 +523,10 @@ def test_symmetrize_is_the_strided_form(order):
 
 
 def test_snapshots_are_sector_states():
-    # each step readout is, bit for bit, the leading block of the final
-    # state of the matching prefix of the schedule, which is zero outside
-    # that block, with the prefix's diagnostics; the last one is the
-    # run without readouts.  With zero rates the states are the
-    # propagated psi
+    # each step readout is the leading block of the run's state after
+    # that step, the dense oracle's 3-chain state after n steps, which is
+    # zero outside that block; the last one is the run without readouts.
+    # With zero rates the states are the propagated psi
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
@@ -549,20 +538,14 @@ def test_snapshots_are_sector_states():
         assert np.array_equal(by_step.state, final)
         assert np.array_equal(readouts[-1][1].state, final)
         assert [n for n, _ in readouts] == [1, 2, 3]
+        oracle = dense_expm_states(_density(psi0), schedule * 3, rates)
         for n, snap in readouts:
-            prefix = Schedule(schedule.segments[:3 * n])
-            alone = evolve_schedule(psi0, prefix, rates)
             end = StateSpace(n).dim
-            lead = _leading(alone.state, end)
-            assert np.array_equal(snap.state, alone.state[lead])
-            outside = alone.state.copy()
-            outside[lead] = 0.0
-            assert not outside.any()
-            assert snap.max_trace_error == alone.max_trace_error
-            assert snap.max_hermiticity_drift == alone.max_hermiticity_drift
-            if n == 1:
-                assert np.max(np.abs(_rho(alone) - dense_expm_evolve(
-                    _density(psi0), prefix, rates))) <= 1e-12, rates
+            want = oracle[3 * n].copy()
+            dev = np.max(np.abs(_rho(snap) - want[:end, :end]))
+            assert dev <= 1e-12, (n, rates)
+            want[:end, :end] = 0.0
+            assert np.max(np.abs(want)) < 1e-12, (n, rates)
 
 
 def test_step_readout_is_each_shorter_run():
@@ -619,6 +602,9 @@ def test_record_modes():
     for mode in ("steps", "segments", "none"):
         with pytest.raises(ValueError):
             _run_with_readouts(psi0, schedule, T0_RATES, mode)
+    # a step number is an integer: 1.7 is not read out as step 1
+    with pytest.raises(TypeError):
+        _run_with_readouts(psi0, schedule, T0_RATES, (1.7,))
     with pytest.raises(ValueError, match="on_step"):
         evolve_schedule(psi0, schedule, T0_RATES, steps=(1,))
 
@@ -630,8 +616,8 @@ def test_evolution_preserves_trace_property(seed, scale):
     rates = ExperimentConfig(scale=scale).rates()
     rng = np.random.default_rng(seed)
     psi0 = _random_state(rng, space.dim)
-    coin = build_schedule(REF_1).segments[0]
-    longer = Segment("coin", 1, coin.hamiltonian, coin.offset, 2e-3)
-    res = evolve_schedule(psi0, Schedule((longer,)), rates)
+    coin = build_schedule(REF_1)[0]
+    longer = Segment("coin", coin.hamiltonian, coin.offset, 2e-3)
+    res = evolve_schedule(psi0, (longer,), rates)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.state).real == pytest.approx(1.0, abs=1e-10)

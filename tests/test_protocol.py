@@ -23,22 +23,20 @@ def test_reference_segment_durations():
 
 
 def test_schedule_structure():
+    # the schedule is one walk step, whatever the chain's length
     sched = build_schedule(REF)
-    assert len(sched) == 6
-    assert [s.label for s in sched] == [SEG_COIN, SEG_STORE, SEG_RETRIEVE] * 2
-    assert [s.step for s in sched] == [1, 1, 1, 2, 2, 2]
-    assert [s.offset for s in sched] == [1, 1, 0] * 2
-    assert sum(s.duration for s in sched) == pytest.approx(2 * 11.25e-3)
+    assert len(sched) == 3
+    assert [s.label for s in sched] == [SEG_COIN, SEG_STORE, SEG_RETRIEVE]
+    assert [s.offset for s in sched] == [1, 1, 0]
+    assert sum(s.duration for s in sched) == pytest.approx(11.25e-3)
     # one 3x3 block per site of the 2-step chain
     assert all(s.hamiltonian.shape == (3, 3, 3) for s in sched)
-    # identical pulses share one stack -> one compiled map per kind
-    assert sched.segments[0].hamiltonian is sched.segments[3].hamiltonian
 
 
 def test_hamiltonians_hermitian():
     params = DeviceParams.from_mhz(3, 40.0, 80.0, mu_over_2pi_mhz=35.0,
                                    phi_rad=0.7)
-    for seg in build_schedule(params).segments[:3]:
+    for seg in build_schedule(params):
         h = dense_hamiltonian(seg)
         assert np.allclose(h, h.conj().T)
 
@@ -54,7 +52,7 @@ def test_truncated_hamiltonians_match_full_space(builder):
     full = fullspace.FullSpace(2, fock_cutoff=3)
     v = fullspace.embedding_matrix(trunc, full)
     kind = ("h_coin", "h_store", "h_retrieve").index(builder)
-    seg = build_schedule(params).segments[kind]
+    seg = build_schedule(params)[kind]
     assert np.allclose(v.T @ getattr(fullspace, builder)(full, params) @ v,
                        dense_hamiltonian(seg), atol=1e-12)
 
@@ -63,7 +61,7 @@ def _unitary_step(params):
     """Exact propagator of one walk step (three segments, no noise)."""
     coin, store, retrieve = (
         expm(-1j * seg.duration * dense_hamiltonian(seg))
-        for seg in build_schedule(params).segments[:3])
+        for seg in build_schedule(params))
     return retrieve @ store @ coin
 
 
@@ -97,7 +95,7 @@ def test_store_segment_swaps_excitation_into_cavity():
     # with amplitude -i (a perfect half swap of the resonant pair).
     params = DeviceParams.from_mhz(1, 50.0, 100.0)
     space = StateSpace(1)
-    store = build_schedule(params).segments[1]
+    store = build_schedule(params)[1]
     u = expm(-1j * store.duration * dense_hamiltonian(store))
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.qutrit_index(1, E)] = 1.0
