@@ -23,15 +23,15 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, config_from_mapping,
                      config_keys, load_config, parse_field_value)
-from .harness import (Report, SweepSpec, _opened, emit_distribution,
-                      emit_plot_script, emit_report, run_experiment,
-                      run_sweep)
+from .harness import (SWEEP_AXES, Report, SweepSpec, _opened,
+                      emit_distribution, emit_plot_script, emit_report,
+                      run_experiment, run_sweep)
 from .idealwalk import coin_preset, run_ideal
 from .lindblad import IntegrationError
 
 
-# Conventional coupling-strength grid for `sweep --axis g` (MHz).
-_DEFAULT_G_GRID = "10:60:5"
+# Conventional grids of sweep axes, by the field they set (MHz).
+_DEFAULT_VALUES = {"g_over_2pi_mhz": "10:60:5"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,13 +97,10 @@ def _parse_value_list(text: str, where: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _summary(rep: Report, renormalize: bool) -> str:
+def _summary(rep: Report) -> str:
     if rep.error:
         return f"error: {rep.error}"
-    first, second = (("S_renorm", rep.s_renorm), ("S", rep.s))
-    if not renormalize:
-        first, second = second, first
-    return (f"{first[0]} = {first[1]:.6f} ({second[0]} = {second[1]:.6f}), "
+    return (f"S = {rep.s:.6f} (S_renorm = {rep.s_renorm:.6f}), "
             f"residual vacuum {rep.residual_vacuum:.3e},"
             f" cavity {rep.residual_cavity:.3e}")
 
@@ -111,20 +108,18 @@ def _summary(rep: Report, renormalize: bool) -> str:
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
     rep = run_experiment(cfg)
     emit_report([rep], cfg.output or sys.stdout, cfg.format)
-    print(_summary(rep, cfg.renormalize), file=sys.stderr)
+    print(_summary(rep), file=sys.stderr)
     if args.plot_script:
-        emit_plot_script(cfg.output, args.plot_script, kind="sweep",
-                         axis="n_steps")
+        emit_plot_script(cfg.output, args.plot_script, kind="sweep")
     return 0
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if args.values is None:
-        if args.axis != "g":
-            raise ConfigError(f"--values is required for axis {args.axis!r}")
-        values = _parse_value_list(_DEFAULT_G_GRID, "--values")
-    else:
-        values = _parse_value_list(args.values, "--values")
+    default = _DEFAULT_VALUES.get(SWEEP_AXES[args.axis])
+    if args.values is None and default is None:
+        raise ConfigError(f"--values is required for axis {args.axis!r}")
+    values = _parse_value_list(default if args.values is None
+                               else args.values, "--values")
     cross_axis = args.cross_axis
     cross_values = ()
     if cross_axis is not None:
@@ -150,7 +145,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 def _cmd_dist(args, cfg: ExperimentConfig) -> int:
     rep = run_experiment(cfg)
     emit_distribution(rep, cfg.output or sys.stdout)
-    print(_summary(rep, cfg.renormalize), file=sys.stderr)
+    print(_summary(rep), file=sys.stderr)
     if args.plot_script:
         emit_plot_script(cfg.output, args.plot_script, kind="dist")
     return 0
@@ -182,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plot-script", metavar="PATH",
                        help="write a gnuplot-style companion script")
 
-    p_sweep.add_argument("--axis", required=True,
-                         choices=("g", "omega_rabi", "n_steps", "scale"))
-    p_sweep.add_argument("--values",
-                         help="comma list; a:b[:c] expands to a range "
-                              f"(axis g defaults to {_DEFAULT_G_GRID})")
-    p_sweep.add_argument("--cross-axis",
-                         choices=("g", "omega_rabi", "n_steps", "scale"))
+    defaults = " ".join(f"(axis {axis} defaults to {_DEFAULT_VALUES[name]})"
+                       for axis, name in SWEEP_AXES.items()
+                       if name in _DEFAULT_VALUES)
+    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
+    p_sweep.add_argument("--values", help="comma list; a:b[:c] expands to "
+                                          f"a range {defaults}")
+    p_sweep.add_argument("--cross-axis", choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--cross-values")
 
     p_run.set_defaults(func=_cmd_run)
@@ -205,6 +200,9 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if getattr(args, "plot_script", None) and not cfg.output:
             raise ConfigError("--plot-script needs --output to reference")
+        if args.command in ("dist", "ideal") and cfg.format != "csv":
+            raise ConfigError(f"{args.command} writes CSV only, not"
+                              f" format {cfg.format!r}")
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"cqwalk: config error: {exc}", file=sys.stderr)

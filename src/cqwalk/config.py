@@ -1,8 +1,9 @@
 """Experiment configuration and the flat key = value file format.
 
 A config file is plain text: one `key = value` pair per line, `#`
-starts a comment, blank lines are ignored.  Keys are case-sensitive
-and spelled exactly like the report columns, e.g.
+starts a comment, blank lines are ignored.  A key is its ExperimentConfig
+field's name with _mhz written _MHz, case-sensitive and spelled like the
+report columns, e.g.
 
     # ten-step walk on the baseline device
     n_steps = 10
@@ -22,22 +23,26 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
-from .idealwalk import CoinState, coin_preset
+from .idealwalk import COIN_PRESETS, CoinState, coin_preset
 from .lindblad import DecoherenceRates
 from .protocol import segment_durations
 from .statespace import DeviceParams, StateSpace
 
-# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one run or
-# sweep group of largest n_steps N: the state, one readout and the
+# Dense (3N+4) x (3N+4) complex arrays alive at the peak of one noisy
+# run or sweep group of largest n_steps N: the state, one readout and the
 # kernel's and checks' temporaries (the initial state is a vector and the
 # segment Hamiltonians are 3x3 stacks; a group scores each readout
 # before it goes on).  Under tracemalloc a noisy N=160 run peaks at
-# about 2.69 and a noisy n_steps 1..160 sweep at 3.8.  A noise-free run
-# holds psi, not rho: N=320 peaks at 0.06 and an n_steps 1..160 sweep at
-# 0.17, so for noise-free runs the bound of twelve is conservative.
+# about 2.69 and a noisy n_steps 1..160 sweep at 3.8.
 _STATE_COPIES = 12
+# Complex vectors of length 3N+4 at the peak of a noise-free run, which
+# holds psi, not rho: about 35 under tracemalloc at N = 80, 320 and 1000.
+_VECTOR_COPIES = 64
+
+REPORT_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -67,7 +72,6 @@ class ExperimentConfig:
     t1_gf_us: float = 10.0
     tphi_e_us: float = 5.0
     tphi_f_us: float = 5.0
-    renormalize: bool = False
     output: str | None = None
     format: str = "csv"
 
@@ -92,61 +96,38 @@ class ExperimentConfig:
         return coin_preset(self.coin0)
 
 
-# file keys -> dataclass fields (keys follow the report column spelling)
-_KEY_TO_FIELD = {
-    "n_steps": "n_steps",
-    "g_over_2pi_MHz": "g_over_2pi_mhz",
-    "omega_over_2pi_MHz": "omega_over_2pi_mhz",
-    "mu_over_2pi_MHz": "mu_over_2pi_mhz",
-    "theta_rad": "theta_rad",
-    "phi_rad": "phi_rad",
-    "coin0": "coin0",
-    "scale": "scale",
-    "t1_cavity_us": "t1_cavity_us",
-    "t1_ge_us": "t1_ge_us",
-    "t1_ef_us": "t1_ef_us",
-    "t1_gf_us": "t1_gf_us",
-    "tphi_e_us": "tphi_e_us",
-    "tphi_f_us": "tphi_f_us",
-    "renormalize": "renormalize",
-    "output": "output",
-    "format": "format",
-}
+# The grammar follows ExperimentConfig's fields (module docstring): a
+# value parses as its field's annotated type, "auto" or "none" giving
+# None where the field is an optional number.
+_KEYS = {f.name.replace("_mhz", "_MHz"): f.name
+         for f in fields(ExperimentConfig)}
+_TYPES = {name: set(typing.get_args(hint) or [hint]) for name, hint
+          in typing.get_type_hints(ExperimentConfig).items()}
 
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+_CHOICES = {"coin0": tuple(COIN_PRESETS), "format": REPORT_FORMATS}
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
 
-_CHOICES = {
-    "coin0": ("zero", "one", "plus-i"),
-    "format": ("csv", "json"),
-}
-
-_INT_FIELDS = {"n_steps"}
-_BOOL_FIELDS = {"renormalize"}
-_STR_FIELDS = {"coin0", "format", "output"}
+def field_type(field_name: str) -> type:
+    """The type a value of the field parses as: int, float or str."""
+    (kind,) = _TYPES[field_name] - {type(None)}
+    return kind
 
 
 def _parse_value(field_name: str, raw: str, where: str):
     raw = raw.strip()
-    if field_name == "mu_over_2pi_mhz" and raw.lower() in ("auto", "none"):
-        return None
-    if field_name in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
-    if field_name in _BOOL_FIELDS:
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{where}: expected boolean, got {raw!r}") from None
-    if field_name in _STR_FIELDS:
+    kind = field_type(field_name)
+    if kind is str:
         if field_name in _CHOICES and raw not in _CHOICES[field_name]:
             raise ConfigError(f"{where}: {raw!r} not one of "
                               f"{_CHOICES[field_name]}")
         return raw
+    if type(None) in _TYPES[field_name] and raw.lower() in ("auto", "none"):
+        return None
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
     try:
         val = float(raw)
     except ValueError:
@@ -159,14 +140,14 @@ def _parse_value(field_name: str, raw: str, where: str):
 def parse_field_value(field_name: str, raw: str,
                       where: str = "override") -> object:
     """Parse one value string for a config field (CLI override path)."""
-    if field_name not in _FIELD_TO_KEY:
+    if field_name not in _TYPES:
         raise ConfigError(f"{where}: unknown field {field_name!r}")
     return _parse_value(field_name, raw, where)
 
 
 def config_keys() -> dict[str, str]:
     """File-grammar key -> dataclass field name, in declaration order."""
-    return dict(_KEY_TO_FIELD)
+    return dict(_KEYS)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -180,9 +161,9 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected key = value, "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name = _KEY_TO_FIELD[key]
+        field_name = _KEYS[key]
         if field_name in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[field_name] = _parse_value(field_name, raw, f"line {lineno}")
@@ -199,10 +180,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad(f"n_steps must be an integer, not {cfg.n_steps!r}")
     if cfg.n_steps < 1:
         bad("n_steps must be >= 1")
-    for name in ("g_over_2pi_mhz", "omega_over_2pi_mhz"):
-        v = getattr(cfg, name)
+    for key in ("g_over_2pi_MHz", "omega_over_2pi_MHz"):
+        v = getattr(cfg, _KEYS[key])
         if not (v > 0 and math.isfinite(v)):
-            bad(f"{_FIELD_TO_KEY[name]} must be positive and finite")
+            bad(f"{key} must be positive and finite")
     if cfg.mu_over_2pi_mhz is not None and not (
             cfg.mu_over_2pi_mhz > 0 and math.isfinite(cfg.mu_over_2pi_mhz)):
         bad("mu_over_2pi_MHz must be positive and finite (or auto)")
@@ -218,21 +199,24 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for name in ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
                  "tphi_e_us", "tphi_f_us"):
         if not getattr(cfg, name) > 0:
-            bad(f"{_FIELD_TO_KEY[name]} must be positive (inf to disable)")
+            bad(f"{name} must be positive (inf to disable)")
     try:
-        cfg.rates()
+        rates = cfg.rates()
     except ValueError as exc:          # a lifetime so short its rate is inf
         bad(f"lifetime times scale too short: {exc}")
-    state_bytes = 16 * (3 * cfg.n_steps + 4) ** 2
+    dim = 3 * cfg.n_steps + 4
+    noise_free = rates == DecoherenceRates()
+    copies = _VECTOR_COPIES if noise_free else _STATE_COPIES
+    need = 16 * copies * (dim if noise_free else dim**2)
     memory = _physical_memory()
-    if memory is not None and _STATE_COPIES * state_bytes > memory:
-        bad(f"n_steps = {cfg.n_steps} needs about "
-            f"{_STATE_COPIES * state_bytes / 2**30:.3g} GiB of dense states"
-            f" for one run, more than the host's {memory / 2**30:.3g} GiB"
-            f" of physical memory")
-    for name in ("coin0", "format"):
-        if getattr(cfg, name) not in _CHOICES[name]:
-            bad(f"{name} must be one of {_CHOICES[name]}")
+    if memory is not None and need > memory:
+        bad(f"n_steps = {cfg.n_steps} needs about {need / 2**30:.3g} GiB for"
+            f" {copies} {'state vectors' if noise_free else 'dense states'}"
+            f" of dimension {dim} in one run, more than the host's"
+            f" {memory / 2**30:.3g} GiB of physical memory")
+    for name, choices in _CHOICES.items():
+        if getattr(cfg, name) not in choices:
+            bad(f"{name} must be one of {choices}")
     return cfg
 
 

@@ -1,10 +1,10 @@
 """Experiment orchestration and reporting.
 
 Single runs, parameter sweeps (coupling, drive, step count,
-decoherence scale) and CSV/JSON report emission.  Every report row
-echoes the full parameter point so result files are self-describing;
-identical configs produce identical rows apart from the wall-clock
-column.
+decoherence scale) and CSV/JSON report emission.  A row echoes n_steps,
+g, omega, mu (auto as g), theta_rad, coin0 and scale, not phi_rad or the
+six lifetimes: configs that differ only in those echo the same point.
+Identical configs give identical rows apart from the wall-clock column.
 
 A sweep runs each group of points that differ only in n_steps as one
 propagation of its largest n_steps, scoring each shorter point as soon
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, validate_config
+from .config import (REPORT_FORMATS, ConfigError, ExperimentConfig,
+                     field_type, validate_config)
 from .idealwalk import CoinState, run_ideal, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, evolve_schedule,
                        min_eigenvalue)
@@ -33,6 +34,7 @@ from .metrics import extract_distribution, similarity_report
 from .protocol import build_schedule
 from .statespace import E, F, StateSpace
 
+# A column's Report field is its name lower-cased.
 REPORT_COLUMNS = (
     "n_steps", "g_over_2pi_MHz", "omega_over_2pi_MHz", "mu_over_2pi_MHz",
     "theta_rad", "coin0", "scale", "S", "S_renorm", "residual_vacuum",
@@ -68,10 +70,7 @@ class Report:
     error: str | None = None
 
     def column_values(self) -> list:
-        return [self.n_steps, self.g_over_2pi_mhz, self.omega_over_2pi_mhz,
-                self.mu_over_2pi_mhz, self.theta_rad, self.coin0, self.scale,
-                self.s, self.s_renorm, self.residual_vacuum,
-                self.residual_cavity, self.trace_error, self.wall_ms]
+        return [getattr(self, column.lower()) for column in REPORT_COLUMNS]
 
 
 def initial_state(space: StateSpace, coin: CoinState) -> np.ndarray:
@@ -149,7 +148,8 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
 # ---------------------------------------------------------------------------
 # sweeps
 
-_AXIS_TO_FIELD = {
+# sweep axis -> the ExperimentConfig field it sets
+SWEEP_AXES = {
     "g": "g_over_2pi_mhz",
     "omega_rabi": "omega_over_2pi_mhz",
     "n_steps": "n_steps",
@@ -161,7 +161,7 @@ _AXIS_TO_FIELD = {
 class SweepSpec:
     """One or two swept axes with ordered value lists.
 
-    axis names: "g", "omega_rabi" (both MHz), "n_steps", "scale".
+    axis names: the keys of SWEEP_AXES.
     """
 
     axis: str
@@ -180,25 +180,25 @@ class SweepSpec:
 
     @staticmethod
     def _check_axis(axis, values):
-        if axis not in _AXIS_TO_FIELD:
+        if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; choose from "
-                              f"{sorted(_AXIS_TO_FIELD)}")
+                              f"{sorted(SWEEP_AXES)}")
         if not values:
             raise ConfigError(f"axis {axis!r} has no values")
         for v in values:
             if not v > 0:
                 raise ConfigError(f"axis {axis!r} values must be positive")
-            if axis == "n_steps" and not float(v).is_integer():
-                raise ConfigError(f"axis 'n_steps' values must be whole"
+            if (field_type(SWEEP_AXES[axis]) is int
+                    and not float(v).is_integer()):
+                raise ConfigError(f"axis {axis!r} values must be whole"
                                   f" numbers, not {v!r}")
 
 
 def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig]:
     """Config per grid point, primary axis outermost (row-major)."""
     def apply(cfg, axis, value):
-        name = _AXIS_TO_FIELD[axis]
-        value = int(value) if name == "n_steps" else float(value)
-        return replace(cfg, **{name: value})
+        name = SWEEP_AXES[axis]
+        return replace(cfg, **{name: field_type(name)(value)})
 
     grid = []
     for v in spec.values:
@@ -297,7 +297,7 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
     """
     if not reports:
         raise ValueError("no reports to emit")
-    if fmt not in ("csv", "json"):
+    if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
     with _opened(destination) as fh:
         if fmt == "csv":
@@ -335,10 +335,6 @@ def emit_distribution(report: Report, destination) -> None:
 
 _PLOT_KINDS = ("sweep", "dist")
 
-# column index (1-based) of each sweep axis in the CSV layout
-_AXIS_TO_COLUMN = {"n_steps": 1, "g": 2, "omega_rabi": 3, "scale": 7}
-_S_COLUMN = 8
-
 
 def emit_plot_script(data_path: str, destination,
                      kind: str = "sweep", axis: str = "n_steps") -> None:
@@ -354,14 +350,15 @@ def emit_plot_script(data_path: str, destination,
     data = "'" + str(data_path).replace("'", "''") + "'"
     lines = ["set datafile separator ','", "set key top right"]
     if kind == "sweep":
-        if axis not in _AXIS_TO_COLUMN:
+        if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
-        col = _AXIS_TO_COLUMN[axis]
+        columns = [c.lower() for c in REPORT_COLUMNS]   # 1-based in gnuplot
+        x, y = 1 + columns.index(SWEEP_AXES[axis]), 1 + columns.index("s")
         lines += [
             f"set xlabel '{axis}'",
             "set ylabel 'similarity S'",
             "set yrange [0:1.05]",
-            f"plot {data} skip 1 using {col}:{_S_COLUMN} "
+            f"plot {data} skip 1 using {x}:{y} "
             "with linespoints title 'S'",
         ]
     else:

@@ -36,7 +36,7 @@ class CoinState:
         return np.array([self.c0, self.c1], dtype=complex)
 
 
-_PRESETS = {
+COIN_PRESETS = {
     "zero": (1.0, 0.0),
     "one": (0.0, 1.0),
     "plus-i": (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
@@ -46,10 +46,10 @@ _PRESETS = {
 def coin_preset(name: str) -> CoinState:
     """Named initial coin states: "zero", "one", "plus-i"."""
     try:
-        c0, c1 = _PRESETS[name]
+        c0, c1 = COIN_PRESETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown coin preset {name!r}; choose from {sorted(_PRESETS)}"
+            f"unknown coin preset {name!r}; choose from {sorted(COIN_PRESETS)}"
         ) from None
     return CoinState(c0, c1)
 

@@ -115,14 +115,7 @@ class DecoherenceRates:
                 raise ValueError(f"rate {name} must be finite and >= 0")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "kappa": self.kappa,
-            "gamma_ge": self.gamma_ge,
-            "gamma_ef": self.gamma_ef,
-            "gamma_gf": self.gamma_gf,
-            "gamma_phi_e": self.gamma_phi_e,
-            "gamma_phi_f": self.gamma_phi_f,
-        }
+        return dict(vars(self))        # the six rates by field name
 
     @classmethod
     def from_lifetimes_us(cls, t_cavity: float = math.inf,

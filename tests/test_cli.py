@@ -161,6 +161,17 @@ def test_plot_script_without_output_runs_nothing(argv, tmp_path, capsys):
     assert not script.exists()
 
 
+@pytest.mark.parametrize("command", ["dist", "ideal"])
+def test_csv_only_subcommands_refuse_json(command, capsys):
+    # dist and ideal write CSV only; asking for JSON is a config error
+    # before anything runs
+    assert main([command, "--n-steps", "1", "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("cqwalk: config error:")
+    assert "CSV only" in out.err
+
+
 def test_plot_script_escapes_quotes_in_data_path(tmp_path, monkeypatch):
     # gnuplot doubles a ' inside a single-quoted string
     monkeypatch.chdir(tmp_path)

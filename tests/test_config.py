@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+from cqwalk import config
 from cqwalk.config import (ConfigError, ExperimentConfig, config_from_mapping,
-                           load_config, parse_config_text, parse_field_value,
-                           validate_config)
+                           config_keys, load_config, parse_config_text,
+                           parse_field_value, validate_config)
 
 GOOD = """
 # comment line
@@ -16,7 +19,6 @@ mu_over_2pi_MHz = auto
 coin0 = one
 scale = 0.5
 t1_cavity_us = inf
-renormalize = true
 format = json
 """
 
@@ -28,7 +30,6 @@ def test_parse_happy_path():
     assert got["mu_over_2pi_mhz"] is None
     assert got["coin0"] == "one"
     assert got["t1_cavity_us"] == math.inf
-    assert got["renormalize"] is True
     assert got["format"] == "json"
     cfg = config_from_mapping(got)
     assert cfg.n_steps == 12
@@ -40,7 +41,7 @@ def test_parse_happy_path():
     ("n_steps 3", "key = value"),
     ("n_steps = 3\nn_steps = 4", "duplicate"),
     ("n_steps = many", "expected integer"),
-    ("renormalize = perhaps", "expected boolean"),
+    ("renormalize = true", "unknown key"),    # removed key
     ("scale = nan", "nan"),
     ("coin0 = left", "not one of"),
     ("g_over_2pi_MHz = fast", "expected number"),
@@ -83,6 +84,36 @@ def test_n_steps_bounded_by_physical_memory():
         validate_config(ExperimentConfig(n_steps=10**5))
 
 
+def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
+    # a noise-free run holds psi, not rho: on a 1 GiB host N = 1000 is
+    # 12 dense states (1.6 GiB) noisy but 64 vectors (3 MB) noise-free
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2**30)
+    with pytest.raises(ConfigError, match="dense .* physical memory"):
+        validate_config(ExperimentConfig(n_steps=1000))
+    lifetimes = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
+                 "tphi_e_us", "tphi_f_us")
+    noise_free = ExperimentConfig(n_steps=1000,
+                                  **dict.fromkeys(lifetimes, math.inf))
+    assert validate_config(noise_free) is noise_free
+
+
+def test_readme_lists_every_key_with_its_default():
+    # the README's "All keys, with defaults" block names each config key
+    # once, in field order, with a default that parses to the field's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("All keys, with defaults:", 1)[1]
+    block = block.split("```", 2)[1].strip()
+    listed = [[part.strip() for part in line.split("#")[0].split("=")]
+              for line in block.splitlines()]
+    keys = config_keys()
+    assert [key for key, _ in listed] == list(keys)
+    for key, raw in listed:
+        field = next(f for f in dataclasses.fields(ExperimentConfig)
+                     if f.name == keys[key])
+        value = parse_field_value(field.name, raw) if raw else None
+        assert value == field.default, key
+
+
 def test_defaults_describe_baseline_device():
     cfg = ExperimentConfig()
     assert cfg.n_steps == 10
@@ -122,17 +153,17 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(GOOD)
     cfg = load_config(path)
     assert cfg.n_steps == 12
-    assert cfg.renormalize is True
+    assert cfg.format == "json"
 
 
 def test_parse_field_value_override_path():
     assert parse_field_value("n_steps", "7") == 7
     assert parse_field_value("mu_over_2pi_mhz", "auto") is None
-    assert parse_field_value("renormalize", "on") is True
     with pytest.raises(ConfigError):
         parse_field_value("made_up", "1")
-    with pytest.raises(ConfigError, match="unknown field"):
-        parse_field_value("representation", "full")   # removed key
+    for removed in ("representation", "renormalize"):
+        with pytest.raises(ConfigError, match="unknown field"):
+            parse_field_value(removed, "full")
 
 
 def test_derived_objects():

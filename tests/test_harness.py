@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from conftest import zero_noise_config
 import cqwalk
 from cqwalk import config, harness, idealwalk, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
-from cqwalk.harness import (REPORT_COLUMNS, Report, SweepSpec,
+from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
                             initial_state, report_to_json_obj,
                             run_experiment, run_sweep, sweep_grid)
@@ -402,10 +403,20 @@ def test_emit_distribution_file(tmp_path):
 
 
 def test_plot_scripts():
-    buf = io.StringIO()
-    emit_plot_script("sweep.csv", buf, kind="sweep", axis="scale")
-    text = buf.getvalue()
-    assert "plot 'sweep.csv'" in text and "using 7:8" in text
+    # each sweep axis plots S against the CSV column of the field it sets
+    csv_buf = io.StringIO()
+    emit_report([_tiny_report()], csv_buf, "csv")
+    header = csv_buf.getvalue().splitlines()[0].split(",")
+    axis_columns = {"g": "g_over_2pi_MHz", "omega_rabi": "omega_over_2pi_MHz",
+                    "n_steps": "n_steps", "scale": "scale"}
+    assert set(axis_columns) == set(SWEEP_AXES)
+    for axis, column in axis_columns.items():
+        buf = io.StringIO()
+        emit_plot_script("sweep.csv", buf, kind="sweep", axis=axis)
+        text = buf.getvalue()
+        assert "plot 'sweep.csv'" in text
+        x, y = re.search(r"using (\d+):(\d+) ", text).groups()
+        assert (header[int(x) - 1], header[int(y) - 1]) == (column, "S")
     buf2 = io.StringIO()
     emit_plot_script("dist.csv", buf2, kind="dist")
     assert "boxes" in buf2.getvalue()
