@@ -13,7 +13,9 @@ report columns, e.g.
     scale = 1.0
 
 Unknown keys, duplicate keys and malformed values raise ConfigError
-with the offending line number.  Lifetimes accept `inf` to switch a
+with the offending line number; an out-of-range value, found after
+parsing, is named by its key (or by the pulse or rate it makes
+overflow).  Lifetimes accept `inf` to switch a
 channel off; `mu_over_2pi_MHz = auto` makes the second coupling track
 the first.
 """
@@ -34,10 +36,11 @@ from .statespace import DeviceParams, StateSpace
 # Dense (3N+4) x (3N+4) complex arrays alive at the peak of one noisy
 # run or sweep group of largest n_steps N: the state, one readout and the
 # kernel's and checks' temporaries (the initial state is a vector and the
-# segment Hamiltonians are 3x3 stacks; a group scores each readout
-# before it goes on).  Under tracemalloc a noisy N=160 run peaks at
-# about 2.69 and a noisy n_steps 1..160 sweep at 3.8.
-_STATE_COPIES = 12
+# segment Hamiltonians are 3x3 stacks; a group drops each readout before
+# it goes on).  Under tracemalloc, noisy runs at N = 40..320 peak at 2.5
+# to 3.1 and n_steps 1..N sweeps at 4.3 (N = 40) to 3.7 (N = 160); this
+# is 1.25 times the largest, rounded up.
+_STATE_COPIES = 6
 # Complex vectors of length 3N+4 at the peak of a noise-free run, which
 # holds psi, not rho: about 35 under tracemalloc at N = 80, 320 and 1000.
 _VECTOR_COPIES = 64

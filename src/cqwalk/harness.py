@@ -6,28 +6,31 @@ g, omega, mu (auto as g), theta_rad, coin0 and scale, not phi_rad or the
 six lifetimes: configs that differ only in those echo the same point.
 Identical configs give identical rows apart from the wall-clock column.
 
-A sweep runs each group of points that differ only in n_steps as one
-propagation of its largest n_steps, scoring each shorter point as soon
-as the run reaches its step: an n-step run is exactly the first n steps
-of a longer one, restricted to sites 1..n+1.  Every readout, at a step
-or at the end, is made the same way, so a sweep row equals the point's
-separate run in every field but wall_ms.
+A run is a walk of steps: an n-step run is exactly the first n steps of
+a longer one, restricted to sites 1..n+1, so a sweep runs each group of
+points that differ only in n_steps as one propagation of its largest
+n_steps and scores each point at its step.  A single run scores the
+last step of the same walk, so a sweep row equals the point's separate
+run in every field but wall_ms.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
+import itertools
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import (REPORT_FORMATS, ConfigError, ExperimentConfig,
                      field_type, validate_config)
-from .idealwalk import CoinState, run_ideal, site_probabilities, walk
+from .idealwalk import CoinState, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, evolve_schedule,
                        min_eigenvalue)
 from .metrics import extract_distribution, similarity_report
@@ -85,17 +88,21 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Build the schedule, evolve, read out and score one experiment."""
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    return _report(cfg, _evolve(cfg), start,
-                   run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin()))
+    _, read, amps = collections.deque(_walk(cfg), maxlen=1)[0]
+    return _report(cfg, read(), start, amps)
 
 
-def _evolve(cfg: ExperimentConfig, steps=(), on_step=None) -> EvolutionResult:
-    """The final state of cfg's run; on_step(n, result) gets the run of
-    cfg with n_steps = n for each n in steps (see evolve_schedule)."""
-    space = cfg.space()
-    schedule = build_schedule(cfg.device_params())
-    psi0 = initial_state(space, cfg.coin())
-    return evolve_schedule(psi0, schedule, cfg.rates(), steps, on_step)
+def _walk(cfg: ExperimentConfig) -> Iterator[tuple]:
+    """(n, read, amps) for each step n = 1..cfg.n_steps of cfg's run:
+    read() gives the EvolutionResult of cfg's run with n_steps = n while
+    the walk is at step n (evolve_schedule), and amps are the final
+    amplitudes of that run's ideal walk (idealwalk.walk)."""
+    psi0 = initial_state(cfg.space(), cfg.coin())
+    steps = evolve_schedule(psi0, build_schedule(cfg.device_params()),
+                            cfg.rates())
+    ideal = itertools.islice(walk(cfg.n_steps, cfg.theta_rad, cfg.coin()),
+                             1, None)
+    return zip(itertools.count(1), steps, ideal)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
@@ -109,10 +116,11 @@ def _echo(cfg: ExperimentConfig) -> dict:
 
 
 def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
-            start: float, p_id: np.ndarray) -> Report:
+            start: float, amps: np.ndarray) -> Report:
     """Check and score evolution, the state read out of cfg's run (at
-    its end or at its step of a longer one), against p_id, cfg's ideal
-    walk; wall_ms counts from start.
+    its end or at its step of a longer one), against the site
+    distribution of amps, the final amplitudes of cfg's ideal walk;
+    wall_ms counts from start.
 
     Raises IntegrationError when the state, its distribution or its
     diagnostics are not finite, or its trace error is above
@@ -128,6 +136,7 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
         raise IntegrationError(f"trace error {evolution.max_trace_error:.3g}"
                                f" above {TRACE_ERROR_BOUND:g}")
     min_eig = min_eigenvalue(evolution.state)
+    p_id = site_probabilities(amps)
     sim = similarity_report(dist.p, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
     return Report(
@@ -223,41 +232,37 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     """One Report per grid point, in grid order.
 
     Points equal in every field but n_steps form a group, whose largest
-    n_steps runs once, from whose final state the largest point's row
-    comes.  Each shorter row is read out, checked and scored as that run
-    reaches its step, which is exactly the point's separate run (see
-    evolve_schedule), so a group holds one state at a time.  Likewise
-    one ideal walk of the largest n_steps gives every row's P_id.  Every
-    row has the diagnostics up to its step, and its wall_ms runs from
-    the start of the group to its own readout.  Failures are recorded on
-    their rows (if the group's run fails, on every row not yet written)
-    and do not abort the sweep.
+    n_steps runs once, along with one ideal walk.  Each row is read out,
+    checked and scored when that walk reaches its step, which is
+    exactly the point's separate run (see evolve_schedule); the readout
+    is dropped before the walk goes on, so a group holds one state at a
+    time.  Every row has the diagnostics up to its step, and its wall_ms
+    runs from the start of the group to its own readout.  Failures are
+    recorded on their rows (if the group's run fails, on every row not
+    yet written) and do not abort the sweep.
     """
     grid = sweep_grid(base, spec)
-    groups: dict = {}
+    groups: dict = {}                      # group -> n_steps -> grid rows
     for i, cfg in enumerate(grid):
-        groups.setdefault(replace(cfg, n_steps=1), []).append(i)
+        groups.setdefault(replace(cfg, n_steps=1), {}).setdefault(
+            cfg.n_steps, []).append(i)
     rows: list = [None] * len(grid)
-    for members in groups.values():
-        top = max((grid[i] for i in members), key=lambda cfg: cfg.n_steps)
-        steps = {grid[i].n_steps for i in members}
+    for by_step in groups.values():
+        top = grid[by_step[max(by_step)][0]]
         start = time.perf_counter()
-
-        def write(n, evolution):
-            for i in members:
-                if grid[i].n_steps == n:
+        try:
+            for n, read, amps in _walk(top):
+                if n not in by_step:
+                    continue
+                evolution = read()
+                for i in by_step[n]:
                     try:
-                        rows[i] = _report(grid[i], evolution, start, p_id[n])
+                        rows[i] = _report(grid[i], evolution, start, amps)
                     except Exception as exc:  # recorded per-row
                         rows[i] = _error_report(grid[i], exc)
-
-        try:
-            p_id = {n: site_probabilities(amps) for n, amps in
-                    enumerate(walk(top.n_steps, top.theta_rad, top.coin()))
-                    if n in steps}
-            write(top.n_steps, _evolve(top, steps - {top.n_steps}, write))
+                del evolution          # before the walk goes on
         except Exception as exc:  # the group's run failed; sweep continues
-            for i in members:
+            for i in itertools.chain(*by_step.values()):
                 if rows[i] is None:
                     rows[i] = _error_report(grid[i], exc)
     return rows

@@ -51,9 +51,10 @@ evolve_schedule reads that block's size off psi0 and grows it map by
 map, so a walk from site 1 touches at most (3n+4)^2 entries at step n.
 Up to step n such a walk never meets a site map beyond site n+1, so its
 leading 3n+3 x 3n+3 block then holds, bit for bit, the final state of
-an n-step chain, whose sector is the first 3n+3 states of this one;
-evolve_schedule hands each shorter run to its caller as soon as it
-reaches that step.
+an n-step chain, whose sector is the first 3n+3 states of this one.
+So evolve_schedule is a walk of steps: it yields one readout per step
+n, which reads out the n-step chain's run when called, as
+idealwalk.walk yields each step's amplitudes.
 
 When every rate is 0, rho = psi psi+ with psi = U psi0: evolve_schedule
 then applies each site's V to the single column psi, in the same light
@@ -73,13 +74,13 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .protocol import Segment
-from .statespace import StateSpace
 
 
 class IntegrationError(RuntimeError):
@@ -341,13 +342,14 @@ def _symmetrize(a: np.ndarray) -> float:
 
 @dataclass
 class EvolutionResult:
-    """A state read out of a schedule run, with its diagnostics.
+    """The state of an N-step chain's run, read out at step N of it or of
+    a longer run (evolve_schedule), with its diagnostics.
 
     state is the state vector psi (length 3N+3) of a noise-free run and
     the density matrix rho (3N+3 x 3N+3) of a noisy one; populations is
     its real diagonal, |psi_i|^2 or rho_ii.  max_trace_error is the worst
     of the trace errors taken after every applied map (a step's coin and
-    store are one map) up to the readout, of rho or of psi; NaN if any
+    store are one map) up to step N, of rho or of psi; NaN if any
     map gave NaN.  max_hermiticity_drift is the largest |rho - rho+|
     entry of rho as read out, before rho was re-symmetrized; for psi,
     which forms no rho, it is 0.0, or NaN if psi is not finite.
@@ -360,11 +362,11 @@ class EvolutionResult:
 
 
 def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
-                    rates: DecoherenceRates, steps=(),
-                    on_step=None) -> EvolutionResult:
+                    rates: DecoherenceRates
+                    ) -> Iterator[Callable[[], EvolutionResult]]:
     """Run the walk from the sector state vector psi0: the schedule, one
-    walk step, N times on the chain of psi0, of length 3N+3; return the
-    final state: psi when every rate is 0, else rho.
+    walk step, N times on the chain of psi0, of length 3N+3; yield a
+    readout after each step n = 1..N.
 
     Each segment is compiled once, and consecutive segments on one site
     layout are applied as one composed map, so a protocol step applies
@@ -373,29 +375,23 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
     them are 0.  psi0 must be a vector of length 3N+3, N >= 1, and every
     segment must carry one 3x3 block per site of that chain, with no
     term outside the site layout (module docstring); anything else is a
-    ValueError.
-    steps is a collection of step numbers in 1..N, which needs on_step.
-    Once the run has applied the schedule n times for an n of them,
-    on_step(n, result) gets the n-step chain's own run from psi0's
-    leading 3n+3 entries, read off the state's leading entries, in
-    increasing order of n.  That is exact while the state stays on
-    sites 1..n+1 up to step n, as a walker started on site 1 does; a
-    state that leaves them is a ValueError.
+    ValueError when the first step is taken.
+    Step n's readout, called before the run goes on, returns the n-step
+    chain's own run from psi0's leading 3n+3 entries: psi when every
+    rate is 0, else rho, read off the state's leading entries.  That is
+    exact while the state stays on sites 1..n+1 up to step n, as a
+    walker started on site 1 does; a state that leaves them is a
+    ValueError when read.  Step N's readout is the run's final state; it
+    works on the state in place and then lets it go.  A readout called
+    after the run has gone on, or a second time at step N, is a
+    ValueError.  Steps that are not read cost and check nothing.
     """
-    if isinstance(steps, str):
-        raise ValueError(f"steps takes step numbers, not {steps!r}")
-    steps = {operator.index(n) for n in steps}
-    if steps and on_step is None:
-        raise ValueError("steps need an on_step callback")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
         raise ValueError(f"a state of shape {psi0.shape} is no single-"
                          "excitation sector vector of shape (3N+3,), N >= 1")
     dim = len(psi0)
     n_steps = dim // 3 - 1
-    if not steps <= set(range(1, n_steps + 1)):
-        raise ValueError(f"steps {sorted(steps)} not all in the schedule's"
-                         f" steps 1..{n_steps}")
     step_maps = [functools.reduce(_SiteMaps.then,
                                   [_site_maps(seg, dim, rates) for seg in run])
                  for _, run in itertools.groupby(
@@ -412,12 +408,20 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
     else:   # propagate psi as one column, not rho (module docstring)
         psi = np.append(psi0, 0.0)[:, None]
 
-    def readout(end, final=False):
-        """psi's leading end entries, or rho's leading end x end block,
-        re-symmetrized after its drift is taken.  A step readout never
-        touches rho; the final one works on it in place and copies only
-        then, so no copy is alive beside the temporaries of
-        _symmetrize."""
+    def readout(n, size, trace_error):
+        """psi's leading 3n+3 entries, or rho's leading block of that
+        size, re-symmetrized after its drift is taken: on a copy before
+        step N, and at step N on rho in place, which is then let go, so
+        no copy is alive beside the temporaries of _symmetrize."""
+        nonlocal psi, state, current
+        if n != current:
+            raise ValueError(f"step {n} can no longer be read: the run has"
+                             " gone on")
+        end = 3 * n + 3
+        final = n == n_steps
+        if size > end and not final:
+            raise ValueError(f"the state after step {n} reaches beyond"
+                             f" site {n + 1}")
         if psi is not None:
             out = psi[:end, 0].copy()
             populations = (out * out.conj()).real
@@ -427,11 +431,13 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
             drift = _symmetrize(rho)
             out = np.ascontiguousarray(rho)
             populations = out.diagonal().real.copy()
-        return EvolutionResult(out, populations, float(max_trace_error),
-                               drift)
+        if final:
+            psi = state = current = None
+        return EvolutionResult(out, populations, float(trace_error), drift)
 
     max_trace_error = np.float64(0.0)
     for step in range(1, n_steps + 1):
+        current = 0                    # the step whose readout is valid
         for site_maps in step_maps:
             if psi is None:
                 size = site_maps.apply(state, size)
@@ -441,13 +447,8 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
                 trace_error = abs(np.vdot(psi[:size], psi[:size]).real - 1.0)
             # NaN stays
             max_trace_error = np.maximum(max_trace_error, trace_error)
-        if step in steps:
-            end = StateSpace(step).dim
-            if size > end:
-                raise ValueError(f"the state after step {step} reaches"
-                                 f" beyond site {step + 1}")
-            on_step(step, readout(end))
-    return readout(dim, final=True)
+        current = step
+        yield functools.partial(readout, step, size, max_trace_error)
 
 
 # ---------------------------------------------------------------------------

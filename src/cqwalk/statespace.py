@@ -113,15 +113,3 @@ class DeviceParams:
                    omega=TWO_PI * omega_over_2pi_mhz,
                    mu=TWO_PI * mu_over_2pi_mhz,
                    theta=theta_rad, phi=phi_rad)
-
-    @property
-    def g_over_2pi_mhz(self) -> float:
-        return self.g / TWO_PI
-
-    @property
-    def omega_over_2pi_mhz(self) -> float:
-        return self.omega / TWO_PI
-
-    @property
-    def mu_over_2pi_mhz(self) -> float:
-        return self.mu / TWO_PI

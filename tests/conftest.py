@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.idealwalk import coin_matrix
+from cqwalk.lindblad import evolve_schedule
 
 INF = math.inf
 
@@ -16,6 +18,12 @@ def zero_noise_config(**overrides) -> ExperimentConfig:
                 t1_gf_us=INF, tphi_e_us=INF, tphi_f_us=INF)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def evolve_final(psi0, schedule, rates):
+    """The final state of evolve_schedule's run: its last step's readout."""
+    steps = evolve_schedule(psi0, schedule, rates)
+    return collections.deque(steps, maxlen=1)[0]()
 
 
 def brute_force_walk(n, theta, coin):

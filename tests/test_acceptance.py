@@ -21,12 +21,12 @@ import time
 import fullspace
 import numpy as np
 import pytest
-from conftest import brute_force_walk, dense_expm_evolve, zero_noise_config
+from conftest import (brute_force_walk, dense_expm_evolve, evolve_final,
+                      zero_noise_config)
 
 from cqwalk import ExperimentConfig, SweepSpec, run_experiment, run_sweep
 from cqwalk.harness import Report, initial_state
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.lindblad import evolve_schedule
 from cqwalk.protocol import build_schedule
 
 COINS = ("zero", "one", "plus-i")
@@ -179,7 +179,7 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     space = cfg.space()
     schedule = build_schedule(cfg.device_params())
     psi0 = initial_state(space, cfg.coin())
-    rho_block = evolve_schedule(psi0, schedule, cfg.rates()).state
+    rho_block = evolve_final(psi0, schedule, cfg.rates()).state
     rho_dense = dense_expm_evolve(np.outer(psi0, psi0.conj()), schedule * 5,
                                   cfg.rates())
     backend_dev = float(np.max(np.abs(rho_block - rho_dense)))

@@ -85,9 +85,9 @@ def test_n_steps_bounded_by_physical_memory():
 
 
 def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
-    # a noise-free run holds psi, not rho: on a 1 GiB host N = 1000 is
-    # 12 dense states (1.6 GiB) noisy but 64 vectors (3 MB) noise-free
-    monkeypatch.setattr(config, "_physical_memory", lambda: 2**30)
+    # a noise-free run holds psi, not rho: on a 512 MiB host N = 1000 is
+    # 6 dense states (0.8 GiB) noisy but 64 vectors (3 MB) noise-free
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2**29)
     with pytest.raises(ConfigError, match="dense .* physical memory"):
         validate_config(ExperimentConfig(n_steps=1000))
     lifetimes = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
@@ -154,6 +154,14 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.n_steps == 12
     assert cfg.format == "json"
+
+
+def test_load_config_range_error_names_the_key(tmp_path):
+    # a value that parses but is out of range is refused by its key
+    path = tmp_path / "walk.cfg"
+    path.write_text("n_steps = 0\n")
+    with pytest.raises(ConfigError, match="n_steps"):
+        load_config(path)
 
 
 def test_parse_field_value_override_path():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import fullspace
 from conftest import (dense_expm_evolve, dense_expm_states,
-                      dense_hamiltonian, dense_operators, lindblad_apply)
+                      dense_hamiltonian, dense_operators, evolve_final,
+                      lindblad_apply)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cqwalk import ExperimentConfig
+from cqwalk import ExperimentConfig, lindblad
 from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
                              _site_maps, _SiteMaps, _symmetrize,
                              evolve_schedule, min_eigenvalue)
@@ -28,12 +29,13 @@ def _random_density(rng, dim):
 
 
 def _run_with_readouts(psi0, schedule, rates, steps):
-    """evolve_schedule's final result and its step readouts, as the
-    (n, result) pairs on_step got, in call order."""
-    readouts = []
-    res = evolve_schedule(psi0, schedule, rates, steps,
-                          lambda n, r: readouts.append((n, r)))
-    return res, readouts
+    """evolve_schedule's final result and the readouts of the steps in
+    steps, as (n, result) pairs in increasing order of n."""
+    last = len(psi0) // 3 - 1
+    readouts = [(n, read()) for n, read in
+                enumerate(evolve_schedule(psi0, schedule, rates), start=1)
+                if n in steps or n == last]
+    return readouts[-1][1], [(n, r) for n, r in readouts if n in steps]
 
 
 def _random_state(rng, dim, support=None):
@@ -128,7 +130,7 @@ def test_noisy_run_matches_dense_oracle():
     schedule = build_schedule(params)
     rng = np.random.default_rng(5)
     psi0 = _random_state(rng, space.dim)
-    out = evolve_schedule(psi0, schedule, T0_RATES).state
+    out = evolve_final(psi0, schedule, T0_RATES).state
     oracle = dense_expm_evolve(_density(psi0), schedule * 2, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
@@ -142,7 +144,7 @@ def test_noise_free_run_is_unitary_conjugation():
     rng = np.random.default_rng(11)
     psi0 = _random_state(rng, space.dim)
     rho0 = _density(psi0)
-    out = _density(evolve_schedule(psi0, schedule, ZERO_RATES).state)
+    out = _density(evolve_final(psi0, schedule, ZERO_RATES).state)
     want = rho0
     for seg in schedule:
         u = expm(-1j * seg.duration * dense_hamiltonian(seg))
@@ -162,7 +164,7 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
         DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
     rates = ExperimentConfig(scale=scale).rates()
     psi0 = _random_state(np.random.default_rng(seed), space.dim)
-    out = evolve_schedule(psi0, schedule, rates).state
+    out = evolve_final(psi0, schedule, rates).state
     oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
 
@@ -186,7 +188,7 @@ def test_light_cone_matches_dense_oracle(n, rates):
     site_1 = [space.vacuum_index, space.qutrit_index(1, E),
               space.qutrit_index(1, F)]
     psi0 = _random_state(np.random.default_rng(n), space.dim, site_1)
-    res = evolve_schedule(psi0, schedule, rates)
+    res = evolve_final(psi0, schedule, rates)
     oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
     assert res.max_trace_error < 1e-12
@@ -212,7 +214,7 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     def close(got, oracle):
         return np.max(np.abs(got - oracle)) <= 1e-12
 
-    res = evolve_schedule(psi0, schedule, ZERO_RATES)
+    res = evolve_final(psi0, schedule, ZERO_RATES)
     assert close(_density(res.state), want[-1])
     assert res.max_trace_error < 1e-12
     assert res.max_hermiticity_drift < 1e-12
@@ -250,7 +252,7 @@ def test_support_beyond_site_1_matches_dense_oracle(where):
         support = [space.vacuum_index, space.qutrit_index(4, E),
                    space.qutrit_index(4, F), space.cavity_index(3)]
     psi0 = _random_state(np.random.default_rng(9), space.dim, support)
-    res = evolve_schedule(psi0, schedule, DISTINCT_RATES)
+    res = evolve_final(psi0, schedule, DISTINCT_RATES)
     oracle = dense_expm_evolve(_density(psi0), schedule * 3, DISTINCT_RATES)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
 
@@ -331,7 +333,7 @@ def test_one_segment_schedule_repeats_per_step(rates):
         space = StateSpace(n)
         coin = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))[0]
         psi0 = _random_state(np.random.default_rng(8), space.dim)
-        res = evolve_schedule(psi0, (coin,), rates)
+        res = evolve_final(psi0, (coin,), rates)
         oracle = dense_expm_evolve(_density(psi0), (coin,) * n, rates)
         assert np.max(np.abs(_rho(res) - oracle)) <= 1e-12, n
         assert res.max_trace_error < 1e-12
@@ -351,7 +353,7 @@ def test_hamiltonian_outside_the_sites_is_refused():
                              (store.hamiltonian, 2, "fits no site layout")):
         schedule = (Segment("store", h, offset, 4e-3),)
         with pytest.raises(ValueError, match=match):
-            evolve_schedule(psi0, schedule, DISTINCT_RATES)
+            evolve_final(psi0, schedule, DISTINCT_RATES)
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -363,7 +365,7 @@ def test_vacuum_stays_put(rates):
     schedule = build_schedule(REF)
     psi0 = _basis_state(space.dim, space.vacuum_index)
     for i in range(len(schedule) + 1):
-        res = evolve_schedule(psi0, schedule[:i], rates)
+        res = evolve_final(psi0, schedule[:i], rates)
         assert np.array_equal(_rho(res), _density(psi0)), i
         assert res.max_trace_error == 0.0
         assert res.max_hermiticity_drift == 0.0
@@ -374,7 +376,7 @@ def test_schedule_of_another_chain_is_refused():
     psi0 = _basis_state(6, 1)
     schedule = build_schedule(REF)
     with pytest.raises(ValueError, match="sector of dimension 6"):
-        evolve_schedule(psi0, schedule, ZERO_RATES)
+        evolve_final(psi0, schedule, ZERO_RATES)
 
 
 @pytest.mark.parametrize("shape", [pytest.param((dim,), id=str(dim))
@@ -388,7 +390,7 @@ def test_state_outside_the_sector_is_refused(shape):
     schedule = (Segment("coin", h, 1, 1e-3),)
     with pytest.raises(ValueError,
                        match=r"single-excitation sector.*\(3N\+3,\)"):
-        evolve_schedule(np.full(shape, dim ** -0.5), schedule, ZERO_RATES)
+        evolve_final(np.full(shape, dim ** -0.5), schedule, ZERO_RATES)
 
 
 def test_small_exponentials_reject_non_finite_input():
@@ -433,7 +435,7 @@ def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
     space = StateSpace(1)
     store = build_schedule(REF_1)[1]
-    res = evolve_schedule(_basis_state(space.dim, 1), (store,), T0_RATES)
+    res = evolve_final(_basis_state(space.dim, 1), (store,), T0_RATES)
     assert res.max_trace_error < 1e-14
     assert res.max_hermiticity_drift < 1e-14
 
@@ -475,7 +477,7 @@ def test_diagnostics_keep_nan():
     space = StateSpace(1)
     schedule = build_schedule(REF_1)
     psi0 = np.full(space.dim, np.nan, dtype=complex)
-    res = evolve_schedule(psi0, schedule, ZERO_RATES)
+    res = evolve_final(psi0, schedule, ZERO_RATES)
     assert math.isnan(res.max_trace_error)
     assert math.isnan(res.max_hermiticity_drift)
 
@@ -485,8 +487,7 @@ def test_trace_and_hermiticity_tracked():
     schedule = build_schedule(REF)
     rng = np.random.default_rng(7)
     psi0 = _random_state(rng, space.dim)
-    res = evolve_schedule(psi0, schedule,
-                          ExperimentConfig(scale=0.2).rates())
+    res = evolve_final(psi0, schedule, ExperimentConfig(scale=0.2).rates())
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
     assert abs(np.trace(res.state).real - 1.0) < 1e-10
@@ -532,7 +533,7 @@ def test_snapshots_are_sector_states():
     site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
     psi0 = _random_state(np.random.default_rng(6), space.dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
-        final = evolve_schedule(psi0, schedule, rates).state
+        final = evolve_final(psi0, schedule, rates).state
         by_step, readouts = _run_with_readouts(psi0, schedule, rates,
                                                (1, 2, 3))
         assert np.array_equal(by_step.state, final)
@@ -579,8 +580,6 @@ def test_step_readout_refusals():
     space = StateSpace(3)
     schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
     psi0 = _basis_state(space.dim, space.qutrit_index(2, E))
-    with pytest.raises(ValueError, match="not all in the schedule"):
-        _run_with_readouts(psi0, schedule, DISTINCT_RATES, (4,))
     # a walker started on site 2 may be on site 3 after one step, which
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
@@ -588,25 +587,49 @@ def test_step_readout_refusals():
 
 
 def test_record_modes():
-    # steps takes step numbers only, each read out through on_step; by
-    # default nothing is read out
+    # the run yields one readout per step; reading the steps on the way
+    # leaves the final state as reading the last step alone does
     space = StateSpace(2)
     schedule = build_schedule(REF)
     psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
-    plain = evolve_schedule(psi0, schedule, T0_RATES,
-                            on_step=pytest.fail)
+    plain = evolve_final(psi0, schedule, T0_RATES)
     by_step, readouts = _run_with_readouts(psi0, schedule, T0_RATES,
                                            range(1, 3))
     assert [n for n, _ in readouts] == [1, 2]
     assert np.array_equal(by_step.state, plain.state)
-    for mode in ("steps", "segments", "none"):
-        with pytest.raises(ValueError):
-            _run_with_readouts(psi0, schedule, T0_RATES, mode)
-    # a step number is an integer: 1.7 is not read out as step 1
-    with pytest.raises(TypeError):
-        _run_with_readouts(psi0, schedule, T0_RATES, (1.7,))
-    with pytest.raises(ValueError, match="on_step"):
-        evolve_schedule(psi0, schedule, T0_RATES, steps=(1,))
+    assert len(list(evolve_schedule(psi0, schedule, T0_RATES))) == 2
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_stale_readout_is_refused(rates):
+    # a step's readout holds no state of its own: read after the run has
+    # gone on it would hand back a later state, so it is refused, as is
+    # a second read of the final step, which gave its state away
+    space = StateSpace(3)
+    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
+    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    reads = list(evolve_schedule(psi0, schedule, rates))
+    for read in reads[:-1]:
+        with pytest.raises(ValueError, match="can no longer be read"):
+            read()
+    reads[-1]()
+    with pytest.raises(ValueError, match="can no longer be read"):
+        reads[-1]()
+
+
+def test_unread_steps_are_not_symmetrized(monkeypatch):
+    # readouts are lazy: a noisy run whose step readouts are never called
+    # copies and symmetrizes only its final state
+    calls = []
+    symmetrize = lindblad._symmetrize
+    monkeypatch.setattr(lindblad, "_symmetrize",
+                        lambda a: calls.append(a.shape) or symmetrize(a))
+    space = StateSpace(4)
+    schedule = build_schedule(DeviceParams.from_mhz(4, 50.0, 100.0))
+    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    evolve_final(psi0, schedule, DISTINCT_RATES)
+    assert calls == [(space.dim, space.dim)]
 
 
 @settings(max_examples=10, deadline=None)
@@ -618,6 +641,6 @@ def test_evolution_preserves_trace_property(seed, scale):
     psi0 = _random_state(rng, space.dim)
     coin = build_schedule(REF_1)[0]
     longer = Segment("coin", coin.hamiltonian, coin.offset, 2e-3)
-    res = evolve_schedule(psi0, (longer,), rates)
+    res = evolve_final(psi0, (longer,), rates)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.state).real == pytest.approx(1.0, abs=1e-10)

@@ -155,9 +155,9 @@ def test_device_params_from_mhz():
     assert p.omega == pytest.approx(2 * math.pi * 100.0)
     assert p.mu == p.g        # tracks g when omitted
     assert p.theta == pytest.approx(math.pi / 4)
-    assert p.g_over_2pi_mhz == pytest.approx(50.0)
     explicit = DeviceParams.from_mhz(10, 50.0, 100.0, mu_over_2pi_mhz=30.0)
-    assert explicit.mu_over_2pi_mhz == pytest.approx(30.0)
+    assert explicit.g == p.g
+    assert explicit.mu == pytest.approx(2 * math.pi * 30.0)
 
 
 def test_device_params_validation():
