@@ -173,8 +173,9 @@ def parse_config_text(text: str) -> dict[str, object]:
     return seen
 
 
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Range checks shared by every entry point."""
+def validate_config(cfg: ExperimentConfig, kept: int = 0) -> ExperimentConfig:
+    """Range checks shared by every entry point; the memory check charges
+    kept bytes (a sweep's rows) beside cfg's run."""
     def bad(msg):
         raise ConfigError(msg)
 
@@ -210,12 +211,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     dim = 3 * cfg.n_steps + 4
     noise_free = rates == DecoherenceRates()
     copies = _VECTOR_COPIES if noise_free else _STATE_COPIES
-    need = 16 * copies * (dim if noise_free else dim**2)
+    need = 16 * copies * (dim if noise_free else dim**2) + kept
     memory = _physical_memory()
     if memory is not None and need > memory:
         bad(f"n_steps = {cfg.n_steps} needs about {need / 2**30:.3g} GiB for"
             f" {copies} {'state vectors' if noise_free else 'dense states'}"
-            f" of dimension {dim} in one run, more than the host's"
+            f" of dimension {dim} in one run"
+            f"{', with its sweep' if kept else ''}, more than the host's"
             f" {memory / 2**30:.3g} GiB of physical memory")
     for name, choices in _CHOICES.items():
         if getattr(cfg, name) not in choices:

@@ -69,7 +69,7 @@ class Report:
     p_me: np.ndarray = field(default_factory=lambda: np.zeros(0))
     p_id: np.ndarray = field(default_factory=lambda: np.zeros(0))
     max_hermiticity_drift: float = 0.0
-    min_eigenvalue: float = math.nan       # of the final state; JSON only
+    min_eigenvalue: float = math.nan       # certified bound; JSON only
     error: str | None = None
 
     def column_values(self) -> list:
@@ -123,11 +123,10 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
     wall_ms counts from start.
 
     Raises IntegrationError when the state, its distribution or its
-    diagnostics are not finite, or its trace error is above
-    TRACE_ERROR_BOUND.
+    diagnostics are not finite, its trace error is above
+    TRACE_ERROR_BOUND, or its positivity is not certified.
     """
-    space = cfg.space()
-    dist = extract_distribution(evolution.populations, space)
+    dist = extract_distribution(evolution.populations)
     diagnostics = (evolution.max_trace_error, evolution.max_hermiticity_drift,
                    dist.residual_vacuum, dist.residual_cavity, *dist.p)
     if not np.all(np.isfinite(diagnostics)):
@@ -204,7 +203,8 @@ class SweepSpec:
 
 
 def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig]:
-    """Config per grid point, primary axis outermost (row-major)."""
+    """Config per grid point, primary axis outermost (row-major); a
+    ConfigError if a point, or the sweep's rows, would not fit."""
     def apply(cfg, axis, value):
         name = SWEEP_AXES[axis]
         return replace(cfg, **{name: field_type(name)(value)})
@@ -217,6 +217,9 @@ def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig
         else:
             for w in spec.cross_values:
                 grid.append(validate_config(apply(point, spec.cross_axis, w)))
+    # groups run one at a time, but every row keeps its P_me and P_id
+    validate_config(max(grid, key=lambda cfg: cfg.n_steps),
+                    kept=16 * sum(cfg.n_steps + 1 for cfg in grid))
     return grid
 
 

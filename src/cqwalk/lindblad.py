@@ -35,15 +35,16 @@ H_eff), one 3x3 map per site.
 Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
-these sums.  Compiling a segment exponentiates these few-by-few
-generators of every site as one numpy stack.  Consecutive segments of
-the step on one layout compose into one exact map of the same per-site
-form before the propagation starts, so a walk step applies two maps:
-coin then store, and retrieve.  Each map is applied as a batched matmul
-on reshaped views of rho.  A Hamiltonian stack of another chain than
-the state's, an offset other than 0 or 1, a term on the vacuum or on
-the empty slot, or a state that is not a vector of length 3N+3, is a
-ValueError.
+these sums.  A run compiles its step in one batch: each segment's
+distinct few-by-few site generators are exponentiated in one numpy
+stack.  Consecutive segments of the step on one layout compose into one
+exact map of the same per-site form before the propagation starts, so a
+walk step applies two maps: coin then store, and retrieve.  Each map is
+a batched matmul on reshaped views of rho, whose diagonal blocks two
+strided views, made once per run, reach.  A Hamiltonian stack of
+another chain than the state's, an offset other than 0 or 1, a term on
+the vacuum or on the empty slot, or a state that is not a vector of
+length 3N+3, is a ValueError.
 
 The walker starts as a state vector psi0.  Since it moves at most one
 site per retrieve, only a leading block of rho is nonzero:
@@ -65,7 +66,8 @@ rho.  After each applied map a run tracks only its trace error
 Hermiticity drift, on a copy of the state (the state itself at the
 end), then re-symmetrizes it; psi has no drift to measure.  Only this
 module tells the two forms apart: a readout carries its populations,
-and min_eigenvalue takes either form.
+and min_eigenvalue takes either form, certifying a read-out rho positive
+down to -POSITIVITY_SHIFT by one Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -141,42 +143,38 @@ class DecoherenceRates:
 # segment propagators
 
 
-def _expm_small(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Matrix exponential of each of many small square matrices.
+def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Matrix exponentials of stacks (k, n, n) of small matrices, one n.
 
-    The matrices are zero-padded to one size (the exponential of a padded
-    block is the block's exponential padded by I) and exponentiated as
-    one stack, by scaling and squaring around a degree-16 Taylor
-    polynomial (remainder below 1e-19 once the 1-norm is at most 1/2), in
-    plain numpy.  scipy.linalg.expm runs its Pade step through a threaded
-    BLAS, whose thread pool costs far more than these few-by-few products
-    and ties the runtime to the host's load.
+    The stacks are exponentiated as one, by scaling and squaring around a
+    degree-16 Taylor polynomial (remainder below 1e-19 once the 1-norm is
+    at most 1/2) in plain numpy, each scaled by its own 1-norm, so bit for
+    bit as in a call of its own.  scipy.linalg.expm runs its Pade step
+    through a threaded BLAS, whose thread pool costs far more than these
+    few-by-few products and ties the runtime to the host's load.
     """
-    if not mats:
-        return []
-    # most sites share their generator: exponentiate each distinct one once
-    keys = [(len(m), np.asarray(m, dtype=complex).tobytes()) for m in mats]
-    distinct = dict(zip(keys, mats))
-    size = max(len(m) for m in mats)
-    a = np.zeros((len(distinct), size, size), dtype=complex)
-    for k, m in enumerate(distinct.values()):
-        a[k, :len(m), :len(m)] = m
-    norm = float(np.abs(a).sum(axis=1).max())
-    if not math.isfinite(norm):
-        raise IntegrationError(f"segment generator has 1-norm {norm}")
-    # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e with
-    # m in [1/2, 1), read exactly from the float
-    mantissa, exponent = math.frexp(norm)
-    squarings = max(0, exponent + (mantissa > 0.5))
-    a *= 2.0 ** -squarings             # exact; 2.0 ** 1025 would overflow
-    eye = np.eye(size)
+    a = np.concatenate(stacks, dtype=complex)
+    bounds = np.cumsum([0, *map(len, stacks)])
+    squarings = np.zeros(len(a), dtype=int)
+    for start, end in zip(bounds, bounds[1:]):
+        norm = float(np.abs(a[start:end]).sum(axis=1).max(initial=0.0))
+        if not math.isfinite(norm):
+            raise IntegrationError(f"segment generator has 1-norm {norm}")
+        # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e
+        # with m in [1/2, 1), read exactly from the float
+        mantissa, exponent = math.frexp(norm)
+        count = squarings[start:end] = max(0, exponent + (mantissa > 0.5))
+        a[start:end] *= 2.0 ** -count  # exact; 2.0 ** 1025 would overflow
+    eye = np.eye(a.shape[-1])
     exp_a = eye + a / 16
     for k in range(15, 0, -1):                # Horner: I + a/k (I + ...)
-        exp_a = eye + (a @ exp_a) / k
-    for _ in range(squarings):
-        exp_a = exp_a @ exp_a
-    exps = {key: e[:key[0], :key[0]] for key, e in zip(distinct, exp_a)}
-    return [exps[key] for key in keys]
+        exp_a = a @ exp_a
+        exp_a *= 1 / k           # what numpy's / k computes, in place
+        exp_a += eye
+    for done in range(squarings.max(initial=0)):
+        more = squarings > done
+        exp_a[more] = exp_a[more] @ exp_a[more]
+    return np.split(exp_a, bounds[1:-1])
 
 
 def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
@@ -237,14 +235,15 @@ class _SiteMaps:
                               ).reshape(rows.shape)
         return end
 
-    def apply(self, rho: np.ndarray, size: int) -> int:
-        """Propagate rho in place, given that only its leading size x size
-        block is nonzero; return the size of that block afterwards."""
+    def apply(self, rho: np.ndarray, size: int, triplets: np.ndarray) -> int:
+        """Propagate rho, through its _triplets view at this offset, in
+        place, given that only its leading size x size block is nonzero;
+        return the size of that block afterwards."""
         sites = self._sites(size)
         end = self.offset + 3 * sites
         a = rho[:end, :end]
         if self.blocks is not None:
-            triplets = _triplets(a, self.offset, sites)
+            triplets = triplets[:sites]
             before = triplets.copy().reshape(sites, 9)
         self.apply_rows(a, size)                             # V rho
         self.apply_rows(a.T, size, conj=True)                # (rho V+)^T
@@ -255,67 +254,92 @@ class _SiteMaps:
         return end
 
 
-def _site_maps(seg, dim: int, rates: DecoherenceRates) -> _SiteMaps:
-    """Compile one segment of a sector of dimension dim into per-site maps.
+def _step_maps(schedule: tuple[Segment, ...], dim: int,
+               rates: DecoherenceRates) -> list[_SiteMaps]:
+    """Compile one walk step on a sector of dimension dim into the maps
+    it applies, consecutive segments on one site layout as one map.
 
-    seg.hamiltonian must hold one 3x3 block per site of the sector, at
+    Each hamiltonian must hold one 3x3 block per site of the sector, at
     offset 0 or 1 (protocol.Segment), with no term on the slot outside
     the sector: the vacuum at offset 0 (it has no dynamics) and the empty
     slot c_{N+1} at offset 1.  Anything else is a ValueError.  Each site
     decays by the six rates, by level slot: (e, f, c) at offset 1 and
     (c_{j-1}, e, f) at offset 0; the slot outside the sector has none.
     """
-    h, offset, duration = seg.hamiltonian, seg.offset, seg.duration
-    sites = (dim + 1) // 3
-    if np.shape(h) != (sites, 3, 3):
-        raise ValueError(f"a segment Hamiltonian of shape {np.shape(h)} does"
-                         f" not act on the sector of dimension {dim}")
-    if offset not in (0, 1):
-        raise ValueError(f"a segment offset of {offset!r} fits no site"
-                         " layout")
-    edge, c = (0, 0) if offset == 0 else (-1, 2)
-    if np.any(h[edge, c]) or np.any(h[edge, :, c]):
-        raise ValueError("a Hamiltonian term acts outside the sector's"
-                         " sites")
-    e, f = (1, 2) if offset == 0 else (0, 1)
-    r, noisy = rates, rates != DecoherenceRates()
-    decay = np.zeros((sites, 3))           # [j, b]: total rate out of b
-    inflow = np.zeros((sites, 3, 3))       # [j, a, b]: rate of b -> a
-    sink = np.zeros((sites, 3))            # [j, b]: rate of b -> vacuum
-    decay[:, e] = r.gamma_ge + r.gamma_phi_e
-    decay[:, f] = r.gamma_ef + r.gamma_gf + r.gamma_phi_f
-    decay[:, c] = sink[:, c] = r.kappa
-    decay[edge, c] = sink[edge, c] = 0.0
-    sink[:, e], sink[:, f] = r.gamma_ge, r.gamma_gf
-    inflow[:, e, f] = r.gamma_ef
-    inflow[:, e, e], inflow[:, f, f] = r.gamma_phi_e, r.gamma_phi_f
-
+    if not schedule:
+        return []
+    sites, count, r = (dim + 1) // 3, len(schedule), rates
+    h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
+    decay = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
+    inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a
+    sink = np.zeros((count, sites, 3))        # [s, j, b]: rate b -> vacuum
+    for s, seg in enumerate(schedule):
+        h, offset = seg.hamiltonian, seg.offset
+        if np.shape(h) != (sites, 3, 3):
+            raise ValueError(f"a segment Hamiltonian of shape {np.shape(h)}"
+                             f" does not act on the sector of dimension {dim}")
+        if offset not in (0, 1):
+            raise ValueError(f"a segment offset of {offset!r} fits no site"
+                             " layout")
+        edge, c = (0, 0) if offset == 0 else (-1, 2)
+        if np.any(h[edge, c]) or np.any(h[edge, :, c]):
+            raise ValueError("a Hamiltonian term acts outside the sector's"
+                             " sites")
+        e, f = (1, 2) if offset == 0 else (0, 1)
+        h_eff[s] = h
+        decay[s, :, e] = r.gamma_ge + r.gamma_phi_e
+        decay[s, :, f] = r.gamma_ef + r.gamma_gf + r.gamma_phi_f
+        decay[s, :, c] = sink[s, :, c] = r.kappa
+        decay[s, edge, c] = sink[s, edge, c] = 0.0
+        sink[s, :, e], sink[s, :, f] = r.gamma_ge, r.gamma_gf
+        inflow[s, :, e, f] = r.gamma_ef
+        inflow[s, :, e, e], inflow[s, :, f, f] = r.gamma_phi_e, r.gamma_phi_f
+    noisy = rates != DecoherenceRates()
     # a sum of rates, or a duration times one, may overflow; _expm_small
     # then reports the non-finite generator, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        h_eff = np.array(h, dtype=complex)
         slots = np.arange(3)
-        h_eff[:, slots, slots] -= 0.5j * decay
-        mats = list(-1j * duration * h_eff)
+        h_eff[..., slots, slots] -= 0.5j * decay
+        # most sites share their generator: each segment's distinct sites,
+        # told apart by the bytes of their H_eff and rates, are compiled
+        # once, those of all segments in one stack
+        keys = np.concatenate([h_eff.view(float).reshape(count, sites, 18),
+                               inflow.reshape(count, sites, 9), sink], axis=2)
+        keys = keys.view(np.dtype((np.void, 30 * keys.itemsize)))[..., 0]
+        distinct = [np.unique(k, return_index=True, return_inverse=True)[1:]
+                    for k in keys]
+        bounds = np.cumsum([0] + [len(first) for first, _ in distinct])
+        at = (np.repeat(np.arange(count), np.diff(bounds)),
+              np.concatenate([first for first, _ in distinct]))
+        h = h_eff[at]
+        t = np.array([seg.duration for seg in schedule])[at[0], None, None]
+        mats = (-1j * t * h)[:, None]           # the generators of V
         if noisy:
-            # diagonal block B of a site, read row-major (index 3p + q),
-            # plus an accumulator for its outflow into the vacuum (index
-            # 9): -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps
+            # and of each site's diagonal block B, read row-major (index
+            # 3p + q), plus an accumulator for its outflow into the vacuum
+            # (index 9): -i kron(h_eff, I) + i kron(I, h_eff*), then the
+            # jumps; V's are padded (the exponential of a padded block is
+            # the block's exponential padded by I)
             eye = np.eye(3)
-            gen = np.zeros((sites, 10, 10), dtype=complex)
+            gen = np.zeros((len(h), 10, 10), dtype=complex)
             gen[:, :9, :9] = (
-                -1j * h_eff[:, :, None, :, None] * eye[None, None, :, None, :]
+                -1j * h[:, :, None, :, None] * eye[None, None, :, None, :]
                 + 1j * eye[None, :, None, :, None]
-                * h_eff.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
-            gen[:, :9:4, :9:4] += inflow         # B_aa gains from B_bb
-            gen[:, 9, :9:4] = sink
-            mats += list(duration * gen)
-    exps = _expm_small(mats)
-    v = np.array(exps[:sites])
-    if not noisy:
-        return _SiteMaps(offset, v, None, None)
-    props = np.array(exps[sites:])
-    return _SiteMaps(offset, v, props[:, :9, :9], props[:, 9, :9])
+                * h.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
+            gen[:, :9:4, :9:4] += inflow[at]     # B_aa gains from B_bb
+            gen[:, 9, :9:4] = sink[at]
+            v_gen, mats = mats, np.zeros((len(h), 2, 10, 10), dtype=complex)
+            mats[:, :1, :3, :3], mats[:, 1] = v_gen, t * gen
+    exps = _expm_small([mats[start:end].reshape(-1, *mats.shape[-2:])
+                        for start, end in zip(bounds, bounds[1:])])
+    maps = []
+    for seg, exp, (_, site) in zip(schedule, exps, distinct):
+        exp = exp.reshape(-1, *mats.shape[1:])        # [distinct, V | B]
+        decay_maps = ((exp[site, 1, :9, :9], exp[site, 1, 9, :9]) if noisy
+                      else (None, None))
+        maps.append(_SiteMaps(seg.offset, exp[site, 0, :3, :3], *decay_maps))
+    return [functools.reduce(_SiteMaps.then, run) for _, run in
+            itertools.groupby(maps, operator.attrgetter("offset"))]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +392,8 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
     walk step, N times on the chain of psi0, of length 3N+3; yield a
     readout after each step n = 1..N.
 
-    Each segment is compiled once, and consecutive segments on one site
-    layout are applied as one composed map, so a protocol step applies
+    The step is compiled once, in one batch, and consecutive segments on
+    one site layout are applied as one map, so a protocol step applies
     two maps: coin then store, and retrieve.  Every site of the chain
     decays by the six rates; the run is noise-free exactly when all of
     them are 0.  psi0 must be a vector of length 3N+3, N >= 1, and every
@@ -392,10 +416,7 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
                          "excitation sector vector of shape (3N+3,), N >= 1")
     dim = len(psi0)
     n_steps = dim // 3 - 1
-    step_maps = [functools.reduce(_SiteMaps.then,
-                                  [_site_maps(seg, dim, rates) for seg in run])
-                 for _, run in itertools.groupby(
-                     schedule, operator.attrgetter("offset"))]
+    step_maps = _step_maps(schedule, dim, rates)
     # Only the leading size entries of psi, and the leading size x size
     # block of rho, can be nonzero: size starts at psi0's support (a NaN
     # counts) and grows by at most one site per map.
@@ -405,6 +426,7 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
         psi, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
         np.multiply(psi0[:size, None], psi0[:size].conj(),
                     out=state[:size, :size])
+        triplets = [_triplets(state, offset, dim // 3) for offset in (0, 1)]
     else:   # propagate psi as one column, not rho (module docstring)
         psi = np.append(psi0, 0.0)[:, None]
 
@@ -413,7 +435,7 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
         size, re-symmetrized after its drift is taken: on a copy before
         step N, and at step N on rho in place, which is then let go, so
         no copy is alive beside the temporaries of _symmetrize."""
-        nonlocal psi, state, current
+        nonlocal psi, state, triplets, current
         if n != current:
             raise ValueError(f"step {n} can no longer be read: the run has"
                              " gone on")
@@ -432,7 +454,7 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
             out = np.ascontiguousarray(rho)
             populations = out.diagonal().real.copy()
         if final:
-            psi = state = current = None
+            psi = state = triplets = current = None
         return EvolutionResult(out, populations, float(trace_error), drift)
 
     max_trace_error = np.float64(0.0)
@@ -440,7 +462,8 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
         current = 0                    # the step whose readout is valid
         for site_maps in step_maps:
             if psi is None:
-                size = site_maps.apply(state, size)
+                size = site_maps.apply(state, size,
+                                       triplets[site_maps.offset])
                 trace_error = abs(state[:size, :size].trace().real - 1.0)
             else:
                 size = site_maps.apply_rows(psi, size)
@@ -455,14 +478,32 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
 # state checks
 
 
+# the positivity certified for a density matrix (min_eigenvalue)
+POSITIVITY_SHIFT = 1e-12
+
+
 def min_eigenvalue(state: np.ndarray) -> float:
-    """The smallest eigenvalue of a state as read out: of a density
-    matrix's Hermitian part, or of psi psi+ for a sector state vector
-    psi, which is 0.0 (rank 1 below a dimension of at least 6), NaN if
-    psi is not finite."""
+    """A lower bound on the smallest eigenvalue of a state as read out:
+    for psi, exactly that of psi psi+, 0.0 (rank 1 below a dimension of at
+    least 6) or NaN if psi is not finite; for rho, exactly Hermitian as
+    read out, -POSITIVITY_SHIFT if rho + POSITIVITY_SHIFT I (shifted in
+    place, restored bit for bit) has a Cholesky factor, else an
+    IntegrationError with eigvalsh's value for rho's Hermitian part."""
     if state.ndim == 1:
         return 0.0 if np.isfinite(state).all() else math.nan
+    diagonal = state.diagonal().copy()
+    np.fill_diagonal(state, diagonal + POSITIVITY_SHIFT)
+    try:
+        np.linalg.cholesky(state)
+        return -POSITIVITY_SHIFT
+    except np.linalg.LinAlgError:
+        pass
+    finally:
+        np.fill_diagonal(state, diagonal)
     h = _adjoint(state)
     h += state
     h *= 0.5                 # the bits of 0.5 * (rho + rho.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
+    raise IntegrationError(
+        f"positivity not certified: rho + {POSITIVITY_SHIFT:g} I has no"
+        f" Cholesky factor; its smallest eigenvalue is"
+        f" {np.linalg.eigvalsh(h)[0]:.3g}")

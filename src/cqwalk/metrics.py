@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import E, F, StateSpace
-
 
 @dataclass
 class Distribution:
@@ -34,20 +32,16 @@ class Distribution:
                      + self.residual_cavity)
 
 
-def extract_distribution(populations: np.ndarray,
-                         space: StateSpace) -> Distribution:
+def extract_distribution(populations: np.ndarray) -> Distribution:
     """Walker position readout from the populations of the sector basis
-    states: the diagonal of the density matrix, |psi_i|^2 for a pure
-    state (lindblad.EvolutionResult.populations)."""
-    diag = np.asarray(populations)
-    p = np.empty(space.n_qutrits)
-    for j in range(1, space.n_qutrits + 1):
-        p[j - 1] = (diag[space.qutrit_index(j, E)]
-                    + diag[space.qutrit_index(j, F)])
-    vac = float(diag[space.vacuum_index])
-    cav = float(sum(diag[space.cavity_index(j)]
-                    for j in range(1, space.n_cavities + 1)))
-    return Distribution(p, vac, cav)
+    states, in its order (statespace): the diagonal of the density
+    matrix, |psi_i|^2 for a pure state
+    (lindblad.EvolutionResult.populations).  Site j's e and f are slots
+    3j - 2 and 3j - 1, its cavity slot 3j; the cavities are summed in
+    site order."""
+    pop = np.asarray(populations)
+    return Distribution(pop[1::3] + pop[2::3], float(pop[0]),
+                        float(sum(pop[3::3])))
 
 
 def similarity(p_measured: np.ndarray, p_ideal: np.ndarray) -> float:

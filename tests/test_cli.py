@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqwalk
+from cqwalk import lindblad
 from cqwalk.cli import main
 from cqwalk.harness import REPORT_COLUMNS
 
@@ -191,6 +192,26 @@ def test_numerical_failure_exits_2(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_uncertified_positivity_exits_2(monkeypatch, capsys):
+    # a read-out rho with smallest eigenvalue -1e-9: its last slot, f of
+    # the last qutrit, has an exactly zero row and column, so a -1e-9
+    # there is an eigenvalue, below the certified -1e-12
+    symmetrize = lindblad._symmetrize
+
+    def negative(a):
+        drift = symmetrize(a)
+        a[-1, -1] = -1e-9
+        return drift
+
+    monkeypatch.setattr(lindblad, "_symmetrize", negative)
+    code = main(["run", "--n-steps", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cqwalk: numerical failure: positivity not"
+                          " certified")
+    assert "eigenvalue is -1e-09" in err
+
+
 def test_generator_overflow_is_one_line_failure(capsys):
     # pulse duration times rate overflows while the generator is scaled,
     # or the sum of the three f rates overflows before it; the run must
@@ -252,6 +273,9 @@ def test_io_failure_exits_3(capsys):
     # large enough for BLAS to split work between threads: a pure
     # state's diagnostics come from psi, with no eigvalsh to differ
     pytest.param(ZERO_NOISE, "80", id="noise-free N=80"),
+    # a noisy state's positivity is a pass or fail at a fixed bound,
+    # whatever the BLAS thread count
+    pytest.param([], "80", id="noisy N=80"),
 ])
 def test_report_does_not_depend_on_blas_threads(noise, n_steps):
     # identical configs give identical rows, whatever the BLAS thread

@@ -8,6 +8,7 @@ from cqwalk import config
 from cqwalk.config import (ConfigError, ExperimentConfig, config_from_mapping,
                            config_keys, load_config, parse_config_text,
                            parse_field_value, validate_config)
+from cqwalk.harness import SweepSpec, sweep_grid
 
 GOOD = """
 # comment line
@@ -95,6 +96,27 @@ def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
     noise_free = ExperimentConfig(n_steps=1000,
                                   **dict.fromkeys(lifetimes, math.inf))
     assert validate_config(noise_free) is noise_free
+
+
+def test_sweep_is_charged_for_its_rows(monkeypatch):
+    # every row of a sweep keeps P_me and P_id, 2 (n+1) float64s: a
+    # noise-free n_steps 1..400 sweep keeps 1.29 MB of them beside its
+    # largest run's 1.23 MB, so on a 2 MiB host each run fits but the
+    # sweep does not
+    lifetimes = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
+                 "tphi_e_us", "tphi_f_us")
+    base = ExperimentConfig(**dict.fromkeys(lifetimes, math.inf))
+    spec = SweepSpec(axis="n_steps", values=tuple(range(1, 401)))
+    run = 16 * config._VECTOR_COPIES * (3 * 400 + 4)
+    rows = 16 * sum(n + 1 for n in spec.values)
+    assert run < 2**21 < run + rows
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2**21)
+    assert validate_config(dataclasses.replace(base, n_steps=400))
+    with pytest.raises(ConfigError, match="n_steps = 400 .* one run, with its"
+                                          " sweep, more than"):
+        sweep_grid(base, spec)
+    assert len(sweep_grid(base, SweepSpec(axis="n_steps",
+                                          values=tuple(range(1, 201))))) == 200
 
 
 def test_readme_lists_every_key_with_its_default():

@@ -208,6 +208,24 @@ def test_sweep_propagates_once_per_group(monkeypatch):
     assert calls == [6, 6, 6]                  # one N=6 run per scale
 
 
+def test_sweep_compiles_once_per_group(monkeypatch):
+    # each run, and each sweep group, exponentiates its step's site
+    # generators in one _expm_small pass
+    calls = []
+    expm_small = lindblad._expm_small
+    monkeypatch.setattr(lindblad, "_expm_small", lambda stacks: calls.append(
+        len(stacks)) or expm_small(stacks))
+    run_experiment(ExperimentConfig())
+    run_experiment(zero_noise_config())
+    assert calls == [3, 3]                     # one stack per segment
+    calls.clear()
+    spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
+                     cross_axis="scale", cross_values=(5.0, 0.2))
+    rows = run_sweep(ExperimentConfig(), spec)
+    assert len(rows) == 8 and all(r.error is None for r in rows)
+    assert calls == [3, 3]
+
+
 def test_sweep_walks_the_ideal_walk_once_per_group(monkeypatch):
     # each group's rows take P_id from one ideal walk of its largest
     # n_steps, not one walk per row
@@ -236,6 +254,18 @@ def test_noise_free_readouts_form_no_spectrum(monkeypatch):
         assert row.error is None and row.s == pytest.approx(1.0)
         assert row.min_eigenvalue == 0.0
         assert row.max_hermiticity_drift == 0.0
+
+
+def test_noisy_readouts_certify_positivity_without_a_spectrum(monkeypatch):
+    # a passing certificate needs no eigvalsh, in a run or a sweep; every
+    # noisy row reports the certified bound -1e-12
+    monkeypatch.setattr(np.linalg, "eigvalsh", pytest.fail)
+    rows = [run_experiment(ExperimentConfig(n_steps=5, scale=0.2)),
+            *run_sweep(ExperimentConfig(scale=0.2),
+                       SweepSpec(axis="n_steps", values=(3, 1, 2)))]
+    for row in rows:
+        assert row.error is None
+        assert row.min_eigenvalue == -lindblad.POSITIVITY_SHIFT == -1e-12
 
 
 def test_sweep_checks_each_row_up_to_its_step(monkeypatch):

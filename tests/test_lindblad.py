@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig, lindblad
-from cqwalk.lindblad import (DecoherenceRates, IntegrationError, _expm_small,
-                             _site_maps, _SiteMaps, _symmetrize,
+from cqwalk.lindblad import (POSITIVITY_SHIFT, DecoherenceRates,
+                             IntegrationError, _expm_small, _SiteMaps,
+                             _step_maps, _symmetrize, _triplets,
                              evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Segment, build_schedule
 from cqwalk.statespace import E, F, DeviceParams, StateSpace
@@ -270,17 +271,23 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
     coin, store, retrieve = build_schedule(
         DeviceParams.from_mhz(n, 50.0, 100.0))
     rng = np.random.default_rng(n)
+
+    def apply(maps, rho):
+        return maps.apply(rho, space.dim + 1,
+                          _triplets(rho, maps.offset, n + 1))
+
     for first, second in ((coin, store), (retrieve, retrieve)):
-        a, b = (_site_maps(seg, space.dim, rates) for seg in (first, second))
-        both = a.then(b)
+        (a,), (b,) = (_step_maps((seg,), space.dim, rates)
+                      for seg in (first, second))
+        (both,) = _step_maps((first, second), space.dim, rates)
         assert both.offset == first.offset
         assert (both.blocks is None) == (rates == ZERO_RATES)
         rho = np.zeros((space.dim + 1, space.dim + 1), dtype=complex)
         rho[:-1, :-1] = _random_density(rng, space.dim)
         want, got = rho.copy(), rho.copy()
-        a.apply(want, space.dim + 1)
-        b.apply(want, space.dim + 1)
-        assert both.apply(got, space.dim + 1) == space.dim + first.offset
+        apply(a, want)
+        apply(b, want)
+        assert apply(both, got) == space.dim + first.offset
         assert np.max(np.abs(got - want)) <= 1e-14
         if rates == ZERO_RATES:
             shape = (space.dim + 1, 4)
@@ -322,6 +329,28 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
         _run_with_readouts(psi0, schedule, rates, steps)
         assert applied == [1, 0] * n
         assert composed == [1]
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_one_compile_pass_and_fixed_views_per_run(monkeypatch, rates):
+    # a run exponentiates its step's generators in one _expm_small pass,
+    # and a noisy one views rho's diagonal blocks twice, once per site
+    # layout, before its first step: none of it happens in the step loop
+    calls = []
+    expm_small, as_strided = lindblad._expm_small, lindblad.as_strided
+    monkeypatch.setattr(lindblad, "_expm_small", lambda stacks: calls.append(
+        "expm") or expm_small(stacks))
+    monkeypatch.setattr(lindblad, "as_strided", lambda *args, **kwargs:
+                        calls.append("view") or as_strided(*args, **kwargs))
+    for n in (1, 2, 6):
+        space = StateSpace(n)
+        schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
+        psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+        calls.clear()
+        _run_with_readouts(psi0, schedule, rates, range(1, n + 1))
+        views = [] if rates == ZERO_RATES else ["view"] * 2
+        assert sorted(calls) == ["expm"] + views, n
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -395,22 +424,44 @@ def test_state_outside_the_sector_is_refused(shape):
 
 def test_small_exponentials_reject_non_finite_input():
     with pytest.raises(IntegrationError):
-        _expm_small([np.array([[math.nan]]), np.eye(2)])
+        _expm_small([np.full((1, 2, 2), math.nan), np.eye(2)[None]])
     with pytest.raises(IntegrationError):
-        _expm_small([np.array([[math.inf]])])
+        _expm_small([np.eye(2)[None], np.full((1, 2, 2), math.inf)])
     # a finite norm near the float limit needs 1025 squarings
-    assert _expm_small([np.array([[-1e308]])])[0][0, 0] == 0.0
+    assert _expm_small([np.array([[[-1e308]]])])[0][0, 0, 0] == 0.0
 
 
 def test_small_exponentials_match_scipy():
-    # sizes repeat so matrices share a stack; 1-norms from 0 to ~300 need
-    # from none to ten squarings within one stack
+    # sizes repeat; per size, a stack per scale and one of all four
+    # share a call: 1-norms from 0 to ~300 need from none to ten
+    # squarings, also within one stack
     rng = np.random.default_rng(7)
-    mats = [s * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-            for k in (1, 2, 2, 5, 6) for s in (0.0, 0.01, 1.0, 30.0)]
-    for got, m in zip(_expm_small(mats), mats):
-        want = expm(m)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+    for k in (1, 2, 2, 5, 6):
+        stacks = [s * (rng.normal(size=(2, k, k))
+                       + 1j * rng.normal(size=(2, k, k)))
+                  for s in (0.0, 0.01, 1.0, 30.0)]
+        stacks.append(np.concatenate(stacks))
+        exps = _expm_small(stacks)
+        assert [e.shape for e in exps] == [m.shape for m in stacks]
+        for got, m in zip(np.concatenate(exps), np.concatenate(stacks)):
+            want = expm(m)
+            assert (np.max(np.abs(got - want))
+                    <= 1e-12 * max(1.0, np.abs(want).max()))
+
+
+def test_small_exponentials_scale_each_stack_by_its_own_norm():
+    # one stack needs no squaring, the other at least ten: exponentiated
+    # in one call, each comes out bit for bit as from a call of its own
+    rng = np.random.default_rng(1)
+    small, large = (s * (rng.normal(size=(3, 10, 10))
+                         + 1j * rng.normal(size=(3, 10, 10)))
+                    for s in (0.005, 30.0))
+    assert np.abs(small).sum(axis=1).max() <= 0.5
+    assert np.abs(large).sum(axis=1).max() > 2.0**8    # over 2**9 * 1/2
+    together = _expm_small([small, large])
+    for got, stack in zip(together, (small, large)):
+        (alone,) = _expm_small([stack])
+        assert got.tobytes() == alone.tobytes()
 
 
 def test_fullspace_oracle_matches_dense_expm():
@@ -492,20 +543,45 @@ def test_trace_and_hermiticity_tracked():
     assert res.max_hermiticity_drift < 1e-12
     assert abs(np.trace(res.state).real - 1.0) < 1e-10
     assert np.max(np.abs(res.state - res.state.conj().T)) == 0.0
-    assert min_eigenvalue(res.state) > -1e-12
+    # positivity certified at -1e-12, the state left as it was
+    state = res.state.copy()
+    assert min_eigenvalue(res.state) == -POSITIVITY_SHIFT == -1e-12
+    assert res.state.tobytes() == state.tobytes()
 
 
 @pytest.mark.parametrize("dim", [31, 244, 964])
 def test_min_eigenvalue_takes_the_hermitian_part(monkeypatch, dim):
-    # the Hermitian part eigvalsh gets is, bit for bit, 0.5 (rho + rho+)
+    # a matrix that fails the certificate: the Hermitian part eigvalsh
+    # gets is, bit for bit, 0.5 (rho + rho+), and the error gives its
+    # smallest eigenvalue
     rng = np.random.default_rng(dim)
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     seen = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda h: seen.append(h.copy()) or np.zeros(1))
-    min_eigenvalue(rho)
+                        lambda h: seen.append(h.copy()) or np.array([-0.25]))
+    with pytest.raises(IntegrationError, match="eigenvalue is -0.25"):
+        min_eigenvalue(rho)
     want = 0.5 * (rho + rho.conj().T)
     assert seen[0].tobytes() == want.tobytes()
+
+
+def test_negative_state_fails_the_certificate():
+    # a Hermitian state with smallest eigenvalue -1e-9, below the
+    # certified -1e-12: an IntegrationError names eigvalsh's value, and
+    # the state comes back bit for bit
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12))
+                        + 1j * rng.normal(size=(12, 12)))
+    weights = np.linspace(0.1, 1.0, 11)
+    eigenvalues = np.append(-1e-9, (1.0 + 1e-9) * weights / weights.sum())
+    rho = (q * eigenvalues) @ q.conj().T           # unit trace
+    _symmetrize(rho)
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-1e-9, rel=1e-6)
+    before = rho.copy()
+    with pytest.raises(IntegrationError,
+                       match=r"no Cholesky factor.* eigenvalue is -1e-09"):
+        min_eigenvalue(rho)
+    assert rho.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -519,7 +595,8 @@ def test_symmetrize_is_the_strided_form(order):
     assert _symmetrize(a) == np.abs(skew).max()
     assert a.tobytes(order="C") == (rho - 0.5 * skew).tobytes()
     f = np.asfortranarray(rho)
-    min_eigenvalue(f)
+    with pytest.raises(IntegrationError):       # not positive semidefinite
+        min_eigenvalue(f)
     assert f.tobytes(order="C") == rho.tobytes()       # left untouched
 
 

@@ -19,7 +19,7 @@ def test_extract_truncated_by_hand():
     rho[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 0.20
     rho[space.vacuum_index, space.vacuum_index] = 0.15
     rho[space.cavity_index(1), space.cavity_index(1)] = 0.10
-    dist = extract_distribution(np.diagonal(rho).real, space)
+    dist = extract_distribution(np.diagonal(rho).real)
     assert np.allclose(dist.p, [0.55, 0.20])
     assert dist.residual_vacuum == pytest.approx(0.15)
     assert dist.residual_cavity == pytest.approx(0.10)
