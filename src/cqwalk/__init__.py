@@ -16,15 +16,13 @@ from .lindblad import (DecoherenceRates, EvolutionResult, IntegrationError,
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
 from .protocol import Segment, build_schedule
-from .statespace import DeviceParams, StateSpace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinState", "ConfigError", "DecoherenceRates", "DeviceParams",
-    "Distribution", "EvolutionResult", "ExperimentConfig",
-    "IntegrationError", "Report", "Segment", "StateSpace",
-    "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
+    "CoinState", "ConfigError", "DecoherenceRates", "Distribution",
+    "EvolutionResult", "ExperimentConfig", "IntegrationError", "Report",
+    "Segment", "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
     "evolve_schedule", "extract_distribution", "initial_state",
     "load_config", "run_experiment", "run_ideal", "run_sweep", "similarity",

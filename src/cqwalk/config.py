@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields, replace
 from .idealwalk import COIN_PRESETS, CoinState, coin_preset
 from .lindblad import DecoherenceRates
 from .protocol import segment_durations
-from .statespace import DeviceParams, StateSpace
 
 # Dense (3N+4) x (3N+4) complex arrays alive at the peak of one noisy
 # run or sweep group of largest n_steps N: the state, one readout and the
@@ -80,20 +79,12 @@ class ExperimentConfig:
 
     # -- derived objects ----------------------------------------------
 
-    def device_params(self) -> DeviceParams:
-        return DeviceParams.from_mhz(
-            self.n_steps, self.g_over_2pi_mhz, self.omega_over_2pi_mhz,
-            self.mu_over_2pi_mhz, self.theta_rad, self.phi_rad)
-
     def rates(self) -> DecoherenceRates:
         base = DecoherenceRates.from_lifetimes_us(
             t_cavity=self.t1_cavity_us, t_ge=self.t1_ge_us,
             t_ef=self.t1_ef_us, t_gf=self.t1_gf_us,
             t_phi_e=self.tphi_e_us, t_phi_f=self.tphi_f_us)
         return base.scaled(self.scale)
-
-    def space(self) -> StateSpace:
-        return StateSpace(self.n_steps)
 
     def coin(self) -> CoinState:
         return coin_preset(self.coin0)
@@ -196,7 +187,7 @@ def validate_config(cfg: ExperimentConfig, kept: int = 0) -> ExperimentConfig:
     if not math.isfinite(cfg.phi_rad):
         bad("phi_rad must be finite")
     if not all(math.isfinite(t)
-               for t in segment_durations(cfg.device_params()).values()):
+               for t in segment_durations(cfg).values()):
         bad("coupling or drive too small: a pulse would last forever")
     if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
         bad("scale must be positive and finite")

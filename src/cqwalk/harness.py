@@ -34,8 +34,7 @@ from .idealwalk import CoinState, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, evolve_schedule,
                        min_eigenvalue)
 from .metrics import extract_distribution, similarity_report
-from .protocol import build_schedule
-from .statespace import E, F, StateSpace
+from .protocol import build_schedule, mu_over_2pi_mhz
 
 # A column's Report field is its name lower-cased.
 REPORT_COLUMNS = (
@@ -76,11 +75,12 @@ class Report:
         return [getattr(self, column.lower()) for column in REPORT_COLUMNS]
 
 
-def initial_state(space: StateSpace, coin: CoinState) -> np.ndarray:
-    """psi0: the walker on qutrit 1 with coin (c0 -> f, c1 -> e)."""
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.qutrit_index(1, F)] = coin.c0
-    psi[space.qutrit_index(1, E)] = coin.c1
+def initial_state(n_steps: int, coin: CoinState) -> np.ndarray:
+    """psi0 of an n_steps chain: the walker on qutrit 1 with coin
+    (c0 -> f_1, slot 2; c1 -> e_1, slot 1)."""
+    psi = np.zeros(3 * n_steps + 3, dtype=complex)
+    psi[2] = coin.c0
+    psi[1] = coin.c1
     return psi
 
 
@@ -97,9 +97,8 @@ def _walk(cfg: ExperimentConfig) -> Iterator[tuple]:
     read() gives the EvolutionResult of cfg's run with n_steps = n while
     the walk is at step n (evolve_schedule), and amps are the final
     amplitudes of that run's ideal walk (idealwalk.walk)."""
-    psi0 = initial_state(cfg.space(), cfg.coin())
-    steps = evolve_schedule(psi0, build_schedule(cfg.device_params()),
-                            cfg.rates())
+    psi0 = initial_state(cfg.n_steps, cfg.coin())
+    steps = evolve_schedule(psi0, build_schedule(cfg), cfg.rates())
     ideal = itertools.islice(walk(cfg.n_steps, cfg.theta_rad, cfg.coin()),
                              1, None)
     return zip(itertools.count(1), steps, ideal)
@@ -108,10 +107,9 @@ def _walk(cfg: ExperimentConfig) -> Iterator[tuple]:
 def _echo(cfg: ExperimentConfig) -> dict:
     """The Report fields that echo cfg's parameter point (mu = auto is
     reported as g)."""
-    mu = cfg.mu_over_2pi_mhz
     return dict(n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
                 omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
-                mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
+                mu_over_2pi_mhz=mu_over_2pi_mhz(cfg),
                 theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale)
 
 

@@ -16,7 +16,7 @@ matrix is formed.
 
 The schedule is one walk step, which a run of an N-step chain applies
 N times; each of its segments is propagated exactly by a map compiled
-once per run.  The sector basis is ordered by site (statespace): the
+once per run.  The sector basis is ordered by site (protocol): the
 vacuum, then the triplets (e_j, f_j, c_j), and the propagator adds one
 empty slot where c_{N+1} would be.  A segment's H comes in site form
 (protocol.Segment), one 3x3 block per site of its layout: coin

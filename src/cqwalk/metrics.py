@@ -34,7 +34,7 @@ class Distribution:
 
 def extract_distribution(populations: np.ndarray) -> Distribution:
     """Walker position readout from the populations of the sector basis
-    states, in its order (statespace): the diagonal of the density
+    states, in its order (protocol): the diagonal of the density
     matrix, |psi_i|^2 for a pure state
     (lindblad.EvolutionResult.populations).  Site j's e and f are slots
     3j - 2 and 3j - 1, its cavity slot 3j; the cavities are summed in

@@ -19,22 +19,47 @@ every site in parallel:
 The f level never moves: coin-0 population stays on its qutrit, which
 is the walk's "stay" branch, while coin-1 (e) hops one site right.
 
-In the single-excitation sector each pulse is a direct sum of 2x2
+The device is a 1D array of N+1 transmon-style qutrits (levels g, e, f)
+with N cavities between neighbours.  The walk dynamics conserve the
+total excitation number (non-ground qutrits plus photons), and every
+pulse and collapse channel of the protocol keeps the system in the
+single-excitation sector.  That sector has dimension 3N+3: the joint
+vacuum, then one triplet per site j, (e_j, f_j, c_j): qutrit j in e,
+qutrit j in f, one photon in cavity j.  The last site has no cavity.
+So the n-step sector is exactly the first 3n+3 states of the N-step
+sector for every n < N.  Each Hamiltonian term and collapse operator
+compresses to one transition |a><b| between sector states, so pulses
+and collapse channels (lindblad) are written by this slot arithmetic.
+
+Basis ordering (index: state):
+
+    0                : vacuum (all qutrits g, no photons)
+    3j - 2           : qutrit j in e          (j = 1..N+1)
+    3j - 1           : qutrit j in f
+    3j               : one photon in cavity j (j = 1..N)
+
+In this basis each pulse is a direct sum of 2x2
 swaps, one per site: coin e_j<->f_j, store e_j<->c_j, retrieve
 c_{j-1}<->e_j.  So a segment carries its Hamiltonian in site form, one
 3x3 block per site and the offset of the site layout it fits (Segment),
 written by index; no dim x dim matrix is formed.  The tests check each
 kind against the compression of its tensor-product counterpart.
+
+Units convention for the whole package: times in microseconds, angular
+frequencies in rad/us.  ExperimentConfig gives frequencies in MHz
+(f = omega / 2pi); _angular converts them, the one place that does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .statespace import DeviceParams
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 SEG_COIN = "coin"
 SEG_STORE = "store"
@@ -47,8 +72,8 @@ class Segment:
     form.
 
     hamiltonian[j] is the pulse's 3x3 Hamiltonian on site j (0-based) of
-    the sector basis shifted by offset (statespace): site j covers basis
-    slots offset + 3j .. offset + 3j + 2.  Offset 1 gives the triplets
+    the sector basis (module docstring) shifted by offset: site j covers
+    basis slots offset + 3j .. offset + 3j + 2.  Offset 1 gives the triplets
     (e_j, f_j, c_j), where coin and store act; offset 0 gives
     (c_{j-1}, e_j, f_j), with the vacuum in place of c_0, where retrieve
     acts.  An N-step chain has N+1 sites either way, so the stack has
@@ -62,33 +87,49 @@ class Segment:
     duration: float
 
 
-def segment_durations(params: DeviceParams) -> dict[str, float]:
-    """Durations (us) of the three segments of one step."""
+def mu_over_2pi_mhz(cfg: ExperimentConfig) -> float:
+    """The cavity-to-next-qutrit coupling in MHz: mu = auto (None)
+    tracks g."""
+    mu = cfg.mu_over_2pi_mhz
+    return cfg.g_over_2pi_mhz if mu is None else mu
+
+
+def _angular(cfg: ExperimentConfig) -> tuple[float, float, float]:
+    """(g, omega, mu) of cfg in rad/us."""
+    two_pi = 2.0 * math.pi
+    return (two_pi * cfg.g_over_2pi_mhz, two_pi * cfg.omega_over_2pi_mhz,
+            two_pi * mu_over_2pi_mhz(cfg))
+
+
+def segment_durations(cfg: ExperimentConfig) -> dict[str, float]:
+    """Durations (us) of the three segments of one step of cfg."""
+    g, omega, mu = _angular(cfg)
     return {
-        SEG_COIN: params.theta / params.omega,
-        SEG_STORE: math.pi / (2.0 * params.g),
-        SEG_RETRIEVE: math.pi / (2.0 * params.mu),
+        SEG_COIN: cfg.theta_rad / omega,
+        SEG_STORE: math.pi / (2.0 * g),
+        SEG_RETRIEVE: math.pi / (2.0 * mu),
     }
 
 
-def build_schedule(params: DeviceParams) -> tuple[Segment, ...]:
+def build_schedule(cfg: ExperimentConfig) -> tuple[Segment, ...]:
     """One walk step, (coin, store, retrieve), on the chain of
-    params.n_steps steps; a walk repeats it n_steps times.
+    cfg.n_steps steps; a walk repeats it n_steps times.
 
     Each kind's per-site Hamiltonians are written by index, one stack of
     shape (n_steps + 1, 3, 3).
     """
-    sites = params.n_steps + 1
+    g, omega, mu = _angular(cfg)
+    sites = cfg.n_steps + 1
     coin, store, retrieve = (np.zeros((sites, 3, 3), dtype=complex)
                              for _ in range(3))
-    phase = np.exp(1j * params.phi)
+    phase = np.exp(1j * cfg.phi_rad)
     # (e_j, f_j, c_j) at offset 1; the last site has no cavity
-    coin[:, 0, 1] = params.omega * phase
-    coin[:, 1, 0] = params.omega * np.conj(phase)
-    store[:-1, 0, 2] = store[:-1, 2, 0] = params.g
+    coin[:, 0, 1] = omega * phase
+    coin[:, 1, 0] = omega * np.conj(phase)
+    store[:-1, 0, 2] = store[:-1, 2, 0] = g
     # (c_{j-1}, e_j, f_j) at offset 0; the first site's c_0 is the vacuum
-    retrieve[1:, 0, 1] = retrieve[1:, 1, 0] = params.mu
-    durs = segment_durations(params)
+    retrieve[1:, 0, 1] = retrieve[1:, 1, 0] = mu
+    durs = segment_durations(cfg)
     return (Segment(SEG_COIN, coin, 1, durs[SEG_COIN]),
             Segment(SEG_STORE, store, 1, durs[SEG_STORE]),
             Segment(SEG_RETRIEVE, retrieve, 0, durs[SEG_RETRIEVE]))

@@ -91,8 +91,8 @@ def dense_hamiltonian(seg):
 def sector_channels(rates, dim):
     """(label, target, source, rate) of every open collapse channel of the
     sector of dimension dim = 3N+3, each the transition sqrt(rate)
-    |target><source|, found by the index arithmetic of the statespace
-    docstring (vacuum 0, e_j 3j - 2, f_j 3j - 1, c_j 3j).  Labels and
+    |target><source|, found by the index arithmetic of the basis in the
+    protocol docstring (vacuum 0, e_j 3j - 2, f_j 3j - 1, c_j 3j).  Labels and
     order are those of fullspace.collapse_operators."""
     n = dim // 3 - 1
     channels = []

@@ -8,9 +8,10 @@ three pulse Hamiltonians, the collapse operators (photon loss is the
 cavity annihilation operator, not a single transition once the cutoff
 exceeds 2), the initial state, and a readout that puts every state
 outside the sector into the leakage bucket.  Each segment is propagated
-by scipy's expm_multiply on the sparse Liouvillian.  From cqwalk it
-takes only the device parameters, rates, pulse durations, the ideal
-walk and the similarity score.
+by scipy's expm_multiply on the sparse Liouvillian.  It converts the
+config's MHz to rad/us and numbers the sector's states itself (slot,
+cavity_slot); from cqwalk it takes only the rates, pulse durations, the
+ideal walk and the similarity score.
 
 The N=2 space has dimension 108; a dense superoperator there would be
 11664 x 11664 complex (about 2 GB), hence expm_multiply.  Chains above
@@ -30,7 +31,37 @@ from cqwalk.idealwalk import run_ideal
 from cqwalk.metrics import Distribution, similarity_report
 from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
                              segment_durations)
-from cqwalk.statespace import E, F, G
+
+# Qutrit level codes.
+G, E, F = 0, 1, 2
+
+# Index of the sector's vacuum (cqwalk.protocol's basis ordering).
+VACUUM = 0
+
+
+def sector_dim(n_steps: int) -> int:
+    """Dimension of the single-excitation sector of an n_steps chain."""
+    return 3 * n_steps + 3
+
+
+def slot(site: int, level: int) -> int:
+    """Sector index of the state with qutrit `site` in E (3j - 2) or F
+    (3j - 1)."""
+    assert level in (E, F)
+    return 3 * site - 3 + level
+
+
+def cavity_slot(site: int) -> int:
+    """Sector index of the one-photon state of cavity `site` (3j)."""
+    return 3 * site
+
+
+def device(cfg) -> tuple[float, float, float]:
+    """(g, omega, mu) of an ExperimentConfig in rad/us, mu = auto as g."""
+    mu = cfg.mu_over_2pi_mhz
+    return tuple(2 * math.pi * f for f in (
+        cfg.g_over_2pi_mhz, cfg.omega_over_2pi_mhz,
+        cfg.g_over_2pi_mhz if mu is None else mu))
 
 
 class FullSpace:
@@ -86,26 +117,27 @@ class FullSpace:
                         for levels, photons in self.labels])
 
 
-def sector_states(space) -> list:
-    """(index, levels, photons) of every state of a cqwalk StateSpace."""
-    nq, nc = space.n_qutrits, space.n_cavities
+def sector_states(n_steps: int) -> list:
+    """(index, levels, photons) of every state of the single-excitation
+    sector of an n_steps chain."""
+    nq, nc = n_steps + 1, n_steps
     ground, empty = (G,) * nq, (0,) * nc
-    states = [(space.vacuum_index, ground, empty)]
+    states = [(VACUUM, ground, empty)]
     for j in range(1, nq + 1):
         for level in (E, F):
             levels = ground[:j - 1] + (level,) + ground[j:]
-            states.append((space.qutrit_index(j, level), levels, empty))
+            states.append((slot(j, level), levels, empty))
     for j in range(1, nc + 1):
         photons = empty[:j - 1] + (1,) + empty[j:]
-        states.append((space.cavity_index(j), ground, photons))
+        states.append((cavity_slot(j), ground, photons))
     return states
 
 
-def embedding_matrix(space, full: FullSpace) -> np.ndarray:
-    """Isometry (full.dim x space.dim) sending each sector state to its
-    tensor-product state."""
-    v = np.zeros((full.dim, space.dim))
-    for col, levels, photons in sector_states(space):
+def embedding_matrix(full: FullSpace) -> np.ndarray:
+    """Isometry (full.dim x sector dim) sending each state of the sector
+    of full's chain to its tensor-product state."""
+    v = np.zeros((full.dim, sector_dim(full.n_steps)))
+    for col, levels, photons in sector_states(full.n_steps):
         v[full.index(levels, photons), col] = 1.0
     return v
 
@@ -114,13 +146,14 @@ def embedding_matrix(space, full: FullSpace) -> np.ndarray:
 # the experiment
 
 
-def h_coin(full: FullSpace, params) -> np.ndarray:
+def h_coin(full: FullSpace, cfg) -> np.ndarray:
     """sum_j Omega (e^{i phi} |e>_j<f| + h.c.)."""
-    phase = np.exp(1j * params.phi)
+    _, omega, _ = device(cfg)
+    phase = np.exp(1j * cfg.phi_rad)
     h = np.zeros((full.dim, full.dim), dtype=complex)
     for j in range(1, full.n_qutrits + 1):
         ef = full.qutrit_transition(j, E, F)
-        h += params.omega * (phase * ef + np.conj(phase) * ef.conj().T)
+        h += omega * (phase * ef + np.conj(phase) * ef.conj().T)
     return h
 
 
@@ -134,22 +167,25 @@ def _swaps(full: FullSpace, coupling: float, shift: int) -> np.ndarray:
     return h
 
 
-def h_store(full: FullSpace, params) -> np.ndarray:
-    return _swaps(full, params.g, 0)
+def h_store(full: FullSpace, cfg) -> np.ndarray:
+    g, _, _ = device(cfg)
+    return _swaps(full, g, 0)
 
 
-def h_retrieve(full: FullSpace, params) -> np.ndarray:
-    return _swaps(full, params.mu, 1)
+def h_retrieve(full: FullSpace, cfg) -> np.ndarray:
+    _, _, mu = device(cfg)
+    return _swaps(full, mu, 1)
 
 
-def build_schedule(full: FullSpace, params) -> list:
-    """(H, duration) of every segment: n_steps repetitions of coin,
-    store, retrieve, one matrix per kind."""
-    hs = {SEG_COIN: h_coin(full, params), SEG_STORE: h_store(full, params),
-          SEG_RETRIEVE: h_retrieve(full, params)}
-    durations = segment_durations(params)
+def build_schedule(full: FullSpace, cfg) -> list:
+    """(H, duration) of every segment of the ExperimentConfig cfg's run
+    on full's chain: cfg.n_steps repetitions of coin, store, retrieve,
+    one matrix per kind."""
+    hs = {SEG_COIN: h_coin(full, cfg), SEG_STORE: h_store(full, cfg),
+          SEG_RETRIEVE: h_retrieve(full, cfg)}
+    durations = segment_durations(cfg)
     return [(hs[label], durations[label])
-            for _ in range(params.n_steps)
+            for _ in range(cfg.n_steps)
             for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE)]
 
 
@@ -252,7 +288,7 @@ def run_experiment(cfg, fock_cutoff: int = 2) -> Report:
     ops = [op for _, op in collapse_operators(full, cfg.rates())]
     rho, trace_error, drift = evolve(
         initial_density_matrix(full, cfg.coin()),
-        build_schedule(full, cfg.device_params()), ops)
+        build_schedule(full, cfg), ops)
     dist = extract_distribution(rho, full)
     p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
     sim = similarity_report(dist.p, p_id)

@@ -176,9 +176,8 @@ def test_criterion_7_invariant_suite(zero_noise_runs, truncation_check,
     worst_herm = max(rep.max_hermiticity_drift for _, rep in _RUN_LOG)
     # backend agreement at N=5, baseline noise
     cfg = ExperimentConfig(n_steps=5)
-    space = cfg.space()
-    schedule = build_schedule(cfg.device_params())
-    psi0 = initial_state(space, cfg.coin())
+    schedule = build_schedule(cfg)
+    psi0 = initial_state(cfg.n_steps, cfg.coin())
     rho_block = evolve_final(psi0, schedule, cfg.rates()).state
     rho_dense = dense_expm_evolve(np.outer(psi0, psi0.conj()), schedule * 5,
                                   cfg.rates())

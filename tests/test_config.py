@@ -152,12 +152,6 @@ def test_defaults_describe_baseline_device():
     assert validate_config(cfg) is cfg
 
 
-def test_unit_conversion_single_site():
-    params = ExperimentConfig(g_over_2pi_mhz=50.0).device_params()
-    assert params.g == pytest.approx(2 * math.pi * 50.0)
-    assert params.mu == params.g
-
-
 def test_scale_multiplies_lifetimes():
     r1 = ExperimentConfig(scale=1.0).rates()
     r5 = ExperimentConfig(scale=5.0).rates()
@@ -198,5 +192,4 @@ def test_parse_field_value_override_path():
 
 def test_derived_objects():
     cfg = ExperimentConfig(n_steps=3)
-    assert cfg.space().dim == 12
     assert abs(cfg.coin().c1) == pytest.approx(1 / math.sqrt(2))

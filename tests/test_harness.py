@@ -14,6 +14,7 @@ import fullspace
 import numpy as np
 import pytest
 from conftest import zero_noise_config
+from fullspace import E, F, sector_dim, slot
 
 import cqwalk
 from cqwalk import config, harness, idealwalk, lindblad
@@ -24,19 +25,18 @@ from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, evolve_schedule
-from cqwalk.statespace import E, F, StateSpace
 
 
 def test_initial_density_matrix_truncated():
     # psi0 psi0+ of the walker's state vector
-    space = StateSpace(2)
+    dim = sector_dim(2)
     coin = coin_preset("plus-i")
-    psi = initial_state(space, coin)
-    assert psi.shape == (space.dim,)
+    psi = initial_state(2, coin)
+    assert psi.shape == (dim,)
     rho = np.outer(psi, psi.conj())
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.trace(rho @ rho).real == pytest.approx(1.0)  # pure
-    e, f = space.qutrit_index(1, E), space.qutrit_index(1, F)
+    e, f = slot(1, E), slot(1, F)
     assert rho[f, f] == pytest.approx(0.5)
     assert rho[e, e] == pytest.approx(0.5)
     assert rho[f, e] == pytest.approx(-0.5j)  # c0 * conj(c1)
@@ -44,11 +44,11 @@ def test_initial_density_matrix_truncated():
 
 def test_initial_density_matrix_full_mode():
     # the sector's psi0 psi0+, embedded, is the full-space oracle's rho0
-    space, full = StateSpace(1), fullspace.FullSpace(1)
-    v = fullspace.embedding_matrix(space, full)
+    full = fullspace.FullSpace(1)
+    v = fullspace.embedding_matrix(full)
     for name in ("zero", "one", "plus-i"):
         coin = coin_preset(name)
-        psi = initial_state(space, coin)
+        psi = initial_state(1, coin)
         assert np.array_equal(v @ np.outer(psi, psi.conj()) @ v.T,
                               fullspace.initial_density_matrix(full, coin))
 

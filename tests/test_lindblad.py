@@ -7,6 +7,7 @@ import fullspace
 from conftest import (dense_expm_evolve, dense_expm_states,
                       dense_hamiltonian, dense_operators, evolve_final,
                       lindblad_apply)
+from fullspace import E, F, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -17,10 +18,9 @@ from cqwalk.lindblad import (POSITIVITY_SHIFT, DecoherenceRates,
                              _step_maps, _symmetrize, _triplets,
                              evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Segment, build_schedule
-from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
-REF = DeviceParams.from_mhz(2, 50.0, 100.0)
-REF_1 = DeviceParams.from_mhz(1, 50.0, 100.0)
+REF = ExperimentConfig(n_steps=2)
+REF_1 = ExperimentConfig(n_steps=1)
 
 
 def _random_density(rng, dim):
@@ -103,7 +103,7 @@ def test_schedule_of_long_chain_is_small():
     # would take about 45 MB
     tracemalloc.start()
     try:
-        schedule = build_schedule(DeviceParams.from_mhz(320, 50.0, 100.0))
+        schedule = build_schedule(ExperimentConfig(n_steps=320))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -113,24 +113,22 @@ def test_schedule_of_long_chain_is_small():
 
 def test_liouvillian_matches_direct_application():
     rng = np.random.default_rng(3)
-    space = StateSpace(1)
-    h = rng.normal(size=(space.dim, space.dim))
+    dim = sector_dim(1)
+    h = rng.normal(size=(dim, dim))
     h = h + h.T
-    rho = _random_density(rng, space.dim)
+    rho = _random_density(rng, dim)
     direct = lindblad_apply(rho, h, T0_RATES)
-    liou = fullspace.liouvillian_matrix(h, dense_operators(T0_RATES,
-                                                           space.dim))
-    via_super = (liou @ rho.reshape(-1)).reshape(space.dim, space.dim)
+    liou = fullspace.liouvillian_matrix(h, dense_operators(T0_RATES, dim))
+    via_super = (liou @ rho.reshape(-1)).reshape(dim, dim)
     assert np.allclose(direct, via_super, atol=1e-12)
 
 
 def test_noisy_run_matches_dense_oracle():
     # the production (block) path against the dense superoperator oracle
-    space = StateSpace(2)
-    params = DeviceParams.from_mhz(2, 50.0, 100.0)
-    schedule = build_schedule(params)
+    dim = sector_dim(2)
+    schedule = build_schedule(ExperimentConfig(n_steps=2))
     rng = np.random.default_rng(5)
-    psi0 = _random_state(rng, space.dim)
+    psi0 = _random_state(rng, dim)
     out = evolve_final(psi0, schedule, T0_RATES).state
     oracle = dense_expm_evolve(_density(psi0), schedule * 2, T0_RATES)
     assert np.max(np.abs(out - oracle)) < 1e-12
@@ -139,11 +137,10 @@ def test_noisy_run_matches_dense_oracle():
 def test_noise_free_run_is_unitary_conjugation():
     # without collapse channels the run reads out psi = U psi0, whose
     # psi psi+ is U rho0 U+ exactly
-    space = StateSpace(1)
-    params = DeviceParams.from_mhz(1, 50.0, 100.0)
-    schedule = build_schedule(params)
+    dim = sector_dim(1)
+    schedule = build_schedule(ExperimentConfig(n_steps=1))
     rng = np.random.default_rng(11)
-    psi0 = _random_state(rng, space.dim)
+    psi0 = _random_state(rng, dim)
     rho0 = _density(psi0)
     out = _density(evolve_final(psi0, schedule, ZERO_RATES).state)
     want = rho0
@@ -160,11 +157,10 @@ def test_noise_free_run_is_unitary_conjugation():
 @given(n=st.integers(1, 5), scale=st.floats(0.2, 5.0),
        theta=st.floats(0.1, 1.4), seed=st.integers(0, 10_000))
 def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
-    space = StateSpace(n)
-    schedule = build_schedule(
-        DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta))
+    dim = sector_dim(n)
+    schedule = build_schedule(ExperimentConfig(n_steps=n, theta_rad=theta))
     rates = ExperimentConfig(scale=scale).rates()
-    psi0 = _random_state(np.random.default_rng(seed), space.dim)
+    psi0 = _random_state(np.random.default_rng(seed), dim)
     out = evolve_final(psi0, schedule, rates).state
     oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(out - oracle)) <= 1e-12
@@ -184,11 +180,10 @@ _ONE_CHANNEL = [pytest.param(n, DecoherenceRates(**{name: rate}),
                           for n in range(1, 6)] + _ONE_CHANNEL)
 def test_light_cone_matches_dense_oracle(n, rates):
     # the walker starts on site 1, with coherences to the vacuum
-    space = StateSpace(n)
-    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    site_1 = [space.vacuum_index, space.qutrit_index(1, E),
-              space.qutrit_index(1, F)]
-    psi0 = _random_state(np.random.default_rng(n), space.dim, site_1)
+    dim = sector_dim(n)
+    schedule = build_schedule(ExperimentConfig(n_steps=n))
+    site_1 = [VACUUM, slot(1, E), slot(1, F)]
+    psi0 = _random_state(np.random.default_rng(n), dim, site_1)
     res = evolve_final(psi0, schedule, rates)
     oracle = dense_expm_evolve(_density(psi0), schedule * n, rates)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
@@ -202,13 +197,11 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     # out; psi psi+, formed here, of the final state and of every step
     # readout must give the dense oracle's state, from a site-1 state
     # with vacuum amplitude and from a random state on the whole sector
-    space = StateSpace(n)
-    params = DeviceParams.from_mhz(n, 50.0, 100.0)
-    schedule = build_schedule(params)
-    site_1 = [space.vacuum_index, space.qutrit_index(1, E),
-              space.qutrit_index(1, F)]
+    dim = sector_dim(n)
+    schedule = build_schedule(ExperimentConfig(n_steps=n))
+    site_1 = [VACUUM, slot(1, E), slot(1, F)]
     rng = np.random.default_rng(n)
-    psi0 = _random_state(rng, space.dim,
+    psi0 = _random_state(rng, dim,
                          site_1 if start == "site 1" else None)
     want = dense_expm_states(_density(psi0), schedule * n, ZERO_RATES)
 
@@ -227,14 +220,14 @@ def test_noise_free_columns_match_dense_oracle(n, start):
     _, readouts = _run_with_readouts(psi0, schedule, ZERO_RATES, steps)
     assert [m for m, _ in readouts] == list(steps)
     for m, snap in readouts:
-        sub = StateSpace(m)
+        sub_dim = sector_dim(m)
         boundary = want[3 * m].copy()
-        assert close(_density(snap.state), boundary[:sub.dim, :sub.dim]), m
-        boundary[:sub.dim, :sub.dim] = 0.0
+        assert close(_density(snap.state), boundary[:sub_dim, :sub_dim]), m
+        boundary[:sub_dim, :sub_dim] = 0.0
         assert close(boundary, 0.0), m
         oracle = dense_expm_evolve(
-            _density(psi0[:sub.dim]),
-            build_schedule(DeviceParams.from_mhz(m, 50.0, 100.0)) * m,
+            _density(psi0[:sub_dim]),
+            build_schedule(ExperimentConfig(n_steps=m)) * m,
             ZERO_RATES)
         assert close(_density(snap.state), oracle)
         assert snap.max_trace_error < 1e-12
@@ -245,14 +238,13 @@ def test_noise_free_columns_match_dense_oracle(n, start):
 def test_support_beyond_site_1_matches_dense_oracle(where):
     # psi0 outside the light cone's start: the run begins on a larger
     # block (the whole chain for the last sites) and must stay exact
-    space = StateSpace(3)
-    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
+    dim = sector_dim(3)
+    schedule = build_schedule(ExperimentConfig(n_steps=3))
     if where == "site 2":
-        support = [space.qutrit_index(2, E), space.qutrit_index(2, F)]
+        support = [slot(2, E), slot(2, F)]
     else:
-        support = [space.vacuum_index, space.qutrit_index(4, E),
-                   space.qutrit_index(4, F), space.cavity_index(3)]
-    psi0 = _random_state(np.random.default_rng(9), space.dim, support)
+        support = [VACUUM, slot(4, E), slot(4, F), cavity_slot(3)]
+    psi0 = _random_state(np.random.default_rng(9), dim, support)
     res = evolve_final(psi0, schedule, DISTINCT_RATES)
     oracle = dense_expm_evolve(_density(psi0), schedule * 3, DISTINCT_RATES)
     assert np.max(np.abs(res.state - oracle)) <= 1e-12
@@ -267,36 +259,35 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
     # composed into one map, against the two maps applied one after the
     # other to a random state on the whole sector, the last site and the
     # vacuum sink included; noise-free also to random columns
-    space = StateSpace(n)
-    coin, store, retrieve = build_schedule(
-        DeviceParams.from_mhz(n, 50.0, 100.0))
+    dim = sector_dim(n)
+    coin, store, retrieve = build_schedule(ExperimentConfig(n_steps=n))
     rng = np.random.default_rng(n)
 
     def apply(maps, rho):
-        return maps.apply(rho, space.dim + 1,
+        return maps.apply(rho, dim + 1,
                           _triplets(rho, maps.offset, n + 1))
 
     for first, second in ((coin, store), (retrieve, retrieve)):
-        (a,), (b,) = (_step_maps((seg,), space.dim, rates)
+        (a,), (b,) = (_step_maps((seg,), dim, rates)
                       for seg in (first, second))
-        (both,) = _step_maps((first, second), space.dim, rates)
+        (both,) = _step_maps((first, second), dim, rates)
         assert both.offset == first.offset
         assert (both.blocks is None) == (rates == ZERO_RATES)
-        rho = np.zeros((space.dim + 1, space.dim + 1), dtype=complex)
-        rho[:-1, :-1] = _random_density(rng, space.dim)
+        rho = np.zeros((dim + 1, dim + 1), dtype=complex)
+        rho[:-1, :-1] = _random_density(rng, dim)
         want, got = rho.copy(), rho.copy()
         apply(a, want)
         apply(b, want)
-        assert apply(both, got) == space.dim + first.offset
+        assert apply(both, got) == dim + first.offset
         assert np.max(np.abs(got - want)) <= 1e-14
         if rates == ZERO_RATES:
-            shape = (space.dim + 1, 4)
+            shape = (dim + 1, 4)
             y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             y[-1] = 0.0
             want, got = y.copy(), y.copy()
-            a.apply_rows(want, space.dim + 1)
-            b.apply_rows(want, space.dim + 1)
-            both.apply_rows(got, space.dim + 1)
+            a.apply_rows(want, dim + 1)
+            b.apply_rows(want, dim + 1)
+            both.apply_rows(got, dim + 1)
             assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -320,9 +311,9 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
 
     monkeypatch.setattr(_SiteMaps, method, counted)
     monkeypatch.setattr(_SiteMaps, "then", counted_then)
-    space = StateSpace(n)
-    schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-    psi0 = _basis_state(space.dim, space.qutrit_index(1, E))
+    dim = sector_dim(n)
+    schedule = build_schedule(ExperimentConfig(n_steps=n))
+    psi0 = _basis_state(dim, slot(1, E))
     for steps in ((), range(1, n + 1)):
         applied.clear()
         composed.clear()
@@ -344,9 +335,9 @@ def test_one_compile_pass_and_fixed_views_per_run(monkeypatch, rates):
     monkeypatch.setattr(lindblad, "as_strided", lambda *args, **kwargs:
                         calls.append("view") or as_strided(*args, **kwargs))
     for n in (1, 2, 6):
-        space = StateSpace(n)
-        schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-        psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+        dim = sector_dim(n)
+        schedule = build_schedule(ExperimentConfig(n_steps=n))
+        psi0 = _basis_state(dim, slot(1, F))
         calls.clear()
         _run_with_readouts(psi0, schedule, rates, range(1, n + 1))
         views = [] if rates == ZERO_RATES else ["view"] * 2
@@ -359,9 +350,9 @@ def test_one_segment_schedule_repeats_per_step(rates):
     # a schedule of the coin alone is the step: an N-chain run applies
     # it N times, as the oracle of (coin,) * N does
     for n in (1, 2, 3):
-        space = StateSpace(n)
-        coin = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))[0]
-        psi0 = _random_state(np.random.default_rng(8), space.dim)
+        dim = sector_dim(n)
+        coin = build_schedule(ExperimentConfig(n_steps=n))[0]
+        psi0 = _random_state(np.random.default_rng(8), dim)
         res = evolve_final(psi0, (coin,), rates)
         oracle = dense_expm_evolve(_density(psi0), (coin,) * n, rates)
         assert np.max(np.abs(_rho(res) - oracle)) <= 1e-12, n
@@ -371,8 +362,8 @@ def test_one_segment_schedule_repeats_per_step(rates):
 def test_hamiltonian_outside_the_sites_is_refused():
     # a term on the vacuum of an offset-0 stack, on the missing c_2 of an
     # offset-1 stack, or a stack at an offset that fits no site layout
-    space = StateSpace(1)
-    psi0 = _random_state(np.random.default_rng(2), space.dim)
+    dim = sector_dim(1)
+    psi0 = _random_state(np.random.default_rng(2), dim)
     vacuum, beyond = (np.zeros((2, 3, 3), dtype=complex) for _ in range(2))
     vacuum[0, 0, 1] = vacuum[0, 1, 0] = 300.0          # vacuum <-> e_1
     beyond[1, 0, 2] = beyond[1, 2, 0] = 300.0          # e_2 <-> c_2
@@ -390,9 +381,9 @@ def test_hamiltonian_outside_the_sites_is_refused():
 def test_vacuum_stays_put(rates):
     # the vacuum has no dynamics: a one-slot light cone meets no site of
     # the coin and store maps, and stays the vacuum through every pulse
-    space = StateSpace(2)
+    dim = sector_dim(2)
     schedule = build_schedule(REF)
-    psi0 = _basis_state(space.dim, space.vacuum_index)
+    psi0 = _basis_state(dim, VACUUM)
     for i in range(len(schedule) + 1):
         res = evolve_final(psi0, schedule[:i], rates)
         assert np.array_equal(_rho(res), _density(psi0)), i
@@ -484,9 +475,9 @@ def test_fullspace_oracle_matches_dense_expm():
 
 def test_one_segment_run_keeps_trace_and_hermiticity():
     # a one-segment run: the exact store map keeps the trace
-    space = StateSpace(1)
+    dim = sector_dim(1)
     store = build_schedule(REF_1)[1]
-    res = evolve_final(_basis_state(space.dim, 1), (store,), T0_RATES)
+    res = evolve_final(_basis_state(dim, 1), (store,), T0_RATES)
     assert res.max_trace_error < 1e-14
     assert res.max_hermiticity_drift < 1e-14
 
@@ -497,21 +488,21 @@ def test_readout_carries_its_populations(rates):
     # every readout's populations are, bit for bit, the real diagonal of
     # its density matrix; a noise-free run reads out psi itself, with no
     # drift, and psi psi+ has the exact smallest eigenvalue 0
-    space = StateSpace(3)
-    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    psi0 = _random_state(np.random.default_rng(4), space.dim,
-                         [space.qutrit_index(1, E), space.qutrit_index(1, F)])
+    dim = sector_dim(3)
+    schedule = build_schedule(ExperimentConfig(n_steps=3))
+    psi0 = _random_state(np.random.default_rng(4), dim,
+                         [slot(1, E), slot(1, F)])
     res, readouts = _run_with_readouts(psi0, schedule, rates, (1, 2))
     for snap in [res] + [snap for _, snap in readouts]:
         assert (snap.populations.tobytes()
                 == _rho(snap).diagonal().real.tobytes())
     if rates == ZERO_RATES:
-        assert res.state.shape == (space.dim,)
+        assert res.state.shape == (dim,)
         assert res.max_hermiticity_drift == 0.0
         assert min_eigenvalue(res.state) == 0.0
         assert abs(np.linalg.eigvalsh(_density(res.state))[0]) < 1e-15
     else:
-        assert res.state.shape == (space.dim, space.dim)
+        assert res.state.shape == (dim, dim)
 
 
 def test_min_eigenvalue_of_a_state_vector():
@@ -525,19 +516,19 @@ def test_min_eigenvalue_of_a_state_vector():
 
 
 def test_diagnostics_keep_nan():
-    space = StateSpace(1)
+    dim = sector_dim(1)
     schedule = build_schedule(REF_1)
-    psi0 = np.full(space.dim, np.nan, dtype=complex)
+    psi0 = np.full(dim, np.nan, dtype=complex)
     res = evolve_final(psi0, schedule, ZERO_RATES)
     assert math.isnan(res.max_trace_error)
     assert math.isnan(res.max_hermiticity_drift)
 
 
 def test_trace_and_hermiticity_tracked():
-    space = StateSpace(2)
+    dim = sector_dim(2)
     schedule = build_schedule(REF)
     rng = np.random.default_rng(7)
-    psi0 = _random_state(rng, space.dim)
+    psi0 = _random_state(rng, dim)
     res = evolve_final(psi0, schedule, ExperimentConfig(scale=0.2).rates())
     assert res.max_trace_error < 1e-10
     assert res.max_hermiticity_drift < 1e-12
@@ -605,10 +596,10 @@ def test_snapshots_are_sector_states():
     # that step, the dense oracle's 3-chain state after n steps, which is
     # zero outside that block; the last one is the run without readouts.
     # With zero rates the states are the propagated psi
-    space = StateSpace(3)
-    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    site_1 = [space.qutrit_index(1, E), space.qutrit_index(1, F)]
-    psi0 = _random_state(np.random.default_rng(6), space.dim, site_1)
+    dim = sector_dim(3)
+    schedule = build_schedule(ExperimentConfig(n_steps=3))
+    site_1 = [slot(1, E), slot(1, F)]
+    psi0 = _random_state(np.random.default_rng(6), dim, site_1)
     for rates in (ZERO_RATES, DISTINCT_RATES):
         final = evolve_final(psi0, schedule, rates).state
         by_step, readouts = _run_with_readouts(psi0, schedule, rates,
@@ -618,7 +609,7 @@ def test_snapshots_are_sector_states():
         assert [n for n, _ in readouts] == [1, 2, 3]
         oracle = dense_expm_states(_density(psi0), schedule * 3, rates)
         for n, snap in readouts:
-            end = StateSpace(n).dim
+            end = sector_dim(n)
             want = oracle[3 * n].copy()
             dev = np.max(np.abs(_rho(snap) - want[:end, :end]))
             assert dev <= 1e-12, (n, rates)
@@ -634,11 +625,10 @@ def test_step_readout_is_each_shorter_run():
     amplitudes = _random_state(np.random.default_rng(5), 3)
 
     def run(n, rates, steps=()):
-        space = StateSpace(n)
-        schedule = build_schedule(DeviceParams.from_mhz(n, 50.0, 100.0))
-        site_1 = [space.vacuum_index, space.qutrit_index(1, E),
-                  space.qutrit_index(1, F)]
-        psi0 = np.zeros(space.dim, dtype=complex)
+        dim = sector_dim(n)
+        schedule = build_schedule(ExperimentConfig(n_steps=n))
+        site_1 = [VACUUM, slot(1, E), slot(1, F)]
+        psi0 = np.zeros(dim, dtype=complex)
         psi0[site_1] = amplitudes
         return _run_with_readouts(psi0, schedule, rates, steps)
 
@@ -654,9 +644,9 @@ def test_step_readout_is_each_shorter_run():
 
 
 def test_step_readout_refusals():
-    space = StateSpace(3)
-    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    psi0 = _basis_state(space.dim, space.qutrit_index(2, E))
+    dim = sector_dim(3)
+    schedule = build_schedule(ExperimentConfig(n_steps=3))
+    psi0 = _basis_state(dim, slot(2, E))
     # a walker started on site 2 may be on site 3 after one step, which
     # a one-step chain does not have
     with pytest.raises(ValueError, match="beyond site 2"):
@@ -666,9 +656,9 @@ def test_step_readout_refusals():
 def test_record_modes():
     # the run yields one readout per step; reading the steps on the way
     # leaves the final state as reading the last step alone does
-    space = StateSpace(2)
+    dim = sector_dim(2)
     schedule = build_schedule(REF)
-    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    psi0 = _basis_state(dim, slot(1, F))
     plain = evolve_final(psi0, schedule, T0_RATES)
     by_step, readouts = _run_with_readouts(psi0, schedule, T0_RATES,
                                            range(1, 3))
@@ -683,9 +673,9 @@ def test_stale_readout_is_refused(rates):
     # a step's readout holds no state of its own: read after the run has
     # gone on it would hand back a later state, so it is refused, as is
     # a second read of the final step, which gave its state away
-    space = StateSpace(3)
-    schedule = build_schedule(DeviceParams.from_mhz(3, 50.0, 100.0))
-    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    dim = sector_dim(3)
+    schedule = build_schedule(ExperimentConfig(n_steps=3))
+    psi0 = _basis_state(dim, slot(1, F))
     reads = list(evolve_schedule(psi0, schedule, rates))
     for read in reads[:-1]:
         with pytest.raises(ValueError, match="can no longer be read"):
@@ -702,20 +692,20 @@ def test_unread_steps_are_not_symmetrized(monkeypatch):
     symmetrize = lindblad._symmetrize
     monkeypatch.setattr(lindblad, "_symmetrize",
                         lambda a: calls.append(a.shape) or symmetrize(a))
-    space = StateSpace(4)
-    schedule = build_schedule(DeviceParams.from_mhz(4, 50.0, 100.0))
-    psi0 = _basis_state(space.dim, space.qutrit_index(1, F))
+    dim = sector_dim(4)
+    schedule = build_schedule(ExperimentConfig(n_steps=4))
+    psi0 = _basis_state(dim, slot(1, F))
     evolve_final(psi0, schedule, DISTINCT_RATES)
-    assert calls == [(space.dim, space.dim)]
+    assert calls == [(dim, dim)]
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.2, 5.0))
 def test_evolution_preserves_trace_property(seed, scale):
-    space = StateSpace(1)
+    dim = sector_dim(1)
     rates = ExperimentConfig(scale=scale).rates()
     rng = np.random.default_rng(seed)
-    psi0 = _random_state(rng, space.dim)
+    psi0 = _random_state(rng, dim)
     coin = build_schedule(REF_1)[0]
     longer = Segment("coin", coin.hamiltonian, coin.offset, 2e-3)
     res = evolve_final(psi0, (longer,), rates)

@@ -3,22 +3,22 @@ import math
 import fullspace
 import numpy as np
 import pytest
+from fullspace import E, F, G, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqwalk.metrics import (Distribution, extract_distribution, similarity,
                             similarity_report)
-from cqwalk.statespace import E, F, G, StateSpace
 
 
 def test_extract_truncated_by_hand():
-    space = StateSpace(1)
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    rho[space.qutrit_index(1, E), space.qutrit_index(1, E)] = 0.30
-    rho[space.qutrit_index(1, F), space.qutrit_index(1, F)] = 0.25
-    rho[space.qutrit_index(2, E), space.qutrit_index(2, E)] = 0.20
-    rho[space.vacuum_index, space.vacuum_index] = 0.15
-    rho[space.cavity_index(1), space.cavity_index(1)] = 0.10
+    dim = sector_dim(1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[slot(1, E), slot(1, E)] = 0.30
+    rho[slot(1, F), slot(1, F)] = 0.25
+    rho[slot(2, E), slot(2, E)] = 0.20
+    rho[VACUUM, VACUUM] = 0.15
+    rho[cavity_slot(1), cavity_slot(1)] = 0.10
     dist = extract_distribution(np.diagonal(rho).real)
     assert np.allclose(dist.p, [0.55, 0.20])
     assert dist.residual_vacuum == pytest.approx(0.15)

@@ -4,14 +4,15 @@ import fullspace
 import numpy as np
 import pytest
 from conftest import dense_hamiltonian
+from fullspace import VACUUM, E, F, cavity_slot, sector_dim, slot
 from scipy.linalg import expm
 
+from cqwalk import ExperimentConfig
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
                              build_schedule, segment_durations)
-from cqwalk.statespace import E, F, DeviceParams, StateSpace
 
-REF = DeviceParams.from_mhz(2, 50.0, 100.0)
+REF = ExperimentConfig(n_steps=2)
 
 
 def test_reference_segment_durations():
@@ -33,10 +34,38 @@ def test_schedule_structure():
     assert all(s.hamiltonian.shape == (3, 3, 3) for s in sched)
 
 
+def test_schedule_entries_are_two_pi_times_mhz():
+    # the only nonzero entries are 2 pi Omega e^{i phi} (and its
+    # conjugate), 2 pi g and 2 pi mu: the config's MHz times 2 pi
+    cfg = ExperimentConfig(n_steps=3, g_over_2pi_mhz=40.0,
+                           omega_over_2pi_mhz=80.0, mu_over_2pi_mhz=35.0,
+                           phi_rad=0.7)
+    drive = 2 * math.pi * 80.0 * np.exp(0.7j)
+    want = np.zeros((3, 4, 3, 3), dtype=complex)
+    want[0, :, 0, 1], want[0, :, 1, 0] = drive, np.conj(drive)
+    want[1, :-1, 0, 2] = want[1, :-1, 2, 0] = 2 * math.pi * 40.0
+    want[2, 1:, 0, 1] = want[2, 1:, 1, 0] = 2 * math.pi * 35.0
+    for seg, stack in zip(build_schedule(cfg), want):
+        assert np.array_equal(seg.hamiltonian, stack), seg.label
+
+
+def test_mu_auto_is_mu_equal_to_g():
+    # mu = auto (None) gives bit for bit the schedule of mu = g
+    auto = ExperimentConfig(n_steps=2, g_over_2pi_mhz=37.0)
+    assert auto.mu_over_2pi_mhz is None
+    explicit = ExperimentConfig(n_steps=2, g_over_2pi_mhz=37.0,
+                                mu_over_2pi_mhz=37.0)
+    assert segment_durations(auto) == segment_durations(explicit)
+    for a, b in zip(build_schedule(auto), build_schedule(explicit)):
+        assert a.duration == b.duration
+        assert np.array_equal(a.hamiltonian, b.hamiltonian)
+
+
 def test_hamiltonians_hermitian():
-    params = DeviceParams.from_mhz(3, 40.0, 80.0, mu_over_2pi_mhz=35.0,
-                                   phi_rad=0.7)
-    for seg in build_schedule(params):
+    cfg = ExperimentConfig(n_steps=3, g_over_2pi_mhz=40.0,
+                           omega_over_2pi_mhz=80.0, mu_over_2pi_mhz=35.0,
+                           phi_rad=0.7)
+    for seg in build_schedule(cfg):
         h = dense_hamiltonian(seg)
         assert np.allclose(h, h.conj().T)
 
@@ -46,22 +75,22 @@ def test_truncated_hamiltonians_match_full_space(builder):
     # Couplings are two-body; each segment's site-form Hamiltonian, laid
     # out densely, must equal the compression of the exact tensor-product
     # operator.
-    params = DeviceParams.from_mhz(2, 47.0, 93.0, mu_over_2pi_mhz=21.0,
-                                   phi_rad=-0.4)
-    trunc = StateSpace(2)
+    cfg = ExperimentConfig(n_steps=2, g_over_2pi_mhz=47.0,
+                           omega_over_2pi_mhz=93.0, mu_over_2pi_mhz=21.0,
+                           phi_rad=-0.4)
     full = fullspace.FullSpace(2, fock_cutoff=3)
-    v = fullspace.embedding_matrix(trunc, full)
+    v = fullspace.embedding_matrix(full)
     kind = ("h_coin", "h_store", "h_retrieve").index(builder)
-    seg = build_schedule(params)[kind]
-    assert np.allclose(v.T @ getattr(fullspace, builder)(full, params) @ v,
+    seg = build_schedule(cfg)[kind]
+    assert np.allclose(v.T @ getattr(fullspace, builder)(full, cfg) @ v,
                        dense_hamiltonian(seg), atol=1e-12)
 
 
-def _unitary_step(params):
+def _unitary_step(cfg):
     """Exact propagator of one walk step (three segments, no noise)."""
     coin, store, retrieve = (
         expm(-1j * seg.duration * dense_hamiltonian(seg))
-        for seg in build_schedule(params))
+        for seg in build_schedule(cfg))
     return retrieve @ store @ coin
 
 
@@ -71,37 +100,34 @@ def test_composite_step_reproduces_ideal_walk(coin_name, theta):
     # Apply the three-segment step N times to the encoded start state
     # and compare site populations with the exact walk.
     n = 3
-    params = DeviceParams.from_mhz(n, 50.0, 100.0, theta_rad=theta)
-    space = StateSpace(n)
-    u = _unitary_step(params)
+    dim = sector_dim(n)
+    u = _unitary_step(ExperimentConfig(n_steps=n, theta_rad=theta))
     coin = coin_preset(coin_name)
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.qutrit_index(1, F)] = coin.c0
-    psi[space.qutrit_index(1, E)] = coin.c1
+    psi = np.zeros(dim, dtype=complex)
+    psi[slot(1, F)] = coin.c0
+    psi[slot(1, E)] = coin.c1
     for _ in range(n):
         psi = u @ psi
-    p = np.array([abs(psi[space.qutrit_index(j, E)]) ** 2
-                  + abs(psi[space.qutrit_index(j, F)]) ** 2
-                  for j in range(1, space.n_qutrits + 1)])
+    p = np.array([abs(psi[slot(j, E)]) ** 2 + abs(psi[slot(j, F)]) ** 2
+                  for j in range(1, n + 2)])
     assert np.allclose(p, run_ideal(n, theta, coin), atol=1e-12)
     # nothing left behind in cavities or vacuum
-    assert abs(psi[space.vacuum_index]) < 1e-12
-    for j in range(1, space.n_cavities + 1):
-        assert abs(psi[space.cavity_index(j)]) < 1e-12
+    assert abs(psi[VACUUM]) < 1e-12
+    for j in range(1, n + 1):
+        assert abs(psi[cavity_slot(j)]) < 1e-12
 
 
 def test_store_segment_swaps_excitation_into_cavity():
     # After the store pulse alone, an e excitation sits in the cavity
     # with amplitude -i (a perfect half swap of the resonant pair).
-    params = DeviceParams.from_mhz(1, 50.0, 100.0)
-    space = StateSpace(1)
-    store = build_schedule(params)[1]
+    dim = sector_dim(1)
+    store = build_schedule(ExperimentConfig(n_steps=1))[1]
     u = expm(-1j * store.duration * dense_hamiltonian(store))
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.qutrit_index(1, E)] = 1.0
+    psi = np.zeros(dim, dtype=complex)
+    psi[slot(1, E)] = 1.0
     out = u @ psi
-    assert out[space.cavity_index(1)] == pytest.approx(-1j, abs=1e-12)
+    assert out[cavity_slot(1)] == pytest.approx(-1j, abs=1e-12)
     # f population is untouched by the store coupling
-    psi_f = np.zeros(space.dim, dtype=complex)
-    psi_f[space.qutrit_index(1, F)] = 1.0
+    psi_f = np.zeros(dim, dtype=complex)
+    psi_f[slot(1, F)] = 1.0
     assert np.allclose(u @ psi_f, psi_f, atol=1e-12)
