@@ -2,14 +2,23 @@ import collections
 import math
 
 import numpy as np
+import pytest
 from fullspace import liouvillian_matrix
 from scipy.linalg import expm
 
-from cqwalk import ExperimentConfig
+from cqwalk import ExperimentConfig, lindblad
 from cqwalk.idealwalk import coin_matrix
 from cqwalk.lindblad import evolve_schedule
 
 INF = math.inf
+
+
+@pytest.fixture(autouse=True)
+def no_kept_step():
+    """Every test starts with no compiled walk step kept (lindblad's
+    one-entry memo), so a count of compiles does not depend on which
+    test ran before."""
+    lindblad._compile.cache_clear()
 
 
 def zero_noise_config(**overrides) -> ExperimentConfig:

@@ -208,13 +208,27 @@ def test_sweep_propagates_once_per_group(monkeypatch):
     assert calls == [6, 6, 6]                  # one N=6 run per scale
 
 
-def test_sweep_compiles_once_per_group(monkeypatch):
-    # each run, and each sweep group, exponentiates its step's site
-    # generators in one _expm_small pass
+def _count_compiles(monkeypatch) -> list:
+    """The stack counts of every _expm_small pass from here on."""
     calls = []
     expm_small = lindblad._expm_small
     monkeypatch.setattr(lindblad, "_expm_small", lambda stacks: calls.append(
         len(stacks)) or expm_small(stacks))
+    return calls
+
+
+def _all_but_wall_ms(rep: Report) -> dict:
+    """rep's fields but wall_ms, arrays by their bytes, others by repr."""
+    return {f.name: (value.tobytes() if isinstance(value, np.ndarray)
+                     else repr(value))
+            for f in fields(Report) if f.name != "wall_ms"
+            for value in [getattr(rep, f.name)]}
+
+
+def test_sweep_compiles_once_per_group(monkeypatch):
+    # each run, and each sweep group, exponentiates its step's site
+    # generators in one _expm_small pass
+    calls = _count_compiles(monkeypatch)
     run_experiment(ExperimentConfig())
     run_experiment(zero_noise_config())
     assert calls == [3, 3]                     # one stack per segment
@@ -224,6 +238,43 @@ def test_sweep_compiles_once_per_group(monkeypatch):
     rows = run_sweep(ExperimentConfig(), spec)
     assert len(rows) == 8 and all(r.error is None for r in rows)
     assert calls == [3, 3]
+
+
+def test_a_device_point_compiles_once(monkeypatch):
+    # a run at the device point of the run before, whatever its coin,
+    # compiles nothing, and reports bit for bit what a compile of its
+    # own gives
+    calls = _count_compiles(monkeypatch)
+    cfg = ExperimentConfig()
+    first = run_experiment(cfg)
+    again = run_experiment(cfg)
+    other_coin = run_experiment(replace(cfg, coin0="zero"))
+    assert calls == [3]
+    lindblad._compile.cache_clear()
+    compiled = run_experiment(replace(cfg, coin0="zero"))
+    assert calls == [3, 3]
+    assert _all_but_wall_ms(again) == _all_but_wall_ms(first)
+    assert _all_but_wall_ms(other_coin) == _all_but_wall_ms(compiled)
+
+
+def test_every_field_the_step_reads_recompiles(monkeypatch):
+    # a new value of any field but the coin and the output settings is
+    # a new walk step; mu = auto is mu = g, the same step
+    calls = _count_compiles(monkeypatch)
+    base = ExperimentConfig()
+    run_experiment(base)
+    run_experiment(replace(base, mu_over_2pi_mhz=base.g_over_2pi_mhz))
+    assert calls == [3]
+    for f in fields(ExperimentConfig):
+        if f.name in ("coin0", "output", "format"):
+            continue
+        value = getattr(base, f.name)
+        value = (2 * base.g_over_2pi_mhz if value is None
+                 else value + 1 if isinstance(value, int) else 1.25 * value)
+        calls.clear()
+        run_experiment(replace(base, **{f.name: value}))
+        run_experiment(base)
+        assert calls == [3, 3], f.name
 
 
 def test_sweep_walks_the_ideal_walk_once_per_group(monkeypatch):

@@ -296,8 +296,9 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
                          ids=["zero rates", "distinct rates"])
 @pytest.mark.parametrize("n", [1, 4])
 def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
-    # coin and store are one composed map, made once per run; retrieve
-    # is the other, with or without step readouts
+    # coin and store are one composed map, made once per compiled step:
+    # by the first run, and kept for the second run of the same step;
+    # retrieve is the other, with or without step readouts
     applied, composed = [], []
     original, then = getattr(_SiteMaps, method), _SiteMaps.then
 
@@ -314,12 +315,12 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
     dim = sector_dim(n)
     schedule = build_schedule(ExperimentConfig(n_steps=n))
     psi0 = _basis_state(dim, slot(1, E))
-    for steps in ((), range(1, n + 1)):
+    for steps, compositions in (((), [1]), (range(1, n + 1), [])):
         applied.clear()
         composed.clear()
         _run_with_readouts(psi0, schedule, rates, steps)
         assert applied == [1, 0] * n
-        assert composed == [1]
+        assert composed == compositions
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -342,6 +343,43 @@ def test_one_compile_pass_and_fixed_views_per_run(monkeypatch, rates):
         _run_with_readouts(psi0, schedule, rates, range(1, n + 1))
         views = [] if rates == ZERO_RATES else ["view"] * 2
         assert sorted(calls) == ["expm"] + views, n
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_kept_step_is_read_only(rates):
+    # a step is kept by its content, not by its arrays' identity, and
+    # every run of it shares its maps: none of them can be written
+    dim = sector_dim(2)
+    maps = _step_maps(build_schedule(REF), dim, rates)
+    assert _step_maps(build_schedule(REF), dim, rates) is maps
+    arrays = [a for m in maps for a in (m.v, m.v_conj, m.blocks, m.sink)
+              if a is not None]
+    assert len(arrays) == (4 if rates == ZERO_RATES else 8)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_failed_compile_is_not_kept():
+    # a compile that raises keeps nothing: the same step raises again, by
+    # a compile of its own (a miss), and the step kept before stays kept
+    dim = sector_dim(1)
+    coin = build_schedule(REF_1)[0]
+    kept = _step_maps((coin,), dim, DISTINCT_RATES)
+    for segment, error in (
+            # a generator of 1-norm NaN (infinite duration times zeros)
+            (Segment("coin", coin.hamiltonian, 1, math.inf),
+             IntegrationError),
+            (Segment("coin", coin.hamiltonian, 2, coin.duration),
+             ValueError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                _step_maps((segment,), dim, DISTINCT_RATES)
+        assert _step_maps((coin,), dim, DISTINCT_RATES) is kept
+    info = lindblad._compile.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 5, 1)
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
