@@ -42,9 +42,9 @@ content (the sector's dimension, the bits of the six rates, and each
 segment's offset, duration and Hamiltonian bytes), O(N) in size: a run
 at the device point of the run before, whatever its initial state (the
 paper's three initial coins on one device), compiles nothing and
-applies the kept maps, which are read-only.  That took perfbench's
-coins-n10 from 6.3 to 5.0 ms median wall_s (2 vCPUs of a shared host).
-Consecutive segments of the step on one layout compose into one exact
+applies the kept maps, which are read-only.  Only a later call in the
+same process at the same device point gains: a CLI run is one run, and
+the groups of a sweep differ in what the step reads.  Consecutive segments of the step on one layout compose into one exact
 map of the same per-site form before the propagation starts, so a walk
 step applies two maps: coin then store, and retrieve.  Each map is
 a batched matmul on reshaped views of rho, whose diagonal blocks two
@@ -178,13 +178,12 @@ def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
         exp_a = a @ exp_a
         exp_a *= 1 / k           # what numpy's / k computes, in place
         exp_a += eye
-    last = squarings.max(initial=0)
-    every = squarings.min(initial=last)
-    for _ in range(every):          # while every matrix squares, no mask
-        exp_a = exp_a @ exp_a
-    for done in range(every, last):
+    for done in range(squarings.max(initial=0)):
         more = squarings > done
-        exp_a[more] = exp_a[more] @ exp_a[more]
+        if more.all():              # no gather and scatter through a mask
+            exp_a = exp_a @ exp_a
+        else:
+            exp_a[more] = exp_a[more] @ exp_a[more]
     return np.split(exp_a, bounds[1:-1])
 
 
@@ -268,6 +267,23 @@ class _SiteMaps:
         return end
 
 
+@dataclass(frozen=True)
+class _StepKey:
+    """What compiling one walk step reads, as exact bits: the sector's
+    dimension, the six rates as float64, and per segment its offset,
+    float64 duration and Hamiltonian shape (layout) and its complex
+    Hamiltonian (hamiltonians).  Equal keys are equal in every bit.  The
+    hash leaves out the Hamiltonians, by far the largest part, so that a
+    miss does not hash them: a protocol step's durations already change
+    with g, Omega, mu and theta, and keys that differ only in their
+    Hamiltonians (phi) are told apart by equality."""
+
+    dim: int
+    rates: bytes
+    layout: tuple[tuple[int, bytes, tuple[int, ...]], ...]
+    hamiltonians: tuple[bytes, ...] = field(hash=False)
+
+
 def _step_maps(schedule: tuple[Segment, ...], dim: int,
                rates: DecoherenceRates) -> tuple[_SiteMaps, ...]:
     """Compile one walk step on a sector of dimension dim into the maps
@@ -280,34 +296,35 @@ def _step_maps(schedule: tuple[Segment, ...], dim: int,
     decays by the six rates, by level slot: (e, f, c) at offset 1 and
     (c_{j-1}, e, f) at offset 0; the slot outside the sector has none.
 
-    The step last compiled is kept, keyed by its exact content: dim, the
-    bits of the rates and each segment's offset, duration, shape and
-    Hamiltonian (_compile).  So a run at the device point of the one
-    before, whatever its initial state, reuses that step's maps, whose
-    arrays are read-only.
+    The step last compiled is kept, keyed by its exact content
+    (_StepKey).  So a run at the device point of the one before,
+    whatever its initial state, reuses that step's maps, whose arrays
+    are read-only.
     """
-    return _compile(dim, np.array([*rates.as_dict().values()]).tobytes(),
-                    tuple((operator.index(seg.offset),
-                           np.float64(seg.duration).tobytes(),
-                           np.shape(h), np.asarray(h, dtype=complex).tobytes())
-                          for seg in schedule for h in [seg.hamiltonian]))
+    hamiltonians = [np.asarray(seg.hamiltonian, dtype=complex)
+                    for seg in schedule]
+    return _compile(_StepKey(
+        dim, np.array([*rates.as_dict().values()], dtype=float).tobytes(),
+        tuple((operator.index(seg.offset), np.float64(seg.duration).tobytes(),
+               h.shape) for seg, h in zip(schedule, hamiltonians)),
+        tuple(h.tobytes() for h in hamiltonians)))
 
 
 @functools.lru_cache(maxsize=1)
-def _compile(dim: int, rate_bits: bytes,
-             segments: tuple[tuple[int, bytes, tuple, bytes], ...]
-             ) -> tuple[_SiteMaps, ...]:
+def _compile(key: _StepKey) -> tuple[_SiteMaps, ...]:
     """_step_maps from its key alone, so a kept step is bit for bit the
     step compiled anew; a compile that raises keeps nothing."""
-    if not segments:
+    if not key.layout:
         return ()
-    sites, count = (dim + 1) // 3, len(segments)
-    kappa, ge, ef, gf, phi_e, phi_f = np.frombuffer(rate_bits).tolist()
+    dim, count = key.dim, len(key.layout)
+    sites = (dim + 1) // 3
+    kappa, ge, ef, gf, phi_e, phi_f = np.frombuffer(key.rates).tolist()
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
     decay = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
     inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a
     sink = np.zeros((count, sites, 3))        # [s, j, b]: rate b -> vacuum
-    for s, (offset, _, shape, h_bits) in enumerate(segments):
+    for s, ((offset, _, shape), h_bits) in enumerate(
+            zip(key.layout, key.hamiltonians)):
         if shape != (sites, 3, 3):
             raise ValueError(f"a segment Hamiltonian of shape {shape}"
                              f" does not act on the sector of dimension {dim}")
@@ -346,7 +363,7 @@ def _compile(dim: int, rate_bits: bytes,
         at = (np.repeat(np.arange(count), np.diff(bounds)),
               np.concatenate([first for first, _ in distinct]))
         h = h_eff[at]
-        t = np.frombuffer(b"".join(seg[1] for seg in segments)
+        t = np.frombuffer(b"".join(seg[1] for seg in key.layout)
                           )[at[0], None, None]
         mats = (-1j * t * h)[:, None]           # the generators of V
         if noisy:
@@ -368,7 +385,7 @@ def _compile(dim: int, rate_bits: bytes,
     exps = _expm_small([mats[start:end].reshape(-1, *mats.shape[-2:])
                         for start, end in zip(bounds, bounds[1:])])
     maps = []
-    for (offset, *_), exp, (_, site) in zip(segments, exps, distinct):
+    for (offset, *_), exp, (_, site) in zip(key.layout, exps, distinct):
         exp = exp.reshape(-1, *mats.shape[1:])        # [distinct, V | B]
         decay_maps = ((exp[site, 1, :9, :9], exp[site, 1, 9, :9]) if noisy
                       else (None, None))

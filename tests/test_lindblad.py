@@ -382,6 +382,32 @@ def test_failed_compile_is_not_kept():
     assert (info.hits, info.misses, info.currsize) == (2, 5, 1)
 
 
+def _map_bits(maps) -> list:
+    return [(m.offset, *(None if a is None else a.tobytes()
+                         for a in (m.v, m.blocks, m.sink))) for m in maps]
+
+
+@pytest.mark.parametrize("value", [1, np.float32(1.0)],
+                         ids=["int", "float32"])
+def test_rates_are_compiled_as_their_float64_values(value):
+    # rates given as other numbers than Python floats compile, each by a
+    # compile of its own, to the maps, and run to the state, of the same
+    # values as floats, bit for bit
+    dim = sector_dim(2)
+    schedule = build_schedule(REF)
+    psi0 = _basis_state(dim, slot(1, F))
+    runs = []
+    for rates in (DecoherenceRates(*[1.0] * 6), DecoherenceRates(*[value] * 6)):
+        lindblad._compile.cache_clear()
+        res = evolve_final(psi0, schedule, rates)
+        runs.append((_map_bits(_step_maps(schedule, dim, rates)),
+                     res.state.tobytes(), res.populations.tobytes(),
+                     res.max_trace_error, res.max_hermiticity_drift))
+        assert lindblad._compile.cache_info().misses == 1
+        assert res.state.ndim == 2          # a noisy run, of rho
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
                          ids=["zero rates", "distinct rates"])
 def test_one_segment_schedule_repeats_per_step(rates):
