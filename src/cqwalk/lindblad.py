@@ -44,10 +44,11 @@ at the device point of the run before, whatever its initial state (the
 paper's three initial coins on one device), compiles nothing and
 applies the kept maps, which are read-only.  Only a later call in the
 same process at the same device point gains: a CLI run is one run, and
-the groups of a sweep differ in what the step reads.  Consecutive segments of the step on one layout compose into one exact
-map of the same per-site form before the propagation starts, so a walk
-step applies two maps: coin then store, and retrieve.  Each map is
-a batched matmul on reshaped views of rho, whose diagonal blocks two
+the groups of a sweep differ in what the step reads.  Consecutive
+segments of the step on one layout compose into one exact map of the
+same per-site form before the propagation starts, so a walk step
+applies two maps: coin then store, and retrieve.  Each map is a
+batched matmul on reshaped views of rho, whose diagonal blocks two
 strided views, made once per run, reach.  A Hamiltonian stack of
 another chain than the state's, an offset other than 0 or 1, a term on
 the vacuum or on the empty slot, or a state that is not a vector of
