@@ -10,7 +10,8 @@ Subcommands:
 Every ExperimentConfig field is available as a flag (key spelling with
 dashes, e.g. --g-over-2pi-mhz); a --config file supplies defaults that
 flags override.  Exit codes: 0 ok, 1 configuration error, 2 numerical
-failure, 3 I/O error.
+failure (for a sweep: after every row is written, if any row failed),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     if args.plot_script:
         emit_plot_script(cfg.output, args.plot_script, kind="sweep",
                          axis=args.axis)
-    return 0
+    return 2 if failures else 0
 
 
 def _cmd_dist(args, cfg: ExperimentConfig) -> int:

@@ -46,6 +46,10 @@ _VECTOR_COPIES = 64
 
 REPORT_FORMATS = ("csv", "json")
 
+# The lifetime fields, in the order of the DecoherenceRates they give.
+_LIFETIMES = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
+              "tphi_e_us", "tphi_f_us")
+
 
 class ConfigError(ValueError):
     """Bad key, value or syntax in a configuration source."""
@@ -80,11 +84,13 @@ class ExperimentConfig:
     # -- derived objects ----------------------------------------------
 
     def rates(self) -> DecoherenceRates:
-        base = DecoherenceRates.from_lifetimes_us(
-            t_cavity=self.t1_cavity_us, t_ge=self.t1_ge_us,
-            t_ef=self.t1_ef_us, t_gf=self.t1_gf_us,
-            t_phi_e=self.tphi_e_us, t_phi_f=self.tphi_f_us)
-        return base.scaled(self.scale)
+        """The channel rates in 1/us: 1 / lifetime (0 for an infinite
+        one), divided by scale: every lifetime times scale, inverted."""
+        if self.scale <= 0:
+            raise ValueError("lifetime factor must be positive")
+        lifetimes = [getattr(self, name) for name in _LIFETIMES]
+        return DecoherenceRates(*((0.0 if math.isinf(t) else 1.0 / t)
+                                  / self.scale for t in lifetimes))
 
     def coin(self) -> CoinState:
         return coin_preset(self.coin0)
@@ -191,8 +197,7 @@ def validate_config(cfg: ExperimentConfig, kept: int = 0) -> ExperimentConfig:
         bad("coupling or drive too small: a pulse would last forever")
     if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
         bad("scale must be positive and finite")
-    for name in ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
-                 "tphi_e_us", "tphi_f_us"):
+    for name in _LIFETIMES:
         if not getattr(cfg, name) > 0:
             bad(f"{name} must be positive (inf to disable)")
     try:

@@ -16,7 +16,7 @@ matrix is formed.
 
 The schedule is one walk step, which a run of an N-step chain applies
 N times; each of its segments is propagated exactly by a map compiled
-once and kept (below).  The sector basis is ordered by site (protocol):
+once (below).  The sector basis is ordered by site (protocol):
 the vacuum, then the triplets (e_j, f_j, c_j), and the propagator adds
 one empty slot where c_{N+1} would be.  A segment's H comes in site form
 (protocol.Segment), one 3x3 block per site of its layout: coin
@@ -35,20 +35,13 @@ H_eff), one 3x3 map per site.
 Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
-these sums.  A run compiles its step in one batch: each segment's
+these sums.  compile_step compiles a step in one batch: each segment's
 distinct few-by-few site generators are exponentiated in one numpy
-stack.  The last step compiled is kept, one entry keyed by its exact
-content (the sector's dimension, the bits of the six rates, and each
-segment's offset, duration and Hamiltonian bytes), O(N) in size: a run
-at the device point of the run before, whatever its initial state (the
-paper's three initial coins on one device), compiles nothing and
-applies the kept maps, which are read-only.  Only a later call in the
-same process at the same device point gains: a CLI run is one run, and
-the groups of a sweep differ in what the step reads.  Consecutive
-segments of the step on one layout compose into one exact map of the
-same per-site form before the propagation starts, so a walk step
-applies two maps: coin then store, and retrieve.  Each map is a
-batched matmul on reshaped views of rho, whose diagonal blocks two
+stack, and consecutive segments of the step on one layout compose into
+one exact map of the same per-site form, so a walk step applies two
+maps: coin then store, and retrieve.  The maps are read-only, so one
+compiled step can serve any number of walks (walk_steps).  Each map is
+a batched matmul on reshaped views of rho, whose diagonal blocks two
 strided views, made once per run, reach.  A Hamiltonian stack of
 another chain than the state's, an offset other than 0 or 1, a term on
 the vacuum or on the empty slot, or a state that is not a vector of
@@ -56,16 +49,17 @@ length 3N+3, is a ValueError.
 
 The walker starts as a state vector psi0.  Since it moves at most one
 site per retrieve, only a leading block of rho is nonzero:
-evolve_schedule reads that block's size off psi0 and grows it map by
+walk_steps reads that block's size off psi0 and grows it map by
 map, so a walk from site 1 touches at most (3n+4)^2 entries at step n.
 Up to step n such a walk never meets a site map beyond site n+1, so its
 leading 3n+3 x 3n+3 block then holds, bit for bit, the final state of
 an n-step chain, whose sector is the first 3n+3 states of this one.
-So evolve_schedule is a walk of steps: it yields one readout per step
-n, which reads out the n-step chain's run when called, as
-idealwalk.walk yields each step's amplitudes.
+So walk_steps, and evolve_schedule, which compiles the step and walks
+it, is a walk of steps: it yields one readout per step n, which reads
+out the n-step chain's run when called, as idealwalk.walk yields each
+step's amplitudes.
 
-When every rate is 0, rho = psi psi+ with psi = U psi0: evolve_schedule
+When every rate is 0, rho = psi psi+ with psi = U psi0: walk_steps
 then applies each site's V to the single column psi, in the same light
 cone, and reads out psi itself, so a noise-free run never forms a dim x
 dim array; otherwise it writes psi0 psi0+ into the light-cone block of
@@ -127,24 +121,6 @@ class DecoherenceRates:
 
     def as_dict(self) -> dict[str, float]:
         return dict(vars(self))        # the six rates by field name
-
-    @classmethod
-    def from_lifetimes_us(cls, t_cavity: float = math.inf,
-                          t_ge: float = math.inf, t_ef: float = math.inf,
-                          t_gf: float = math.inf, t_phi_e: float = math.inf,
-                          t_phi_f: float = math.inf) -> "DecoherenceRates":
-        """Rates from lifetimes in us; math.inf switches a channel off."""
-        inv = lambda t: 0.0 if math.isinf(t) else 1.0 / t
-        return cls(kappa=inv(t_cavity), gamma_ge=inv(t_ge),
-                   gamma_ef=inv(t_ef), gamma_gf=inv(t_gf),
-                   gamma_phi_e=inv(t_phi_e), gamma_phi_f=inv(t_phi_f))
-
-    def scaled(self, lifetime_factor: float) -> "DecoherenceRates":
-        """New rates with every lifetime multiplied by lifetime_factor."""
-        if lifetime_factor <= 0:
-            raise ValueError("lifetime factor must be positive")
-        return DecoherenceRates(
-            **{k: v / lifetime_factor for k, v in self.as_dict().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +193,7 @@ class _SiteMaps:
     def __post_init__(self):
         object.__setattr__(self, "v_conj", self.v.conj())
         for a in (self.v, self.v_conj, self.blocks, self.sink):
-            if a is not None:         # a kept step is shared by its runs
+            if a is not None:     # one compiled step may serve many runs
                 a.flags.writeable = False
 
     def then(self, later: "_SiteMaps") -> "_SiteMaps":
@@ -268,25 +244,8 @@ class _SiteMaps:
         return end
 
 
-@dataclass(frozen=True)
-class _StepKey:
-    """What compiling one walk step reads, as exact bits: the sector's
-    dimension, the six rates as float64, and per segment its offset,
-    float64 duration and Hamiltonian shape (layout) and its complex
-    Hamiltonian (hamiltonians).  Equal keys are equal in every bit.  The
-    hash leaves out the Hamiltonians, by far the largest part, so that a
-    miss does not hash them: a protocol step's durations already change
-    with g, Omega, mu and theta, and keys that differ only in their
-    Hamiltonians (phi) are told apart by equality."""
-
-    dim: int
-    rates: bytes
-    layout: tuple[tuple[int, bytes, tuple[int, ...]], ...]
-    hamiltonians: tuple[bytes, ...] = field(hash=False)
-
-
-def _step_maps(schedule: tuple[Segment, ...], dim: int,
-               rates: DecoherenceRates) -> tuple[_SiteMaps, ...]:
+def compile_step(schedule: tuple[Segment, ...], dim: int,
+                 rates: DecoherenceRates) -> tuple[_SiteMaps, ...]:
     """Compile one walk step on a sector of dimension dim into the maps
     it applies, consecutive segments on one site layout as one map.
 
@@ -294,45 +253,27 @@ def _step_maps(schedule: tuple[Segment, ...], dim: int,
     offset 0 or 1 (protocol.Segment), with no term on the slot outside
     the sector: the vacuum at offset 0 (it has no dynamics) and the empty
     slot c_{N+1} at offset 1.  Anything else is a ValueError.  Each site
-    decays by the six rates, by level slot: (e, f, c) at offset 1 and
-    (c_{j-1}, e, f) at offset 0; the slot outside the sector has none.
-
-    The step last compiled is kept, keyed by its exact content
-    (_StepKey).  So a run at the device point of the one before,
-    whatever its initial state, reuses that step's maps, whose arrays
-    are read-only.
+    decays by the six rates, read as floats, by level slot: (e, f, c) at
+    offset 1 and (c_{j-1}, e, f) at offset 0; the slot outside the sector
+    has none.  The maps' arrays are read-only.
     """
-    hamiltonians = [np.asarray(seg.hamiltonian, dtype=complex)
-                    for seg in schedule]
-    return _compile(_StepKey(
-        dim, np.array([*rates.as_dict().values()], dtype=float).tobytes(),
-        tuple((operator.index(seg.offset), np.float64(seg.duration).tobytes(),
-               h.shape) for seg, h in zip(schedule, hamiltonians)),
-        tuple(h.tobytes() for h in hamiltonians)))
-
-
-@functools.lru_cache(maxsize=1)
-def _compile(key: _StepKey) -> tuple[_SiteMaps, ...]:
-    """_step_maps from its key alone, so a kept step is bit for bit the
-    step compiled anew; a compile that raises keeps nothing."""
-    if not key.layout:
+    if not schedule:
         return ()
-    dim, count = key.dim, len(key.layout)
-    sites = (dim + 1) // 3
-    kappa, ge, ef, gf, phi_e, phi_f = np.frombuffer(key.rates).tolist()
+    sites, count = (dim + 1) // 3, len(schedule)
+    offsets = [operator.index(seg.offset) for seg in schedule]
+    kappa, ge, ef, gf, phi_e, phi_f = map(float, rates.as_dict().values())
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
     decay = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
     inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a
     sink = np.zeros((count, sites, 3))        # [s, j, b]: rate b -> vacuum
-    for s, ((offset, _, shape), h_bits) in enumerate(
-            zip(key.layout, key.hamiltonians)):
-        if shape != (sites, 3, 3):
-            raise ValueError(f"a segment Hamiltonian of shape {shape}"
+    for s, (seg, offset) in enumerate(zip(schedule, offsets)):
+        h = np.asarray(seg.hamiltonian, dtype=complex)
+        if h.shape != (sites, 3, 3):
+            raise ValueError(f"a segment Hamiltonian of shape {h.shape}"
                              f" does not act on the sector of dimension {dim}")
         if offset not in (0, 1):
             raise ValueError(f"a segment offset of {offset!r} fits no site"
                              " layout")
-        h = np.frombuffer(h_bits, dtype=complex).reshape(shape)
         edge, c = (0, 0) if offset == 0 else (-1, 2)
         if np.any(h[edge, c]) or np.any(h[edge, :, c]):
             raise ValueError("a Hamiltonian term acts outside the sector's"
@@ -364,8 +305,8 @@ def _compile(key: _StepKey) -> tuple[_SiteMaps, ...]:
         at = (np.repeat(np.arange(count), np.diff(bounds)),
               np.concatenate([first for first, _ in distinct]))
         h = h_eff[at]
-        t = np.frombuffer(b"".join(seg[1] for seg in key.layout)
-                          )[at[0], None, None]
+        t = np.array([float(seg.duration) for seg in schedule]
+                     )[at[0], None, None]
         mats = (-1j * t * h)[:, None]           # the generators of V
         if noisy:
             # and of each site's diagonal block B, read row-major (index
@@ -386,7 +327,7 @@ def _compile(key: _StepKey) -> tuple[_SiteMaps, ...]:
     exps = _expm_small([mats[start:end].reshape(-1, *mats.shape[-2:])
                         for start, end in zip(bounds, bounds[1:])])
     maps = []
-    for (offset, *_), exp, (_, site) in zip(key.layout, exps, distinct):
+    for offset, exp, (_, site) in zip(offsets, exps, distinct):
         exp = exp.reshape(-1, *mats.shape[1:])        # [distinct, V | B]
         decay_maps = ((exp[site, 1, :9, :9], exp[site, 1, 9, :9]) if noisy
                       else (None, None))
@@ -443,18 +384,31 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
                     ) -> Iterator[Callable[[], EvolutionResult]]:
     """Run the walk from the sector state vector psi0: the schedule, one
     walk step, N times on the chain of psi0, of length 3N+3; yield a
-    readout after each step n = 1..N.
+    readout after each step n = 1..N (walk_steps).
 
-    The step is compiled once, in one batch, and the last step compiled
-    is kept (one entry, keyed by exact content, O(N)), so a run of the
-    same schedule, dimension and rates compiles nothing.  Consecutive
-    segments on one site layout are applied as one map, so a protocol
-    step applies two maps: coin then store, and retrieve.  Every site of
-    the chain decays by the six rates; the run is noise-free exactly
+    The step is compiled once, in one batch (compile_step).  Every site
+    of the chain decays by the six rates; the run is noise-free exactly
     when all of them are 0.  psi0 must be a vector of length 3N+3,
     N >= 1, and every segment must carry one 3x3 block per site of that
     chain, with no term outside the site layout (module docstring);
     anything else is a ValueError when the first step is taken.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
+        raise ValueError(f"a state of shape {psi0.shape} is no single-"
+                         "excitation sector vector of shape (3N+3,), N >= 1")
+    yield from walk_steps(psi0, compile_step(schedule, len(psi0), rates))
+
+
+def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
+               ) -> Iterator[Callable[[], EvolutionResult]]:
+    """Apply step_maps, the compiled walk step (compile_step) of psi0's
+    chain, N times to the sector state vector psi0, of length 3N+3,
+    N >= 1; yield a readout after each step n = 1..N.
+
+    Consecutive segments on one site layout are one map, so a protocol
+    step applies two maps: coin then store, and retrieve.  The run is
+    noise-free exactly when no map decays (every rate 0).
     Step n's readout, called before the run goes on, returns the n-step
     chain's own run from psi0's leading 3n+3 entries: psi when every
     rate is 0, else rho, read off the state's leading entries.  That is
@@ -466,18 +420,14 @@ def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
     ValueError.  Steps that are not read cost and check nothing.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
-        raise ValueError(f"a state of shape {psi0.shape} is no single-"
-                         "excitation sector vector of shape (3N+3,), N >= 1")
     dim = len(psi0)
     n_steps = dim // 3 - 1
-    step_maps = _step_maps(schedule, dim, rates)
     # Only the leading size entries of psi, and the leading size x size
     # block of rho, can be nonzero: size starts at psi0's support (a NaN
     # counts) and grows by at most one site per map.
     support = np.flatnonzero(psi0)
     size = int(support[-1]) + 1 if support.size else 1
-    if rates != DecoherenceRates():
+    if any(maps.blocks is not None for maps in step_maps):
         psi, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
         np.multiply(psi0[:size, None], psi0[:size].conj(),
                     out=state[:size, :size])

@@ -6,7 +6,7 @@ import pytest
 from fullspace import liouvillian_matrix
 from scipy.linalg import expm
 
-from cqwalk import ExperimentConfig, lindblad
+from cqwalk import ExperimentConfig, harness
 from cqwalk.idealwalk import coin_matrix
 from cqwalk.lindblad import evolve_schedule
 
@@ -15,10 +15,10 @@ INF = math.inf
 
 @pytest.fixture(autouse=True)
 def no_kept_step():
-    """Every test starts with no compiled walk step kept (lindblad's
+    """Every test starts with no compiled walk step kept (the harness's
     one-entry memo), so a count of compiles does not depend on which
     test ran before."""
-    lindblad._compile.cache_clear()
+    harness._compiled_step.cache_clear()
 
 
 def zero_noise_config(**overrides) -> ExperimentConfig:

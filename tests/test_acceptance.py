@@ -21,8 +21,10 @@ import time
 import fullspace
 import numpy as np
 import pytest
-from conftest import (brute_force_walk, dense_expm_evolve, evolve_final,
-                      zero_noise_config)
+from conftest import (brute_force_walk, dense_expm_evolve, dense_hamiltonian,
+                      dense_operators, evolve_final, zero_noise_config)
+from fullspace import E, F, liouvillian_matrix, sector_dim, slot
+from scipy.sparse.linalg import expm_multiply
 
 from cqwalk import ExperimentConfig, SweepSpec, run_experiment, run_sweep
 from cqwalk.harness import Report, initial_state
@@ -145,6 +147,39 @@ def test_criterion_4_twenty_step_benchmarks(n20_runs):
                      f"S_renorm = {rep.s_renorm:.4f})")
     _check(4, ok, "N=20: " + "; ".join(parts)
                   + f"; runtime {elapsed:.1f} s (budget 300 s)")
+
+
+def test_criterion_4_rows_match_the_sparse_liouvillian(n20_runs):
+    # criterion 4's three rows against an oracle that shares only the
+    # schedule's site blocks (build_schedule) and the rates
+    # (ExperimentConfig.rates) with the run: no site maps, block
+    # exponentials, composed coin and store, light cone or readout of
+    # the production path.  Each segment's dense sector H and channel
+    # list (conftest, by index) form the sparse Liouvillian
+    # (fullspace), scipy's expm_multiply carries vec(rho) through all
+    # 60 segments, and P_me and S are read off here against the brute-
+    # force walk.
+    reports, _ = n20_runs
+    n = 20
+    dim = sector_dim(n)
+    for scale, rep in reports.items():
+        cfg = ExperimentConfig(n_steps=n, scale=scale)
+        coin = cfg.coin()
+        ops = dense_operators(cfg.rates(), dim)
+        generators = [seg.duration * liouvillian_matrix(
+            dense_hamiltonian(seg), ops) for seg in build_schedule(cfg)]
+        psi0 = np.zeros(dim, dtype=complex)
+        psi0[slot(1, F)], psi0[slot(1, E)] = coin.c0, coin.c1
+        vec = np.outer(psi0, psi0.conj()).reshape(-1)
+        for generator in generators * n:
+            vec = expm_multiply(generator, vec)
+        populations = vec.reshape(dim, dim).diagonal().real
+        p_me = np.array([populations[slot(j, E)] + populations[slot(j, F)]
+                         for j in range(1, n + 2)])
+        p_id = brute_force_walk(n, cfg.theta_rad, coin)
+        s = float(np.sum(np.sqrt(np.clip(p_me, 0.0, None) * p_id)) ** 2)
+        assert np.max(np.abs(rep.p_me - p_me)) <= 1e-12, scale
+        assert abs(rep.s - s) <= 1e-12, scale
 
 
 def test_criterion_5_drive_insensitivity(omega_runs):

@@ -112,6 +112,22 @@ def test_sweep_cross_axis(capsys):
         ["5", "1", "5", "1"]
 
 
+def test_sweep_with_a_failed_row_exits_2(tmp_path, capsys):
+    # a numerical failure on any row is exit 2, after every row is
+    # written and the failures are counted; here the e -> g rate of
+    # 1e300 / us fails the scale-1 point, not the scale-1e300 one
+    path = tmp_path / "sweep.json"
+    code = main(["sweep", "--axis", "scale", "--values", "1e300,1",
+                 "--t1-ge-us", "1e-300", "--format", "json",
+                 "--output", str(path)])
+    assert code == 2
+    rows = json.loads(path.read_text())
+    assert [row["scale"] for row in rows] == [1e300, 1]
+    assert "error" not in rows[0] and rows[0]["S"] > 0.9
+    assert rows[1]["error"].startswith("IntegrationError")
+    assert capsys.readouterr().err == "1/2 sweep points failed\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--coin0", "sideways"],
     ["run", "--n-steps", "zero"],

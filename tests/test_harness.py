@@ -24,7 +24,7 @@ from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             initial_state, report_to_json_obj,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.lindblad import IntegrationError, evolve_schedule
+from cqwalk.lindblad import IntegrationError, walk_steps
 
 
 def test_initial_density_matrix_truncated():
@@ -196,11 +196,11 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(psi0, schedule, rates):
+    def counting(psi0, step_maps):
         calls.append(len(psi0) // 3 - 1)
-        return evolve_schedule(psi0, schedule, rates)
+        return walk_steps(psi0, step_maps)
 
-    monkeypatch.setattr(harness, "evolve_schedule", counting)
+    monkeypatch.setattr(harness, "walk_steps", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
                      cross_axis="scale", cross_values=(5.0, 1.0, 0.2))
     rows = run_sweep(ExperimentConfig(), spec)
@@ -250,7 +250,7 @@ def test_a_device_point_compiles_once(monkeypatch):
     again = run_experiment(cfg)
     other_coin = run_experiment(replace(cfg, coin0="zero"))
     assert calls == [3]
-    lindblad._compile.cache_clear()
+    harness._compiled_step.cache_clear()
     compiled = run_experiment(replace(cfg, coin0="zero"))
     assert calls == [3, 3]
     assert _all_but_wall_ms(again) == _all_but_wall_ms(first)
@@ -275,6 +275,22 @@ def test_every_field_the_step_reads_recompiles(monkeypatch):
         run_experiment(replace(base, **{f.name: value}))
         run_experiment(base)
         assert calls == [3, 3], f.name
+
+
+def test_configs_of_one_device_point_share_its_step(monkeypatch):
+    # the step is built from the device point, which spells each value
+    # one way: phi = -0.0 as 0.0 and an integer g as a float, so a kept
+    # step is bit for bit the step a compile of either config gives
+    calls = _count_compiles(monkeypatch)
+    base = ExperimentConfig(phi_rad=0.0)
+    variants = [replace(base, phi_rad=-0.0),
+                replace(base, g_over_2pi_mhz=50, coin0="one")]
+    for cfg in (base, *variants):
+        run_experiment(cfg)
+    assert calls == [3]
+    for cfg in variants:
+        assert (repr(harness._device_point(cfg))
+                == repr(harness._device_point(base)))
 
 
 def test_sweep_walks_the_ideal_walk_once_per_group(monkeypatch):
@@ -364,13 +380,13 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
 def test_group_failure_keeps_rows_already_written(monkeypatch):
     # rows scored before the group's run fails keep their results; only
     # the rows not yet written become error rows
-    def failing_at_the_end(psi0, schedule, rates):
+    def failing_at_the_end(psi0, step_maps):
         n_steps = len(psi0) // 3 - 1
-        steps = evolve_schedule(psi0, schedule, rates)
+        steps = walk_steps(psi0, step_maps)
         yield from itertools.islice(steps, n_steps - 1)
         raise IntegrationError("failed after the last step readout")
 
-    monkeypatch.setattr(harness, "evolve_schedule", failing_at_the_end)
+    monkeypatch.setattr(harness, "walk_steps", failing_at_the_end)
     rows = run_sweep(ExperimentConfig(),
                      SweepSpec(axis="n_steps", values=(3, 1, 2)))
     assert [r.error for r in rows] == [

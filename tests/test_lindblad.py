@@ -1,21 +1,22 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import fullspace
 from conftest import (dense_expm_evolve, dense_expm_states,
                       dense_hamiltonian, dense_operators, evolve_final,
-                      lindblad_apply)
+                      lindblad_apply, zero_noise_config)
 from fullspace import E, F, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cqwalk import ExperimentConfig, lindblad
+from cqwalk import ExperimentConfig, harness, lindblad, run_experiment
 from cqwalk.lindblad import (POSITIVITY_SHIFT, DecoherenceRates,
                              IntegrationError, _expm_small, _SiteMaps,
-                             _step_maps, _symmetrize, _triplets,
+                             _symmetrize, _triplets, compile_step,
                              evolve_schedule, min_eigenvalue)
 from cqwalk.protocol import Segment, build_schedule
 
@@ -90,8 +91,6 @@ def test_rate_scaling_divides_rates():
     r = ExperimentConfig(scale=5.0).rates()
     assert r.kappa == pytest.approx(0.02)
     assert r.gamma_phi_e == pytest.approx(0.04)
-    with pytest.raises(ValueError):
-        T0_RATES.scaled(0.0)
     with pytest.raises(ValueError):
         DecoherenceRates(kappa=-1.0)
     with pytest.raises(ValueError):
@@ -268,9 +267,9 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
                           _triplets(rho, maps.offset, n + 1))
 
     for first, second in ((coin, store), (retrieve, retrieve)):
-        (a,), (b,) = (_step_maps((seg,), dim, rates)
+        (a,), (b,) = (compile_step((seg,), dim, rates)
                       for seg in (first, second))
-        (both,) = _step_maps((first, second), dim, rates)
+        (both,) = compile_step((first, second), dim, rates)
         assert both.offset == first.offset
         assert (both.blocks is None) == (rates == ZERO_RATES)
         rho = np.zeros((dim + 1, dim + 1), dtype=complex)
@@ -296,9 +295,8 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
                          ids=["zero rates", "distinct rates"])
 @pytest.mark.parametrize("n", [1, 4])
 def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
-    # coin and store are one composed map, made once per compiled step:
-    # by the first run, and kept for the second run of the same step;
-    # retrieve is the other, with or without step readouts
+    # coin and store are one composed map, made once per run; retrieve is
+    # the other, with or without step readouts
     applied, composed = [], []
     original, then = getattr(_SiteMaps, method), _SiteMaps.then
 
@@ -315,12 +313,12 @@ def test_each_step_applies_two_maps(monkeypatch, n, rates, method):
     dim = sector_dim(n)
     schedule = build_schedule(ExperimentConfig(n_steps=n))
     psi0 = _basis_state(dim, slot(1, E))
-    for steps, compositions in (((), [1]), (range(1, n + 1), [])):
+    for steps in ((), range(1, n + 1)):
         applied.clear()
         composed.clear()
         _run_with_readouts(psi0, schedule, rates, steps)
         assert applied == [1, 0] * n
-        assert composed == compositions
+        assert composed == [1]
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -345,17 +343,32 @@ def test_one_compile_pass_and_fixed_views_per_run(monkeypatch, rates):
         assert sorted(calls) == ["expm"] + views, n
 
 
-@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+# a device point whose rates are DISTINCT_RATES, up to rounding
+DISTINCT_CONFIG = ExperimentConfig(
+    n_steps=2, t1_cavity_us=1 / 0.9, t1_ge_us=1 / 1.3, t1_ef_us=1 / 1.7,
+    t1_gf_us=1 / 2.3, tphi_e_us=1 / 3.1, tphi_f_us=1 / 3.7)
+
+
+def _kept_step(cfg):
+    """The compiled step the harness keeps for cfg's device point, by a
+    compile of its own if it is not kept."""
+    return harness._compiled_step(harness._device_point(cfg))
+
+
+@pytest.mark.parametrize("cfg", [zero_noise_config(n_steps=2),
+                                 DISTINCT_CONFIG],
                          ids=["zero rates", "distinct rates"])
-def test_kept_step_is_read_only(rates):
-    # a step is kept by its content, not by its arrays' identity, and
-    # every run of it shares its maps: none of them can be written
-    dim = sector_dim(2)
-    maps = _step_maps(build_schedule(REF), dim, rates)
-    assert _step_maps(build_schedule(REF), dim, rates) is maps
+def test_kept_step_is_read_only(cfg):
+    # the harness keeps a step by its device point, not by the config's
+    # identity, and every run at that point shares its maps: none of
+    # them can be written
+    run_experiment(cfg)
+    maps = _kept_step(cfg)
+    run_experiment(replace(cfg, coin0="zero"))
+    assert _kept_step(replace(cfg, coin0="one")) is maps
     arrays = [a for m in maps for a in (m.v, m.v_conj, m.blocks, m.sink)
               if a is not None]
-    assert len(arrays) == (4 if rates == ZERO_RATES else 8)
+    assert len(arrays) == (4 if cfg.rates() == ZERO_RATES else 8)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -363,23 +376,18 @@ def test_kept_step_is_read_only(rates):
 
 
 def test_failed_compile_is_not_kept():
-    # a compile that raises keeps nothing: the same step raises again, by
-    # a compile of its own (a miss), and the step kept before stays kept
-    dim = sector_dim(1)
-    coin = build_schedule(REF_1)[0]
-    kept = _step_maps((coin,), dim, DISTINCT_RATES)
-    for segment, error in (
-            # a generator of 1-norm NaN (infinite duration times zeros)
-            (Segment("coin", coin.hamiltonian, 1, math.inf),
-             IntegrationError),
-            (Segment("coin", coin.hamiltonian, 2, coin.duration),
-             ValueError)):
-        for _ in range(2):
-            with pytest.raises(error):
-                _step_maps((segment,), dim, DISTINCT_RATES)
-        assert _step_maps((coin,), dim, DISTINCT_RATES) is kept
-    info = lindblad._compile.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 5, 1)
+    # a compile that raises keeps nothing: the same point raises again,
+    # by a compile of its own (a miss), and the step kept before stays
+    # kept; the three f rates of 1e308 / us sum to inf
+    failing = replace(REF_1, t1_ef_us=1e-308, t1_gf_us=1e-308,
+                      tphi_f_us=1e-308)
+    kept = _kept_step(REF_1)
+    for _ in range(2):
+        with pytest.raises(IntegrationError, match="1-norm"):
+            _kept_step(failing)
+        assert _kept_step(REF_1) is kept
+    info = harness._compiled_step.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 1)
 
 
 def _map_bits(maps) -> list:
@@ -390,20 +398,18 @@ def _map_bits(maps) -> list:
 @pytest.mark.parametrize("value", [1, np.float32(1.0)],
                          ids=["int", "float32"])
 def test_rates_are_compiled_as_their_float64_values(value):
-    # rates given as other numbers than Python floats compile, each by a
-    # compile of its own, to the maps, and run to the state, of the same
-    # values as floats, bit for bit
+    # rates given as other numbers than Python floats compile to the
+    # maps, and run to the state, of the same values as floats, bit for
+    # bit
     dim = sector_dim(2)
     schedule = build_schedule(REF)
     psi0 = _basis_state(dim, slot(1, F))
     runs = []
     for rates in (DecoherenceRates(*[1.0] * 6), DecoherenceRates(*[value] * 6)):
-        lindblad._compile.cache_clear()
         res = evolve_final(psi0, schedule, rates)
-        runs.append((_map_bits(_step_maps(schedule, dim, rates)),
+        runs.append((_map_bits(compile_step(schedule, dim, rates)),
                      res.state.tobytes(), res.populations.tobytes(),
                      res.max_trace_error, res.max_hermiticity_drift))
-        assert lindblad._compile.cache_info().misses == 1
         assert res.state.ndim == 2          # a noisy run, of rho
     assert runs[1] == runs[0]
 
