@@ -11,8 +11,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       emit_report, initial_state, run_experiment, run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
-from .lindblad import (DecoherenceRates, EvolutionResult, IntegrationError,
-                       evolve_schedule)
+from .lindblad import DecoherenceRates, EvolutionResult, IntegrationError
 from .metrics import (Distribution, extract_distribution, similarity,
                       similarity_report)
 from .protocol import Segment, build_schedule
@@ -24,7 +23,7 @@ __all__ = [
     "EvolutionResult", "ExperimentConfig", "IntegrationError", "Report",
     "Segment", "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
-    "evolve_schedule", "extract_distribution", "initial_state",
-    "load_config", "run_experiment", "run_ideal", "run_sweep", "similarity",
+    "extract_distribution", "initial_state", "load_config",
+    "run_experiment", "run_ideal", "run_sweep", "similarity",
     "similarity_report",
 ]

@@ -22,8 +22,9 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, ExperimentConfig, config_from_mapping,
-                     config_keys, load_config, parse_field_value)
+from .config import (ConfigError, ExperimentConfig, check_memory,
+                     config_from_mapping, config_keys, load_config,
+                     parse_field_value)
 from .harness import (SWEEP_AXES, Report, SweepSpec, _opened,
                       emit_distribution, emit_plot_script, emit_report,
                       run_experiment, run_sweep)
@@ -153,6 +154,7 @@ def _cmd_dist(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_ideal(args, cfg: ExperimentConfig) -> int:
+    check_memory(cfg, noise_free=True)      # no master-equation run
     p = run_ideal(cfg.n_steps, cfg.theta_rad, coin_preset(cfg.coin0))
     with _opened(cfg.output or sys.stdout) as fh:
         fh.write("site,P_id\n")
@@ -199,8 +201,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        if getattr(args, "plot_script", None) and not cfg.output:
+        plot_script = getattr(args, "plot_script", None)
+        if plot_script and not cfg.output:
             raise ConfigError("--plot-script needs --output to reference")
+        if plot_script and cfg.format != "csv":
+            raise ConfigError("--plot-script plots CSV columns, not format"
+                              f" {cfg.format!r}")
         if args.command in ("dist", "ideal") and cfg.format != "csv":
             raise ConfigError(f"{args.command} writes CSV only, not"
                               f" format {cfg.format!r}")

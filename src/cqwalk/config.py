@@ -170,9 +170,8 @@ def parse_config_text(text: str) -> dict[str, object]:
     return seen
 
 
-def validate_config(cfg: ExperimentConfig, kept: int = 0) -> ExperimentConfig:
-    """Range checks shared by every entry point; the memory check charges
-    kept bytes (a sweep's rows) beside cfg's run."""
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Range checks shared by every entry point."""
     def bad(msg):
         raise ConfigError(msg)
 
@@ -201,24 +200,33 @@ def validate_config(cfg: ExperimentConfig, kept: int = 0) -> ExperimentConfig:
         if not getattr(cfg, name) > 0:
             bad(f"{name} must be positive (inf to disable)")
     try:
-        rates = cfg.rates()
+        cfg.rates()
     except ValueError as exc:          # a lifetime so short its rate is inf
         bad(f"lifetime times scale too short: {exc}")
-    dim = 3 * cfg.n_steps + 4
-    noise_free = rates == DecoherenceRates()
-    copies = _VECTOR_COPIES if noise_free else _STATE_COPIES
-    need = 16 * copies * (dim if noise_free else dim**2) + kept
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        bad(f"n_steps = {cfg.n_steps} needs about {need / 2**30:.3g} GiB for"
-            f" {copies} {'state vectors' if noise_free else 'dense states'}"
-            f" of dimension {dim} in one run"
-            f"{', with its sweep' if kept else ''}, more than the host's"
-            f" {memory / 2**30:.3g} GiB of physical memory")
     for name, choices in _CHOICES.items():
         if getattr(cfg, name) not in choices:
             bad(f"{name} must be one of {choices}")
     return cfg
+
+
+def check_memory(cfg: ExperimentConfig, kept: int = 0,
+                 noise_free: bool = False) -> None:
+    """ConfigError if the run of cfg, a valid config, with kept bytes
+    beside it (a sweep's rows), would need more than the host's physical
+    memory.  The run is charged as noise-free when every rate of cfg is 0
+    or noise_free is set (the exact walk alone is charged as one)."""
+    noise_free = noise_free or cfg.rates() == DecoherenceRates()
+    dim = 3 * cfg.n_steps + 4
+    copies = _VECTOR_COPIES if noise_free else _STATE_COPIES
+    need = 16 * copies * (dim if noise_free else dim**2) + kept
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"n_steps = {cfg.n_steps} needs about {need / 2**30:.3g} GiB for"
+            f" {copies} {'state vectors' if noise_free else 'dense states'}"
+            f" of dimension {dim} in one run"
+            f"{', with its sweep' if kept else ''}, more than the host's"
+            f" {memory / 2**30:.3g} GiB of physical memory")
 
 
 def _physical_memory() -> int | None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .config import (REPORT_FORMATS, ConfigError, ExperimentConfig,
-                     field_type, validate_config)
+                     check_memory, field_type, validate_config)
 from .idealwalk import CoinState, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, compile_step,
                        min_eigenvalue, walk_steps)
@@ -98,6 +98,7 @@ def initial_state(n_steps: int, coin: CoinState) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Build the schedule, evolve, read out and score one experiment."""
     cfg = validate_config(cfg)
+    check_memory(cfg)
     start = time.perf_counter()
     _, read, amps = collections.deque(_walk(cfg), maxlen=1)[0]
     return _report(cfg, read(), start, amps)
@@ -129,8 +130,7 @@ def _device_point(cfg: ExperimentConfig) -> ExperimentConfig:
 def _compiled_step(point: ExperimentConfig) -> tuple:
     """The walk step of a device point (_device_point), compiled; the
     last one is kept (module docstring)."""
-    return compile_step(build_schedule(point), 3 * point.n_steps + 3,
-                        point.rates())
+    return compile_step(build_schedule(point), point.rates())
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
@@ -245,8 +245,9 @@ def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig
             for w in spec.cross_values:
                 grid.append(validate_config(apply(point, spec.cross_axis, w)))
     # groups run one at a time, but every row keeps its P_me and P_id
-    validate_config(max(grid, key=lambda cfg: cfg.n_steps),
-                    kept=16 * sum(cfg.n_steps + 1 for cfg in grid))
+    top = max(grid, key=lambda cfg: cfg.n_steps)
+    check_memory(top)
+    check_memory(top, kept=16 * sum(cfg.n_steps + 1 for cfg in grid))
     return grid
 
 

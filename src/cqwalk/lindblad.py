@@ -42,10 +42,11 @@ one exact map of the same per-site form, so a walk step applies two
 maps: coin then store, and retrieve.  The maps are read-only, so one
 compiled step can serve any number of walks (walk_steps).  Each map is
 a batched matmul on reshaped views of rho, whose diagonal blocks two
-strided views, made once per run, reach.  A Hamiltonian stack of
-another chain than the state's, an offset other than 0 or 1, a term on
-the vacuum or on the empty slot, or a state that is not a vector of
-length 3N+3, is a ValueError.
+strided views, made once per run, reach.  compile_step refuses Hamiltonian
+stacks of two chains, an offset other than 0 or 1 and a term on the
+vacuum or on the empty slot; walk_steps refuses a state that is not a
+vector of length 3N+3 and a step compiled for another chain than the
+state's.  Each refusal is a ValueError.
 
 The walker starts as a state vector psi0.  Since it moves at most one
 site per retrieve, only a leading block of rho is nonzero:
@@ -54,10 +55,9 @@ map, so a walk from site 1 touches at most (3n+4)^2 entries at step n.
 Up to step n such a walk never meets a site map beyond site n+1, so its
 leading 3n+3 x 3n+3 block then holds, bit for bit, the final state of
 an n-step chain, whose sector is the first 3n+3 states of this one.
-So walk_steps, and evolve_schedule, which compiles the step and walks
-it, is a walk of steps: it yields one readout per step n, which reads
-out the n-step chain's run when called, as idealwalk.walk yields each
-step's amplitudes.
+So walk_steps is a walk of steps: it yields one readout per step n,
+which reads out the n-step chain's run when called, as idealwalk.walk
+yields each step's amplitudes.
 
 When every rate is 0, rho = psi psi+ with psi = U psi0: walk_steps
 then applies each site's V to the single column psi, in the same light
@@ -244,22 +244,23 @@ class _SiteMaps:
         return end
 
 
-def compile_step(schedule: tuple[Segment, ...], dim: int,
+def compile_step(schedule: tuple[Segment, ...],
                  rates: DecoherenceRates) -> tuple[_SiteMaps, ...]:
-    """Compile one walk step on a sector of dimension dim into the maps
-    it applies, consecutive segments on one site layout as one map.
+    """Compile one walk step into the maps it applies, consecutive
+    segments on one site layout as one map.
 
-    Each hamiltonian must hold one 3x3 block per site of the sector, at
-    offset 0 or 1 (protocol.Segment), with no term on the slot outside
-    the sector: the vacuum at offset 0 (it has no dynamics) and the empty
-    slot c_{N+1} at offset 1.  Anything else is a ValueError.  Each site
+    The chain is that of the first hamiltonian, one 3x3 block per site
+    (protocol.Segment); every hamiltonian must have its shape, an offset
+    of 0 or 1, and no term on the slot outside the sector: the vacuum at
+    offset 0 (it has no dynamics) and the empty slot c_{N+1} at offset
+    1.  Anything else is a ValueError.  Each site
     decays by the six rates, read as floats, by level slot: (e, f, c) at
     offset 1 and (c_{j-1}, e, f) at offset 0; the slot outside the sector
     has none.  The maps' arrays are read-only.
     """
     if not schedule:
         return ()
-    sites, count = (dim + 1) // 3, len(schedule)
+    sites, count = len(schedule[0].hamiltonian), len(schedule)
     offsets = [operator.index(seg.offset) for seg in schedule]
     kappa, ge, ef, gf, phi_e, phi_f = map(float, rates.as_dict().values())
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
@@ -270,7 +271,7 @@ def compile_step(schedule: tuple[Segment, ...], dim: int,
         h = np.asarray(seg.hamiltonian, dtype=complex)
         if h.shape != (sites, 3, 3):
             raise ValueError(f"a segment Hamiltonian of shape {h.shape}"
-                             f" does not act on the sector of dimension {dim}")
+                             f" does not fit the chain of {sites} sites")
         if offset not in (0, 1):
             raise ValueError(f"a segment offset of {offset!r} fits no site"
                              " layout")
@@ -361,7 +362,7 @@ def _symmetrize(a: np.ndarray) -> float:
 @dataclass
 class EvolutionResult:
     """The state of an N-step chain's run, read out at step N of it or of
-    a longer run (evolve_schedule), with its diagnostics.
+    a longer run (walk_steps), with its diagnostics.
 
     state is the state vector psi (length 3N+3) of a noise-free run and
     the density matrix rho (3N+3 x 3N+3) of a noisy one; populations is
@@ -379,27 +380,6 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
-def evolve_schedule(psi0: np.ndarray, schedule: tuple[Segment, ...],
-                    rates: DecoherenceRates
-                    ) -> Iterator[Callable[[], EvolutionResult]]:
-    """Run the walk from the sector state vector psi0: the schedule, one
-    walk step, N times on the chain of psi0, of length 3N+3; yield a
-    readout after each step n = 1..N (walk_steps).
-
-    The step is compiled once, in one batch (compile_step).  Every site
-    of the chain decays by the six rates; the run is noise-free exactly
-    when all of them are 0.  psi0 must be a vector of length 3N+3,
-    N >= 1, and every segment must carry one 3x3 block per site of that
-    chain, with no term outside the site layout (module docstring);
-    anything else is a ValueError when the first step is taken.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
-        raise ValueError(f"a state of shape {psi0.shape} is no single-"
-                         "excitation sector vector of shape (3N+3,), N >= 1")
-    yield from walk_steps(psi0, compile_step(schedule, len(psi0), rates))
-
-
 def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
                ) -> Iterator[Callable[[], EvolutionResult]]:
     """Apply step_maps, the compiled walk step (compile_step) of psi0's
@@ -408,7 +388,9 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
 
     Consecutive segments on one site layout are one map, so a protocol
     step applies two maps: coin then store, and retrieve.  The run is
-    noise-free exactly when no map decays (every rate 0).
+    noise-free exactly when no map decays (every rate 0).  A psi0 of
+    another shape, or a map of other than N+1 sites, is a ValueError
+    when the first step is taken.
     Step n's readout, called before the run goes on, returns the n-step
     chain's own run from psi0's leading 3n+3 entries: psi when every
     rate is 0, else rho, read off the state's leading entries.  That is
@@ -420,8 +402,14 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
     ValueError.  Steps that are not read cost and check nothing.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    dim = len(psi0)
-    n_steps = dim // 3 - 1
+    if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
+        raise ValueError(f"a state of shape {psi0.shape} is no single-"
+                         "excitation sector vector of shape (3N+3,), N >= 1")
+    dim, n_steps = len(psi0), len(psi0) // 3 - 1
+    for maps in step_maps:
+        if len(maps.v) != n_steps + 1:
+            raise ValueError(f"a step compiled for a chain of {len(maps.v)}"
+                             f" sites cannot walk a state of {n_steps + 1}")
     # Only the leading size entries of psi, and the leading size x size
     # block of rho, can be nonzero: size starts at psi0's support (a NaN
     # counts) and grows by at most one site per map.

@@ -27,10 +27,6 @@ class Distribution:
     residual_vacuum: float
     residual_cavity: float
 
-    def total(self) -> float:
-        return float(np.sum(self.p) + self.residual_vacuum
-                     + self.residual_cavity)
-
 
 def extract_distribution(populations: np.ndarray) -> Distribution:
     """Walker position readout from the populations of the sector basis

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig, harness
 from cqwalk.idealwalk import coin_matrix
-from cqwalk.lindblad import evolve_schedule
+from cqwalk.lindblad import compile_step, walk_steps
 
 INF = math.inf
 
@@ -29,9 +29,15 @@ def zero_noise_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def walk_schedule(psi0, schedule, rates):
+    """The readouts of the walk of schedule, one step, from psi0, as a
+    run takes it: the step compiled once, then walked."""
+    return walk_steps(psi0, compile_step(schedule, rates))
+
+
 def evolve_final(psi0, schedule, rates):
-    """The final state of evolve_schedule's run: its last step's readout."""
-    steps = evolve_schedule(psi0, schedule, rates)
+    """The final state of the walk: its last step's readout."""
+    steps = walk_schedule(psi0, schedule, rates)
     return collections.deque(steps, maxlen=1)[0]()
 
 

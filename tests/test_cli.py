@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqwalk
-from cqwalk import lindblad
+from cqwalk import config, lindblad
 from cqwalk.cli import main
 from cqwalk.harness import REPORT_COLUMNS
 
@@ -166,16 +166,21 @@ def test_config_errors_exit_1(argv, capsys):
     ["run", "--n-steps", "1"],
     ["sweep", "--axis", "n_steps", "--values", "1,2"],
     ["dist", "--n-steps", "1"],
+    ["run", "--n-steps", "1", "--format", "json", "--output", "a.json"],
+    ["sweep", "--axis", "n_steps", "--values", "1,2", "--format", "json",
+     "--output", "a.json"],
 ])
-def test_plot_script_without_output_runs_nothing(argv, tmp_path, capsys):
-    # the script would reference a data file that is never written, so
-    # the config error comes before any run
-    script = tmp_path / "plot.gp"
-    assert main([*argv, "--plot-script", str(script)]) == 1
+def test_plot_script_without_output_runs_nothing(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    # the script would reference a data file that is never written, or
+    # read CSV columns out of a JSON file, so the config error comes
+    # before any run and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--plot-script", "plot.gp"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("cqwalk: config error: --plot-script")
-    assert not script.exists()
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["dist", "ideal"])
@@ -187,6 +192,34 @@ def test_csv_only_subcommands_refuse_json(command, capsys):
     assert out.out == ""
     assert out.err.startswith("cqwalk: config error:")
     assert "CSV only" in out.err
+
+
+def test_ideal_is_charged_as_a_noise_free_run(tmp_path, monkeypatch, capsys):
+    # ideal runs no master equation: on a 16 MiB host N = 1000 is 64
+    # vectors (3 MB), not 6 dense states (0.8 GiB), while the commands
+    # that run one keep their refusal; a bad lifetime and an absurd N
+    # are still one-line config errors
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2**24)
+    monkeypatch.chdir(tmp_path)
+    assert main(["ideal", "--n-steps", "1000", "--output", "p.csv"]) == 0
+    assert len((tmp_path / "p.csv").read_text().splitlines()) == 1002
+    capsys.readouterr()
+    for argv, match in (
+            (["run"], "dense states of dimension 3004 in one run, more"),
+            (["dist"], "dense states of dimension 3004 in one run, more"),
+            (["sweep", "--axis", "scale", "--values", "1"],
+             "dense states of dimension 3004 in one run, more"),
+            (["ideal", "--t1-ge-us", "0"], "t1_ge_us must be positive"),
+            (["ideal", "--n-steps", "1000000000"], "64 state vectors")):
+        if argv[0] != "ideal":
+            argv = [*argv, "--n-steps", "1000"]
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("cqwalk: config error:")
+        assert out.err.count("\n") == 1
+        assert match in out.err, argv
+    assert os.listdir(tmp_path) == ["p.csv"]
 
 
 def test_plot_script_escapes_quotes_in_data_path(tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from cqwalk import config
-from cqwalk.config import (ConfigError, ExperimentConfig, config_from_mapping,
-                           config_keys, load_config, parse_config_text,
-                           parse_field_value, validate_config)
+from cqwalk.config import (ConfigError, ExperimentConfig, check_memory,
+                           config_from_mapping, config_keys, load_config,
+                           parse_config_text, parse_field_value,
+                           validate_config)
 from cqwalk.harness import SweepSpec, sweep_grid
 
 GOOD = """
@@ -82,7 +83,7 @@ def test_range_validation(overrides):
 def test_n_steps_bounded_by_physical_memory():
     # 16 (3N+4)^2 bytes per dense state: about 1.4 TB at N = 10^5
     with pytest.raises(ConfigError, match="physical memory"):
-        validate_config(ExperimentConfig(n_steps=10**5))
+        check_memory(ExperimentConfig(n_steps=10**5))
 
 
 def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
@@ -90,12 +91,12 @@ def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
     # 6 dense states (0.8 GiB) noisy but 64 vectors (3 MB) noise-free
     monkeypatch.setattr(config, "_physical_memory", lambda: 2**29)
     with pytest.raises(ConfigError, match="dense .* physical memory"):
-        validate_config(ExperimentConfig(n_steps=1000))
+        check_memory(ExperimentConfig(n_steps=1000))
     lifetimes = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
                  "tphi_e_us", "tphi_f_us")
     noise_free = ExperimentConfig(n_steps=1000,
                                   **dict.fromkeys(lifetimes, math.inf))
-    assert validate_config(noise_free) is noise_free
+    check_memory(noise_free)
 
 
 def test_sweep_is_charged_for_its_rows(monkeypatch):
@@ -111,7 +112,7 @@ def test_sweep_is_charged_for_its_rows(monkeypatch):
     rows = 16 * sum(n + 1 for n in spec.values)
     assert run < 2**21 < run + rows
     monkeypatch.setattr(config, "_physical_memory", lambda: 2**21)
-    assert validate_config(dataclasses.replace(base, n_steps=400))
+    check_memory(dataclasses.replace(base, n_steps=400))
     with pytest.raises(ConfigError, match="n_steps = 400 .* one run, with its"
                                           " sweep, more than"):
         sweep_grid(base, spec)

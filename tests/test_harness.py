@@ -440,7 +440,7 @@ def test_sweep_group_holds_one_state_at_a_time():
     # a group scores each step's readout and drops it before it
     # propagates further, so an n_steps 1..40 sweep peaks below 4.8 dense
     # (3N+4)^2 states (about 4.3; 5.2 with a readout kept), within the
-    # memory bound that validate_config assumes for one N=40 run
+    # memory bound that check_memory assumes for one N=40 run
     spec = SweepSpec(axis="n_steps", values=tuple(range(1, 41)))
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ import pytest
 import fullspace
 from conftest import (dense_expm_evolve, dense_expm_states,
                       dense_hamiltonian, dense_operators, evolve_final,
-                      lindblad_apply, zero_noise_config)
+                      lindblad_apply, walk_schedule, zero_noise_config)
 from fullspace import E, F, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ from cqwalk import ExperimentConfig, harness, lindblad, run_experiment
 from cqwalk.lindblad import (POSITIVITY_SHIFT, DecoherenceRates,
                              IntegrationError, _expm_small, _SiteMaps,
                              _symmetrize, _triplets, compile_step,
-                             evolve_schedule, min_eigenvalue)
+                             min_eigenvalue, walk_steps)
 from cqwalk.protocol import Segment, build_schedule
 
 REF = ExperimentConfig(n_steps=2)
@@ -31,11 +31,11 @@ def _random_density(rng, dim):
 
 
 def _run_with_readouts(psi0, schedule, rates, steps):
-    """evolve_schedule's final result and the readouts of the steps in
-    steps, as (n, result) pairs in increasing order of n."""
+    """The walk's final result and the readouts of the steps in steps,
+    as (n, result) pairs in increasing order of n."""
     last = len(psi0) // 3 - 1
     readouts = [(n, read()) for n, read in
-                enumerate(evolve_schedule(psi0, schedule, rates), start=1)
+                enumerate(walk_schedule(psi0, schedule, rates), start=1)
                 if n in steps or n == last]
     return readouts[-1][1], [(n, r) for n, r in readouts if n in steps]
 
@@ -267,9 +267,8 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
                           _triplets(rho, maps.offset, n + 1))
 
     for first, second in ((coin, store), (retrieve, retrieve)):
-        (a,), (b,) = (compile_step((seg,), dim, rates)
-                      for seg in (first, second))
-        (both,) = compile_step((first, second), dim, rates)
+        (a,), (b,) = (compile_step((seg,), rates) for seg in (first, second))
+        (both,) = compile_step((first, second), rates)
         assert both.offset == first.offset
         assert (both.blocks is None) == (rates == ZERO_RATES)
         rho = np.zeros((dim + 1, dim + 1), dtype=complex)
@@ -407,7 +406,7 @@ def test_rates_are_compiled_as_their_float64_values(value):
     runs = []
     for rates in (DecoherenceRates(*[1.0] * 6), DecoherenceRates(*[value] * 6)):
         res = evolve_final(psi0, schedule, rates)
-        runs.append((_map_bits(compile_step(schedule, dim, rates)),
+        runs.append((_map_bits(compile_step(schedule, rates)),
                      res.state.tobytes(), res.populations.tobytes(),
                      res.max_trace_error, res.max_hermiticity_drift))
         assert res.state.ndim == 2          # a noisy run, of rho
@@ -465,8 +464,44 @@ def test_schedule_of_another_chain_is_refused():
     # an N=2 schedule (three sites per stack) on an N=1 state
     psi0 = _basis_state(6, 1)
     schedule = build_schedule(REF)
-    with pytest.raises(ValueError, match="sector of dimension 6"):
+    with pytest.raises(ValueError, match="chain of 3 sites cannot walk a"
+                                         " state of 2"):
         evolve_final(psi0, schedule, ZERO_RATES)
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, T0_RATES],
+                         ids=["zero rates", "t0 rates"])
+def test_step_of_a_shorter_chain_is_refused(rates):
+    # the N=5 step walked from an N=10 walker would never touch sites 7
+    # to 11, and its readout would look like a run with half the
+    # walker lost, at a trace error of 4e-15
+    step = compile_step(build_schedule(ExperimentConfig(n_steps=5)), rates)
+    psi0 = harness.initial_state(10, ExperimentConfig().coin())
+    with pytest.raises(ValueError, match="chain of 6 sites cannot walk a"
+                                         " state of 11"):
+        next(walk_steps(psi0, step))
+
+
+def test_schedule_of_two_chains_is_refused():
+    # the chain is read off the first stack; a stack of another chain
+    # after it is refused, not compiled into a map of its own length
+    coin = build_schedule(ExperimentConfig(n_steps=2))[0]
+    store = build_schedule(ExperimentConfig(n_steps=3))[1]
+    with pytest.raises(ValueError, match=r"shape \(4, 3, 3\) does not fit"
+                                         " the chain of 3 sites"):
+        compile_step((coin, store), DISTINCT_RATES)
+
+
+@pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
+                         ids=["zero rates", "distinct rates"])
+def test_walk_steps_refuses_a_density_matrix(rates):
+    # a 6x6 rho0 is of the N=1 sector's dimension, but the walk starts
+    # from a vector
+    step = compile_step(build_schedule(REF_1), rates)
+    rho0 = _density(_basis_state(sector_dim(1), slot(1, F)))
+    with pytest.raises(ValueError,
+                       match=r"single-excitation sector.*\(3N\+3,\)"):
+        next(walk_steps(rho0, step))
 
 
 @pytest.mark.parametrize("shape", [pytest.param((dim,), id=str(dim))
@@ -734,7 +769,7 @@ def test_record_modes():
                                            range(1, 3))
     assert [n for n, _ in readouts] == [1, 2]
     assert np.array_equal(by_step.state, plain.state)
-    assert len(list(evolve_schedule(psi0, schedule, T0_RATES))) == 2
+    assert len(list(walk_schedule(psi0, schedule, T0_RATES))) == 2
 
 
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
@@ -746,7 +781,7 @@ def test_stale_readout_is_refused(rates):
     dim = sector_dim(3)
     schedule = build_schedule(ExperimentConfig(n_steps=3))
     psi0 = _basis_state(dim, slot(1, F))
-    reads = list(evolve_schedule(psi0, schedule, rates))
+    reads = list(walk_schedule(psi0, schedule, rates))
     for read in reads[:-1]:
         with pytest.raises(ValueError, match="can no longer be read"):
             read()

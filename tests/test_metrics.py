@@ -7,8 +7,7 @@ from fullspace import E, F, G, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqwalk.metrics import (Distribution, extract_distribution, similarity,
-                            similarity_report)
+from cqwalk.metrics import extract_distribution, similarity, similarity_report
 
 
 def test_extract_truncated_by_hand():
@@ -23,7 +22,8 @@ def test_extract_truncated_by_hand():
     assert np.allclose(dist.p, [0.55, 0.20])
     assert dist.residual_vacuum == pytest.approx(0.15)
     assert dist.residual_cavity == pytest.approx(0.10)
-    assert dist.total() == pytest.approx(1.0)
+    total = dist.p.sum() + dist.residual_vacuum + dist.residual_cavity
+    assert total == pytest.approx(1.0)
 
 
 def test_extract_full_mode_classification():
@@ -105,8 +105,3 @@ def test_similarity_bounded(a, b):
         q /= sq
     s = similarity(p, q)
     assert -1e-12 <= s <= 1.0 + 1e-9
-
-
-def test_distribution_total():
-    d = Distribution(np.array([0.5, 0.3]), 0.1, 0.1)
-    assert d.total() == pytest.approx(1.0)
