@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .idealwalk import coin_preset, run_ideal
 from .lindblad import IntegrationError
 
 
-# Conventional grids of sweep axes, by the field they set (MHz).
-_DEFAULT_VALUES = {"g_over_2pi_mhz": "10:60:5"}
+# The g axis's stock grid (MHz), swept when --values is not given.
+_G_GRID = "10:60:5"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,40 +64,34 @@ def _config_from_args(args) -> ExperimentConfig:
     return config_from_mapping(overrides, base)
 
 
-def _parse_value_list(text: str, where: str) -> tuple[float, ...]:
-    """Comma list of numbers; a:b[:c] tokens expand to inclusive ranges."""
-    out: list[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            parts = token.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"{where}: bad range {token!r}")
-            try:
-                start, stop = float(parts[0]), float(parts[1])
-                step = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise ConfigError(f"{where}: bad range {token!r}") from None
-            if not all(map(math.isfinite, (start, stop, step))):
-                raise ConfigError(f"{where}: range {token!r} is not finite")
-            if step <= 0 or stop < start:
-                raise ConfigError(f"{where}: empty range {token!r}")
-            count = (stop - start) / step
-            if not math.isfinite(count):
-                raise ConfigError(f"{where}: range {token!r} has too many"
-                                  " values")
-            out.extend(start + i * step for i in range(round(count) + 1)
-                       if start + i * step <= stop + 1e-9 * step)
-        else:
-            try:
-                out.append(float(token))
-            except ValueError:
-                raise ConfigError(f"{where}: bad number {token!r}") from None
-    if not out:
-        raise ConfigError(f"{where}: no values given")
-    return tuple(out)
+def _parse_value_list(text: str | None, where: str,
+                      base: ExperimentConfig) -> tuple[float, ...]:
+    """Comma list of numbers; a:b[:c] tokens expand to inclusive ranges.
+    The values are counted, and charged as sweep rows of base
+    (config.check_memory), before any range is expanded."""
+    spans = []
+    for token in filter(None, map(str.strip, (text or "").split(","))):
+        parts = token.split(":")
+        if len(parts) == 1:                  # a number n is the range n:n
+            parts *= 2
+        if len(parts) > 3:
+            raise ConfigError(f"{where}: bad range {token!r}")
+        try:
+            start, stop = float(parts[0]), float(parts[1])
+            step = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ConfigError(f"{where}: bad value {token!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{where}: {token!r} is not finite")
+        if step <= 0 or stop < start:
+            raise ConfigError(f"{where}: empty range {token!r}")
+        spans.append((start, stop, step))
+    # before any range is expanded; a count that overflows is inf rows
+    check_memory(base, rows=sum((stop - start) / step + 1
+                                for start, stop, step in spans))
+    return tuple(start + i * step for start, stop, step in spans
+                 for i in range(round((stop - start) / step) + 1)
+                 if start + i * step <= stop + 1e-9 * step)
 
 
 def _summary(rep: Report) -> str:
@@ -117,21 +112,16 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    default = _DEFAULT_VALUES.get(SWEEP_AXES[args.axis])
-    if args.values is None and default is None:
-        raise ConfigError(f"--values is required for axis {args.axis!r}")
-    values = _parse_value_list(default if args.values is None
-                               else args.values, "--values")
-    cross_axis = args.cross_axis
-    cross_values = ()
-    if cross_axis is not None:
-        if args.cross_values is None:
-            raise ConfigError("--cross-axis needs --cross-values")
-        cross_values = _parse_value_list(args.cross_values, "--cross-values")
-    elif args.cross_values is not None:
-        raise ConfigError("--cross-values needs --cross-axis")
-    spec = SweepSpec(axis=args.axis, values=values,
-                     cross_axis=cross_axis, cross_values=cross_values)
+    # a value list is charged as rows of the base run, of one step where
+    # the sweep sets n_steps; SweepSpec checks the axes and their values
+    base = (replace(cfg, n_steps=1)
+            if "n_steps" in (args.axis, args.cross_axis) else cfg)
+    values = (_G_GRID if args.values is None and args.axis == "g"
+              else args.values)
+    spec = SweepSpec(
+        axis=args.axis, values=_parse_value_list(values, "--values", base),
+        cross_axis=args.cross_axis, cross_values=_parse_value_list(
+            args.cross_values, "--cross-values", base))
     reports = run_sweep(cfg, spec)
     emit_report(reports, cfg.output or sys.stdout, cfg.format)
     failures = [r for r in reports if r.error]
@@ -180,13 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plot-script", metavar="PATH",
                        help="write a gnuplot-style companion script")
 
-    defaults = " ".join(f"(axis {axis} defaults to {_DEFAULT_VALUES[name]})"
-                       for axis, name in SWEEP_AXES.items()
-                       if name in _DEFAULT_VALUES)
-    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
+    axes = "one of " + ", ".join(SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, help=axes)
     p_sweep.add_argument("--values", help="comma list; a:b[:c] expands to "
-                                          f"a range {defaults}")
-    p_sweep.add_argument("--cross-axis", choices=tuple(SWEEP_AXES))
+                                          f"a range (g defaults to {_G_GRID})")
+    p_sweep.add_argument("--cross-axis", help=axes)
     p_sweep.add_argument("--cross-values")
 
     p_run.set_defaults(func=_cmd_run)

@@ -43,6 +43,11 @@ _STATE_COPIES = 6
 # Complex vectors of length 3N+4 at the peak of a noise-free run, which
 # holds psi, not rho: about 35 under tracemalloc at N = 80, 320 and 1000.
 _VECTOR_COPIES = 64
+# Bytes a sweep row holds at the peak of run_sweep beside its P_me and P_id
+# data (its value, grid config, group key and Report): 1588 (noise-free)
+# to 1636 (noisy) under tracemalloc, in scale sweeps of 1000 to 3000
+# points at n_steps 1 and 4; this is 1.25 times the largest, rounded up.
+_ROW_BYTES = 2048
 
 REPORT_FORMATS = ("csv", "json")
 
@@ -209,23 +214,30 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def check_memory(cfg: ExperimentConfig, kept: int = 0,
+def check_memory(cfg: ExperimentConfig, rows: float = 0,
                  noise_free: bool = False) -> None:
-    """ConfigError if the run of cfg, a valid config, with kept bytes
-    beside it (a sweep's rows), would need more than the host's physical
-    memory.  The run is charged as noise-free when every rate of cfg is 0
-    or noise_free is set (the exact walk alone is charged as one)."""
+    """ConfigError if the run of cfg, a valid config, beside rows sweep
+    rows of at most its n_steps would need more than the host's physical
+    memory.  A row holds P_me and P_id, n_steps + 1 float64s each, and
+    _ROW_BYTES of its own.  The run is charged as noise-free when every
+    rate of cfg is 0 or noise_free is set (the exact walk alone is
+    charged as one)."""
     noise_free = noise_free or cfg.rates() == DecoherenceRates()
     dim = 3 * cfg.n_steps + 4
     copies = _VECTOR_COPIES if noise_free else _STATE_COPIES
-    need = 16 * copies * (dim if noise_free else dim**2) + kept
-    memory = _physical_memory()
-    if memory is not None and need > memory:
+    need = 16 * copies * (dim if noise_free else dim**2)
+    memory = _physical_memory() or math.inf
+    sweep = ""
+    if rows and need <= memory:        # rows are named beside a run that fits
+        need += rows * (16 * (cfg.n_steps + 1) + _ROW_BYTES)
+        sweep = f", with its sweep of {rows:g} rows"
+    if need > memory:
+        # past n_steps of about 1e149, need is an int no float can hold
+        gib = need / 2**30 if need < 2**1000 else math.inf
         raise ConfigError(
-            f"n_steps = {cfg.n_steps} needs about {need / 2**30:.3g} GiB for"
+            f"n_steps = {cfg.n_steps} needs about {gib:.3g} GiB for"
             f" {copies} {'state vectors' if noise_free else 'dense states'}"
-            f" of dimension {dim} in one run"
-            f"{', with its sweep' if kept else ''}, more than the host's"
+            f" of dimension {dim} in one run{sweep}, more than the host's"
             f" {memory / 2**30:.3g} GiB of physical memory")
 
 
@@ -244,10 +256,10 @@ def config_from_mapping(mapping: dict[str, object],
     return validate_config(replace(base, **mapping))
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_mapping(parse_config_text(text), base)
+    return config_from_mapping(parse_config_text(text))

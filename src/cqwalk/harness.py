@@ -134,12 +134,13 @@ def _compiled_step(point: ExperimentConfig) -> tuple:
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
-    """The Report fields that echo cfg's parameter point (mu = auto is
-    reported as g)."""
-    return dict(n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
+    """The Report fields that echo cfg's parameter point, each as its
+    field's type (mu = auto is reported as g)."""
+    echo = dict(n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
                 omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
                 mu_over_2pi_mhz=mu_over_2pi_mhz(cfg),
                 theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale)
+    return {name: field_type(name)(value) for name, value in echo.items()}
 
 
 def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
@@ -230,25 +231,23 @@ class SweepSpec:
 
 
 def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig]:
-    """Config per grid point, primary axis outermost (row-major); a
-    ConfigError if a point, or the sweep's rows, would not fit."""
-    def apply(cfg, axis, value):
-        name = SWEEP_AXES[axis]
-        return replace(cfg, **{name: field_type(name)(value)})
+    """Config per grid point, primary axis outermost (row-major).  Before
+    the grid is built, its first point at the largest n_steps is charged
+    with every row (check_memory): groups run one at a time, but every
+    row is kept."""
+    cross = spec.cross_values or (None,)
 
-    grid = []
-    for v in spec.values:
-        point = apply(base, spec.axis, v)
-        if spec.cross_axis is None:
-            grid.append(validate_config(point))
-        else:
-            for w in spec.cross_values:
-                grid.append(validate_config(apply(point, spec.cross_axis, w)))
-    # groups run one at a time, but every row keeps its P_me and P_id
-    top = max(grid, key=lambda cfg: cfg.n_steps)
-    check_memory(top)
-    check_memory(top, kept=16 * sum(cfg.n_steps + 1 for cfg in grid))
-    return grid
+    def point(*values):
+        axes = zip((spec.axis, spec.cross_axis), values)
+        return validate_config(replace(base, **{
+            SWEEP_AXES[a]: field_type(SWEEP_AXES[a])(x) for a, x in axes if a}))
+
+    top = point(spec.values[0], cross[0])
+    steps = {spec.axis: spec.values, spec.cross_axis: spec.cross_values}
+    if "n_steps" in steps:
+        top = replace(top, n_steps=int(max(steps["n_steps"])))
+    check_memory(top, rows=len(spec.values) * len(cross))
+    return [point(v, w) for v, w in itertools.product(spec.values, cross)]
 
 
 def _error_report(cfg: ExperimentConfig, exc: Exception) -> Report:
@@ -316,10 +315,8 @@ def _opened(destination):
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, (str, int)):
+        return str(value)
     return f"{float(value):.12g}"
 
 

@@ -139,7 +139,7 @@ def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """
     a = np.concatenate(stacks, dtype=complex)
     bounds = np.cumsum([0, *map(len, stacks)])
-    squarings = np.zeros(len(a), dtype=int)
+    squarings = []
     for start, end in zip(bounds, bounds[1:]):
         norm = float(np.abs(a[start:end]).sum(axis=1).max(initial=0.0))
         if not math.isfinite(norm):
@@ -147,21 +147,19 @@ def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
         # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e
         # with m in [1/2, 1), read exactly from the float
         mantissa, exponent = math.frexp(norm)
-        count = squarings[start:end] = max(0, exponent + (mantissa > 0.5))
-        a[start:end] *= 2.0 ** -count  # exact; 2.0 ** 1025 would overflow
+        squarings.append(max(0, exponent + (mantissa > 0.5)))
+        a[start:end] *= 2.0 ** -squarings[-1]   # exact; 2.0 ** 1025 overflows
     eye = np.eye(a.shape[-1])
     exp_a = eye + a / 16
     for k in range(15, 0, -1):                # Horner: I + a/k (I + ...)
         exp_a = a @ exp_a
         exp_a *= 1 / k           # what numpy's / k computes, in place
         exp_a += eye
-    for done in range(squarings.max(initial=0)):
-        more = squarings > done
-        if more.all():              # no gather and scatter through a mask
-            exp_a = exp_a @ exp_a
-        else:
-            exp_a[more] = exp_a[more] @ exp_a[more]
-    return np.split(exp_a, bounds[1:-1])
+    exps = np.split(exp_a, bounds[1:-1])
+    for i, count in enumerate(squarings):
+        for _ in range(count):
+            exps[i] = exps[i] @ exps[i]
+    return exps
 
 
 def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqwalk
-from cqwalk import config, lindblad
+from cqwalk import cli, config, lindblad
 from cqwalk.cli import main
 from cqwalk.harness import REPORT_COLUMNS
 
@@ -154,12 +155,70 @@ def test_sweep_with_a_failed_row_exits_2(tmp_path, capsys):
     ["sweep", "--axis", "g", "--values", "1:inf"],
     ["sweep", "--axis", "g", "--values", "1:5:nan"],
     ["sweep", "--axis", "g", "--values", "0:1e300:1e-300"],  # count overflows
+    ["sweep", "--axis", "n_steps", "--values", "1e300"],  # size past a float
+    ["run", "--n-steps", "1" + "0" * 400],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("cqwalk: config error:")
     assert err.count("\n") == 1                 # one line, no traceback
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--axis", "n_steps"], "axis 'n_steps' has no values"),
+    (["--axis", "n_steps", "--values", "1", "--cross-values", "2"],
+     "cross values given without a cross axis"),
+    (["--axis", "n_steps", "--values", "1", "--cross-axis", "scale"],
+     "axis 'scale' has no values"),
+    (["--axis", "steps", "--values", "1"], "unknown sweep axis 'steps';"
+     " choose from ['g', 'n_steps', 'omega_rabi', 'scale']"),
+])
+def test_sweep_spec_checks_the_parsed_sweep(argv, message, capsys):
+    # the CLI only parses a sweep; SweepSpec refuses what does not hold
+    assert main(["sweep", *argv]) == 1
+    assert capsys.readouterr().err == f"cqwalk: config error: {message}\n"
+
+
+@pytest.mark.parametrize("text, values", [
+    ("1:3", (1.0, 2.0, 3.0)),
+    ("10:60:5", tuple(float(v) for v in range(10, 61, 5))),
+    ("0.1:0.3:0.1", (0.1, 0.2, 0.30000000000000004)),
+    ("1:20", tuple(float(v) for v in range(1, 21))),
+    ("5,1,0.2", (5.0, 1.0, 0.2)),
+    (" 1, 2:3 ,,1e300", (1.0, 2.0, 3.0, 1e300)),
+])
+def test_value_lists_expand_bit_for_bit(text, values):
+    got = cli._parse_value_list(text, "--values", cqwalk.ExperimentConfig())
+    assert [v.hex() for v in got] == [v.hex() for v in values]
+
+
+def _cap_address_space():
+    cap = 3 * 2**29                    # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--axis", "scale", "--values", "1:1e300"],
+    ["--axis", "scale", "--values", "0:1e9:1"],
+    ["--axis", "n_steps", "--values", "1:30000", "--cross-axis", "scale",
+     "--cross-values", "1:30000"],              # 9e8 points
+])
+def test_oversized_sweep_is_refused_before_it_is_built(argv):
+    # each range or grid would outgrow any host's memory; it is charged
+    # before a value list or config is built, so the refusal is one line.
+    # The child has a time limit and a capped address space, so a
+    # regression fails fast instead of hanging or eating the machine
+    src = str(Path(cqwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-m", "cqwalk.cli", "sweep", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=30, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("cqwalk: config error: n_steps = ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

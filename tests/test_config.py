@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cqwalk import config
+from cqwalk import config, harness
 from cqwalk.config import (ConfigError, ExperimentConfig, check_memory,
                            config_from_mapping, config_keys, load_config,
                            parse_config_text, parse_field_value,
@@ -100,22 +100,27 @@ def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
 
 
 def test_sweep_is_charged_for_its_rows(monkeypatch):
-    # every row of a sweep keeps P_me and P_id, 2 (n+1) float64s: a
-    # noise-free n_steps 1..400 sweep keeps 1.29 MB of them beside its
-    # largest run's 1.23 MB, so on a 2 MiB host each run fits but the
-    # sweep does not
+    # every row of a sweep keeps P_me and P_id, at most 2 (n+1) float64s,
+    # and _ROW_BYTES of its own: a noise-free n_steps 1..400 sweep is
+    # charged 3.4 MB of rows beside its largest run's 1.23 MB, so on a
+    # 2 MiB host the run fits but the sweep does not, and it is refused
+    # before any config but its largest is built
     lifetimes = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
                  "tphi_e_us", "tphi_f_us")
     base = ExperimentConfig(**dict.fromkeys(lifetimes, math.inf))
     spec = SweepSpec(axis="n_steps", values=tuple(range(1, 401)))
     run = 16 * config._VECTOR_COPIES * (3 * 400 + 4)
-    rows = 16 * sum(n + 1 for n in spec.values)
+    rows = 400 * (16 * 401 + config._ROW_BYTES)
     assert run < 2**21 < run + rows
     monkeypatch.setattr(config, "_physical_memory", lambda: 2**21)
     check_memory(dataclasses.replace(base, n_steps=400))
+    built = []
+    monkeypatch.setattr(harness, "validate_config",
+                        lambda cfg: built.append(cfg) or cfg)
     with pytest.raises(ConfigError, match="n_steps = 400 .* one run, with its"
-                                          " sweep, more than"):
+                                          " sweep of 400 rows, more than"):
         sweep_grid(base, spec)
+    assert len(built) == 1
     assert len(sweep_grid(base, SweepSpec(axis="n_steps",
                                           values=tuple(range(1, 201))))) == 200
 

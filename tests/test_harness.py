@@ -489,6 +489,32 @@ def test_json_round_trip():
     assert loaded[0]["S"] == rep.s
 
 
+@pytest.mark.parametrize("numbers", [{"n_steps": np.int64(3)},
+                                     {"g_over_2pi_mhz": np.float32(50.0)}],
+                         ids=["int64 n_steps", "float32 g"])
+@pytest.mark.parametrize("reports", [
+    lambda cfg: [run_experiment(cfg)],
+    lambda cfg: run_sweep(cfg, SweepSpec("scale", (1.0, 0.5)))],
+    ids=["run_experiment", "run_sweep"])
+def test_numpy_numbers_are_reported_as_their_fields_type(numbers, reports):
+    # a row echoes each number as its field's type, so a config given
+    # numpy numbers writes the JSON and CSV of its Python-number twin
+    base = ExperimentConfig(n_steps=3)
+    twin = {name: config.field_type(name)(v) for name, v in numbers.items()}
+    for fmt in ("json", "csv"):
+        got, want = io.StringIO(), io.StringIO()
+        emit_report(reports(replace(base, **numbers)), got, fmt)
+        emit_report(reports(replace(base, **twin)), want, fmt)
+        if fmt == "json":
+            rows = [json.loads(buf.getvalue()) for buf in (got, want)]
+            for row in itertools.chain(*rows):
+                del row["wall_ms"]
+        else:
+            rows = [[line.rsplit(",", 1)[0] for line in
+                     buf.getvalue().splitlines()] for buf in (got, want)]
+        assert rows[0] == rows[1]
+
+
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "x.csv", "csv")
