@@ -326,7 +326,8 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
     destination is a path or a text file object.  JSON mirrors the CSV
     columns and adds the nested P_me / P_id arrays, the final state's
     min_eigenvalue, the run's max_hermiticity_drift (and the error
-    message for failed sweep points).
+    message for failed sweep points); a value that is not finite, as in
+    a failed row, is null.
     """
     if not reports:
         raise ValueError("no reports to emit")
@@ -338,18 +339,27 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
             writer.writerow(REPORT_COLUMNS)
             for rep in reports:
                 writer.writerow([_cell(v) for v in rep.column_values()])
-        else:
-            json.dump([report_to_json_obj(rep) for rep in reports], fh,
-                      indent=2)
-            fh.write("\n")
+        else:                  # json.dump(indent=2), one row at a time
+            fh.write("[\n")
+            for i, rep in enumerate(reports):
+                text = json.dumps(report_to_json_obj(rep), indent=2)
+                fh.write((",\n  " if i else "  ") + text.replace("\n", "\n  "))
+            fh.write("\n]\n")
+
+
+def _json_float(x) -> float | None:
+    """x as a float, or None (null) if it is not finite: JSON has no NaN."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def report_to_json_obj(rep: Report) -> dict:
-    obj = dict(zip(REPORT_COLUMNS, rep.column_values()))
-    obj["P_me"] = [float(x) for x in np.asarray(rep.p_me)]
-    obj["P_id"] = [float(x) for x in np.asarray(rep.p_id)]
-    obj["min_eigenvalue"] = rep.min_eigenvalue
-    obj["max_hermiticity_drift"] = rep.max_hermiticity_drift
+    obj = {column: v if isinstance(v, (str, int)) else _json_float(v)
+           for column, v in zip(REPORT_COLUMNS, rep.column_values())}
+    obj["P_me"] = [_json_float(x) for x in np.asarray(rep.p_me)]
+    obj["P_id"] = [_json_float(x) for x in np.asarray(rep.p_id)]
+    obj["min_eigenvalue"] = _json_float(rep.min_eigenvalue)
+    obj["max_hermiticity_drift"] = _json_float(rep.max_hermiticity_drift)
     if rep.error is not None:
         obj["error"] = rep.error
     return obj

@@ -1,13 +1,13 @@
-"""Exact discrete-time quantum walk on a line with a hard left wall.
+"""Exact discrete-time quantum walk on a line.
 
 Reference dynamics for the hardware simulation: a walker on sites
-1..N+1 with a two-level coin.  Each step applies the coin rotation
+1, 2, ... with a two-level coin.  Each step applies the coin rotation
 
     C(theta) = [[cos t, sin t], [sin t, -cos t]]
 
 to the coin register, then a conditional shift: coin 0 stays put,
-coin 1 moves one site to the right.  Starting at site 1, N steps never
-reach the wall, so the shift is exactly unitary on the stored range.
+coin 1 moves one site to the right.  Started at site 1, the walker is
+on sites 1..n+1 after n steps, and the walk stores just those sites.
 """
 
 from __future__ import annotations
@@ -61,43 +61,23 @@ def coin_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def step(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """One walk step on an (n_sites, 2) amplitude array.
-
-    Raises ValueError if coin-1 amplitude would be shifted off the
-    stored site range (the array is too short for another step).
-    """
-    mixed = amps @ coin.T
-    if abs(mixed[-1, 1]) > 1e-12:
-        raise ValueError("walk overflow: amplitude shifted past the last "
-                         "stored site; allocate more sites")
-    out = np.zeros_like(mixed)
-    out[:, 0] = mixed[:, 0]
-    out[1:, 1] = mixed[:-1, 1]
-    return out
-
-
 def walk(n_steps: int, theta: float, coin: CoinState) -> Iterator[np.ndarray]:
     """The amplitudes after each step n = 0..n_steps of one n_steps-step
-    walk from site 1, as (n+1, 2) arrays on sites 1..n+1.
+    walk from site 1, as new (n+1, 2) arrays on sites 1..n+1.
 
-    Up to step n the walker never leaves sites 1..n+1, so each is, bit
-    for bit, the final amplitudes of an n-step walk.
+    Each is, bit for bit, the final amplitudes of an n-step walk.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    amps = np.zeros((n_steps + 1, 2), dtype=complex)
-    amps[0] = coin.as_vector()
     c = coin_matrix(theta)
-    yield amps[:1]
+    amps = coin.as_vector()[np.newaxis]
+    yield amps
     for n in range(1, n_steps + 1):
-        amps = step(amps, c)
-        yield amps[:n + 1]
-
-
-def walk_amplitudes(n_steps: int, theta: float, coin: CoinState) -> np.ndarray:
-    """Final (n_steps+1, 2) amplitudes for a walker started at site 1."""
-    return collections.deque(walk(n_steps, theta, coin), maxlen=1)[0]
+        mixed = amps @ c.T
+        amps = np.zeros((n + 1, 2), dtype=complex)
+        amps[:-1, 0] = mixed[:, 0]
+        amps[1:, 1] = mixed[:, 1]
+        yield amps
 
 
 def site_probabilities(amps: np.ndarray) -> np.ndarray:
@@ -107,4 +87,5 @@ def site_probabilities(amps: np.ndarray) -> np.ndarray:
 
 def run_ideal(n_steps: int, theta: float, coin: CoinState) -> np.ndarray:
     """Site occupation probabilities after n_steps ideal walk steps."""
-    return site_probabilities(walk_amplitudes(n_steps, theta, coin))
+    return site_probabilities(
+        collections.deque(walk(n_steps, theta, coin), maxlen=1)[0])

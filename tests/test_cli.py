@@ -129,6 +129,29 @@ def test_sweep_with_a_failed_row_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "1/2 sweep points failed\n"
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_failed_row_is_null_in_strict_json(tmp_path):
+    # RFC 8259 has no NaN: a failed row's numbers that are not finite
+    # are written as null, and the good row is its separate run's row
+    path, alone = tmp_path / "sweep.json", tmp_path / "run.json"
+    flags = ["--t1-ge-us", "1e-300", "--format", "json", "--output"]
+    assert main(["sweep", "--axis", "scale", "--values", "1e300,1",
+                 *flags, str(path)]) == 2
+    assert main(["run", "--scale", "1e300", *flags, str(alone)]) == 0
+    good, failed = json.loads(path.read_text(), parse_constant=_no_constant)
+    [run] = json.loads(alone.read_text(), parse_constant=_no_constant)
+    assert good.pop("wall_ms") > 0 and run.pop("wall_ms") > 0
+    assert good == run
+    for name in ("S", "S_renorm", "residual_vacuum", "residual_cavity",
+                 "trace_error", "wall_ms", "min_eigenvalue"):
+        assert failed[name] is None, name
+    assert failed["P_me"] == failed["P_id"] == []
+    assert failed["scale"] == 1 and failed["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--coin0", "sideways"],
     ["run", "--n-steps", "zero"],

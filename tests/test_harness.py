@@ -17,7 +17,7 @@ from conftest import zero_noise_config
 from fullspace import E, F, sector_dim, slot
 
 import cqwalk
-from cqwalk import config, harness, idealwalk, lindblad
+from cqwalk import config, harness, lindblad
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -296,19 +296,19 @@ def test_configs_of_one_device_point_share_its_step(monkeypatch):
 def test_sweep_walks_the_ideal_walk_once_per_group(monkeypatch):
     # each group's rows take P_id from one ideal walk of its largest
     # n_steps, not one walk per row
-    steps = []
-    step = idealwalk.step
+    walks = []
+    walk = harness.walk
 
-    def counting(amps, coin):
-        steps.append(len(amps))
-        return step(amps, coin)
+    def counting(n_steps, theta, coin):
+        walks.append(n_steps)
+        return walk(n_steps, theta, coin)
 
-    monkeypatch.setattr(idealwalk, "step", counting)
+    monkeypatch.setattr(harness, "walk", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
                      cross_axis="scale", cross_values=(5.0, 0.2))
     rows = run_sweep(ExperimentConfig(), spec)
     assert len(rows) == 8 and all(r.error is None for r in rows)
-    assert steps == [7] * 6 * 2             # six N=6 steps per scale
+    assert walks == [6, 6]                  # one N=6 walk per scale
 
 
 def test_noise_free_readouts_form_no_spectrum(monkeypatch):
@@ -487,6 +487,49 @@ def test_json_round_trip():
     assert loaded[0]["n_steps"] == 1
     assert len(loaded[0]["P_me"]) == 2
     assert loaded[0]["S"] == rep.s
+
+
+def test_json_rows_are_written_one_at_a_time_as_one_dump():
+    # the rows are written one by one, error rows and all, as the bytes
+    # of one json.dump of the whole list
+    spec = SweepSpec(axis="scale", values=(1e300, 1.0, 0.5))
+    rows = run_sweep(ExperimentConfig(n_steps=2, t1_ge_us=1e-300), spec)
+    assert [r.error is None for r in rows] == [True, False, False]
+    for reports in (rows[:1], rows[1:2], rows):
+        got = io.StringIO()
+        emit_report(reports, got, "json")
+        want = json.dumps([report_to_json_obj(r) for r in reports], indent=2)
+        assert got.getvalue() == want + "\n"
+
+
+class _Sink:
+    """A text file that keeps nothing of what is written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_json_emit_holds_one_row_at_a_time():
+    # one row's dict and text at a time: 2000 rows at n_steps 40 peak
+    # at about 120-160 kB, mostly the json encoder's cyclic garbage that
+    # the collector takes back (6.8 MB when every row's dict was built
+    # before the first was written)
+    rng = np.random.default_rng(7)
+    base = _tiny_report()
+    reports = [replace(base, n_steps=40, p_me=rng.random(41),
+                       p_id=rng.random(41)) for _ in range(2000)]
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        emit_report(reports, sink, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 2000 * 2000
+    assert peak < 512 * 1024
 
 
 @pytest.mark.parametrize("numbers", [{"n_steps": np.int64(3)},

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqwalk.idealwalk import (CoinState, coin_matrix, coin_preset, run_ideal,
-                              site_probabilities, step, walk,
-                              walk_amplitudes)
+                              site_probabilities, walk)
 
 
 def test_coin_matrix_is_orthogonal_involution():
@@ -37,6 +37,16 @@ def test_zero_steps_is_initial_site():
     p = run_ideal(0, 1.0, coin_preset("plus-i"))
     assert p.shape == (1,)
     assert p[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="n_steps"):
+        run_ideal(-1, 1.0, coin_preset("one"))
+
+
+def test_walk_amplitudes_shape_and_start():
+    [amps] = walk(0, 1.0, coin_preset("one"))
+    assert amps.shape == (1, 2)
+    assert amps[0, 0] == 0.0 and amps[0, 1] == 1.0
+    with pytest.raises(ValueError, match="n_steps"):
+        next(walk(-1, 1.0, coin_preset("one")))
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,20 +107,51 @@ def test_distribution_normalized(n, theta):
 
 
 def test_step_preserves_norm():
-    amps = np.zeros((5, 2), dtype=complex)
-    amps[0] = coin_preset("plus-i").as_vector()
-    c = coin_matrix(1.2)
-    for _ in range(4):
-        amps = step(amps, c)
+    for amps in walk(4, 1.2, coin_preset("plus-i")):
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_walk_amplitudes_shape_and_start():
-    amps = walk_amplitudes(0, 1.0, coin_preset("one"))
-    assert amps.shape == (1, 2)
-    assert amps[0, 1] == 1.0
-    with pytest.raises(ValueError):
-        walk_amplitudes(-1, 1.0, coin_preset("one"))
+def _full_array_walk(n_steps, theta, coin):
+    """The walk as a recurrence on all n_steps + 1 sites from the start:
+    coin into every site, then the shift into a fresh full-length array;
+    yields the first n + 1 sites after step n."""
+    amps = np.zeros((n_steps + 1, 2), dtype=complex)
+    amps[0] = coin.as_vector()
+    c = coin_matrix(theta)
+    yield amps[:1]
+    for n in range(1, n_steps + 1):
+        mixed = amps @ c.T
+        amps = np.zeros_like(mixed)
+        amps[:, 0] = mixed[:, 0]
+        amps[1:, 1] = mixed[:-1, 1]
+        yield amps[:n + 1]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 1.2],
+                         ids=["pi/4", "0.3", "1.2"])
+@pytest.mark.parametrize("coin", ["zero", "one", "plus-i"])
+def test_walk_equals_the_full_array_recurrence(coin, theta):
+    # the walk stores only the sites it has reached; at every step its
+    # amplitudes equal those of the recurrence on every site, and its
+    # site probabilities are the same bytes
+    n_steps = 400
+    pairs = zip(walk(n_steps, theta, coin_preset(coin)),
+                _full_array_walk(n_steps, theta, coin_preset(coin)),
+                strict=True)
+    for n, (amps, full) in enumerate(pairs):
+        assert np.array_equal(amps, full), n
+        assert (site_probabilities(amps).tobytes()
+                == site_probabilities(full).tobytes()), n
+
+
+def test_earlier_steps_are_left_as_they_were():
+    # a step's array is its own: the walk going on does not write it
+    steps = walk(12, 0.7, coin_preset("plus-i"))
+    kept = [(amps, amps.copy()) for amps in itertools.islice(steps, 6)]
+    for _ in steps:
+        pass
+    for amps, copy in kept:
+        assert amps.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 1.2],
@@ -133,11 +174,3 @@ def test_coin_matrix_domain():
     for bad in (0.0, math.pi / 2, 2.0, -0.3):
         with pytest.raises(ValueError):
             coin_matrix(bad)
-
-
-def test_step_overflow_rejected():
-    # coin-1 amplitude on the last stored site cannot shift right
-    amps = np.zeros((3, 2), dtype=complex)
-    amps[2, 1] = 1.0
-    with pytest.raises(ValueError, match="overflow"):
-        step(amps, coin_matrix(0.7))
