@@ -26,9 +26,9 @@ import numpy as np
 from .config import (ConfigError, ExperimentConfig, check_memory,
                      config_from_mapping, config_keys, load_config,
                      parse_field_value)
-from .harness import (SWEEP_AXES, Report, SweepSpec, _opened,
-                      emit_distribution, emit_plot_script, emit_report,
-                      run_experiment, run_sweep)
+from .harness import (SWEEP_AXES, Report, SweepSpec, emit_distribution,
+                      emit_plot_script, emit_report, run_experiment,
+                      run_sweep)
 from .idealwalk import coin_preset, run_ideal
 from .lindblad import IntegrationError
 
@@ -95,8 +95,6 @@ def _parse_value_list(text: str | None, where: str,
 
 
 def _summary(rep: Report) -> str:
-    if rep.error:
-        return f"error: {rep.error}"
     return (f"S = {rep.s:.6f} (S_renorm = {rep.s_renorm:.6f}), "
             f"residual vacuum {rep.residual_vacuum:.3e},"
             f" cavity {rep.residual_cavity:.3e}")
@@ -130,13 +128,14 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
               file=sys.stderr)
     if args.plot_script:
         emit_plot_script(cfg.output, args.plot_script, kind="sweep",
-                         axis=args.axis)
+                         spec=spec)
     return 2 if failures else 0
 
 
 def _cmd_dist(args, cfg: ExperimentConfig) -> int:
     rep = run_experiment(cfg)
-    emit_distribution(rep, cfg.output or sys.stdout)
+    emit_distribution({"P_me": rep.p_me, "P_id": rep.p_id},
+                      cfg.output or sys.stdout)
     print(_summary(rep), file=sys.stderr)
     if args.plot_script:
         emit_plot_script(cfg.output, args.plot_script, kind="dist")
@@ -146,10 +145,7 @@ def _cmd_dist(args, cfg: ExperimentConfig) -> int:
 def _cmd_ideal(args, cfg: ExperimentConfig) -> int:
     check_memory(cfg, noise_free=True)      # no master-equation run
     p = run_ideal(cfg.n_steps, cfg.theta_rad, coin_preset(cfg.coin0))
-    with _opened(cfg.output or sys.stdout) as fh:
-        fh.write("site,P_id\n")
-        for site, prob in enumerate(p, start=1):
-            fh.write(f"{site},{prob:.12g}\n")
+    emit_distribution({"P_id": p}, cfg.output or sys.stdout)
     return 0
 
 

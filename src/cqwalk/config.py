@@ -51,9 +51,10 @@ _ROW_BYTES = 2048
 
 REPORT_FORMATS = ("csv", "json")
 
-# The lifetime fields, in the order of the DecoherenceRates they give.
-_LIFETIMES = ("t1_cavity_us", "t1_ge_us", "t1_ef_us", "t1_gf_us",
-              "tphi_e_us", "tphi_f_us")
+# Each lifetime field and the DecoherenceRates field of its channel.
+_LIFETIMES = {"t1_cavity_us": "kappa", "t1_ge_us": "gamma_ge",
+              "t1_ef_us": "gamma_ef", "t1_gf_us": "gamma_gf",
+              "tphi_e_us": "gamma_phi_e", "tphi_f_us": "gamma_phi_f"}
 
 
 class ConfigError(ValueError):
@@ -93,9 +94,11 @@ class ExperimentConfig:
         one), divided by scale: every lifetime times scale, inverted."""
         if self.scale <= 0:
             raise ValueError("lifetime factor must be positive")
-        lifetimes = [getattr(self, name) for name in _LIFETIMES]
-        return DecoherenceRates(*((0.0 if math.isinf(t) else 1.0 / t)
-                                  / self.scale for t in lifetimes))
+        lifetimes = {rate: getattr(self, name)
+                     for name, rate in _LIFETIMES.items()}
+        return DecoherenceRates(**{
+            rate: (0.0 if math.isinf(t) else 1.0 / t) / self.scale
+            for rate, t in lifetimes.items()})
 
     def coin(self) -> CoinState:
         return coin_preset(self.coin0)

@@ -34,7 +34,7 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -70,12 +70,12 @@ class Report:
     theta_rad: float
     coin0: str
     scale: float
-    s: float
-    s_renorm: float
-    residual_vacuum: float
-    residual_cavity: float
-    trace_error: float
-    wall_ms: float
+    s: float = math.nan                    # the scores: NaN on a failed row
+    s_renorm: float = math.nan
+    residual_vacuum: float = math.nan
+    residual_cavity: float = math.nan
+    trace_error: float = math.nan
+    wall_ms: float = math.nan
     p_me: np.ndarray = field(default_factory=lambda: np.zeros(0))
     p_id: np.ndarray = field(default_factory=lambda: np.zeros(0))
     max_hermiticity_drift: float = 0.0
@@ -251,11 +251,7 @@ def sweep_grid(base: ExperimentConfig, spec: SweepSpec) -> list[ExperimentConfig
 
 
 def _error_report(cfg: ExperimentConfig, exc: Exception) -> Report:
-    nan = float("nan")
-    return Report(
-        **_echo(cfg), s=nan, s_renorm=nan, residual_vacuum=nan,
-        residual_cavity=nan, trace_error=nan, wall_ms=nan,
-        error=f"{type(exc).__name__}: {exc}")
+    return Report(**_echo(cfg), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
@@ -339,12 +335,10 @@ def emit_report(reports, destination, fmt: str = "csv") -> None:
             writer.writerow(REPORT_COLUMNS)
             for rep in reports:
                 writer.writerow([_cell(v) for v in rep.column_values()])
-        else:                  # json.dump(indent=2), one row at a time
-            fh.write("[\n")
-            for i, rep in enumerate(reports):
-                text = json.dumps(report_to_json_obj(rep), indent=2)
-                fh.write((",\n  " if i else "  ") + text.replace("\n", "\n  "))
-            fh.write("\n]\n")
+        else:        # json.dump encodes and writes one row at a time
+            json.dump(reports, fh, indent=2, default=report_to_json_obj,
+                      allow_nan=False)
+            fh.write("\n")
 
 
 def _json_float(x) -> float | None:
@@ -365,44 +359,46 @@ def report_to_json_obj(rep: Report) -> dict:
     return obj
 
 
-def emit_distribution(report: Report, destination) -> None:
-    """Per-site paired columns: site, P_me, P_id (one row per site)."""
-    if len(report.p_me) != len(report.p_id):
-        raise ValueError("report has no paired distributions")
+def emit_distribution(columns: Mapping[str, np.ndarray], destination) -> None:
+    """Per-site CSV: site, then each named column (one row per site)."""
+    if len({len(values) for values in columns.values()}) != 1:
+        raise ValueError("need one or more columns of equal length")
     with _opened(destination) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("site", "P_me", "P_id"))
-        for site, (pm, pi) in enumerate(zip(report.p_me, report.p_id), start=1):
-            writer.writerow((site, _cell(pm), _cell(pi)))
+        writer.writerow(("site", *columns))
+        for site, row in enumerate(zip(*columns.values()), start=1):
+            writer.writerow((site, *map(_cell, row)))
 
 
-_PLOT_KINDS = ("sweep", "dist")
-
-
-def emit_plot_script(data_path: str, destination,
-                     kind: str = "sweep", axis: str = "n_steps") -> None:
+def emit_plot_script(data_path: str, destination, kind: str = "sweep",
+                     spec: SweepSpec | None = None) -> None:
     """Companion gnuplot-style script for a report or distribution file.
 
-    Plain text, tool-agnostic commands: similarity against the swept
-    axis for "sweep" files, paired measured/ideal bars for "dist"
-    files.  The data path goes between single quotes, each ' in it
-    doubled (gnuplot's escape there).
+    Plain text, tool-agnostic commands: for "sweep" files, S against
+    spec's axis (n_steps if None), a curve per cross value; for "dist"
+    files, paired measured/ideal bars.  The data path goes between
+    single quotes, each ' in it doubled (gnuplot's escape there).
     """
-    if kind not in _PLOT_KINDS:
+    if kind not in ("sweep", "dist"):
         raise ValueError(f"unknown plot kind {kind!r}")
     data = "'" + str(data_path).replace("'", "''") + "'"
     lines = ["set datafile separator ','", "set key top right"]
     if kind == "sweep":
-        if axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {axis!r}")
+        axis = spec.axis if spec else "n_steps"
         columns = [c.lower() for c in REPORT_COLUMNS]   # 1-based in gnuplot
         x, y = 1 + columns.index(SWEEP_AXES[axis]), 1 + columns.index("s")
+        line = f"using {x}:{y} with linespoints title"
+        curves = [f"{data} skip 1 {line} 'S'"]
+        if spec and spec.cross_axis:     # rows are primary-major
+            k = len(spec.cross_values)
+            curves = [f"{data} skip 1 every {k}::{c} {line}"
+                      f" 'S ({spec.cross_axis} = {_cell(w)})'"
+                      for c, w in enumerate(spec.cross_values)]
         lines += [
             f"set xlabel '{axis}'",
             "set ylabel 'similarity S'",
             "set yrange [0:1.05]",
-            f"plot {data} skip 1 using {x}:{y} "
-            "with linespoints title 'S'",
+            "plot " + ", \\\n     ".join(curves),
         ]
     else:
         lines += [

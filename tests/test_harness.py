@@ -27,7 +27,7 @@ from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, walk_steps
 
 
-def test_initial_density_matrix_truncated():
+def test_initial_state_puts_the_coin_on_site_1():
     # psi0 psi0+ of the walker's state vector
     dim = sector_dim(2)
     coin = coin_preset("plus-i")
@@ -42,7 +42,7 @@ def test_initial_density_matrix_truncated():
     assert rho[f, e] == pytest.approx(-0.5j)  # c0 * conj(c1)
 
 
-def test_initial_density_matrix_full_mode():
+def test_initial_state_embeds_as_the_full_space_rho0():
     # the sector's psi0 psi0+, embedded, is the full-space oracle's rho0
     full = fullspace.FullSpace(1)
     v = fullspace.embedding_matrix(full)
@@ -514,8 +514,8 @@ class _Sink:
 
 def test_json_emit_holds_one_row_at_a_time():
     # one row's dict and text at a time: 2000 rows at n_steps 40 peak
-    # at about 120-160 kB, mostly the json encoder's cyclic garbage that
-    # the collector takes back (6.8 MB when every row's dict was built
+    # at about 7 kB under json.dump (about 150 kB when each row went
+    # through its own json.dumps, 6.8 MB when every row's dict was built
     # before the first was written)
     rng = np.random.default_rng(7)
     base = _tiny_report()
@@ -529,7 +529,7 @@ def test_json_emit_holds_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert sink.chars > 2000 * 2000
-    assert peak < 512 * 1024
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("numbers", [{"n_steps": np.int64(3)},
@@ -568,11 +568,18 @@ def test_emit_report_validation(tmp_path):
 def test_emit_distribution_file(tmp_path):
     rep = _tiny_report()
     path = tmp_path / "dist.csv"
-    emit_distribution(rep, path)
+    emit_distribution({"P_me": rep.p_me, "P_id": rep.p_id}, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "site,P_me,P_id"
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+    buf = io.StringIO()
+    emit_distribution({"P_id": rep.p_id}, buf)
+    assert buf.getvalue().splitlines() == [
+        "site,P_id", *(f"{i},{p:.12g}" for i, p in enumerate(rep.p_id, 1))]
+    for columns in ({"P_me": rep.p_me, "P_id": rep.p_id[:1]}, {}):
+        with pytest.raises(ValueError, match="equal length"):
+            emit_distribution(columns, io.StringIO())
 
 
 def test_plot_scripts():
@@ -585,7 +592,8 @@ def test_plot_scripts():
     assert set(axis_columns) == set(SWEEP_AXES)
     for axis, column in axis_columns.items():
         buf = io.StringIO()
-        emit_plot_script("sweep.csv", buf, kind="sweep", axis=axis)
+        emit_plot_script("sweep.csv", buf, kind="sweep",
+                         spec=SweepSpec(axis, (1,)))
         text = buf.getvalue()
         assert "plot 'sweep.csv'" in text
         x, y = re.search(r"using (\d+):(\d+) ", text).groups()
@@ -595,8 +603,30 @@ def test_plot_scripts():
     assert "boxes" in buf2.getvalue()
     with pytest.raises(ValueError):
         emit_plot_script("x.csv", io.StringIO(), kind="pie")
-    with pytest.raises(ValueError):
-        emit_plot_script("x.csv", io.StringIO(), kind="sweep", axis="phase")
+    # a run's one-row file is plotted against n_steps
+    run, steps = io.StringIO(), io.StringIO()
+    emit_plot_script("sweep.csv", run, kind="sweep")
+    emit_plot_script("sweep.csv", steps, kind="sweep",
+                     spec=SweepSpec("n_steps", (1,)))
+    assert run.getvalue() == steps.getvalue()
+
+
+def test_two_axis_plot_script_draws_one_curve_per_cross_value():
+    # the rows are primary-major, so cross value c is every 2nd row from c
+    spec = SweepSpec("n_steps", (2, 3), cross_axis="scale",
+                     cross_values=(1.0, 2.0))
+    buf = io.StringIO()
+    emit_plot_script("s.csv", buf, kind="sweep", spec=spec)
+    plot = buf.getvalue().split("plot ", 1)[1].splitlines()
+    assert plot == [
+        "'s.csv' skip 1 every 2::0 using 1:8 with linespoints"
+        " title 'S (scale = 1)', \\",
+        "     's.csv' skip 1 every 2::1 using 1:8 with linespoints"
+        " title 'S (scale = 2)'"]
+    rows = [(cfg.n_steps, cfg.scale) for cfg in
+            sweep_grid(ExperimentConfig(), spec)]
+    assert rows[0::2] == [(2, 1.0), (3, 1.0)]
+    assert rows[1::2] == [(2, 2.0), (3, 2.0)]
 
 
 def test_report_column_values_align_with_columns():

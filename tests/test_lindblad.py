@@ -87,6 +87,19 @@ def test_t0_preset_rates():
     assert r.gamma_phi_f == pytest.approx(0.2)
 
 
+def test_each_lifetime_gives_its_own_channel_rate():
+    # distinct lifetimes, so that two channels swapped show
+    lifetimes = dict(t1_cavity_us=1.0, t1_ge_us=2.0, t1_ef_us=4.0,
+                     t1_gf_us=8.0, tphi_e_us=16.0, tphi_f_us=32.0)
+    r = ExperimentConfig(scale=2.0, **lifetimes).rates()
+    assert r.kappa == 1 / (1.0 * 2.0)
+    assert r.gamma_ge == 1 / (2.0 * 2.0)
+    assert r.gamma_ef == 1 / (4.0 * 2.0)
+    assert r.gamma_gf == 1 / (8.0 * 2.0)
+    assert r.gamma_phi_e == 1 / (16.0 * 2.0)
+    assert r.gamma_phi_f == 1 / (32.0 * 2.0)
+
+
 def test_rate_scaling_divides_rates():
     r = ExperimentConfig(scale=5.0).rates()
     assert r.kappa == pytest.approx(0.02)
@@ -696,7 +709,7 @@ def test_symmetrize_is_the_strided_form(order):
     assert f.tobytes(order="C") == rho.tobytes()       # left untouched
 
 
-def test_snapshots_are_sector_states():
+def test_step_readouts_are_sector_states():
     # each step readout is the leading block of the run's state after
     # that step, the dense oracle's 3-chain state after n steps, which is
     # zero outside that block; the last one is the run without readouts.
@@ -758,7 +771,7 @@ def test_step_readout_refusals():
         _run_with_readouts(psi0, schedule, DISTINCT_RATES, (1, 3))
 
 
-def test_record_modes():
+def test_reading_every_step_leaves_the_final_state():
     # the run yields one readout per step; reading the steps on the way
     # leaves the final state as reading the last step alone does
     dim = sector_dim(2)
