@@ -199,8 +199,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("theta_rad must lie in (0, pi/2)")
     if not math.isfinite(cfg.phi_rad):
         bad("phi_rad must be finite")
-    if not all(math.isfinite(t)
-               for t in segment_durations(cfg).values()):
+    if not all(map(math.isfinite, segment_durations(cfg))):
         bad("coupling or drive too small: a pulse would last forever")
     if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
         bad("scale must be positive and finite")

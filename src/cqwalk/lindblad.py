@@ -115,12 +115,9 @@ class DecoherenceRates:
     gamma_phi_f: float = 0.0
 
     def __post_init__(self):
-        for name, val in self.as_dict().items():
+        for name, val in vars(self).items():
             if val < 0 or not math.isfinite(val):
                 raise ValueError(f"rate {name} must be finite and >= 0")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))        # the six rates by field name
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,9 @@ def compile_step(schedule: tuple[Segment, ...],
         return ()
     sites, count = len(schedule[0].hamiltonian), len(schedule)
     offsets = [operator.index(seg.offset) for seg in schedule]
-    kappa, ge, ef, gf, phi_e, phi_f = map(float, rates.as_dict().values())
+    kappa, ge, ef, gf, phi_e, phi_f = map(float, (
+        rates.kappa, rates.gamma_ge, rates.gamma_ef, rates.gamma_gf,
+        rates.gamma_phi_e, rates.gamma_phi_f))
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
     decay = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
     inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a

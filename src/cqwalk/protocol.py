@@ -61,10 +61,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-SEG_COIN = "coin"
-SEG_STORE = "store"
-SEG_RETRIEVE = "retrieve"
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -81,7 +77,6 @@ class Segment:
     exist.
     """
 
-    label: str
     hamiltonian: np.ndarray
     offset: int
     duration: float
@@ -101,14 +96,11 @@ def _angular(cfg: ExperimentConfig) -> tuple[float, float, float]:
             two_pi * mu_over_2pi_mhz(cfg))
 
 
-def segment_durations(cfg: ExperimentConfig) -> dict[str, float]:
-    """Durations (us) of the three segments of one step of cfg."""
+def segment_durations(cfg: ExperimentConfig) -> tuple[float, float, float]:
+    """Durations (us) of one step of cfg: (coin, store, retrieve)."""
     g, omega, mu = _angular(cfg)
-    return {
-        SEG_COIN: cfg.theta_rad / omega,
-        SEG_STORE: math.pi / (2.0 * g),
-        SEG_RETRIEVE: math.pi / (2.0 * mu),
-    }
+    return (cfg.theta_rad / omega, math.pi / (2.0 * g),
+            math.pi / (2.0 * mu))
 
 
 def build_schedule(cfg: ExperimentConfig) -> tuple[Segment, ...]:
@@ -129,7 +121,5 @@ def build_schedule(cfg: ExperimentConfig) -> tuple[Segment, ...]:
     store[:-1, 0, 2] = store[:-1, 2, 0] = g
     # (c_{j-1}, e_j, f_j) at offset 0; the first site's c_0 is the vacuum
     retrieve[1:, 0, 1] = retrieve[1:, 1, 0] = mu
-    durs = segment_durations(cfg)
-    return (Segment(SEG_COIN, coin, 1, durs[SEG_COIN]),
-            Segment(SEG_STORE, store, 1, durs[SEG_STORE]),
-            Segment(SEG_RETRIEVE, retrieve, 0, durs[SEG_RETRIEVE]))
+    return tuple(map(Segment, (coin, store, retrieve), (1, 1, 0),
+                     segment_durations(cfg)))

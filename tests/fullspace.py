@@ -29,8 +29,7 @@ from scipy.sparse.linalg import expm_multiply
 from cqwalk.harness import Report
 from cqwalk.idealwalk import run_ideal
 from cqwalk.metrics import Distribution, similarity_report
-from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
-                             segment_durations)
+from cqwalk.protocol import segment_durations
 
 # Qutrit level codes.
 G, E, F = 0, 1, 2
@@ -181,12 +180,9 @@ def build_schedule(full: FullSpace, cfg) -> list:
     """(H, duration) of every segment of the ExperimentConfig cfg's run
     on full's chain: cfg.n_steps repetitions of coin, store, retrieve,
     one matrix per kind."""
-    hs = {SEG_COIN: h_coin(full, cfg), SEG_STORE: h_store(full, cfg),
-          SEG_RETRIEVE: h_retrieve(full, cfg)}
-    durations = segment_durations(cfg)
-    return [(hs[label], durations[label])
-            for _ in range(cfg.n_steps)
-            for label in (SEG_COIN, SEG_STORE, SEG_RETRIEVE)]
+    step = list(zip((h_coin(full, cfg), h_store(full, cfg),
+                     h_retrieve(full, cfg)), segment_durations(cfg)))
+    return step * cfg.n_steps
 
 
 # (label prefix, DecoherenceRates field, to level, from level) per qutrit

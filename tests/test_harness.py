@@ -13,7 +13,7 @@ from pathlib import Path
 import fullspace
 import numpy as np
 import pytest
-from conftest import zero_noise_config
+from conftest import dense_hamiltonian, zero_noise_config
 from fullspace import E, F, sector_dim, slot
 
 import cqwalk
@@ -25,6 +25,7 @@ from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, walk_steps
+from cqwalk.protocol import build_schedule
 
 
 def test_initial_state_puts_the_coin_on_site_1():
@@ -62,6 +63,49 @@ def test_zero_noise_run_matches_ideal_oracle():
         assert rep.s == pytest.approx(1.0, abs=1e-9)
         assert rep.residual_vacuum == pytest.approx(0.0, abs=1e-10)
         assert rep.residual_cavity == pytest.approx(0.0, abs=1e-10)
+
+
+def _first_order_vacuum(cfg: ExperimentConfig) -> float:
+    """The limit of scale * residual_vacuum of cfg's walk as scale grows:
+    the outflow into the vacuum, sum_b sink_b |psi_b(t)|^2 at the rates
+    of scale 1, integrated along the noise-free trajectory psi(t).
+
+    psi(t) is propagated by eigh of each segment's dense Hamiltonian and
+    integrated by 12-node Gauss-Legendre per segment, so no code of the
+    compiled site maps takes part."""
+    rates = replace(cfg, scale=1.0).rates()
+    sink = np.zeros(sector_dim(cfg.n_steps))
+    sink[1::3], sink[2::3] = rates.gamma_ge, rates.gamma_gf   # e_j, f_j
+    sink[3::3] = rates.kappa                                   # c_1..c_N
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    step = [(*np.linalg.eigh(dense_hamiltonian(seg)), seg.duration)
+            for seg in build_schedule(cfg)]
+    psi = initial_state(cfg.n_steps, cfg.coin())
+    delta = 0.0
+    for _ in range(cfg.n_steps):
+        for w, v, t in step:
+            c = v.conj().T @ psi
+            at_nodes = v @ (np.exp(-0.5j * t * np.outer(w, nodes + 1))
+                            * c[:, None])
+            delta += t / 2 * sink @ np.abs(at_nodes) ** 2 @ weights
+            psi = v @ (np.exp(-1j * t * w) * c)
+    return delta
+
+
+@pytest.mark.parametrize("n", [20, 80])
+def test_noisy_run_tends_to_first_order_theory(n):
+    # at lifetime scale s the rates are O(1/s), so s residual_vacuum
+    # tends to the first-order vacuum with a gap of order 1/s; the
+    # lifetimes differ, since equal sinks would make the first-order
+    # vacuum rate x time whatever the walk does
+    cfg = ExperimentConfig(n_steps=n, t1_cavity_us=10.0, t1_ge_us=33.0,
+                           t1_gf_us=7.0, t1_ef_us=50.0, tphi_e_us=5.0,
+                           tphi_f_us=8.0)
+    delta = _first_order_vacuum(cfg)
+    gaps = [abs(s * run_experiment(replace(cfg, scale=s)).residual_vacuum
+                - delta) / delta for s in (100.0, 1e4)]
+    assert gaps[0] < 1e-3 and gaps[1] < 1e-5, gaps
+    assert 50 < gaps[0] / gaps[1] < 200, gaps
 
 
 def test_noise_decides_the_propagation_path(monkeypatch):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -183,7 +183,7 @@ def test_block_propagator_matches_dense_oracle(n, scale, theta, seed):
 # or on the missing c_{N+1} shows here
 _ONE_CHANNEL = [pytest.param(n, DecoherenceRates(**{name: rate}),
                              id=f"{name}-{n}")
-                for name, rate in DISTINCT_RATES.as_dict().items()
+                for name, rate in vars(DISTINCT_RATES).items()
                 for n in (1, 2, 3)]
 
 
@@ -426,6 +426,29 @@ def test_rates_are_compiled_as_their_float64_values(value):
     assert runs[1] == runs[0]
 
 
+@dataclass(frozen=True)
+class _ReversedRates:
+    """DecoherenceRates' six fields, declared in reverse order."""
+
+    gamma_phi_f: float
+    gamma_phi_e: float
+    gamma_gf: float
+    gamma_ef: float
+    gamma_ge: float
+    kappa: float
+
+
+def test_compile_step_reads_rates_by_name():
+    # a rates object whose fields come in another order compiles to the
+    # maps of the same rates, bit for bit: each channel is read by name
+    schedule = build_schedule(REF)
+    reordered = _ReversedRates(**vars(DISTINCT_RATES))
+    assert list(vars(reordered).values()) != list(
+        vars(DISTINCT_RATES).values())
+    assert (_map_bits(compile_step(schedule, reordered))
+            == _map_bits(compile_step(schedule, DISTINCT_RATES)))
+
+
 @pytest.mark.parametrize("rates", [ZERO_RATES, DISTINCT_RATES],
                          ids=["zero rates", "distinct rates"])
 def test_one_segment_schedule_repeats_per_step(rates):
@@ -453,7 +476,7 @@ def test_hamiltonian_outside_the_sites_is_refused():
     for h, offset, match in ((vacuum, 0, "outside the sector's sites"),
                              (beyond, 1, "outside the sector's sites"),
                              (store.hamiltonian, 2, "fits no site layout")):
-        schedule = (Segment("store", h, offset, 4e-3),)
+        schedule = (Segment(h, offset, 4e-3),)
         with pytest.raises(ValueError, match=match):
             evolve_final(psi0, schedule, DISTINCT_RATES)
 
@@ -525,7 +548,7 @@ def test_state_outside_the_sector_is_refused(shape):
     # density matrix is not, even of a sector's dimension
     dim = shape[0]
     h = np.zeros(((dim + 1) // 3, 3, 3), dtype=complex)
-    schedule = (Segment("coin", h, 1, 1e-3),)
+    schedule = (Segment(h, 1, 1e-3),)
     with pytest.raises(ValueError,
                        match=r"single-excitation sector.*\(3N\+3,\)"):
         evolve_final(np.full(shape, dim ** -0.5), schedule, ZERO_RATES)
@@ -825,7 +848,7 @@ def test_evolution_preserves_trace_property(seed, scale):
     rng = np.random.default_rng(seed)
     psi0 = _random_state(rng, dim)
     coin = build_schedule(REF_1)[0]
-    longer = Segment("coin", coin.hamiltonian, coin.offset, 2e-3)
+    longer = Segment(coin.hamiltonian, coin.offset, 2e-3)
     res = evolve_final(psi0, (longer,), rates)
     assert res.max_trace_error < 1e-10
     assert np.trace(res.state).real == pytest.approx(1.0, abs=1e-10)

@@ -9,25 +9,22 @@ from scipy.linalg import expm
 
 from cqwalk import ExperimentConfig
 from cqwalk.idealwalk import coin_preset, run_ideal
-from cqwalk.protocol import (SEG_COIN, SEG_RETRIEVE, SEG_STORE,
-                             build_schedule, segment_durations)
+from cqwalk.protocol import build_schedule, segment_durations
 
 REF = ExperimentConfig(n_steps=2)
 
 
 def test_reference_segment_durations():
-    durs = segment_durations(REF)
-    # theta/Omega = (pi/4)/(2pi*100 /us) = 1.25 ns; pi/2g = 5 ns
-    assert durs[SEG_COIN] == pytest.approx(1.25e-3)
-    assert durs[SEG_STORE] == pytest.approx(5.0e-3)
-    assert durs[SEG_RETRIEVE] == pytest.approx(5.0e-3)
+    # (coin, store, retrieve): theta/Omega = (pi/4)/(2pi*100 /us) =
+    # 1.25 ns; pi/2g = pi/2mu = 5 ns
+    assert segment_durations(REF) == pytest.approx((1.25e-3, 5.0e-3, 5.0e-3))
 
 
 def test_schedule_structure():
     # the schedule is one walk step, whatever the chain's length
     sched = build_schedule(REF)
     assert len(sched) == 3
-    assert [s.label for s in sched] == [SEG_COIN, SEG_STORE, SEG_RETRIEVE]
+    # coin, store, retrieve, in step order
     assert [s.offset for s in sched] == [1, 1, 0]
     assert sum(s.duration for s in sched) == pytest.approx(11.25e-3)
     # one 3x3 block per site of the 2-step chain
@@ -45,8 +42,12 @@ def test_schedule_entries_are_two_pi_times_mhz():
     want[0, :, 0, 1], want[0, :, 1, 0] = drive, np.conj(drive)
     want[1, :-1, 0, 2] = want[1, :-1, 2, 0] = 2 * math.pi * 40.0
     want[2, 1:, 0, 1] = want[2, 1:, 1, 0] = 2 * math.pi * 35.0
-    for seg, stack in zip(build_schedule(cfg), want):
-        assert np.array_equal(seg.hamiltonian, stack), seg.label
+    sched = build_schedule(cfg)
+    for k, (seg, stack) in enumerate(zip(sched, want)):
+        assert np.array_equal(seg.hamiltonian, stack), k
+    # coin, store, retrieve last theta/Omega, pi/2g and pi/2mu (us)
+    assert ([s.duration for s in sched]
+            == pytest.approx([1 / 640, 1 / 160, 1 / 140]))
 
 
 def test_mu_auto_is_mu_equal_to_g():
