@@ -199,8 +199,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("theta_rad must lie in (0, pi/2)")
     if not math.isfinite(cfg.phi_rad):
         bad("phi_rad must be finite")
-    if not all(map(math.isfinite, segment_durations(cfg))):
+    durations = segment_durations(cfg)
+    if not all(map(math.isfinite, durations)):
         bad("coupling or drive too small: a pulse would last forever")
+    if not all(durations):
+        bad("coupling or drive too large: a pulse would take no time")
     if not (cfg.scale > 0 and math.isfinite(cfg.scale)):
         bad("scale must be positive and finite")
     for name in _LIFETIMES:
@@ -262,6 +265,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_mapping(parse_config_text(text))

@@ -26,7 +26,6 @@ run is one run, and the groups of a sweep differ in what the step reads.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import functools
@@ -34,7 +33,7 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Container, Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -100,20 +99,22 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     cfg = validate_config(cfg)
     check_memory(cfg)
     start = time.perf_counter()
-    _, read, amps = collections.deque(_walk(cfg), maxlen=1)[0]
-    return _report(cfg, read(), start, amps)
+    # unpacking the one item runs the walk to its end, freeing its state
+    ((_, evolution, amps),) = _walk(cfg, {cfg.n_steps})
+    return _report(cfg, evolution, start, amps)
 
 
-def _walk(cfg: ExperimentConfig) -> Iterator[tuple]:
-    """(n, read, amps) for each step n = 1..cfg.n_steps of cfg's run:
-    read() gives the EvolutionResult of cfg's run with n_steps = n while
-    the walk is at step n (lindblad.walk_steps), and amps are the final
-    amplitudes of that run's ideal walk (idealwalk.walk)."""
+def _walk(cfg: ExperimentConfig, reads: Container[int]) -> Iterator[tuple]:
+    """(n, evolution, amps) for each step n = 1..cfg.n_steps of cfg's run
+    in reads, in increasing order: evolution is the EvolutionResult of
+    cfg's run with n_steps = n (lindblad.walk_steps), and amps are the
+    final amplitudes of that run's ideal walk (idealwalk.walk)."""
     psi0 = initial_state(cfg.n_steps, cfg.coin())
-    steps = walk_steps(psi0, _compiled_step(_device_point(cfg)))
+    results = walk_steps(psi0, _compiled_step(_device_point(cfg)), reads)
     ideal = itertools.islice(walk(cfg.n_steps, cfg.theta_rad, cfg.coin()),
                              1, None)
-    return zip(itertools.count(1), steps, ideal)
+    return ((n, next(results), amps)
+            for n, amps in enumerate(ideal, start=1) if n in reads)
 
 
 def _device_point(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -260,7 +261,7 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
     Points equal in every field but n_steps form a group, whose largest
     n_steps runs once, along with one ideal walk.  Each row is read out,
     checked and scored when that walk reaches its step, which is
-    exactly the point's separate run (see lindblad.walk_steps); the readout
+    exactly the point's separate run (see lindblad.walk_steps); the result
     is dropped before the walk goes on, so a group holds one state at a
     time.  Every row has the diagnostics up to its step, and its wall_ms
     runs from the start of the group to its own readout.  Failures are
@@ -277,10 +278,7 @@ def run_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[Report]:
         top = grid[by_step[max(by_step)][0]]
         start = time.perf_counter()
         try:
-            for n, read, amps in _walk(top):
-                if n not in by_step:
-                    continue
-                evolution = read()
+            for n, evolution, amps in _walk(top, by_step):
                 for i in by_step[n]:
                     try:
                         rows[i] = _report(grid[i], evolution, start, amps)

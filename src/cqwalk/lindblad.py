@@ -55,19 +55,18 @@ map, so a walk from site 1 touches at most (3n+4)^2 entries at step n.
 Up to step n such a walk never meets a site map beyond site n+1, so its
 leading 3n+3 x 3n+3 block then holds, bit for bit, the final state of
 an n-step chain, whose sector is the first 3n+3 states of this one.
-So walk_steps is a walk of steps: it yields one readout per step n,
-which reads out the n-step chain's run when called, as idealwalk.walk
-yields each step's amplitudes.
+So walk_steps is a walk of steps, as idealwalk.walk is: given the
+steps to read, it yields the n-step chain's run after each of them.
 
 When every rate is 0, rho = psi psi+ with psi = U psi0: walk_steps
 then applies each site's V to the single column psi, in the same light
 cone, and reads out psi itself, so a noise-free run never forms a dim x
 dim array; otherwise it writes psi0 psi0+ into the light-cone block of
 rho.  After each applied map a run tracks only its trace error
-(|Re vdot(psi, psi) - 1| for psi).  A readout of rho measures its
+(|Re vdot(psi, psi) - 1| for psi).  Reading rho out measures its
 Hermiticity drift, on a copy of the state (the state itself at the
 end), then re-symmetrizes it; psi has no drift to measure.  Only this
-module tells the two forms apart: a readout carries its populations,
+module tells the two forms apart: a result carries its populations,
 and min_eigenvalue takes either form, certifying a read-out rho positive
 down to -POSITIVITY_SHIFT by one Cholesky factorization.
 """
@@ -78,7 +77,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,26 +376,48 @@ class EvolutionResult:
     max_hermiticity_drift: float = 0.0
 
 
-def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
-               ) -> Iterator[Callable[[], EvolutionResult]]:
+def _read(psi, state, n: int, size: int, trace_error, final: bool
+          ) -> EvolutionResult:
+    """The n-step chain's result off a walk's psi, or its rho when psi is
+    None, whose leading size entries alone are nonzero: psi's leading
+    3n+3 entries, or rho's leading block of that size, re-symmetrized
+    after its drift is taken, on a copy, or, when final, on rho in place,
+    so no copy is alive beside the temporaries of _symmetrize."""
+    end = 3 * n + 3
+    if size > end and not final:
+        raise ValueError(f"the state after step {n} reaches beyond"
+                         f" site {n + 1}")
+    if psi is not None:
+        out = psi[:end, 0].copy()
+        populations = (out * out.conj()).real
+        drift = 0.0 if np.isfinite(out).all() else math.nan
+    else:
+        rho = state[:end, :end] if final else state[:end, :end].copy()
+        drift = _symmetrize(rho)
+        out = np.ascontiguousarray(rho)
+        populations = out.diagonal().real.copy()
+    return EvolutionResult(out, populations, float(trace_error), drift)
+
+
+def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...],
+               reads: Container[int]) -> Iterator[EvolutionResult]:
     """Apply step_maps, the compiled walk step (compile_step) of psi0's
     chain, N times to the sector state vector psi0, of length 3N+3,
-    N >= 1; yield a readout after each step n = 1..N.
+    N >= 1; yield, after each step n = 1..N in reads, in increasing
+    order, the n-step chain's own run from psi0's leading 3n+3 entries.
 
     Consecutive segments on one site layout are one map, so a protocol
     step applies two maps: coin then store, and retrieve.  The run is
     noise-free exactly when no map decays (every rate 0).  A psi0 of
     another shape, or a map of other than N+1 sites, is a ValueError
     when the first step is taken.
-    Step n's readout, called before the run goes on, returns the n-step
-    chain's own run from psi0's leading 3n+3 entries: psi when every
-    rate is 0, else rho, read off the state's leading entries.  That is
-    exact while the state stays on sites 1..n+1 up to step n, as a
-    walker started on site 1 does; a state that leaves them is a
-    ValueError when read.  Step N's readout is the run's final state; it
-    works on the state in place and then lets it go.  A readout called
-    after the run has gone on, or a second time at step N, is a
-    ValueError.  Steps that are not read cost and check nothing.
+    Step n's result holds psi when every rate is 0, else rho, read off
+    the state's leading entries.  That is exact while the state stays on
+    sites 1..n+1 up to step n, as a walker started on site 1 does; a
+    state that leaves them is a ValueError at step n.  A result before
+    step N is a copy; step N's is the run's final state, read in place,
+    which the walk lets go as it ends.  Steps not in reads cost and
+    check nothing.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or len(psi0) % 3 or len(psi0) < 6:
@@ -418,38 +439,10 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
                     out=state[:size, :size])
         triplets = [_triplets(state, offset, dim // 3) for offset in (0, 1)]
     else:   # propagate psi as one column, not rho (module docstring)
-        psi = np.append(psi0, 0.0)[:, None]
-
-    def readout(n, size, trace_error):
-        """psi's leading 3n+3 entries, or rho's leading block of that
-        size, re-symmetrized after its drift is taken: on a copy before
-        step N, and at step N on rho in place, which is then let go, so
-        no copy is alive beside the temporaries of _symmetrize."""
-        nonlocal psi, state, triplets, current
-        if n != current:
-            raise ValueError(f"step {n} can no longer be read: the run has"
-                             " gone on")
-        end = 3 * n + 3
-        final = n == n_steps
-        if size > end and not final:
-            raise ValueError(f"the state after step {n} reaches beyond"
-                             f" site {n + 1}")
-        if psi is not None:
-            out = psi[:end, 0].copy()
-            populations = (out * out.conj()).real
-            drift = 0.0 if np.isfinite(out).all() else math.nan
-        else:
-            rho = state[:end, :end] if final else state[:end, :end].copy()
-            drift = _symmetrize(rho)
-            out = np.ascontiguousarray(rho)
-            populations = out.diagonal().real.copy()
-        if final:
-            psi = state = triplets = current = None
-        return EvolutionResult(out, populations, float(trace_error), drift)
+        psi, state = np.append(psi0, 0.0)[:, None], None
 
     max_trace_error = np.float64(0.0)
     for step in range(1, n_steps + 1):
-        current = 0                    # the step whose readout is valid
         for site_maps in step_maps:
             if psi is None:
                 size = site_maps.apply(state, size,
@@ -460,8 +453,9 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...]
                 trace_error = abs(np.vdot(psi[:size], psi[:size]).real - 1.0)
             # NaN stays
             max_trace_error = np.maximum(max_trace_error, trace_error)
-        current = step
-        yield functools.partial(readout, step, size, max_trace_error)
+        if step in reads:    # unbound here: a result the caller drops is freed
+            yield _read(psi, state, step, size, max_trace_error,
+                        final=step == n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import collections
 import math
 
 import numpy as np
@@ -29,16 +28,17 @@ def zero_noise_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def walk_schedule(psi0, schedule, rates):
-    """The readouts of the walk of schedule, one step, from psi0, as a
-    run takes it: the step compiled once, then walked."""
-    return walk_steps(psi0, compile_step(schedule, rates))
+def walk_schedule(psi0, schedule, rates, reads):
+    """The results at the steps in reads of the walk of schedule, one
+    step, from psi0, as a run takes it: the step compiled once, then
+    walked."""
+    return walk_steps(psi0, compile_step(schedule, rates), reads)
 
 
 def evolve_final(psi0, schedule, rates):
-    """The final state of the walk: its last step's readout."""
-    steps = walk_schedule(psi0, schedule, rates)
-    return collections.deque(steps, maxlen=1)[0]()
+    """The final state of the walk: its last step's result."""
+    (final,) = walk_schedule(psi0, schedule, rates, {len(psi0) // 3 - 1})
+    return final
 
 
 def brute_force_walk(n, theta, coin):

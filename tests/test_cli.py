@@ -180,11 +180,25 @@ def test_failed_row_is_null_in_strict_json(tmp_path):
     ["sweep", "--axis", "g", "--values", "0:1e300:1e-300"],  # count overflows
     ["sweep", "--axis", "n_steps", "--values", "1e300"],  # size past a float
     ["run", "--n-steps", "1" + "0" * 400],
+    ["run", "--g-over-2pi-mhz", "2e307"],    # 2g overflows: pi / 2g is 0
+    ["run", "--mu-over-2pi-mhz", "2e307"],
+    ["run", "--g-over-2pi-mhz", "1e308"],    # 2 pi f itself overflows
+    ["run", "--omega-over-2pi-mhz", "1e308"],
+    ["run", "--mu-over-2pi-mhz", "1e308"],
 ])
 def test_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("cqwalk: config error:")
+    assert err.count("\n") == 1                 # one line, no traceback
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "walk.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cqwalk: config error: cannot read config {path}")
     assert err.count("\n") == 1                 # one line, no traceback
 
 

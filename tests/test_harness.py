@@ -25,6 +25,7 @@ from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, walk_steps
+from cqwalk.metrics import extract_distribution
 from cqwalk.protocol import build_schedule
 
 
@@ -240,9 +241,9 @@ def test_cross_and_unsorted_sweeps_equal_separate_runs(spec):
 def test_sweep_propagates_once_per_group(monkeypatch):
     calls = []
 
-    def counting(psi0, step_maps):
+    def counting(psi0, step_maps, reads):
         calls.append(len(psi0) // 3 - 1)
-        return walk_steps(psi0, step_maps)
+        return walk_steps(psi0, step_maps, reads)
 
     monkeypatch.setattr(harness, "walk_steps", counting)
     spec = SweepSpec(axis="n_steps", values=(2, 6, 1, 4),
@@ -424,17 +425,16 @@ def test_sweep_failures_give_one_error_row_per_point(overrides):
 def test_group_failure_keeps_rows_already_written(monkeypatch):
     # rows scored before the group's run fails keep their results; only
     # the rows not yet written become error rows
-    def failing_at_the_end(psi0, step_maps):
+    def failing_at_the_end(psi0, step_maps, reads):
         n_steps = len(psi0) // 3 - 1
-        steps = walk_steps(psi0, step_maps)
-        yield from itertools.islice(steps, n_steps - 1)
-        raise IntegrationError("failed after the last step readout")
+        yield from walk_steps(psi0, step_maps, set(reads) - {n_steps})
+        raise IntegrationError("failed at the last step")
 
     monkeypatch.setattr(harness, "walk_steps", failing_at_the_end)
     rows = run_sweep(ExperimentConfig(),
                      SweepSpec(axis="n_steps", values=(3, 1, 2)))
     assert [r.error for r in rows] == [
-        "IntegrationError: failed after the last step readout", None, None]
+        "IntegrationError: failed at the last step", None, None]
     monkeypatch.undo()
     for row in rows[1:]:
         assert row.s == run_experiment(ExperimentConfig(n_steps=row.n_steps)).s
@@ -696,3 +696,19 @@ def test_sector_run_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run(capsys):
+    # the README's two Python blocks, in order and in one namespace (the
+    # second uses the first's cfg): the walk read at step N gives the
+    # distribution that run_experiment scores
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    rep, final = namespace["rep"], namespace["final"]
+    assert capsys.readouterr().out.startswith(f"{rep.s} {rep.s_renorm}")
+    assert (extract_distribution(final.populations).p.tobytes()
+            == rep.p_me.tobytes())
