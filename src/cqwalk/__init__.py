@@ -12,18 +12,16 @@ from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       emit_report, initial_state, run_experiment, run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
 from .lindblad import DecoherenceRates, EvolutionResult, IntegrationError
-from .metrics import (Distribution, extract_distribution, similarity,
-                      similarity_report)
+from .metrics import similarity, similarity_report
 from .protocol import Segment, build_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinState", "ConfigError", "DecoherenceRates", "Distribution",
-    "EvolutionResult", "ExperimentConfig", "IntegrationError", "Report",
-    "Segment", "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
+    "CoinState", "ConfigError", "DecoherenceRates", "EvolutionResult",
+    "ExperimentConfig", "IntegrationError", "Report", "Segment",
+    "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
-    "extract_distribution", "initial_state", "load_config",
-    "run_experiment", "run_ideal", "run_sweep", "similarity",
-    "similarity_report",
+    "initial_state", "load_config", "run_experiment", "run_ideal",
+    "run_sweep", "similarity", "similarity_report",
 ]

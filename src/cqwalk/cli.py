@@ -29,7 +29,7 @@ from .config import (ConfigError, ExperimentConfig, check_memory,
 from .harness import (SWEEP_AXES, Report, SweepSpec, emit_distribution,
                       emit_plot_script, emit_report, run_experiment,
                       run_sweep)
-from .idealwalk import coin_preset, run_ideal
+from .idealwalk import run_ideal
 from .lindblad import IntegrationError
 
 
@@ -144,7 +144,7 @@ def _cmd_dist(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_ideal(args, cfg: ExperimentConfig) -> int:
     check_memory(cfg, noise_free=True)      # no master-equation run
-    p = run_ideal(cfg.n_steps, cfg.theta_rad, coin_preset(cfg.coin0))
+    p = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.walked_coin())
     emit_distribution({"P_id": p}, cfg.output or sys.stdout)
     return 0
 

@@ -22,6 +22,7 @@ the first.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import os
@@ -102,6 +103,15 @@ class ExperimentConfig:
 
     def coin(self) -> CoinState:
         return coin_preset(self.coin0)
+
+    def walked_coin(self) -> CoinState:
+        """The coin whose ideal walk the device runs from coin(): the
+        drive at phase phi_rad is the one at -pi/2 (protocol) conjugated
+        by e^{i(phi_rad + pi/2)} on every e level, which the transfers
+        keep, so (c0, c1 e^{-i(phi_rad + pi/2)}), coin() at -pi/2."""
+        c = self.coin()
+        return CoinState(c.c0, c.c1 * cmath.exp(
+            -1j * (self.phi_rad + math.pi / 2)))
 
 
 # The grammar follows ExperimentConfig's fields (module docstring): a

@@ -43,7 +43,7 @@ from .config import (REPORT_FORMATS, ConfigError, ExperimentConfig,
 from .idealwalk import CoinState, site_probabilities, walk
 from .lindblad import (EvolutionResult, IntegrationError, compile_step,
                        min_eigenvalue, walk_steps)
-from .metrics import extract_distribution, similarity_report
+from .metrics import similarity_report
 from .protocol import build_schedule, mu_over_2pi_mhz
 
 # A column's Report field is its name lower-cased.
@@ -108,11 +108,12 @@ def _walk(cfg: ExperimentConfig, reads: Container[int]) -> Iterator[tuple]:
     """(n, evolution, amps) for each step n = 1..cfg.n_steps of cfg's run
     in reads, in increasing order: evolution is the EvolutionResult of
     cfg's run with n_steps = n (lindblad.walk_steps), and amps are the
-    final amplitudes of that run's ideal walk (idealwalk.walk)."""
+    final amplitudes of that run's ideal walk (idealwalk.walk), from
+    the coin the drive walks (ExperimentConfig.walked_coin)."""
     psi0 = initial_state(cfg.n_steps, cfg.coin())
     results = walk_steps(psi0, _compiled_step(_device_point(cfg)), reads)
-    ideal = itertools.islice(walk(cfg.n_steps, cfg.theta_rad, cfg.coin()),
-                             1, None)
+    ideal = itertools.islice(
+        walk(cfg.n_steps, cfg.theta_rad, cfg.walked_coin()), 1, None)
     return ((n, next(results), amps)
             for n, amps in enumerate(ideal, start=1) if n in reads)
 
@@ -155,27 +156,27 @@ def _report(cfg: ExperimentConfig, evolution: EvolutionResult,
     diagnostics are not finite, its trace error is above
     TRACE_ERROR_BOUND, or its positivity is not certified.
     """
-    dist = extract_distribution(evolution.populations)
-    diagnostics = (evolution.max_trace_error, evolution.max_hermiticity_drift,
-                   dist.residual_vacuum, dist.residual_cavity, *dist.p)
-    if not np.all(np.isfinite(diagnostics)):
+    diagnostics = np.append(evolution.p_me, (
+        evolution.max_trace_error, evolution.max_hermiticity_drift,
+        evolution.residual_vacuum, evolution.residual_cavity))
+    if not np.isfinite(diagnostics).all():
         raise IntegrationError("non-finite state or readout")
     if evolution.max_trace_error > TRACE_ERROR_BOUND:
         raise IntegrationError(f"trace error {evolution.max_trace_error:.3g}"
                                f" above {TRACE_ERROR_BOUND:g}")
     min_eig = min_eigenvalue(evolution.state)
     p_id = site_probabilities(amps)
-    sim = similarity_report(dist.p, p_id)
+    s, s_renorm = similarity_report(evolution.p_me, p_id)
     wall_ms = 1e3 * (time.perf_counter() - start)
     return Report(
         **_echo(cfg),
-        s=sim.s,
-        s_renorm=sim.s_renorm,
-        residual_vacuum=dist.residual_vacuum,
-        residual_cavity=dist.residual_cavity,
+        s=s,
+        s_renorm=s_renorm,
+        residual_vacuum=evolution.residual_vacuum,
+        residual_cavity=evolution.residual_cavity,
         trace_error=evolution.max_trace_error,
         wall_ms=wall_ms,
-        p_me=dist.p,
+        p_me=evolution.p_me,
         p_id=p_id,
         max_hermiticity_drift=evolution.max_hermiticity_drift,
         min_eigenvalue=min_eig,

@@ -69,11 +69,11 @@ def walk(n_steps: int, theta: float, coin: CoinState) -> Iterator[np.ndarray]:
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    c = coin_matrix(theta)
+    c_t = coin_matrix(theta).T.astype(complex)    # cast once, not per step
     amps = coin.as_vector()[np.newaxis]
     yield amps
     for n in range(1, n_steps + 1):
-        mixed = amps @ c.T
+        mixed = amps @ c_t
         amps = np.zeros((n + 1, 2), dtype=complex)
         amps[:-1, 0] = mixed[:, 0]
         amps[1:, 1] = mixed[:, 1]

@@ -66,7 +66,8 @@ rho.  After each applied map a run tracks only its trace error
 (|Re vdot(psi, psi) - 1| for psi).  Reading rho out measures its
 Hermiticity drift, on a copy of the state (the state itself at the
 end), then re-symmetrizes it; psi has no drift to measure.  Only this
-module tells the two forms apart: a result carries its populations,
+module tells the two forms apart, or reads a state by slot: a result
+carries its populations and the walker read off them (EvolutionResult),
 and min_eigenvalue takes either form, certifying a read-out rho positive
 down to -POSITIVITY_SHIFT by one Cholesky factorization.
 """
@@ -152,9 +153,13 @@ def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
         exp_a *= 1 / k           # what numpy's / k computes, in place
         exp_a += eye
     exps = np.split(exp_a, bounds[1:-1])
-    for i, count in enumerate(squarings):
-        for _ in range(count):
-            exps[i] = exps[i] @ exps[i]
+    # hundreds of squarings can amplify rounding errors into an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, count in enumerate(squarings):
+            for _ in range(count):
+                exps[i] = exps[i] @ exps[i]
+    if not all(np.isfinite(exp).all() for exp in exps):
+        raise IntegrationError("segment map overflows in its squarings")
     return exps
 
 
@@ -367,13 +372,19 @@ class EvolutionResult:
     store are one map) up to step N, of rho or of psi; NaN if any
     map gave NaN.  max_hermiticity_drift is the largest |rho - rho+|
     entry of rho as read out, before rho was re-symmetrized; for psi,
-    which forms no rho, it is 0.0, or NaN if psi is not finite.
+    which forms no rho, it is 0.0, or NaN if psi is not finite.  Read
+    off populations by slot (protocol), p_me[j-1] is the walker's
+    probability at qutrit j (e_j plus f_j), residual_vacuum that of the
+    vacuum and residual_cavity that of the photons, in site order.
     """
 
     state: np.ndarray
     populations: np.ndarray
-    max_trace_error: float = 0.0
-    max_hermiticity_drift: float = 0.0
+    max_trace_error: float
+    max_hermiticity_drift: float
+    p_me: np.ndarray
+    residual_vacuum: float
+    residual_cavity: float
 
 
 def _read(psi, state, n: int, size: int, trace_error, final: bool
@@ -396,7 +407,10 @@ def _read(psi, state, n: int, size: int, trace_error, final: bool
         drift = _symmetrize(rho)
         out = np.ascontiguousarray(rho)
         populations = out.diagonal().real.copy()
-    return EvolutionResult(out, populations, float(trace_error), drift)
+    return EvolutionResult(
+        out, populations, float(trace_error), drift,
+        populations[1::3] + populations[2::3], float(populations[0]),
+        float(sum(populations[3::3])))
 
 
 def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...],

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from cqwalk.harness import Report
 from cqwalk.idealwalk import run_ideal
-from cqwalk.metrics import Distribution, similarity_report
+from cqwalk.metrics import similarity_report
 from cqwalk.protocol import segment_durations
 
 # Qutrit level codes.
@@ -221,10 +221,11 @@ def initial_density_matrix(full: FullSpace, coin) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def extract_distribution(rho: np.ndarray, full: FullSpace) -> Distribution:
-    """Walker readout: one excited qutrit and no photon is the walker at
-    that site, the joint ground state is the vacuum, and everything else
-    (photons in flight, several excitations) is residual_cavity."""
+def extract_distribution(rho: np.ndarray, full: FullSpace) -> tuple:
+    """Walker readout (p_me, residual_vacuum, residual_cavity): one
+    excited qutrit and no photon is the walker at that site, the joint
+    ground state is the vacuum, and everything else (photons in flight,
+    several excitations) is residual_cavity."""
     diag = np.real(np.diagonal(rho))
     p = np.zeros(full.n_qutrits)
     vac = cav = 0.0
@@ -236,7 +237,7 @@ def extract_distribution(rho: np.ndarray, full: FullSpace) -> Distribution:
             p[excited[0]] += diag[idx]
         else:
             cav += diag[idx]
-    return Distribution(p, float(vac), float(cav))
+    return p, float(vac), float(cav)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +286,17 @@ def run_experiment(cfg, fock_cutoff: int = 2) -> Report:
     rho, trace_error, drift = evolve(
         initial_density_matrix(full, cfg.coin()),
         build_schedule(full, cfg), ops)
-    dist = extract_distribution(rho, full)
-    p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.coin())
-    sim = similarity_report(dist.p, p_id)
+    p_me, vacuum, cavity = extract_distribution(rho, full)
+    p_id = run_ideal(cfg.n_steps, cfg.theta_rad, cfg.walked_coin())
+    s, s_renorm = similarity_report(p_me, p_id)
     mu = cfg.mu_over_2pi_mhz
     return Report(
         n_steps=cfg.n_steps, g_over_2pi_mhz=cfg.g_over_2pi_mhz,
         omega_over_2pi_mhz=cfg.omega_over_2pi_mhz,
         mu_over_2pi_mhz=cfg.g_over_2pi_mhz if mu is None else mu,
         theta_rad=cfg.theta_rad, coin0=cfg.coin0, scale=cfg.scale,
-        s=sim.s, s_renorm=sim.s_renorm,
-        residual_vacuum=dist.residual_vacuum,
-        residual_cavity=dist.residual_cavity, trace_error=trace_error,
-        wall_ms=1e3 * (time.perf_counter() - start), p_me=dist.p, p_id=p_id,
+        s=s, s_renorm=s_renorm, residual_vacuum=vacuum,
+        residual_cavity=cavity, trace_error=trace_error,
+        wall_ms=1e3 * (time.perf_counter() - start), p_me=p_me, p_id=p_id,
         max_hermiticity_drift=drift,
         min_eigenvalue=float(np.linalg.eigvalsh(rho)[0]))

@@ -69,6 +69,20 @@ def test_ideal_subcommand(capsys):
     assert probs == pytest.approx([0.25, 0.5, 0.25])
 
 
+def test_ideal_prints_the_p_id_that_dist_scores(capsys):
+    # at a drive phase other than -pi/2, ideal walks the coin the drive
+    # applies, as dist scores it: for plus-i at phi = 0, site 2 holds
+    # 0.625, not the 0.375 of the configured coin's walk
+    columns = {}
+    for command in ("ideal", "dist"):
+        argv = [command, "--n-steps", "4", "--phi-rad", "0", *ZERO_NOISE]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        columns[command] = [line.split(",")[-1] for line in lines]
+    assert columns["ideal"] == columns["dist"]
+    assert float(columns["ideal"][1]) == pytest.approx(0.625)
+
+
 def test_dist_subcommand(tmp_path):
     path = tmp_path / "dist.csv"
     script = tmp_path / "dist.gp"
@@ -359,11 +373,15 @@ def test_uncertified_positivity_exits_2(monkeypatch, capsys):
 
 def test_generator_overflow_is_one_line_failure(capsys):
     # pulse duration times rate overflows while the generator is scaled,
-    # or the sum of the three f rates overflows before it; the run must
-    # fail with its one message and no numpy warning
+    # or the sum of the three f rates overflows before it, or the map of
+    # a generator whose stack has a 1-norm of 6e290 overflows in its
+    # squarings; the run must fail with its one message and no numpy
+    # warning
     for argv in (["--omega-over-2pi-mhz", "1e-300", "--t1-ge-us", "1e-10"],
                  ["--t1-ef-us", "1e-308", "--t1-gf-us", "1e-308",
-                  "--tphi-f-us", "1e-308"]):
+                  "--tphi-f-us", "1e-308"],
+                 ["--omega-over-2pi-mhz", "2e-146", "--t1-cavity-us",
+                  "2e-146"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["run", "--n-steps", "1", *argv])

@@ -25,8 +25,7 @@ from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             run_experiment, run_sweep, sweep_grid)
 from cqwalk.idealwalk import coin_preset, run_ideal
 from cqwalk.lindblad import IntegrationError, walk_steps
-from cqwalk.metrics import extract_distribution
-from cqwalk.protocol import build_schedule
+from cqwalk.protocol import build_schedule, segment_durations
 
 
 def test_initial_state_puts_the_coin_on_site_1():
@@ -107,6 +106,32 @@ def test_noisy_run_tends_to_first_order_theory(n):
                 - delta) / delta for s in (100.0, 1e4)]
     assert gaps[0] < 1e-3 and gaps[1] < 1e-5, gaps
     assert 50 < gaps[0] / gaps[1] < 200, gaps
+
+
+@pytest.mark.parametrize("n", [20, 80, 160])
+def test_equal_sinks_lose_the_walker_at_one_rate(n):
+    # photon loss, e->g and f->g at one rate gamma, every other channel
+    # off: each state but the vacuum decays at gamma whatever the walk
+    # does, so after the run's time T, P_me = e^{-gamma T} P_id,
+    # S = e^{-gamma T} and residual_vacuum = 1 - e^{-gamma T}
+    cfg = zero_noise_config(n_steps=n, t1_cavity_us=7.0, t1_ge_us=7.0,
+                            t1_gf_us=7.0)
+    survival = math.exp(-n * sum(segment_durations(cfg)) / 7.0)
+    rep = run_experiment(cfg)
+    assert np.max(np.abs(rep.p_me - survival * rep.p_id)) < 1e-13
+    assert abs(rep.s - survival) < 1e-13
+    assert abs(rep.residual_vacuum - (1.0 - survival)) < 1e-13
+
+
+@pytest.mark.parametrize("coin0", ["zero", "one", "plus-i"])
+def test_drive_phase_scores_the_coin_it_applies(coin0):
+    # a coin drive of phase phi applies the walk coin to (c0, c1
+    # e^{-i(phi + pi/2)}), so a noise-free run at any phi matches the
+    # ideal walk of that coin
+    for phi in (0.0, 0.3, math.pi / 2, -math.pi):
+        rep = run_experiment(zero_noise_config(n_steps=15, coin0=coin0,
+                                               phi_rad=phi))
+        assert rep.s == pytest.approx(1.0, abs=1e-12), phi
 
 
 def test_noise_decides_the_propagation_path(monkeypatch):
@@ -710,5 +735,4 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     rep, final = namespace["rep"], namespace["final"]
     assert capsys.readouterr().out.startswith(f"{rep.s} {rep.s_renorm}")
-    assert (extract_distribution(final.populations).p.tobytes()
-            == rep.p_me.tobytes())
+    assert final.p_me.tobytes() == rep.p_me.tobytes()

@@ -7,7 +7,8 @@ from fullspace import E, F, G, VACUUM, cavity_slot, sector_dim, slot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqwalk.metrics import extract_distribution, similarity, similarity_report
+from cqwalk.lindblad import _read
+from cqwalk.metrics import similarity, similarity_report
 
 
 def test_extract_truncated_by_hand():
@@ -18,11 +19,12 @@ def test_extract_truncated_by_hand():
     rho[slot(2, E), slot(2, E)] = 0.20
     rho[VACUUM, VACUUM] = 0.15
     rho[cavity_slot(1), cavity_slot(1)] = 0.10
-    dist = extract_distribution(np.diagonal(rho).real)
-    assert np.allclose(dist.p, [0.55, 0.20])
-    assert dist.residual_vacuum == pytest.approx(0.15)
-    assert dist.residual_cavity == pytest.approx(0.10)
-    total = dist.p.sum() + dist.residual_vacuum + dist.residual_cavity
+    # the walker read out of rho as the final state of a one-step run
+    res = _read(None, rho, 1, dim, 0.0, final=True)
+    assert np.allclose(res.p_me, [0.55, 0.20])
+    assert res.residual_vacuum == pytest.approx(0.15)
+    assert res.residual_cavity == pytest.approx(0.10)
+    total = res.p_me.sum() + res.residual_vacuum + res.residual_cavity
     assert total == pytest.approx(1.0)
 
 
@@ -41,10 +43,10 @@ def test_extract_full_mode_classification():
     put((G, G), (1,), 0.1)      # photon in flight
     put((E, E), (0,), 0.06)     # double excitation -> leakage bucket
     put((E, G), (1,), 0.04)     # excitation plus photon -> leakage
-    dist = fullspace.extract_distribution(rho, space)
-    assert np.allclose(dist.p, [0.4, 0.3])
-    assert dist.residual_vacuum == pytest.approx(0.1)
-    assert dist.residual_cavity == pytest.approx(0.2)
+    p_me, vacuum, cavity = fullspace.extract_distribution(rho, space)
+    assert np.allclose(p_me, [0.4, 0.3])
+    assert vacuum == pytest.approx(0.1)
+    assert cavity == pytest.approx(0.2)
 
 
 def test_similarity_identity_and_disjoint():
@@ -58,9 +60,9 @@ def test_similarity_penalizes_lost_weight():
     lossy = np.array([0.4, 0.4])
     # S = (sum sqrt(0.8) * sqrt(...)) ... = 0.8 exactly
     assert similarity(lossy, p_id) == pytest.approx(0.8, abs=1e-12)
-    rep = similarity_report(lossy, p_id)
-    assert rep.s == pytest.approx(0.8, abs=1e-12)
-    assert rep.s_renorm == pytest.approx(1.0, abs=1e-12)
+    s, s_renorm = similarity_report(lossy, p_id)
+    assert s == pytest.approx(0.8, abs=1e-12)
+    assert s_renorm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_similarity_clips_float_noise():
@@ -81,12 +83,12 @@ def test_similarity_rejects_real_negatives():
 
 
 def test_similarity_report_zero_measured():
-    rep = similarity_report(np.zeros(3), np.array([0.2, 0.3, 0.5]))
-    assert rep.s == 0.0
-    assert rep.s_renorm == 0.0
+    assert similarity_report(np.zeros(3), np.array([0.2, 0.3, 0.5])) == (
+        0.0, 0.0)
     # a NaN readout must not turn into a score of 0
-    rep = similarity_report(np.array([np.nan, 0.5]), np.array([0.5, 0.5]))
-    assert math.isnan(rep.s) and math.isnan(rep.s_renorm)
+    s, s_renorm = similarity_report(np.array([np.nan, 0.5]),
+                                    np.array([0.5, 0.5]))
+    assert math.isnan(s) and math.isnan(s_renorm)
 
 
 @settings(max_examples=40, deadline=None)
