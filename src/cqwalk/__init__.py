@@ -12,7 +12,7 @@ from .harness import (Report, SweepSpec, emit_distribution, emit_plot_script,
                       emit_report, initial_state, run_experiment, run_sweep)
 from .idealwalk import CoinState, coin_matrix, coin_preset, run_ideal
 from .lindblad import DecoherenceRates, EvolutionResult, IntegrationError
-from .metrics import similarity, similarity_report
+from .metrics import similarity_report
 from .protocol import Segment, build_schedule
 
 __version__ = "0.1.0"
@@ -23,5 +23,5 @@ __all__ = [
     "SweepSpec", "build_schedule", "coin_matrix", "coin_preset",
     "emit_distribution", "emit_plot_script", "emit_report",
     "initial_state", "load_config", "run_experiment", "run_ideal",
-    "run_sweep", "similarity", "similarity_report",
+    "run_sweep", "similarity_report",
 ]

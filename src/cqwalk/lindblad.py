@@ -35,11 +35,13 @@ H_eff), one 3x3 map per site.
 Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
-these sums.  compile_step compiles a step in one batch: each segment's
-distinct few-by-few site generators are exponentiated in one numpy
-stack, and consecutive segments of the step on one layout compose into
-one exact map of the same per-site form, so a walk step applies two
-maps: coin then store, and retrieve.  The maps are read-only, so one
+these sums.  compile_step compiles a step in one batch: the distinct
+few-by-few site generators of all its segments, of V and of that
+10-dimensional system, are exponentiated in one numpy stack, and
+consecutive segments of the step on one layout compose into one exact
+map of the same per-site form, by one matrix product per site of each
+exponential, so a walk step applies two maps: coin then store, and
+retrieve.  The maps are read-only, so one
 compiled step can serve any number of walks (walk_steps).  Each map is
 a batched matmul on reshaped views of rho, whose diagonal blocks two
 strided views, made once per run, reach.  compile_step refuses Hamiltonian
@@ -124,43 +126,43 @@ class DecoherenceRates:
 # segment propagators
 
 
-def _expm_small(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """Matrix exponentials of stacks (k, n, n) of small matrices, one n.
+def _expm_small(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack a (k, n, n) of small matrices, each
+    scaled by the 1-norm of its stack: the matrices of one stack index.
 
-    The stacks are exponentiated as one, by scaling and squaring around a
+    All are exponentiated as one, by scaling and squaring around a
     degree-16 Taylor polynomial (remainder below 1e-19 once the 1-norm is
-    at most 1/2) in plain numpy, each scaled by its own 1-norm, so bit for
-    bit as in a call of its own.  scipy.linalg.expm runs its Pade step
-    through a threaded BLAS, whose thread pool costs far more than these
-    few-by-few products and ties the runtime to the host's load.
+    at most 1/2) in plain numpy, each squared as often as its stack
+    needs, so every stack comes out bit for bit as in a call of its own.
+    scipy.linalg.expm runs its Pade step through a threaded BLAS, whose
+    thread pool costs far more than these few-by-few products and ties
+    the runtime to the host's load.
     """
-    a = np.concatenate(stacks, dtype=complex)
-    bounds = np.cumsum([0, *map(len, stacks)])
-    squarings = []
-    for start, end in zip(bounds, bounds[1:]):
-        norm = float(np.abs(a[start:end]).sum(axis=1).max(initial=0.0))
-        if not math.isfinite(norm):
-            raise IntegrationError(f"segment generator has 1-norm {norm}")
-        # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e
-        # with m in [1/2, 1), read exactly from the float
-        mantissa, exponent = math.frexp(norm)
-        squarings.append(max(0, exponent + (mantissa > 0.5)))
-        a[start:end] *= 2.0 ** -squarings[-1]   # exact; 2.0 ** 1025 overflows
+    a = np.array(a, dtype=complex)
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    if not np.isfinite(norms).all():   # before maximum.at warns of a NaN
+        raise IntegrationError(f"segment generator has 1-norm {norms.max()}")
+    norm = np.zeros(stack.max() + 1)
+    np.maximum.at(norm, stack, norms)
+    # least squarings with norm / 2**squarings <= 1/2: norm = m 2**e
+    # with m in [1/2, 1), read exactly from the float
+    mantissa, exponent = np.frexp(norm)
+    squarings = np.maximum(0, exponent + (mantissa > 0.5))[stack]
+    a *= np.ldexp(1.0, -squarings)[:, None, None]   # exact; no overflow
     eye = np.eye(a.shape[-1])
     exp_a = eye + a / 16
     for k in range(15, 0, -1):                # Horner: I + a/k (I + ...)
         exp_a = a @ exp_a
         exp_a *= 1 / k           # what numpy's / k computes, in place
         exp_a += eye
-    exps = np.split(exp_a, bounds[1:-1])
     # hundreds of squarings can amplify rounding errors into an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, count in enumerate(squarings):
-            for _ in range(count):
-                exps[i] = exps[i] @ exps[i]
-    if not all(np.isfinite(exp).all() for exp in exps):
+        for i in range(squarings.max()):
+            more = squarings > i
+            exp_a[more] = exp_a[more] @ exp_a[more]
+    if not np.isfinite(exp_a).all():
         raise IntegrationError("segment map overflows in its squarings")
-    return exps
+    return exp_a
 
 
 def _triplets(a: np.ndarray, offset: int, count: int) -> np.ndarray:
@@ -178,36 +180,31 @@ class _SiteMaps:
 
     Site j (0-based) covers slots offset + 3j .. offset + 3j + 2; slot 0
     is the vacuum either way.  v[j] is expm(-i t H_eff) on site j (v_conj
-    its conjugate), blocks[j] maps its diagonal block, read row-major,
-    and sink[j] gives that block's outflow into the vacuum.  blocks and
-    sink are None when nothing decays.
+    its conjugate) and decay[j] the exponential of its diagonal block's
+    closed system: decay[j, :9, :9] maps the block, read row-major, and
+    decay[j, 9, :9] gives its outflow into the vacuum.  decay is None
+    when nothing decays.
     """
 
     offset: int
     v: np.ndarray
-    blocks: np.ndarray | None
-    sink: np.ndarray | None
+    decay: np.ndarray | None
     v_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v_conj", self.v.conj())
-        for a in (self.v, self.v_conj, self.blocks, self.sink):
+        for a in (self.v, self.v_conj, self.decay):
             if a is not None:     # one compiled step may serve many runs
                 a.flags.writeable = False
 
     def then(self, later: "_SiteMaps") -> "_SiteMaps":
-        """This map followed by later, on the same layout, as one map.
-
-        Per site, V = V_later V_this; the diagonal block and its vacuum
-        accumulator evolve by [[B, 0], [s, 1]], so B = B_later B_this and
-        s = s_this + s_later B_this.  Exact, since the vacuum itself has
-        no dynamics (at offset 0 it is an inert slot of site 0).
-        """
-        v = later.v @ self.v
-        if self.blocks is None:
-            return _SiteMaps(self.offset, v, None, None)
-        return _SiteMaps(self.offset, v, later.blocks @ self.blocks,
-                         self.sink + (later.sink[:, None] @ self.blocks)[:, 0])
+        """This map followed by later, on the same layout, as one map:
+        per site, the product of the later maps by these.  Exact, since
+        the vacuum itself has no dynamics (at offset 0 it is an inert
+        slot of site 0) and decay's vacuum row only accumulates."""
+        return _SiteMaps(self.offset, later.v @ self.v,
+                         None if self.decay is None
+                         else later.decay @ self.decay)
 
     def _sites(self, size: int) -> int:
         """Sites reached when only the leading size slots are nonzero."""
@@ -231,15 +228,16 @@ class _SiteMaps:
         sites = self._sites(size)
         end = self.offset + 3 * sites
         a = rho[:end, :end]
-        if self.blocks is not None:
+        if self.decay is not None:
             triplets = triplets[:sites]
             before = triplets.copy().reshape(sites, 9)
         self.apply_rows(a, size)                             # V rho
         self.apply_rows(a.T, size, conj=True)                # (rho V+)^T
-        if self.blocks is not None:
-            triplets[...] = np.matmul(self.blocks[:sites], before[:, :, None]
+        if self.decay is not None:
+            decay = self.decay[:sites]
+            triplets[...] = np.matmul(decay[:, :9, :9], before[:, :, None]
                                       ).reshape(sites, 3, 3)
-            a[0, 0] += (self.sink[:sites] * before).sum()
+            a[0, 0] += (decay[:, 9, :9] * before).sum()
         return end
 
 
@@ -265,7 +263,7 @@ def compile_step(schedule: tuple[Segment, ...],
         rates.kappa, rates.gamma_ge, rates.gamma_ef, rates.gamma_gf,
         rates.gamma_phi_e, rates.gamma_phi_f))
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
-    decay = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
+    total = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
     inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a
     sink = np.zeros((count, sites, 3))        # [s, j, b]: rate b -> vacuum
     for s, (seg, offset) in enumerate(zip(schedule, offsets)):
@@ -282,10 +280,10 @@ def compile_step(schedule: tuple[Segment, ...],
                              " sites")
         e, f = (1, 2) if offset == 0 else (0, 1)
         h_eff[s] = h
-        decay[s, :, e] = ge + phi_e
-        decay[s, :, f] = ef + gf + phi_f
-        decay[s, :, c] = sink[s, :, c] = kappa
-        decay[s, edge, c] = sink[s, edge, c] = 0.0
+        total[s, :, e] = ge + phi_e
+        total[s, :, f] = ef + gf + phi_f
+        total[s, :, c] = sink[s, :, c] = kappa
+        total[s, edge, c] = sink[s, edge, c] = 0.0
         sink[s, :, e], sink[s, :, f] = ge, gf
         inflow[s, :, e, f] = ef
         inflow[s, :, e, e], inflow[s, :, f, f] = phi_e, phi_f
@@ -294,18 +292,19 @@ def compile_step(schedule: tuple[Segment, ...],
     # then reports the non-finite generator, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         slots = np.arange(3)
-        h_eff[..., slots, slots] -= 0.5j * decay
-        # most sites share their generator: each segment's distinct sites,
-        # told apart by the bytes of their H_eff and rates, are compiled
-        # once, those of all segments in one stack
-        keys = np.concatenate([h_eff.view(float).reshape(count, sites, 18),
+        h_eff[..., slots, slots] -= 0.5j * total
+        # most sites share their generator: the distinct sites of all
+        # segments, told apart by their segment's index and the bytes of
+        # their H_eff and rates, are compiled once, in one stack
+        segment = np.broadcast_to(np.arange(count)[:, None, None],
+                                  (count, sites, 1))
+        keys = np.concatenate([segment,
+                               h_eff.view(float).reshape(count, sites, 18),
                                inflow.reshape(count, sites, 9), sink], axis=2)
-        keys = keys.view(np.dtype((np.void, 30 * keys.itemsize)))[..., 0]
-        distinct = [np.unique(k, return_index=True, return_inverse=True)[1:]
-                    for k in keys]
-        bounds = np.cumsum([0] + [len(first) for first, _ in distinct])
-        at = (np.repeat(np.arange(count), np.diff(bounds)),
-              np.concatenate([first for first, _ in distinct]))
+        keys = keys.view(np.dtype((np.void, 31 * keys.itemsize))).ravel()
+        _, first, site = np.unique(keys, return_index=True,
+                                   return_inverse=True)
+        at = np.divmod(first, sites)            # (segment, site)
         h = h_eff[at]
         t = np.array([float(seg.duration) for seg in schedule]
                      )[at[0], None, None]
@@ -326,14 +325,10 @@ def compile_step(schedule: tuple[Segment, ...],
             gen[:, 9, :9:4] = sink[at]
             v_gen, mats = mats, np.zeros((len(h), 2, 10, 10), dtype=complex)
             mats[:, :1, :3, :3], mats[:, 1] = v_gen, t * gen
-    exps = _expm_small([mats[start:end].reshape(-1, *mats.shape[-2:])
-                        for start, end in zip(bounds, bounds[1:])])
-    maps = []
-    for offset, exp, (_, site) in zip(offsets, exps, distinct):
-        exp = exp.reshape(-1, *mats.shape[1:])        # [distinct, V | B]
-        decay_maps = ((exp[site, 1, :9, :9], exp[site, 1, 9, :9]) if noisy
-                      else (None, None))
-        maps.append(_SiteMaps(offset, exp[site, 0, :3, :3], *decay_maps))
+    exp = _expm_small(mats.reshape(-1, *mats.shape[2:]),
+                      at[0].repeat(mats.shape[1])).reshape(mats.shape)
+    maps = [_SiteMaps(offset, exp[i, 0, :3, :3], exp[i, 1] if noisy else None)
+            for offset, i in zip(offsets, site.reshape(count, sites))]
     return tuple(functools.reduce(_SiteMaps.then, run) for _, run in
                  itertools.groupby(maps, operator.attrgetter("offset")))
 
@@ -447,7 +442,7 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...],
     # counts) and grows by at most one site per map.
     support = np.flatnonzero(psi0)
     size = int(support[-1]) + 1 if support.size else 1
-    if any(maps.blocks is not None for maps in step_maps):
+    if any(maps.decay is not None for maps in step_maps):
         psi, state = None, np.zeros((dim + 1, dim + 1), dtype=complex)
         np.multiply(psi0[:size, None], psi0[:size].conj(),
                     out=state[:size, :size])

@@ -13,22 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def similarity(p_measured: np.ndarray, p_ideal: np.ndarray) -> float:
-    """Squared Bhattacharyya overlap (sum_j sqrt(Pm(j) Pi(j)))^2.
-
-    Equals 1 iff the distributions match including total weight, so
-    population lost from the walker manifold lowers the score.  Checked
-    and clipped as in similarity_report.
-    """
-    return similarity_report(p_measured, p_ideal)[0]
-
-
 def similarity_report(p_measured: np.ndarray,
                       p_ideal: np.ndarray) -> tuple[float, float]:
-    """(s, s_renorm): the similarity, and the similarity with the
-    measured distribution renormalized to unit walker population
-    (leakage discarded); s_renorm is 0.0 for a measured total of 0 and
-    NaN for a NaN total.
+    """(s, s_renorm): the similarity, the squared Bhattacharyya overlap
+    (sum_j sqrt(Pm(j) Pi(j)))^2, and the same with the measured
+    distribution renormalized to unit walker population (leakage
+    discarded); s_renorm is 0.0 for a measured total of 0 and NaN for a
+    NaN total.  s equals 1 iff the distributions match including total
+    weight, so population lost from the walker manifold lowers it.
 
     Tiny negative entries from floating-point readout are clipped;
     anything below -1e-9, or distributions of different lengths, are

@@ -283,7 +283,7 @@ def test_composed_map_is_the_maps_in_sequence(n, rates):
         (a,), (b,) = (compile_step((seg,), rates) for seg in (first, second))
         (both,) = compile_step((first, second), rates)
         assert both.offset == first.offset
-        assert (both.blocks is None) == (rates == ZERO_RATES)
+        assert (both.decay is None) == (rates == ZERO_RATES)
         rho = np.zeros((dim + 1, dim + 1), dtype=complex)
         rho[:-1, :-1] = _random_density(rng, dim)
         want, got = rho.copy(), rho.copy()
@@ -341,8 +341,8 @@ def test_one_compile_pass_and_fixed_views_per_run(monkeypatch, rates):
     # layout, before its first step: none of it happens in the step loop
     calls = []
     expm_small, as_strided = lindblad._expm_small, lindblad.as_strided
-    monkeypatch.setattr(lindblad, "_expm_small", lambda stacks: calls.append(
-        "expm") or expm_small(stacks))
+    monkeypatch.setattr(lindblad, "_expm_small", lambda a, stack: calls.append(
+        "expm") or expm_small(a, stack))
     monkeypatch.setattr(lindblad, "as_strided", lambda *args, **kwargs:
                         calls.append("view") or as_strided(*args, **kwargs))
     for n in (1, 2, 6):
@@ -373,15 +373,18 @@ def _kept_step(cfg):
 def test_kept_step_is_read_only(cfg):
     # the harness keeps a step by its device point, not by the config's
     # identity, and every run at that point shares its maps: none of
-    # them can be written
+    # them can be written, and each holds its own data, not a view that
+    # keeps the whole stack of exponentials alive (retrieve's map comes
+    # straight out of that stack, coin then store's is a product)
     run_experiment(cfg)
     maps = _kept_step(cfg)
     run_experiment(replace(cfg, coin0="zero"))
     assert _kept_step(replace(cfg, coin0="one")) is maps
-    arrays = [a for m in maps for a in (m.v, m.v_conj, m.blocks, m.sink)
+    arrays = [a for m in maps for a in (m.v, m.v_conj, m.decay)
               if a is not None]
-    assert len(arrays) == (4 if cfg.rates() == ZERO_RATES else 8)
+    assert len(arrays) == (4 if cfg.rates() == ZERO_RATES else 6)
     for a in arrays:
+        assert a.base is None and a.flags.owndata
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -404,7 +407,7 @@ def test_failed_compile_is_not_kept():
 
 def _map_bits(maps) -> list:
     return [(m.offset, *(None if a is None else a.tobytes()
-                         for a in (m.v, m.blocks, m.sink))) for m in maps]
+                         for a in (m.v, m.decay))) for m in maps]
 
 
 @pytest.mark.parametrize("value", [1, np.float32(1.0)],
@@ -555,12 +558,17 @@ def test_state_outside_the_sector_is_refused(shape):
 
 
 def test_small_exponentials_reject_non_finite_input():
-    with pytest.raises(IntegrationError):
-        _expm_small([np.full((1, 2, 2), math.nan), np.eye(2)[None]])
-    with pytest.raises(IntegrationError):
-        _expm_small([np.eye(2)[None], np.full((1, 2, 2), math.inf)])
+    # a NaN or an infinity in any stack is refused before its norm is
+    # reduced with the others', which would warn
+    for bad in (math.nan, math.inf):
+        with pytest.raises(IntegrationError, match="1-norm"):
+            _expm_small(np.stack([np.full((2, 2), bad), np.eye(2)]),
+                        np.array([0, 1]))
+        with pytest.raises(IntegrationError, match="1-norm"):
+            _expm_small(np.stack([np.eye(2), np.full((2, 2), bad)]),
+                        np.array([0, 0]))
     # a finite norm near the float limit needs 1025 squarings
-    assert _expm_small([np.array([[[-1e308]]])])[0][0, 0, 0] == 0.0
+    assert _expm_small(np.array([[[-1e308]]]), np.array([0]))[0, 0, 0] == 0.0
 
 
 def test_small_exponentials_match_scipy():
@@ -573,27 +581,38 @@ def test_small_exponentials_match_scipy():
                        + 1j * rng.normal(size=(2, k, k)))
                   for s in (0.0, 0.01, 1.0, 30.0)]
         stacks.append(np.concatenate(stacks))
-        exps = _expm_small(stacks)
-        assert [e.shape for e in exps] == [m.shape for m in stacks]
-        for got, m in zip(np.concatenate(exps), np.concatenate(stacks)):
+        a = np.concatenate(stacks)
+        stack = np.repeat(np.arange(len(stacks)), [len(m) for m in stacks])
+        exps = _expm_small(a, stack)
+        assert exps.shape == a.shape
+        for got, m in zip(exps, a):
             want = expm(m)
             assert (np.max(np.abs(got - want))
                     <= 1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_small_exponentials_scale_each_stack_by_its_own_norm():
-    # one stack needs no squaring, the other at least ten: exponentiated
-    # in one call, each comes out bit for bit as from a call of its own
+    # one stack needs no squaring, the other at least ten, and a third
+    # near the float limit 1025: exponentiated in one call, with their
+    # matrices interleaved, each comes out bit for bit as from a call of
+    # its own
     rng = np.random.default_rng(1)
     small, large = (s * (rng.normal(size=(3, 10, 10))
                          + 1j * rng.normal(size=(3, 10, 10)))
                     for s in (0.005, 30.0))
+    huge = np.zeros((2, 10, 10), dtype=complex)
+    huge[:, 0, 0], huge[1, 3, 3] = -1e308, -0.5
     assert np.abs(small).sum(axis=1).max() <= 0.5
     assert np.abs(large).sum(axis=1).max() > 2.0**8    # over 2**9 * 1/2
-    together = _expm_small([small, large])
-    for got, stack in zip(together, (small, large)):
-        (alone,) = _expm_small([stack])
+    stacks = (small, large, huge)
+    order = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]
+    together = _expm_small(np.stack([stacks[i][j] for i, j in order]),
+                           np.array([i for i, _ in order]))
+    for i, m in enumerate(stacks):
+        alone = _expm_small(m, np.zeros(len(m), dtype=int))
+        got = np.stack([e for e, (s, _) in zip(together, order) if s == i])
         assert got.tobytes() == alone.tobytes()
+    assert together[2, 0, 0] == 0.0 and together[2, 3, 3] == 1.0
 
 
 def test_fullspace_oracle_matches_dense_expm():

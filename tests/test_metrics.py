@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqwalk.lindblad import _read
-from cqwalk.metrics import similarity, similarity_report
+from cqwalk.metrics import similarity_report
 
 
 def test_extract_truncated_by_hand():
@@ -51,15 +51,15 @@ def test_extract_full_mode_classification():
 
 def test_similarity_identity_and_disjoint():
     p = np.array([0.25, 0.5, 0.25])
-    assert similarity(p, p) == pytest.approx(1.0, abs=1e-15)
-    assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert similarity_report(p, p)[0] == pytest.approx(1.0, abs=1e-15)
+    assert similarity_report(np.array([1.0, 0.0]),
+                             np.array([0.0, 1.0]))[0] == 0.0
 
 
 def test_similarity_penalizes_lost_weight():
     p_id = np.array([0.5, 0.5])
     lossy = np.array([0.4, 0.4])
     # S = (sum sqrt(0.8) * sqrt(...)) ... = 0.8 exactly
-    assert similarity(lossy, p_id) == pytest.approx(0.8, abs=1e-12)
     s, s_renorm = similarity_report(lossy, p_id)
     assert s == pytest.approx(0.8, abs=1e-12)
     assert s_renorm == pytest.approx(1.0, abs=1e-12)
@@ -68,18 +68,18 @@ def test_similarity_penalizes_lost_weight():
 def test_similarity_clips_float_noise():
     p = np.array([1.0 - 1e-16, -1e-17])
     q = np.array([1.0, 0.0])
-    s = similarity(p, q)
+    s = similarity_report(p, q)[0]
     assert 0.0 <= s <= 1.0 + 1e-12
 
 
 def test_similarity_shape_mismatch():
     with pytest.raises(ValueError):
-        similarity(np.ones(3) / 3, np.ones(4) / 4)
+        similarity_report(np.ones(3) / 3, np.ones(4) / 4)
 
 
 def test_similarity_rejects_real_negatives():
     with pytest.raises(ValueError, match="negative"):
-        similarity(np.array([0.7, -0.3]), np.array([0.5, 0.5]))
+        similarity_report(np.array([0.7, -0.3]), np.array([0.5, 0.5]))
 
 
 def test_similarity_report_zero_measured():
@@ -105,5 +105,5 @@ def test_similarity_bounded(a, b):
         p /= sp
     if sq > 0:
         q /= sq
-    s = similarity(p, q)
+    s = similarity_report(p, q)[0]
     assert -1e-12 <= s <= 1.0 + 1e-9
