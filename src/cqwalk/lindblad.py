@@ -26,12 +26,14 @@ retrieve (c_{j-1}<->e_j) acts within the same array shifted by one slot
 which has no decay.  The generator
 splits as -i (H_eff rho - rho H_eff+) + J(rho) with H_eff = H - i Gamma
 / 2, Gamma = sum_k gamma_k |b_k><b_k|, and J(rho) = sum_k gamma_k
-rho_bb |a_k><a_k|.  Per site that is a total decay of each slot, an
-inflow within the site (f->e and the two dephasing channels) and a sink
-into the vacuum (e->g, f->g and photon loss).  H_eff is block diagonal
-on the sites and J writes only diagonal entries, so every entry outside
-the sites' diagonal blocks evolves as V rho V+ with V = expm(-i t
-H_eff), one 3x3 map per site.
+rho_bb |a_k><a_k|.  Per site the channels are one array of jump rates
+by slot: a row into the vacuum (e->g, f->g and photon loss) and a 3x3
+block within the site (f->e, and the two dephasing channels on its
+diagonal).  Each slot's Gamma is the sum of its column, so every
+channel is written once and J puts back what Gamma takes.  H_eff is
+block diagonal on the sites and J writes only diagonal entries, so
+every entry outside the sites' diagonal blocks evolves as V rho V+ with
+V = expm(-i t H_eff), one 3x3 map per site.
 Each diagonal block follows its own closed 9-dimensional system, and a
 tenth row of that system sums the block's outflow into the vacuum; the
 vacuum has no dynamics of its own, so its population just collects
@@ -253,19 +255,19 @@ def compile_step(schedule: tuple[Segment, ...],
     1.  Anything else is a ValueError.  Each site
     decays by the six rates, read as floats, by level slot: (e, f, c) at
     offset 1 and (c_{j-1}, e, f) at offset 0; the slot outside the sector
-    has none.  The maps' arrays are read-only.
+    has none.  A step's channels are one array jump of shape (segments,
+    sites, 4, 3): jump[s, j, 0, b] is slot b's rate into the vacuum (e->g,
+    f->g, photon loss) and jump[s, j, 1 + a, b] the rate from slot b to
+    slot a of the site (f->e, and each dephasing on the diagonal), so
+    slot b's total decay Gamma_b is the column sum jump[s, j, :, b].  The
+    maps' arrays are read-only.
     """
     if not schedule:
         return ()
     sites, count = len(schedule[0].hamiltonian), len(schedule)
     offsets = [operator.index(seg.offset) for seg in schedule]
-    kappa, ge, ef, gf, phi_e, phi_f = map(float, (
-        rates.kappa, rates.gamma_ge, rates.gamma_ef, rates.gamma_gf,
-        rates.gamma_phi_e, rates.gamma_phi_f))
     h_eff = np.zeros((count, sites, 3, 3), dtype=complex)
-    total = np.zeros((count, sites, 3))       # [s, j, b]: rate out of b
-    inflow = np.zeros((count, sites, 3, 3))   # [s, j, a, b]: rate b -> a
-    sink = np.zeros((count, sites, 3))        # [s, j, b]: rate b -> vacuum
+    jump = np.zeros((count, sites, 4, 3))
     for s, (seg, offset) in enumerate(zip(schedule, offsets)):
         h = np.asarray(seg.hamiltonian, dtype=complex)
         if h.shape != (sites, 3, 3):
@@ -280,19 +282,17 @@ def compile_step(schedule: tuple[Segment, ...],
                              " sites")
         e, f = (1, 2) if offset == 0 else (0, 1)
         h_eff[s] = h
-        total[s, :, e] = ge + phi_e
-        total[s, :, f] = ef + gf + phi_f
-        total[s, :, c] = sink[s, :, c] = kappa
-        total[s, edge, c] = sink[s, edge, c] = 0.0
-        sink[s, :, e], sink[s, :, f] = ge, gf
-        inflow[s, :, e, f] = ef
-        inflow[s, :, e, e], inflow[s, :, f, f] = phi_e, phi_f
-    noisy = any((kappa, ge, ef, gf, phi_e, phi_f))
+        to = jump[s]         # [j, 0, b]: b -> vacuum; [j, 1 + a, b]: b -> a
+        to[:, 0, [e, f, c]] = rates.gamma_ge, rates.gamma_gf, rates.kappa
+        to[:, 1 + e, [e, f]] = rates.gamma_phi_e, rates.gamma_ef
+        to[:, 1 + f, f] = rates.gamma_phi_f
+        to[edge, 0, c] = 0.0
+    noisy = jump.any()
     # a sum of rates, or a duration times one, may overflow; _expm_small
     # then reports the non-finite generator, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         slots = np.arange(3)
-        h_eff[..., slots, slots] -= 0.5j * total
+        h_eff[..., slots, slots] -= 0.5j * jump.sum(axis=2)
         # most sites share their generator: the distinct sites of all
         # segments, told apart by their segment's index and the bytes of
         # their H_eff and rates, are compiled once, in one stack
@@ -300,7 +300,7 @@ def compile_step(schedule: tuple[Segment, ...],
                                   (count, sites, 1))
         keys = np.concatenate([segment,
                                h_eff.view(float).reshape(count, sites, 18),
-                               inflow.reshape(count, sites, 9), sink], axis=2)
+                               jump.reshape(count, sites, 12)], axis=2)
         keys = keys.view(np.dtype((np.void, 31 * keys.itemsize))).ravel()
         _, first, site = np.unique(keys, return_index=True,
                                    return_inverse=True)
@@ -308,25 +308,26 @@ def compile_step(schedule: tuple[Segment, ...],
         h = h_eff[at]
         t = np.array([float(seg.duration) for seg in schedule]
                      )[at[0], None, None]
-        mats = (-1j * t * h)[:, None]           # the generators of V
+        # the generators of V, and when noisy of each site's diagonal
+        # block B, read row-major (index 3p + q), plus an accumulator for
+        # its outflow into the vacuum (index 9); V's are padded (the
+        # exponential of a padded block is the block's exponential padded
+        # by I)
+        n = 10 if noisy else 3
+        mats = np.zeros((len(h), 1 + noisy, n, n), dtype=complex)
+        mats[:, 0, :3, :3] = -1j * t * h
         if noisy:
-            # and of each site's diagonal block B, read row-major (index
-            # 3p + q), plus an accumulator for its outflow into the vacuum
-            # (index 9): -i kron(h_eff, I) + i kron(I, h_eff*), then the
-            # jumps; V's are padded (the exponential of a padded block is
-            # the block's exponential padded by I)
+            # -i kron(h_eff, I) + i kron(I, h_eff*), then the jumps: B_aa
+            # gains from B_bb, and the vacuum from each B_bb
             eye = np.eye(3)
-            gen = np.zeros((len(h), 10, 10), dtype=complex)
-            gen[:, :9, :9] = (
+            mats[:, 1, :9, :9] = (
                 -1j * h[:, :, None, :, None] * eye[None, None, :, None, :]
                 + 1j * eye[None, :, None, :, None]
                 * h.conj()[:, None, :, None, :]).reshape(-1, 9, 9)
-            gen[:, :9:4, :9:4] += inflow[at]     # B_aa gains from B_bb
-            gen[:, 9, :9:4] = sink[at]
-            v_gen, mats = mats, np.zeros((len(h), 2, 10, 10), dtype=complex)
-            mats[:, :1, :3, :3], mats[:, 1] = v_gen, t * gen
-    exp = _expm_small(mats.reshape(-1, *mats.shape[2:]),
-                      at[0].repeat(mats.shape[1])).reshape(mats.shape)
+            mats[:, 1, [9, 0, 4, 8], :9:4] += jump[at]
+            mats[:, 1] *= t
+    exp = _expm_small(mats.reshape(-1, n, n),
+                      at[0].repeat(1 + noisy)).reshape(mats.shape)
     maps = [_SiteMaps(offset, exp[i, 0, :3, :3], exp[i, 1] if noisy else None)
             for offset, i in zip(offsets, site.reshape(count, sites))]
     return tuple(functools.reduce(_SiteMaps.then, run) for _, run in

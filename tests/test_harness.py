@@ -121,6 +121,13 @@ def test_equal_sinks_lose_the_walker_at_one_rate(n):
     assert np.max(np.abs(rep.p_me - survival * rep.p_id)) < 1e-13
     assert abs(rep.s - survival) < 1e-13
     assert abs(rep.residual_vacuum - (1.0 - survival)) < 1e-13
+    # f->e and both dephasings only move weight within a site, so the
+    # walker and the photons still hold e^{-gamma T} between them and
+    # the vacuum the rest
+    rep = run_experiment(replace(cfg, t1_ef_us=5.0, tphi_e_us=3.0,
+                                 tphi_f_us=11.0))
+    assert abs(rep.p_me.sum() + rep.residual_cavity - survival) < 1e-12
+    assert abs(rep.residual_vacuum - (1.0 - survival)) < 1e-12
 
 
 @pytest.mark.parametrize("coin0", ["zero", "one", "plus-i"])
@@ -477,8 +484,7 @@ def test_noisy_run_builds_no_dense_initial_state():
     # the run writes psi0 psi0+ straight into its state's light-cone
     # block, so no dense rho0 is alive beside it, and lets the state go
     # before its final readout is scored: a noisy N=160 run peaks below
-    # 2.85 dense (3N+4)^2 states (about 2.5; 3.8 with a dense rho0, 3.0
-    # with the state kept through scoring)
+    # 2.85 dense (3N+4)^2 states (about 2.5)
     n = 160
     tracemalloc.start()
     try:
@@ -492,8 +498,7 @@ def test_noisy_run_builds_no_dense_initial_state():
 
 def test_noise_free_run_forms_no_dense_state():
     # a noise-free run propagates and reads out psi, so an N=320 run
-    # peaks far below one dense (3N+4)^2 state (about 0.06 of one; 2.5
-    # with psi psi+ formed at the readout)
+    # peaks far below one dense (3N+4)^2 state (about 0.06 of one)
     n = 320
     tracemalloc.start()
     try:
