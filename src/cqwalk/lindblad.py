@@ -83,7 +83,7 @@ import itertools
 import math
 import operator
 from collections.abc import Container, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -181,21 +181,19 @@ class _SiteMaps:
     layout, in that layout (module docstring).
 
     Site j (0-based) covers slots offset + 3j .. offset + 3j + 2; slot 0
-    is the vacuum either way.  v[j] is expm(-i t H_eff) on site j (v_conj
-    its conjugate) and decay[j] the exponential of its diagonal block's
-    closed system: decay[j, :9, :9] maps the block, read row-major, and
-    decay[j, 9, :9] gives its outflow into the vacuum.  decay is None
-    when nothing decays.
+    is the vacuum either way.  v[j] is expm(-i t H_eff) on site j and
+    decay[j] the exponential of its diagonal block's closed system:
+    decay[j, :9, :9] maps the block, read row-major, and decay[j, 9, :9]
+    gives its outflow into the vacuum.  decay is None when nothing
+    decays; such a map propagates psi only (apply_rows).
     """
 
     offset: int
     v: np.ndarray
     decay: np.ndarray | None
-    v_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "v_conj", self.v.conj())
-        for a in (self.v, self.v_conj, self.decay):
+        for a in (self.v, self.decay):
             if a is not None:     # one compiled step may serve many runs
                 a.flags.writeable = False
 
@@ -213,11 +211,12 @@ class _SiteMaps:
         return min(len(self.v), max(0, -(-(size - self.offset) // 3)))
 
     def apply_rows(self, y: np.ndarray, size: int, conj=False) -> int:
-        """y <- V y (V* y if conj) in place, given that only the leading
-        size rows of y are nonzero; return that count afterwards."""
+        """y <- V y (V* y if conj, V* formed for the sites reached) in
+        place, given that only the leading size rows of y are nonzero;
+        return that count afterwards."""
         sites = self._sites(size)
         end = self.offset + 3 * sites
-        v = (self.v_conj if conj else self.v)[:sites]
+        v = self.v[:sites].conj() if conj else self.v[:sites]
         rows = y[self.offset:end]
         rows[...] = np.matmul(v, rows.reshape(sites, 3, y.shape[1])
                               ).reshape(rows.shape)
@@ -226,20 +225,19 @@ class _SiteMaps:
     def apply(self, rho: np.ndarray, size: int, triplets: np.ndarray) -> int:
         """Propagate rho, through its _triplets view at this offset, in
         place, given that only its leading size x size block is nonzero;
-        return the size of that block afterwards."""
+        return the size of that block afterwards.  Only a map that decays
+        propagates rho (walk_steps)."""
         sites = self._sites(size)
         end = self.offset + 3 * sites
         a = rho[:end, :end]
-        if self.decay is not None:
-            triplets = triplets[:sites]
-            before = triplets.copy().reshape(sites, 9)
+        triplets = triplets[:sites]
+        before = triplets.copy().reshape(sites, 9)
         self.apply_rows(a, size)                             # V rho
         self.apply_rows(a.T, size, conj=True)                # (rho V+)^T
-        if self.decay is not None:
-            decay = self.decay[:sites]
-            triplets[...] = np.matmul(decay[:, :9, :9], before[:, :, None]
-                                      ).reshape(sites, 3, 3)
-            a[0, 0] += (decay[:, 9, :9] * before).sum()
+        decay = self.decay[:sites]
+        triplets[...] = np.matmul(decay[:, :9, :9], before[:, :, None]
+                                  ).reshape(sites, 3, 3)
+        a[0, 0] += (decay[:, 9, :9] * before).sum()
         return end
 
 
@@ -417,10 +415,11 @@ def walk_steps(psi0: np.ndarray, step_maps: tuple[_SiteMaps, ...],
     order, the n-step chain's own run from psi0's leading 3n+3 entries.
 
     Consecutive segments on one site layout are one map, so a protocol
-    step applies two maps: coin then store, and retrieve.  The run is
-    noise-free exactly when no map decays (every rate 0).  A psi0 of
-    another shape, or a map of other than N+1 sites, is a ValueError
-    when the first step is taken.
+    step applies two maps: coin then store, and retrieve.  compile_step
+    gives every map of a step a decay or none of them, none exactly when
+    every rate is 0; the run then propagates psi (apply_rows), and rho
+    (apply) otherwise.  A psi0 of another shape, or a map of other than
+    N+1 sites, is a ValueError when the first step is taken.
     Step n's result holds psi when every rate is 0, else rho, read off
     the state's leading entries.  That is exact while the state stays on
     sites 1..n+1 up to step n, as a walker started on site 1 does; a

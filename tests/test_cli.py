@@ -105,6 +105,22 @@ def test_sweep_with_range_values(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
 
 
+def test_sweep_writes_a_plot_script_of_its_table(tmp_path, monkeypatch):
+    # the script plots S against the swept axis, read from the table
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "--axis", "n_steps", "--values", "1:2",
+                 "--output", "sweep.csv", "--plot-script", "sweep.gp",
+                 *ZERO_NOISE])
+    assert code == 0
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
+    (plot,) = [line for line in
+               (tmp_path / "sweep.gp").read_text().splitlines()
+               if line.startswith("plot ")]
+    assert plot.startswith("plot 'sweep.csv' skip 1 using ")
+    x, y = plot.split(" using ")[1].split()[0].split(":")
+    assert (header[int(x) - 1], header[int(y) - 1]) == ("n_steps", "S")
+
+
 def test_sweep_default_g_grid(capsys):
     # omitting --values on the g axis sweeps the stock 10..60 MHz grid
     code = main(["sweep", "--axis", "g", "--n-steps", "2", *ZERO_NOISE])
@@ -193,6 +209,8 @@ def test_failed_row_is_null_in_strict_json(tmp_path):
     ["sweep", "--axis", "g", "--values", "1:5:nan"],
     ["sweep", "--axis", "g", "--values", "0:1e300:1e-300"],  # count overflows
     ["sweep", "--axis", "n_steps", "--values", "1e300"],  # size past a float
+    ["sweep", "--axis", "g", "--values", "1:2:3:4"],      # bad range
+    ["sweep", "--axis", "g", "--values", "3:1"],          # empty range
     ["run", "--n-steps", "1" + "0" * 400],
     ["run", "--g-over-2pi-mhz", "2e307"],    # 2g overflows: pi / 2g is 0
     ["run", "--mu-over-2pi-mhz", "2e307"],

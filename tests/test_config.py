@@ -80,10 +80,17 @@ def test_range_validation(overrides):
         config_from_mapping(overrides)
 
 
-def test_n_steps_bounded_by_physical_memory():
+def test_n_steps_bounded_by_physical_memory(monkeypatch):
     # 16 (3N+4)^2 bytes per dense state: about 1.4 TB at N = 10^5
     with pytest.raises(ConfigError, match="physical memory"):
         check_memory(ExperimentConfig(n_steps=10**5))
+    # where the OS does not say, the host's memory is unknown
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(config.os, "sysconf", unknown)
+    assert config._physical_memory() is None
 
 
 def test_noise_free_run_is_charged_for_state_vectors(monkeypatch):
@@ -163,6 +170,8 @@ def test_scale_multiplies_lifetimes():
     r5 = ExperimentConfig(scale=5.0).rates()
     assert r5.kappa == pytest.approx(r1.kappa / 5.0)
     assert r5.gamma_phi_e == pytest.approx(r1.gamma_phi_e / 5.0)
+    with pytest.raises(ValueError, match="lifetime factor"):
+        ExperimentConfig(scale=0.0).rates()
 
 
 def test_load_config_missing_file(tmp_path):

@@ -18,6 +18,7 @@ from fullspace import E, F, sector_dim, slot
 
 import cqwalk
 from cqwalk import config, harness, lindblad
+from cqwalk.cli import main
 from cqwalk.config import ConfigError, ExperimentConfig
 from cqwalk.harness import (REPORT_COLUMNS, SWEEP_AXES, Report, SweepSpec,
                             emit_distribution, emit_plot_script, emit_report,
@@ -179,6 +180,31 @@ def test_trace_error_above_bound_is_a_numerical_failure():
     # stays finite but its trace is off by ~1e-5
     with pytest.raises(IntegrationError, match="trace error"):
         run_experiment(ExperimentConfig(n_steps=1, t1_ge_us=1e-14))
+
+
+@pytest.mark.parametrize("cfg", [zero_noise_config(n_steps=3),
+                                 ExperimentConfig(n_steps=3)],
+                         ids=["noise-free", "noisy"])
+def test_non_finite_map_is_a_numerical_failure(cfg, monkeypatch, capsys):
+    # one NaN in a compiled site map: the run raises, the sweep row
+    # carries the error and the CLI exits 2, never a NaN row with exit 0
+    compiled = harness._compiled_step
+
+    def poisoned(point):
+        first, *rest = compiled(point)
+        v = first.v.copy()
+        v[0, 0, 0] = math.nan
+        return (lindblad._SiteMaps(first.offset, v, first.decay), *rest)
+
+    monkeypatch.setattr(harness, "_compiled_step", poisoned)
+    with pytest.raises(IntegrationError, match="non-finite"):
+        run_experiment(cfg)
+    (row,) = run_sweep(cfg, SweepSpec(axis="n_steps", values=(3,)))
+    assert "non-finite" in row.error and math.isnan(row.s)
+    lifetimes = [f"--{name.replace('_', '-')}={getattr(cfg, name)}"
+                 for name in config._LIFETIMES]
+    assert main(["run", "--n-steps", "3", *lifetimes]) == 2
+    assert "numerical failure: non-finite" in capsys.readouterr().err
 
 
 def test_single_point_sweep_equals_run_experiment():
